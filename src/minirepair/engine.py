@@ -16,7 +16,7 @@ import difflib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from minirepair.faultloc import Navigator, build_matrix, rank
 from minirepair.minilang import SourceUnit, pretty_print
@@ -70,19 +70,7 @@ class EngineConfig:
             raise ValueError("step_budget must be >= 1")
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "population_size": self.population_size,
-            "max_generations": self.max_generations,
-            "formula": self.formula,
-            "navigation": self.navigation,
-            "ingredient_scope": self.ingredient_scope,
-            "step_budget": self.step_budget,
-            "seed": self.seed,
-            "max_patches": self.max_patches,
-            "fast_validation": self.fast_validation,
-            "check_lineages": self.check_lineages,
-        }
+        return asdict(self)
 
 
 @dataclass

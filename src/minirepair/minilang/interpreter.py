@@ -1,4 +1,4 @@
-"""Tree-walking interpreter with statement coverage and a step budget.
+"""Closure-compiling interpreter with statement coverage and a step budget.
 
 Execution is a pure function of (unit, call, budget): the language has
 no I/O, no clock, and no randomness. Each statement evaluation costs one
@@ -15,13 +15,45 @@ Semantics notes:
   - Arrays are mutable references; array arguments are copied per call
     into the interpreter so runs never alias suite data.
   - MiniLang recursion is bounded by `max_call_depth` in addition to the
-    step budget (the host stack is finite); exceeding it is the
-    defensive `call-depth-exceeded` runtime error.
+    step budget; exceeding it is the `call-depth-exceeded` runtime error.
+
+Compilation. The first run of a unit compiles every function into nested
+Python closures (Feeley & Lapalme, "Using closures for code generation",
+1987): variables become slots of one list per activation, resolved when
+compiling, and a runtime error is attributed to the statement that
+contains the failing expression, also known when compiling. The compiled
+code is kept on the unit object (`SourceUnit._compiled`), which copies
+and pickles leave out, and is reused by every later run of that object.
+Contract: a unit is not edited after its first run. Edit a copy and
+normalize it instead, as the repair operators do. Units must be well
+typed (`check_unit` passes), as `parse` and every operator guarantee.
+
+Loop cut. A run is deterministic and has no I/O, so a loop whose state at
+its header repeats will repeat that stretch until the budget runs out.
+Each loop entry snapshots its state at header visits 16, 32, 64, ... and
+compares each of the next 64 visits with the snapshot. The state is every
+binding visible at the header in the current activation, compared
+type-strictly, with array contents and with which names share one array.
+Caller frames cannot matter: a loop that never exits never returns. On a
+match the run ends as budget exhaustion with `steps_used` equal to the
+budget; `executed` is already final, since every statement of the repeated
+stretch has begun once. `loop_cut_at` records the steps counted when the
+cut fired.
+
+Host stack. Compiling a unit and running one MiniLang call each take a
+number of Python frames bounded by the unit's static nesting depth.
+`interpret` raises the recursion limit by that bound (times
+`max_call_depth` for the run) and restores it before returning, so
+`call-depth-exceeded` fires at the declared depth however deep the
+caller's stack is.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass, field
+from itertools import compress
 
 from minirepair.minilang.nodes import (
     ArrayLit,
@@ -31,6 +63,7 @@ from minirepair.minilang.nodes import (
     Call,
     Expr,
     ExprStmt,
+    FunctionDef,
     IfStmt,
     Index,
     IndexAssignStmt,
@@ -44,6 +77,7 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
+    iter_depths,
 )
 
 INT_MIN = -(2**63)
@@ -55,6 +89,15 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 
 Value = int | bool | list
 
+# Loop cut: first snapshot at this header visit, then at every doubling;
+# each snapshot is compared with the header visits that follow it, up to
+# this many.
+CUT_FIRST_SNAPSHOT = 16
+CUT_WINDOW = 64
+
+# Python frames of `interpret` itself and of the helpers a closure calls.
+_FRAME_SLACK = 50
+
 
 @dataclass
 class ExecutionResult:
@@ -64,6 +107,9 @@ class ExecutionResult:
     error_at: StatementId | None = None
     executed: set[StatementId] = field(default_factory=set)
     steps_used: int = 0
+    # Steps counted when the loop cut ended the run (status is then
+    # budget exhaustion with steps_used == budget); None otherwise.
+    loop_cut_at: int | None = None
 
 
 class _Trap(Exception):
@@ -76,193 +122,417 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Return(Exception):
-    def __init__(self, value: Value):
-        self.value = value
+class _LoopCut(_BudgetExhausted):
+    pass
 
 
 def values_equal(a: Value, b: Value) -> bool:
     """Type-strict value equality (bool is never equal to int)."""
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if isinstance(a, list) != isinstance(b, list):
-        return False
-    return a == b
-
-
-class _Machine:
-    def __init__(self, unit: SourceUnit, step_budget: int, max_call_depth: int):
-        self.functions = {fn.name: fn for fn in unit.functions}
-        self.budget = step_budget
-        self.max_call_depth = max_call_depth
-        self.steps = 0
-        self.executed: set[StatementId] = set()
-        self.depth = 0
-        self.current: StatementId | None = None
-
-    def trap(self, kind: str) -> _Trap:
-        return _Trap(kind, self.current)
-
-    # -- statements ----------------------------------------------------
-
-    def begin(self, stmt: Stmt) -> None:
-        if self.steps >= self.budget:
-            raise _BudgetExhausted()
-        self.steps += 1
-        if stmt.stmt_id is not None:
-            self.executed.add(stmt.stmt_id)
-        self.current = stmt.stmt_id
-
-    def exec_block(self, block: list[Stmt], env: list[dict]) -> None:
-        for stmt in block:
-            self.exec_stmt(stmt, env)
-
-    def exec_stmt(self, stmt: Stmt, env: list[dict]) -> None:
-        if isinstance(stmt, WhileStmt):
-            while True:
-                self.begin(stmt)
-                if not self.eval(stmt.cond, env):
-                    return
-                env.append({})
-                try:
-                    self.exec_block(stmt.body, env)
-                finally:
-                    env.pop()
-            return
-        self.begin(stmt)
-        if isinstance(stmt, LetStmt):
-            env[-1][stmt.name] = self.eval(stmt.value, env)
-        elif isinstance(stmt, AssignStmt):
-            value = self.eval(stmt.value, env)
-            for frame in reversed(env):
-                if stmt.name in frame:
-                    frame[stmt.name] = value
-                    return
-            raise self.trap("unbound-variable")
-        elif isinstance(stmt, IndexAssignStmt):
-            array = self.load(stmt.name, env)
-            index = self.eval(stmt.index, env)
-            value = self.eval(stmt.value, env)
-            if not 0 <= index < len(array):
-                raise self.trap("index-out-of-bounds")
-            array[index] = value
-        elif isinstance(stmt, IfStmt):
-            branch = stmt.then_body if self.eval(stmt.cond, env) else stmt.else_body
-            if branch is not None:
-                env.append({})
-                try:
-                    self.exec_block(branch, env)
-                finally:
-                    env.pop()
-        elif isinstance(stmt, ReturnStmt):
-            raise _Return(self.eval(stmt.value, env))
-        elif isinstance(stmt, ExprStmt):
-            self.eval(stmt.value, env)
-        else:
-            raise self.trap("unknown-statement")
-
-    # -- expressions ---------------------------------------------------
-
-    def load(self, name: str, env: list[dict]) -> Value:
-        for frame in reversed(env):
-            if name in frame:
-                return frame[name]
-        raise self.trap("unbound-variable")
-
-    def eval(self, expr: Expr, env: list[dict]) -> Value:
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, Var):
-            return self.load(expr.name, env)
-        if isinstance(expr, Unary):
-            operand = self.eval(expr.operand, env)
-            if expr.op == "-":
-                return self.check_int(-operand)
-            return not operand
-        if isinstance(expr, Binary):
-            return self.eval_binary(expr, env)
-        if isinstance(expr, Index):
-            array = self.load(expr.name, env)
-            index = self.eval(expr.index, env)
-            if not 0 <= index < len(array):
-                raise self.trap("index-out-of-bounds")
-            return array[index]
-        if isinstance(expr, Len):
-            return len(self.eval(expr.arg, env))
-        if isinstance(expr, Call):
-            args = [self.eval(a, env) for a in expr.args]
-            return self.call(expr.fn, args)
-        if isinstance(expr, ArrayLit):
-            return [self.eval(i, env) for i in expr.items]
-        raise self.trap("unknown-expression")
-
-    def eval_binary(self, expr: Binary, env: list[dict]) -> Value:
-        op = expr.op
-        if op == "&&":
-            return bool(self.eval(expr.lhs, env)) and bool(self.eval(expr.rhs, env))
-        if op == "||":
-            return bool(self.eval(expr.lhs, env)) or bool(self.eval(expr.rhs, env))
-        lhs = self.eval(expr.lhs, env)
-        rhs = self.eval(expr.rhs, env)
-        if op == "+":
-            return self.check_int(lhs + rhs)
-        if op == "-":
-            return self.check_int(lhs - rhs)
-        if op == "*":
-            return self.check_int(lhs * rhs)
-        if op == "/":
-            if rhs == 0:
-                raise self.trap("division-by-zero")
-            return self.check_int(_trunc_div(lhs, rhs))
-        if op == "%":
-            if rhs == 0:
-                raise self.trap("modulo-by-zero")
-            return lhs - _trunc_div(lhs, rhs) * rhs
-        if op == "<":
-            return lhs < rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">":
-            return lhs > rhs
-        if op == ">=":
-            return lhs >= rhs
-        if op == "==":
-            return values_equal(lhs, rhs)
-        if op == "!=":
-            return not values_equal(lhs, rhs)
-        raise self.trap("unknown-operator")
-
-    def check_int(self, value: int) -> int:
-        if not INT_MIN <= value <= INT_MAX:
-            raise self.trap("integer-overflow")
-        return value
-
-    # -- calls -----------------------------------------------------------
-
-    def call(self, fn_name: str, args: list[Value]) -> Value:
-        fn = self.functions.get(fn_name)
-        if fn is None:
-            raise self.trap("unknown-function")
-        if self.depth >= self.max_call_depth:
-            raise self.trap("call-depth-exceeded")
-        self.depth += 1
-        caller_stmt = self.current
-        env: list[dict] = [{name: value for (name, _), value in zip(fn.params, args)}]
-        try:
-            self.exec_block(fn.body, env)
-        except _Return as ret:
-            return ret.value
-        finally:
-            self.depth -= 1
-            self.current = caller_stmt
-        raise self.trap("missing-return")
+    return type(a) is type(b) and a == b
 
 
 def _trunc_div(a: int, b: int) -> int:
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+# -- per-run state ----------------------------------------------------------
+
+
+class _Run:
+    """Mutable state of one run, passed to every closure as `r`."""
+
+    __slots__ = ("left", "hit", "depth", "max_depth")
+
+    def __init__(self, budget: int, statements: int, max_depth: int):
+        self.left = budget  # steps still allowed
+        self.hit = [False] * statements  # by compiled statement number
+        self.depth = 0
+        self.max_depth = max_depth
+
+
+class _Function:
+    __slots__ = ("nslots", "body")
+
+    def __init__(self):
+        self.nslots = 0
+        self.body = None
+
+
+class _Program:
+    """A compiled unit: function entry points and the statement ids."""
+
+    __slots__ = ("functions", "sids", "frames_per_call")
+
+    def __init__(self, functions: dict[str, _Function], sids: list, frames_per_call: int):
+        self.functions = functions
+        self.sids = sids
+        self.frames_per_call = frames_per_call
+
+
+# -- compiler ---------------------------------------------------------------
+#
+# Statement closures take (L, r): the activation's slot list and the run
+# state. Each begins by charging its step and marking its statement number
+# in `r.hit`, written out in every closure because a shared helper would
+# cost a Python call per step. They return None to continue, or the value
+# of an executed `return` (MiniLang values are never None). Expression
+# closures take the same arguments and return the value.
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _fail(kind: str, at, *operands):
+    """An expression that evaluates `operands`, then traps."""
+
+    def fail(L, r):
+        for operand in operands:
+            operand(L, r)
+        raise _Trap(kind, at)
+
+    return fail
+
+
+def _evaluate(k: int, value):
+    """A statement that evaluates `value` for its effects."""
+
+    def evaluate(L, r):
+        n = r.left
+        if not n:
+            raise _BudgetExhausted
+        r.left = n - 1
+        r.hit[k] = True
+        value(L, r)
+
+    return evaluate
+
+
+class _Compiler:
+    def __init__(self, unit: SourceUnit):
+        self.unit = unit
+        self.functions = {fn.name: _Function() for fn in unit.functions}
+        self.sids: list[StatementId | None] = []
+
+    def program(self, frames_per_call: int) -> _Program:
+        for fn in self.unit.functions:
+            self.function(fn)
+        return _Program(self.functions, self.sids, frames_per_call)
+
+    def function(self, fn: FunctionDef) -> None:
+        self.nslots = 0
+        scope: list[dict[str, int]] = [{}]
+        for name, _ in fn.params:
+            scope[0][name] = self.nslots
+            self.nslots += 1
+        body = self.block(fn.body, scope)
+        compiled = self.functions[fn.name]
+        compiled.nslots = self.nslots
+        compiled.body = body
+
+    # -- statements -------------------------------------------------------
+
+    def block(self, stmts: list[Stmt], scope: list[dict[str, int]]):
+        """Compile a block in a fresh scope frame."""
+        scope.append({})
+        compiled = tuple([self.stmt(s, scope) for s in stmts])
+        scope.pop()
+        if len(compiled) == 1:
+            return compiled[0]
+
+        def run_block(L, r):
+            for stmt in compiled:
+                value = stmt(L, r)
+                if value is not None:
+                    return value
+            return None
+
+        return run_block
+
+    def stmt(self, stmt: Stmt, scope: list[dict[str, int]]):
+        sid = stmt.stmt_id
+        k = len(self.sids)
+        self.sids.append(sid)
+        if isinstance(stmt, WhileStmt):
+            return self.while_stmt(stmt, scope, k)
+        if isinstance(stmt, AssignStmt) and _lookup(scope, stmt.name) is None:
+            value = self.expr(stmt.value, scope, sid)
+            return _evaluate(k, _fail("unbound-variable", sid, value))
+        if isinstance(stmt, (LetStmt, AssignStmt)):
+            value = self.expr(stmt.value, scope, sid)
+            slot = scope[-1].get(stmt.name) if isinstance(stmt, LetStmt) else _lookup(scope, stmt.name)
+            if slot is None:
+                slot = scope[-1][stmt.name] = self.nslots
+                self.nslots += 1
+
+            def store(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                L[slot] = value(L, r)
+
+            return store
+        if isinstance(stmt, IndexAssignStmt):
+            array = self.load(stmt.name, scope, sid)
+            index = self.expr(stmt.index, scope, sid)
+            value = self.expr(stmt.value, scope, sid)
+
+            def store_item(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                target = array(L, r)
+                i = index(L, r)
+                v = value(L, r)
+                if not 0 <= i < len(target):
+                    raise _Trap("index-out-of-bounds", sid)
+                target[i] = v
+
+            return store_item
+        if isinstance(stmt, IfStmt):
+            cond = self.expr(stmt.cond, scope, sid)
+            then = self.block(stmt.then_body, scope)
+            orelse = None if stmt.else_body is None else self.block(stmt.else_body, scope)
+
+            def branch(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                if cond(L, r):
+                    return then(L, r)
+                if orelse is not None:
+                    return orelse(L, r)
+                return None
+
+            return branch
+        if isinstance(stmt, ReturnStmt):
+            value = self.expr(stmt.value, scope, sid)
+
+            def ret(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                return value(L, r)
+
+            return ret
+        if isinstance(stmt, ExprStmt):
+            return _evaluate(k, self.expr(stmt.value, scope, sid))
+        return _evaluate(k, _fail("unknown-statement", sid))
+
+    def while_stmt(self, stmt: WhileStmt, scope: list[dict[str, int]], k: int):
+        sid = stmt.stmt_id
+        live = tuple(slot for frame in scope for slot in frame.values())
+        cond = self.expr(stmt.cond, scope, sid)
+        body = self.block(stmt.body, scope)
+
+        def loop(L, r):
+            visits = 0
+            check_at = snapshot_at = CUT_FIRST_SNAPSHOT
+            window_end = 0
+            snapshot = None
+            while True:
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                if not cond(L, r):
+                    return None
+                value = body(L, r)
+                if value is not None:
+                    return value
+                visits += 1
+                if visits >= check_at:
+                    if visits == snapshot_at:
+                        snapshot = _loop_state(L, live)
+                        snapshot_at *= 2
+                        window_end = visits + CUT_WINDOW
+                        check_at = visits + 1
+                    else:
+                        if _loop_state(L, live) == snapshot:
+                            raise _LoopCut
+                        check_at = visits + 1 if visits < window_end else snapshot_at
+
+        return loop
+
+    # -- expressions ------------------------------------------------------
+
+    def load(self, name: str, scope, sid):
+        slot = _lookup(scope, name)
+        if slot is None:
+            return _fail("unbound-variable", sid)
+        return lambda L, r: L[slot]
+
+    def expr(self, expr: Expr, scope: list[dict[str, int]], sid):
+        if isinstance(expr, (IntLit, BoolLit)):
+            constant = expr.value
+            return lambda L, r: constant
+        if isinstance(expr, Var):
+            return self.load(expr.name, scope, sid)
+        if isinstance(expr, Binary):
+            return self.binary(expr, scope, sid)
+        if isinstance(expr, Unary):
+            operand = self.expr(expr.operand, scope, sid)
+            if expr.op != "-":
+                return lambda L, r: not operand(L, r)
+
+            def negate(L, r):
+                v = -operand(L, r)
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+                raise _Trap("integer-overflow", sid)
+
+            return negate
+        if isinstance(expr, Index):
+            slot = _lookup(scope, expr.name)
+            if slot is None:
+                return _fail("unbound-variable", sid)
+            index_slot = _slot_of(expr.index, scope)
+            index = self.expr(expr.index, scope, sid)
+
+            def item(L, r):
+                array = L[slot]
+                i = L[index_slot] if index_slot is not None else index(L, r)
+                if 0 <= i < len(array):
+                    return array[i]
+                raise _Trap("index-out-of-bounds", sid)
+
+            return item
+        if isinstance(expr, Len):
+            slot = _slot_of(expr.arg, scope)
+            if slot is not None:
+                return lambda L, r: len(L[slot])
+            arg = self.expr(expr.arg, scope, sid)
+            return lambda L, r: len(arg(L, r))
+        if isinstance(expr, Call):
+            return self.call(expr, scope, sid)
+        if isinstance(expr, ArrayLit):
+            items = tuple([self.expr(i, scope, sid) for i in expr.items])
+            return lambda L, r: [item(L, r) for item in items]
+        return _fail("unknown-expression", sid)
+
+    def call(self, expr: Call, scope, sid):
+        args = tuple([self.expr(a, scope, sid) for a in expr.args])
+        callee = self.functions.get(expr.fn)
+        if callee is None:
+            return _fail("unknown-function", sid, *args)
+
+        def call(L, r):
+            frame = [None] * callee.nslots
+            i = 0
+            for arg in args:
+                frame[i] = arg(L, r)
+                i += 1
+            depth = r.depth
+            if depth >= r.max_depth:
+                raise _Trap("call-depth-exceeded", sid)
+            r.depth = depth + 1
+            value = callee.body(frame, r)
+            if value is None:
+                raise _Trap("missing-return", sid)
+            r.depth = depth
+            return value
+
+        return call
+
+    def binary(self, expr: Binary, scope, sid):
+        op = expr.op
+        lhs = self.expr(expr.lhs, scope, sid)
+        rhs = self.expr(expr.rhs, scope, sid)
+        lslot = _slot_of(expr.lhs, scope)
+        if op == "&&":
+            return lambda L, r: lhs(L, r) and rhs(L, r)
+        if op == "||":
+            return lambda L, r: lhs(L, r) or rhs(L, r)
+        if op in _COMPARE:
+            compare = _COMPARE[op]
+            if lslot is not None:
+                return lambda L, r: compare(L[lslot], rhs(L, r))
+            return lambda L, r: compare(lhs(L, r), rhs(L, r))
+        if op in _ARITH:
+            arith = _ARITH[op]
+            if lslot is not None and isinstance(expr.rhs, IntLit):
+                constant = expr.rhs.value
+
+                def arith_var_const(L, r):
+                    v = arith(L[lslot], constant)
+                    if INT_MIN <= v <= INT_MAX:
+                        return v
+                    raise _Trap("integer-overflow", sid)
+
+                return arith_var_const
+
+            def checked_arith(L, r):
+                v = arith(lhs(L, r), rhs(L, r))
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+                raise _Trap("integer-overflow", sid)
+
+            return checked_arith
+        if op == "/":
+
+            def div(L, r):
+                a = lhs(L, r)
+                b = rhs(L, r)
+                if b == 0:
+                    raise _Trap("division-by-zero", sid)
+                v = _trunc_div(a, b)
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+                raise _Trap("integer-overflow", sid)
+
+            return div
+        if op == "%":
+
+            def mod(L, r):
+                a = lhs(L, r)
+                b = rhs(L, r)
+                if b == 0:
+                    raise _Trap("modulo-by-zero", sid)
+                return a - _trunc_div(a, b) * b
+
+            return mod
+        if op == "==":
+            return lambda L, r: values_equal(lhs(L, r), rhs(L, r))
+        if op == "!=":
+            return lambda L, r: not values_equal(lhs(L, r), rhs(L, r))
+        return _fail("unknown-operator", sid, lhs, rhs)
+
+
+def _lookup(scope: list[dict[str, int]], name: str) -> int | None:
+    for frame in reversed(scope):
+        if name in frame:
+            return frame[name]
+    return None
+
+
+def _slot_of(expr: Expr, scope) -> int | None:
+    return _lookup(scope, expr.name) if isinstance(expr, Var) else None
+
+
+def _loop_state(L: list, live: tuple[int, ...]) -> list:
+    """The bindings in `live` as a comparable value: types, contents, sharing."""
+    state = []
+    first_seen: dict[int, int] = {}
+    for position, slot in enumerate(live):
+        value = L[slot]
+        if type(value) is list:
+            owner = first_seen.setdefault(id(value), position)
+            state.append((owner, tuple(value), tuple(map(type, value))))
+        else:
+            state.append((type(value), value))
+    return state
+
+
+# -- entry point --------------------------------------------------------------
 
 
 def interpret(
@@ -284,22 +554,39 @@ def interpret(
         raise ValueError(f"no function named {fn_name!r}")
     if len(args) != len(fn.params):
         raise ValueError(f"{fn_name!r} takes {len(fn.params)} arguments, got {len(args)}")
-    machine = _Machine(unit, step_budget, max_call_depth)
-    call_args = [list(a) if isinstance(a, list) else a for a in args]
+    limit = sys.getrecursionlimit()
+    program = unit.__dict__.get("_compiled")
+    if program is None:
+        # Compiling takes at most four Python frames per level of nesting,
+        # and the closures of one call nest fewer than that.
+        frames_per_call = 4 * (max((d for _, d in iter_depths(unit)), default=0) + 1)
+        sys.setrecursionlimit(limit + frames_per_call + _FRAME_SLACK)
+        try:
+            program = unit._compiled = _Compiler(unit).program(frames_per_call)
+        finally:
+            sys.setrecursionlimit(limit)
+    compiled = program.functions[fn_name]
+    run = _Run(step_budget, len(program.sids), max_call_depth)
+    frame = [None] * compiled.nslots
+    frame[: len(args)] = [list(a) if isinstance(a, list) else a for a in args]
+    sys.setrecursionlimit(limit + (max_call_depth + 1) * program.frames_per_call + _FRAME_SLACK)
     try:
-        value = machine.call(fn_name, call_args)
-        return ExecutionResult(
-            RETURNED, value=value, executed=machine.executed, steps_used=machine.steps
-        )
+        if max_call_depth <= 0:
+            raise _Trap("call-depth-exceeded", None)
+        run.depth = 1
+        value = compiled.body(frame, run)
+        if value is None:
+            raise _Trap("missing-return", None)
+        result = ExecutionResult(RETURNED, value=value)
     except _Trap as trap:
-        return ExecutionResult(
-            RUNTIME_ERROR,
-            error_kind=trap.kind,
-            error_at=trap.at,
-            executed=machine.executed,
-            steps_used=machine.steps,
-        )
+        result = ExecutionResult(RUNTIME_ERROR, error_kind=trap.kind, error_at=trap.at)
+    except _LoopCut:
+        result = ExecutionResult(BUDGET_EXHAUSTED, loop_cut_at=step_budget - run.left)
     except _BudgetExhausted:
-        return ExecutionResult(
-            BUDGET_EXHAUSTED, executed=machine.executed, steps_used=machine.steps
-        )
+        result = ExecutionResult(BUDGET_EXHAUSTED)
+    finally:
+        sys.setrecursionlimit(limit)
+    result.steps_used = step_budget if result.status == BUDGET_EXHAUSTED else step_budget - run.left
+    result.executed = set(compress(program.sids, run.hit))
+    result.executed.discard(None)
+    return result

@@ -150,6 +150,10 @@ class FunctionDef:
 
 @dataclass
 class SourceUnit:
+    """A program. Attributes named with a leading underscore are caches
+    derived from the AST, such as the interpreter's compiled code
+    (`_compiled`); copies and pickles leave them out."""
+
     functions: list[FunctionDef]
     source_name: str = field(default="<unit>", compare=False)
 
@@ -158,6 +162,9 @@ class SourceUnit:
             if fn.name == name:
                 return fn
         return None
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 def child_blocks(stmt: Stmt) -> list[tuple[str, list[Stmt]]]:
@@ -177,6 +184,21 @@ def _walk_block(block: list[Stmt]) -> Iterator[Stmt]:
         yield stmt
         for _, nested in child_blocks(stmt):
             yield from _walk_block(nested)
+
+
+def iter_depths(unit: SourceUnit) -> Iterator[tuple[Stmt | Expr, int]]:
+    """Every statement and expression with its nesting depth, counting a
+    function's top-level statements as 1. Walks without recursion, so it is
+    safe on trees too deep for the recursive passes."""
+    pending: list[tuple[Stmt | Expr, int]] = [(s, 1) for fn in unit.functions for s in fn.body]
+    while pending:
+        node, depth = pending.pop()
+        yield node, depth
+        for value in vars(node).values():
+            if isinstance(value, (Expr, Stmt)):
+                pending.append((value, depth + 1))
+            elif isinstance(value, list):
+                pending.extend((child, depth + 1) for child in value)
 
 
 def iter_statements(unit: SourceUnit) -> Iterator[tuple[StatementId, Stmt]]:

@@ -16,6 +16,13 @@ Grammar sketch (see README for the full description):
 Binary operator precedence, loosest first: "||" < "&&" < comparisons
 < "+ -" < "* / %" < unary "- !". `parse` returns a normalized,
 type-checked SourceUnit with statement ids assigned.
+
+Nesting is bounded by MAX_NESTING, so that neither the recursive-descent
+parser nor the recursive passes over the tree (checker, printer, copies)
+run out of Python stack: open blocks, sub-expressions and
+unary operators count while parsing, and every statement and expression
+node counts by its depth in the finished tree, where a chain such as
+`a + b + c` nests one level per operator.
 """
 
 from __future__ import annotations
@@ -48,10 +55,13 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
+    iter_depths,
     normalize,
 )
 
 INT_MAX = 2**63 - 1
+
+MAX_NESTING = 64
 
 KEYWORDS = {"fn", "let", "if", "else", "while", "return", "true", "false", "int", "bool", "len"}
 
@@ -115,6 +125,13 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open blocks, sub-expressions and unary operators
+
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -184,10 +201,12 @@ class _Parser:
 
     def parse_block(self) -> list[Stmt]:
         self.expect("{")
+        self.nest()
         body: list[Stmt] = []
         while not self.at("}"):
             body.append(self.parse_stmt())
         self.expect("}")
+        self.depth -= 1
         return body
 
     def parse_stmt(self) -> Stmt:
@@ -238,7 +257,10 @@ class _Parser:
     # --- expressions --------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self._parse_binary(0)
+        self.nest()
+        expr = self._parse_binary(0)
+        self.depth -= 1
+        return expr
 
     _LEVELS = (("||",), ("&&",), ("<", "<=", ">", ">=", "==", "!="), ("+", "-"), ("*", "/", "%"))
 
@@ -256,7 +278,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind in ("-", "!"):
             self.advance()
-            return Unary(tok.text, self.parse_unary(), loc=(tok.line, tok.col))
+            self.nest()
+            operand = self.parse_unary()
+            self.depth -= 1
+            return Unary(tok.text, operand, loc=(tok.line, tok.col))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
@@ -320,6 +345,14 @@ def parse(text: str, source_name: str = "<unit>") -> SourceUnit:
     """
     parser = _Parser(tokenize(text))
     unit = parser.parse_unit(source_name)
+    _check_nesting(unit)
     normalize(unit)
     check_unit(unit)
     return unit
+
+
+def _check_nesting(unit: SourceUnit) -> None:
+    for node, depth in iter_depths(unit):
+        if depth > MAX_NESTING:
+            line, col = node.loc or (None, None)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)

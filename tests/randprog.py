@@ -1,10 +1,13 @@
-"""Random well-typed MiniLang program generator for round-trip testing.
+"""Random well-typed MiniLang program generator for round-trip and
+differential testing.
 
 Programs are built directly as ASTs so well-typedness holds by
 construction: every let introduces a fresh name (no shadowing), all
 operators see correctly typed operands, and every function body ends in
-a return of the declared type. Generated programs are parsed and
-printed, never executed, so loop termination is irrelevant.
+a return of the declared type. The printer tests parse and print them;
+the interpreter tests execute them against the tree-walking reference.
+Loops need not terminate and calls may recurse without bound: the
+interpreters end such runs by step budget or call depth.
 """
 
 from __future__ import annotations

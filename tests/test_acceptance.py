@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
-Run with `pytest tests/test_acceptance.py -v -s` (or read test_output.txt
-from a full run). The corpus harness result is computed once per session
-and shared by the criteria that read it.
+Run with `pytest tests/test_acceptance.py -v -s` to see each verdict. The
+corpus harness result is computed once per session and shared by the
+criteria that read it.
 """
 
 import json

@@ -77,6 +77,16 @@ def test_parse_error_is_usage_error(workspace, capsys):
     assert "bad.ml" in capsys.readouterr().err
 
 
+def test_over_deep_program_is_usage_error(workspace, capsys):
+    deep = workspace / "deep.ml"
+    deep.write_text("fn max(a: int, b: int) -> int { return " + "(" * 400 + "a" + ")" * 400 + "; }")
+    code = main(
+        ["--program", str(deep), "--tests", str(workspace / "max.tests.json"), "--mode", "jpar"]
+    )
+    assert code == 2
+    assert "nesting deeper than 64 levels" in capsys.readouterr().err
+
+
 def test_correct_program_is_usage_error(workspace, capsys):
     (workspace / "ok.ml").write_text(CORRECT_MAX)
     code = main(

@@ -5,6 +5,7 @@ from minirepair.minilang import (
     ParseError,
     StatementId,
     all_statement_ids,
+    interpret,
     iter_statements,
     parse,
 )
@@ -178,3 +179,23 @@ def test_equality_needs_same_types():
 def test_stray_token_after_functions():
     with pytest.raises(ParseError):
         parse(BUGGY_MAX + "\nxyz")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "return " + "(" * 400 + "1" + ")" * 400 + ";",
+        "return " + "-" * 400 + "1;",
+        "return " + " + ".join(["1"] * 3000) + ";",
+        "if (true) { " * 400 + "} " * 400 + "return 1;",
+    ],
+    ids=["parentheses", "unary", "operator-chain", "blocks"],
+)
+def test_over_deep_nesting_is_a_parse_error(body):
+    with pytest.raises(ParseError, match="nesting deeper than 64 levels"):
+        parse("fn f() -> int { " + body + " }")
+
+
+def test_nesting_below_the_limit_parses():
+    unit = parse("fn f() -> int { return " + "(" * 60 + "1" + ")" * 60 + " + " + " + ".join(["1"] * 60) + "; }")
+    assert interpret(unit, "f", [], 10).value == 61
