@@ -25,9 +25,7 @@ def scan_case(case_dir: Path, seeds: range) -> None:
     for mode in meta["modes"]:
         print(f"{case_dir.name} [{mode}]")
         for seed in seeds:
-            config = EngineConfig(mode=mode, seed=seed)
-            for key, value in overrides.items():
-                setattr(config, key, value)
+            config = EngineConfig(mode=mode, seed=seed, **overrides)
             started = time.perf_counter()
             outcome = evolve(unit, suite, config)
             elapsed = time.perf_counter() - started

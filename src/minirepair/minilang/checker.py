@@ -249,6 +249,7 @@ def binding_env_at(unit: SourceUnit, function: str, path: Path) -> dict[str, str
     fn = unit.function(function)
     if fn is None or not path or path[0][0] != "body":
         return None
+    sigs = signatures(unit)
     env = dict(fn.params)
     block = fn.body
     for step, (_, index) in enumerate(path):
@@ -256,7 +257,9 @@ def binding_env_at(unit: SourceUnit, function: str, path: Path) -> dict[str, str
             return None
         for stmt in block[:index]:
             if isinstance(stmt, LetStmt):
-                env[stmt.name] = _let_type(stmt, env, unit)
+                # Well-typed units make this total: `infer_expr_type`
+                # mirrors the checker's rules without re-validating them.
+                env[stmt.name] = infer_expr_type(stmt.value, env, sigs)
         if step == len(path) - 1:
             return env
         next_block = None
@@ -271,15 +274,6 @@ def binding_env_at(unit: SourceUnit, function: str, path: Path) -> dict[str, str
             return None
         block = next_block
     return None
-
-
-def _let_type(stmt: LetStmt, env: dict[str, str], unit: SourceUnit) -> str:
-    """Infer a dominating let's type from an environment snapshot.
-
-    Well-typed units make this total; `infer_expr_type` mirrors the
-    checker's rules without re-validating them.
-    """
-    return infer_expr_type(stmt.value, env, signatures(unit))
 
 
 def infer_expr_type(expr: Expr, env: dict[str, str], sigs: dict[str, Signature]) -> str:

