@@ -3,6 +3,8 @@
 
 Useful when adding a corpus case: pick a seed that repairs quickly and,
 for the jgenprog insertion case, produces the intended operation kind.
+Configs are built as `repair --corpus` builds them, from the CLI defaults
+and the case's `meta.json` `config`.
 """
 
 import argparse
@@ -10,7 +12,8 @@ import json
 import time
 from pathlib import Path
 
-from minirepair.engine import EngineConfig, evolve
+from minirepair.cli import build_parser, config_from_args
+from minirepair.engine import evolve
 from minirepair.minilang import parse
 from minirepair.minilang.testsuite import load_suite
 
@@ -21,11 +24,11 @@ def scan_case(case_dir: Path, seeds: range) -> None:
     meta = json.loads((case_dir / "meta.json").read_text())
     unit = parse((case_dir / "program.ml").read_text(), source_name=case_dir.name)
     suite = load_suite((case_dir / "tests.json").read_text(), unit)
-    overrides = meta.get("config", {})
+    defaults = build_parser().parse_args([])
     for mode in meta["modes"]:
         print(f"{case_dir.name} [{mode}]")
         for seed in seeds:
-            config = EngineConfig(mode=mode, seed=seed, **overrides)
+            config = config_from_args(defaults, mode, seed, meta.get("config"))
             started = time.perf_counter()
             outcome = evolve(unit, suite, config)
             elapsed = time.perf_counter() - started

@@ -12,10 +12,11 @@ exhausted (or thresholds missed), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from minirepair.engine import (
@@ -30,7 +31,7 @@ from minirepair.faultloc import FORMULAS, STRATEGIES, build_matrix, rank, spectr
 from minirepair.minilang import MiniLangError, parse
 from minirepair.minilang.errors import SuiteError
 from minirepair.minilang.testsuite import load_suite
-from minirepair.operators import MODES
+from minirepair.operators import MODES, SCOPES
 from minirepair.validation import UnknownTestName
 
 EXIT_PATCH_FOUND = 0
@@ -47,14 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tests", type=Path, help="path to the JSON test suite")
     parser.add_argument("--corpus", type=Path, help="run every case in a corpus directory")
     parser.add_argument("--mode", choices=MODES, help="repair operator family")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--population-size", type=int, default=10)
-    parser.add_argument("--max-generations", type=int, default=50)
-    parser.add_argument("--formula", choices=FORMULAS, default="ochiai")
-    parser.add_argument("--navigation", choices=STRATEGIES, default="weighted")
-    parser.add_argument("--ingredient-scope", choices=("local", "global"), default="local")
-    parser.add_argument("--step-budget", type=int, default=100_000)
-    parser.add_argument("--max-patches", type=int, default=1)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--population-size", type=int)
+    parser.add_argument("--max-generations", type=int)
+    parser.add_argument("--formula", choices=FORMULAS)
+    parser.add_argument("--navigation", choices=STRATEGIES)
+    parser.add_argument("--ingredient-scope", choices=SCOPES)
+    parser.add_argument("--step-budget", type=int)
+    parser.add_argument("--max-patches", type=int)
     parser.add_argument("--fast-validation", action="store_true")
     parser.add_argument("--dump-spectrum", action="store_true")
     parser.add_argument("--out", type=Path, default=Path("out"))
@@ -70,6 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         help="corpus mode: wall-time threshold for exit 0",
     )
+    parser.set_defaults(
+        **{f.name: f.default for f in dataclasses.fields(EngineConfig) if f.default is not MISSING}
+    )
     return parser
 
 
@@ -78,36 +82,22 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-_META_CONFIG_KEYS = (
-    "population_size",
-    "max_generations",
-    "formula",
-    "navigation",
-    "ingredient_scope",
-    "step_budget",
-    "max_patches",
-)
-
-
-def _config_from_args(
+def config_from_args(
     args: argparse.Namespace, mode: str, seed: int, overrides: dict | None = None
 ) -> EngineConfig:
-    fields = {
-        "mode": mode,
-        "population_size": args.population_size,
-        "max_generations": args.max_generations,
-        "formula": args.formula,
-        "navigation": args.navigation,
-        "ingredient_scope": args.ingredient_scope,
-        "step_budget": args.step_budget,
-        "seed": seed,
-        "max_patches": args.max_patches,
-        "fast_validation": args.fast_validation,
-    }
-    for key in _META_CONFIG_KEYS:
-        if overrides and key in overrides:
-            fields[key] = overrides[key]
-    return EngineConfig(**fields)
+    """The engine config of one run: every `EngineConfig` field from `args`
+    (`build_parser` gives each one its default), then `overrides`, a case's
+    `meta.json` `config`, which may name any field but `mode` and `seed`.
+    Raises ValueError on any other key and on any invalid value."""
+    overrides = overrides or {}
+    if not isinstance(overrides, dict):
+        raise ValueError(f"meta.json config must be an object, got {overrides!r}")
+    names = [f.name for f in dataclasses.fields(EngineConfig)]
+    unknown = sorted(key for key in overrides if key not in names or key in ("mode", "seed"))
+    if unknown:
+        raise ValueError(f"meta.json config names no overridable field: {', '.join(unknown)}")
+    values = {name: getattr(args, name) for name in names}
+    return EngineConfig(**{**values, **overrides, "mode": mode, "seed": seed})
 
 
 def _write_artifacts(out_dir: Path, outcome: RepairOutcome) -> None:
@@ -138,7 +128,7 @@ def run_single(args: argparse.Namespace) -> int:
         return _fail(f"{args.tests}: suite contains no tests")
 
     try:
-        config = _config_from_args(args, args.mode, args.seed)
+        config = config_from_args(args, args.mode, args.seed)
         outcome = evolve(unit, suite, config)
     except NoFailingTest:
         return _fail("no failing test: the program already passes its suite")
@@ -234,19 +224,21 @@ def _run_case(
         modes = meta["modes"]
         if not modes or any(mode not in MODES for mode in modes):
             raise ValueError(f"meta.json declares invalid modes: {modes}")
-    except (OSError, ValueError, KeyError, MiniLangError, SuiteError) as exc:
+        expect_repair = meta.get("expect_repair", True)
+        if not isinstance(expect_repair, bool):
+            raise ValueError(f"meta.json expect_repair must be true or false: {expect_repair!r}")
+        seed = meta.get("seed", args.seed)
+        configs = [config_from_args(args, mode, seed, meta.get("config")) for mode in modes]
+    except (OSError, ValueError, TypeError, KeyError, MiniLangError, SuiteError) as exc:
         run = CaseRun(name, "-", "error", 0, time.perf_counter() - started, False, detail=str(exc))
         return [run], False
 
-    expect_repair = bool(meta.get("expect_repair", True))
-    seed = int(meta.get("seed", args.seed))
-    overrides = meta.get("config", {})
     runs = []
     repaired = True
-    for mode in modes:
+    for config in configs:
+        mode = config.mode
         mode_started = time.perf_counter()
         try:
-            config = _config_from_args(args, mode, seed, overrides)
             outcome = evolve(unit, suite, config)
         except (NoFailingTest, UnlocalizableFault, UnknownTestName, ValueError) as exc:
             runs.append(

@@ -16,14 +16,16 @@ import difflib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from minirepair.faultloc import Navigator, build_matrix, rank
+from minirepair.faultloc import FORMULAS, STRATEGIES, Navigator, build_matrix, rank
 from minirepair.minilang import SourceUnit, pretty_print
 from minirepair.minilang.nodes import path_of
 from minirepair.minilang.testsuite import TestCase, run_test
 from minirepair.operators import (
     EMPTY_POOL,
+    MODES,
+    SCOPES,
     ModificationPoint,
     PatchOp,
     PatchSkip,
@@ -62,15 +64,34 @@ class EngineConfig:
     check_lineages: bool = False  # debug: replay every survivor each generation
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not _FIELD_TYPES[f.type]:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        for name, choices in _FIELD_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
         if self.step_budget < 1:
             raise ValueError("step_budget must be >= 1")
+        if self.max_patches < 1:
+            raise ValueError("max_patches must be >= 1")
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+_FIELD_TYPES = {"str": str, "int": int, "bool": bool}  # exact: True is not an int here
+_FIELD_CHOICES = {
+    "mode": MODES,
+    "formula": FORMULAS,
+    "navigation": STRATEGIES,
+    "ingredient_scope": SCOPES,
+}
 
 
 @dataclass

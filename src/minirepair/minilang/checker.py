@@ -36,6 +36,9 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
+    child_blocks,
+    descend,
+    stmt_expr_nodes,
 )
 
 ARITH = {"+", "-", "*", "/", "%"}
@@ -129,22 +132,14 @@ def _check_stmt(stmt: Stmt, scope: _Scope, fn: FunctionDef, sigs) -> None:
             raise _err("array index must be int", stmt)
         if _check_expr(stmt.value, scope, sigs) != T_INT:
             raise _err("array element must be int", stmt)
-    elif isinstance(stmt, IfStmt):
+    elif isinstance(stmt, (IfStmt, WhileStmt)):
         if _check_expr(stmt.cond, scope, sigs) != T_BOOL:
-            raise _err("if condition must be bool", stmt)
-        scope.push()
-        _check_block(stmt.then_body, scope, fn, sigs)
-        scope.pop()
-        if stmt.else_body is not None:
+            kind = "if" if isinstance(stmt, IfStmt) else "while"
+            raise _err(f"{kind} condition must be bool", stmt)
+        for _, block in child_blocks(stmt):
             scope.push()
-            _check_block(stmt.else_body, scope, fn, sigs)
+            _check_block(block, scope, fn, sigs)
             scope.pop()
-    elif isinstance(stmt, WhileStmt):
-        if _check_expr(stmt.cond, scope, sigs) != T_BOOL:
-            raise _err("while condition must be bool", stmt)
-        scope.push()
-        _check_block(stmt.body, scope, fn, sigs)
-        scope.pop()
     elif isinstance(stmt, ReturnStmt):
         value_t = _check_expr(stmt.value, scope, sigs)
         if value_t != fn.return_type:
@@ -246,34 +241,18 @@ def binding_env_at(unit: SourceUnit, function: str, path: Path) -> dict[str, str
     earlier in the same block or earlier in any enclosing block on the
     path. Returns None when the path is stale.
     """
-    fn = unit.function(function)
-    if fn is None or not path or path[0][0] != "body":
+    steps = descend(unit, function, path)
+    if steps is None:
         return None
     sigs = signatures(unit)
-    env = dict(fn.params)
-    block = fn.body
-    for step, (_, index) in enumerate(path):
-        if index >= len(block):
-            return None
+    env = dict(unit.function(function).params)
+    for block, index in steps:
         for stmt in block[:index]:
             if isinstance(stmt, LetStmt):
                 # Well-typed units make this total: `infer_expr_type`
                 # mirrors the checker's rules without re-validating them.
                 env[stmt.name] = infer_expr_type(stmt.value, env, sigs)
-        if step == len(path) - 1:
-            return env
-        next_block = None
-        stmt = block[index]
-        if isinstance(stmt, IfStmt) and path[step + 1][0] == "then":
-            next_block = stmt.then_body
-        elif isinstance(stmt, IfStmt) and path[step + 1][0] == "else":
-            next_block = stmt.else_body
-        elif isinstance(stmt, WhileStmt) and path[step + 1][0] == "body":
-            next_block = stmt.body
-        if next_block is None:
-            return None
-        block = next_block
-    return None
+    return env
 
 
 def infer_expr_type(expr: Expr, env: dict[str, str], sigs: dict[str, Signature]) -> str:
@@ -304,57 +283,24 @@ def typed_free_vars(stmt: Stmt, origin_env: dict[str, str]) -> frozenset[tuple[s
     """
     free: set[tuple[str, str]] = set()
 
-    def visit_expr(expr: Expr, bound: list[set[str]]) -> None:
-        if isinstance(expr, Var):
-            note(expr.name, bound)
-        elif isinstance(expr, Unary):
-            visit_expr(expr.operand, bound)
-        elif isinstance(expr, Binary):
-            visit_expr(expr.lhs, bound)
-            visit_expr(expr.rhs, bound)
-        elif isinstance(expr, Index):
-            note(expr.name, bound)
-            visit_expr(expr.index, bound)
-        elif isinstance(expr, Len):
-            visit_expr(expr.arg, bound)
-        elif isinstance(expr, Call):
-            for arg in expr.args:
-                visit_expr(arg, bound)
-        elif isinstance(expr, ArrayLit):
-            for item in expr.items:
-                visit_expr(item, bound)
-
     def note(name: str, bound: list[set[str]]) -> None:
         if any(name in frame for frame in bound):
             return
         free.add((name, origin_env.get(name, "?")))
 
     def visit_stmt(s: Stmt, bound: list[set[str]]) -> None:
+        for node in stmt_expr_nodes(s):
+            if isinstance(node, (Var, Index)):
+                note(node.name, bound)
         if isinstance(s, LetStmt):
-            visit_expr(s.value, bound)
             bound[-1].add(s.name)
-        elif isinstance(s, AssignStmt):
-            visit_expr(s.value, bound)
+        elif isinstance(s, (AssignStmt, IndexAssignStmt)):
             note(s.name, bound)
-        elif isinstance(s, IndexAssignStmt):
-            note(s.name, bound)
-            visit_expr(s.index, bound)
-            visit_expr(s.value, bound)
-        elif isinstance(s, IfStmt):
-            visit_expr(s.cond, bound)
-            for body in (s.then_body, s.else_body or []):
-                bound.append(set())
-                for child in body:
-                    visit_stmt(child, bound)
-                bound.pop()
-        elif isinstance(s, WhileStmt):
-            visit_expr(s.cond, bound)
+        for _, body in child_blocks(s):
             bound.append(set())
-            for child in s.body:
+            for child in body:
                 visit_stmt(child, bound)
             bound.pop()
-        elif isinstance(s, (ReturnStmt, ExprStmt)):
-            visit_expr(s.value, bound)
 
     visit_stmt(stmt, [set()])
     return frozenset(free)

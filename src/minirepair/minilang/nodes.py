@@ -1,4 +1,5 @@
-"""AST node definitions plus statement identity and structural paths.
+"""AST node definitions, statement identity, structural paths and the
+tree walks.
 
 Every statement carries a StatementId assigned by `normalize`: the pair
 (function name, pre-order index within that function), with indices
@@ -7,6 +8,17 @@ units means structural equality. Structural paths address statements
 positionally (block slot + index per nesting level) and survive edits
 elsewhere in the tree, which is how modification points computed on the
 original program are re-resolved against evolved variants.
+
+This module owns the path format and the traversals; other modules go
+through them rather than walking the tree themselves:
+
+  statements   `iter_statement_paths` (pre-order, with ids and paths);
+               `iter_statements`, `normalize` and `path_of` read it
+  paths        `descend` (the block and index at each step of a path);
+               `resolve_container`, `resolve_path` and the checker's
+               binding environment read it
+  expressions  `walk_expr` (pre-order, left to right); `stmt_expr_nodes`
+               applies it to a statement's own expressions
 """
 
 from __future__ import annotations
@@ -197,11 +209,39 @@ def child_blocks(stmt: Stmt) -> list[tuple[str, list[Stmt]]]:
     return []
 
 
-def _walk_block(block: list[Stmt]) -> Iterator[Stmt]:
-    for stmt in block:
-        yield stmt
-        for _, nested in child_blocks(stmt):
-            yield from _walk_block(nested)
+def stmt_expr_nodes(stmt: Stmt) -> Iterator[Expr]:
+    """Every node of a statement's own expressions, by `walk_expr`. An
+    if/while has just its condition: nested statements are their own."""
+    if isinstance(stmt, IndexAssignStmt):
+        exprs = [stmt.index, stmt.value]
+    elif isinstance(stmt, (IfStmt, WhileStmt)):
+        exprs = [stmt.cond]
+    else:
+        value = getattr(stmt, "value", None)
+        exprs = [value] if value is not None else []
+    for expr in exprs:
+        yield from walk_expr(expr)
+
+
+def walk_expr(expr: Expr) -> Iterator[Expr]:
+    """Every node of an expression, pre-order, left to right. The repair
+    operators number their sites in this order."""
+    yield expr
+    if isinstance(expr, Unary):
+        yield from walk_expr(expr.operand)
+    elif isinstance(expr, Binary):
+        yield from walk_expr(expr.lhs)
+        yield from walk_expr(expr.rhs)
+    elif isinstance(expr, Index):
+        yield from walk_expr(expr.index)
+    elif isinstance(expr, Len):
+        yield from walk_expr(expr.arg)
+    elif isinstance(expr, Call):
+        for arg in expr.args:
+            yield from walk_expr(arg)
+    elif isinstance(expr, ArrayLit):
+        for item in expr.items:
+            yield from walk_expr(item)
 
 
 def iter_depths(unit: SourceUnit) -> Iterator[tuple[Stmt | Expr, int]]:
@@ -219,26 +259,32 @@ def iter_depths(unit: SourceUnit) -> Iterator[tuple[Stmt | Expr, int]]:
                 pending.extend((child, depth + 1) for child in value)
 
 
-def iter_statements(unit: SourceUnit) -> Iterator[tuple[StatementId, Stmt]]:
-    """All statements of the unit in (declaration order, pre-order)."""
-    for fn in unit.functions:
-        for i, stmt in enumerate(_walk_block(fn.body)):
-            yield StatementId(fn.name, i), stmt
-
-
-def iter_statement_paths(unit: SourceUnit) -> Iterator[tuple[StatementId, Path, Stmt]]:
-    """All statements with their structural paths, in `iter_statements` order."""
-    for fn in unit.functions:
-        for i, (path, stmt) in enumerate(_walk_paths(fn.body, "body", ())):
-            yield StatementId(fn.name, i), path, stmt
-
-
 def _walk_paths(block: list[Stmt], slot: str, prefix: Path) -> Iterator[tuple[Path, Stmt]]:
+    """The statement walk: pre-order, each statement with its path. A
+    statement's nested blocks are read after it is yielded."""
     for i, stmt in enumerate(block):
         path = prefix + ((slot, i),)
         yield path, stmt
         for child_slot, nested in child_blocks(stmt):
             yield from _walk_paths(nested, child_slot, path)
+
+
+def _function_paths(fn: FunctionDef) -> Iterator[tuple[Path, Stmt]]:
+    return _walk_paths(fn.body, "body", ())
+
+
+def iter_statement_paths(unit: SourceUnit) -> Iterator[tuple[StatementId, Path, Stmt]]:
+    """All statements of the unit with their ids and structural paths, in
+    (declaration order, pre-order)."""
+    for fn in unit.functions:
+        for i, (path, stmt) in enumerate(_function_paths(fn)):
+            yield StatementId(fn.name, i), path, stmt
+
+
+def iter_statements(unit: SourceUnit) -> Iterator[tuple[StatementId, Stmt]]:
+    """All statements of the unit in `iter_statement_paths` order."""
+    for sid, _, stmt in iter_statement_paths(unit):
+        yield sid, stmt
 
 
 def all_statement_ids(unit: SourceUnit) -> list[StatementId]:
@@ -251,19 +297,11 @@ def normalize(unit: SourceUnit) -> SourceUnit:
     Must be called after every structural edit; returns the unit for
     convenience.
     """
-    for fn in unit.functions:
-        _normalize_block(fn.body)
-        for i, stmt in enumerate(_walk_block(fn.body)):
-            stmt.stmt_id = StatementId(fn.name, i)
-    return unit
-
-
-def _normalize_block(block: list[Stmt]) -> None:
-    for stmt in block:
-        if isinstance(stmt, IfStmt) and stmt.else_body is not None and not stmt.else_body:
+    for sid, _, stmt in iter_statement_paths(unit):
+        if isinstance(stmt, IfStmt) and stmt.else_body == []:
             stmt.else_body = None
-        for _, nested in child_blocks(stmt):
-            _normalize_block(nested)
+        stmt.stmt_id = sid
+    return unit
 
 
 def path_of(unit: SourceUnit, sid: StatementId) -> Path | None:
@@ -271,43 +309,30 @@ def path_of(unit: SourceUnit, sid: StatementId) -> Path | None:
     fn = unit.function(sid.function)
     if fn is None:
         return None
-    found = _search_block(fn.body, "body", sid)
-    return tuple(found) if found is not None else None
+    return next((path for path, stmt in _function_paths(fn) if stmt.stmt_id == sid), None)
 
 
-def _search_block(block: list[Stmt], slot: str, sid: StatementId) -> list[PathStep] | None:
-    for i, stmt in enumerate(block):
-        if stmt.stmt_id == sid:
-            return [(slot, i)]
-        for child_slot, nested in child_blocks(stmt):
-            sub = _search_block(nested, child_slot, sid)
-            if sub is not None:
-                return [(slot, i)] + sub
-    return None
+def descend(unit: SourceUnit, function: str, path: Path) -> list[tuple[list[Stmt], int]] | None:
+    """The path descent: the (block, index) pair at each step of a path,
+    outermost first, or None when the path is stale."""
+    fn = unit.function(function)
+    if fn is None:
+        return None
+    slots = {"body": fn.body}
+    steps = []
+    for slot, index in path:
+        block = slots.get(slot)
+        if block is None or index >= len(block):
+            return None
+        steps.append((block, index))
+        slots = dict(child_blocks(block[index]))
+    return steps or None
 
 
 def resolve_container(unit: SourceUnit, function: str, path: Path) -> tuple[list[Stmt], int] | None:
     """Resolve a path to (containing block, index), or None when stale."""
-    fn = unit.function(function)
-    if fn is None or not path or path[0][0] != "body":
-        return None
-    block = fn.body
-    for step, (_, index) in enumerate(path):
-        if index >= len(block):
-            return None
-        if step == len(path) - 1:
-            return block, index
-        block = _block_for_slot(block[index], path[step + 1][0])
-        if block is None:
-            return None
-    return None
-
-
-def _block_for_slot(stmt: Stmt, slot: str) -> list[Stmt] | None:
-    for child_slot, nested in child_blocks(stmt):
-        if child_slot == slot:
-            return nested
-    return None
+    steps = descend(unit, function, path)
+    return None if steps is None else steps[-1]
 
 
 def resolve_path(unit: SourceUnit, function: str, path: Path) -> Stmt | None:

@@ -45,7 +45,6 @@ from minirepair.minilang.checker import binding_env_at, check_unit, signatures, 
 from minirepair.minilang.errors import CheckError
 from minirepair.minilang.nodes import (
     ARITH_OPS,
-    ArrayLit,
     Binary,
     Call,
     Expr,
@@ -65,6 +64,7 @@ from minirepair.minilang.nodes import (
     WhileStmt,
     clone,
     iter_statement_paths,
+    stmt_expr_nodes,
 )
 from minirepair.minilang.printer import print_stmt
 
@@ -118,9 +118,12 @@ class Ingredient:
         return isinstance(self.stmt, ReturnStmt)
 
 
+SCOPES = ("local", "global")
+
+
 @dataclass(frozen=True)
 class IngredientPool:
-    scope: str  # "local" | "global"
+    scope: str  # one of SCOPES
     entries: tuple[Ingredient, ...]
 
 
@@ -186,44 +189,13 @@ def _other_logic(op: str) -> str:
 # --- site collection ----------------------------------------------------
 # Sites are collected from a statement's own expressions only (an
 # if/while contributes just its condition); nested statements are their
-# own modification points. Pre-order, so site indices are reproducible.
-
-
-def _own_exprs(stmt: Stmt) -> list[Expr]:
-    if isinstance(stmt, IndexAssignStmt):
-        return [stmt.index, stmt.value]
-    if isinstance(stmt, (IfStmt, WhileStmt)):
-        return [stmt.cond]
-    value = getattr(stmt, "value", None)
-    return [value] if value is not None else []
-
-
-def _walk_expr(expr: Expr):
-    yield expr
-    if isinstance(expr, Unary):
-        yield from _walk_expr(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _walk_expr(expr.lhs)
-        yield from _walk_expr(expr.rhs)
-    elif isinstance(expr, Index):
-        yield from _walk_expr(expr.index)
-    elif isinstance(expr, Len):
-        yield from _walk_expr(expr.arg)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from _walk_expr(arg)
-    elif isinstance(expr, ArrayLit):
-        for item in expr.items:
-            yield from _walk_expr(item)
+# own modification points. Pre-order (`stmt_expr_nodes`), so site
+# indices are reproducible.
 
 
 def binary_sites(stmt: Stmt, ops: tuple[str, ...]) -> list[Binary]:
-    return [
-        node
-        for expr in _own_exprs(stmt)
-        for node in _walk_expr(expr)
-        if isinstance(node, Binary) and node.op in ops
-    ]
+    nodes = stmt_expr_nodes(stmt)
+    return [node for node in nodes if isinstance(node, Binary) and node.op in ops]
 
 
 def index_access_sites(stmt: Stmt) -> list[tuple[str, Expr]]:
@@ -231,17 +203,12 @@ def index_access_sites(stmt: Stmt) -> list[tuple[str, Expr]]:
     sites: list[tuple[str, Expr]] = []
     if isinstance(stmt, IndexAssignStmt):
         sites.append((stmt.name, stmt.index))
-    for expr in _own_exprs(stmt):
-        for node in _walk_expr(expr):
-            if isinstance(node, Index):
-                sites.append((node.name, node.index))
+    sites += [(node.name, node.index) for node in stmt_expr_nodes(stmt) if isinstance(node, Index)]
     return sites
 
 
 def call_sites(stmt: Stmt) -> list[Call]:
-    return [
-        node for expr in _own_exprs(stmt) for node in _walk_expr(expr) if isinstance(node, Call)
-    ]
+    return [node for node in stmt_expr_nodes(stmt) if isinstance(node, Call)]
 
 
 # --- ingredients ---------------------------------------------------------

@@ -158,12 +158,29 @@ def test_malformed_case_does_not_poison_others(tmp_path):
     (broken / "program.ml").write_text("fn broken( { }")
     (broken / "tests.json").write_text("{}")
     (broken / "meta.json").write_text("{\"modes\": [\"jmutrepair\"]}")
+    # A well-formed program and suite under a malformed meta.json; each must
+    # become an error row naming the offending key.
+    bad_metas = {
+        "seed_not_int": ({"seed": "abc"}, "seed"),
+        "budget_not_int": ({"config": {"step_budget": "2000"}}, "step_budget"),
+        "unknown_key": ({"config": {"step_buget": 2000}}, "step_buget"),
+        "mode_in_config": ({"config": {"mode": "jgenprog"}}, "mode"),
+        "scope_misspelled": ({"config": {"ingredient_scope": "Local"}}, "ingredient_scope"),
+        "config_not_object": ({"config": [1, 2]}, "config"),
+        "expect_repair_not_bool": ({"expect_repair": "false"}, "expect_repair"),
+    }
+    for case, (meta, _) in bad_metas.items():
+        shutil.copytree(CORPUS / "max_flipped_comparison", corpus / case)
+        (corpus / case / "meta.json").write_text(json.dumps({"modes": ["jmutrepair"], **meta}))
     code = main(["--corpus", str(corpus), "--out", str(tmp_path / "out"), "--min-repaired", "1"])
     assert code == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     by_case = {row["case"]: row for row in summary["cases"]}
     assert by_case["broken_case"]["status"] == "error"
     assert by_case["max_flipped_comparison"]["status"] == "patch_found"
+    for case, (_, key) in bad_metas.items():
+        assert by_case[case]["status"] == "error"
+        assert key in by_case[case]["detail"]
 
 
 def test_summary_schema(tmp_path):
@@ -201,12 +218,18 @@ def test_find_seeds_validates_meta_overrides(tmp_path, monkeypatch):
     case.mkdir()
     (case / "program.ml").write_text(BUGGY_MAX)
     (case / "tests.json").write_text(MAX_SUITE)
-    meta = {"modes": ["jmutrepair"], "config": {"step_budget": 0}}
-    (case / "meta.json").write_text(json.dumps(meta))
 
     def unreachable(*args):
         raise AssertionError("the config reached evolve() unvalidated")
 
     monkeypatch.setattr(find_seeds, "evolve", unreachable)
-    with pytest.raises(ValueError, match="step_budget"):
-        find_seeds.scan_case(case, range(1))
+    # the same rules as `repair --corpus`: valid values, known fields, no mode or seed
+    for config, key in [
+        ({"step_budget": 0}, "step_budget"),
+        ({"step_buget": 2000}, "step_buget"),
+        ({"seed": 3}, "seed"),
+    ]:
+        meta = {"modes": ["jmutrepair"], "config": config}
+        (case / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=key):
+            find_seeds.scan_case(case, range(1))

@@ -13,22 +13,28 @@ from minirepair import engine, operators
 from minirepair.engine import EngineConfig, evolve, replay_lineage
 from minirepair.minilang import all_statement_ids, iter_statements, parse, path_of, pretty_print
 from minirepair.minilang.checker import binding_env_at
-from minirepair.minilang.nodes import Expr, Stmt, clone, iter_statement_paths
+from minirepair.minilang.nodes import (
+    Expr,
+    IfStmt,
+    Stmt,
+    WhileStmt,
+    clone,
+    iter_statement_paths,
+    resolve_container,
+)
 from minirepair.operators import (
     MODES,
     ModificationPoint,
     PatchSkip,
     apply_patch_op,
     enumerate_ops,
+    SCOPES,
     harvest_ingredients,
 )
 
 from conftest import CORPUS, corpus_case_names, load_corpus_case
 from randprog import random_unit
 from reference_harvest import binding_env_reference, harvest_reference
-
-SCOPES = ("local", "global")
-
 
 def all_points(unit):
     return [ModificationPoint(sid, path_of(unit, sid), 1.0) for sid in all_statement_ids(unit)]
@@ -65,10 +71,34 @@ def test_harvest_matches_reference_on_merged_corpus():
 def test_harvest_and_binding_env_match_reference_on_random_units(seed):
     unit = random_unit(seed)
     assert_harvest_matches_reference(unit)
-    for sid, path, _ in iter_statement_paths(unit):
+    for sid, path, stmt in iter_statement_paths(unit):
         assert path == path_of(unit, sid)
         expected = binding_env_reference(unit, sid.function, path)
         assert binding_env_at(unit, sid.function, path) == expected
+        for function, stale in stale_paths(unit, sid.function, path, stmt):
+            assert binding_env_at(unit, function, stale) == binding_env_reference(
+                unit, function, stale
+            )
+            assert resolve_container(unit, function, stale) is None
+
+
+def stale_paths(unit, function, path, stmt):
+    """(function, path) pairs that address no statement, derived from the
+    path of `stmt`."""
+    block, _ = resolve_container(unit, function, path)
+    slot = path[-1][0]
+    yield function, path[:-1] + ((slot, len(block)),)  # index out of range
+    yield function, path[:-1] + ((slot, len(block) + 3),)
+    if isinstance(stmt, IfStmt) and stmt.else_body is None:
+        yield function, path + (("else", 0),)
+    if isinstance(stmt, WhileStmt):
+        yield function, path + (("then", 0),)
+    if not isinstance(stmt, (IfStmt, WhileStmt)):
+        yield function, path + (("body", 0),)  # a statement without blocks
+    yield "no_such_function", path
+    yield function, ()
+    yield function, (("then", 0),) + path[1:]
+    yield function, (("else", path[0][1]),) + path[1:]
 
 
 def test_ingredients_are_the_units_own_statements():

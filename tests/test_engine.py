@@ -223,3 +223,25 @@ def test_lineage_replay_debug_mode(name):
     cfg.update(mode=meta["modes"][0], seed=meta["seed"], check_lineages=True)
     outcome = evolve(unit, suite, EngineConfig(**cfg))
     assert outcome.status == STATUS_PATCH_FOUND
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mode", "jGenProg"),
+        ("formula", "Ochiai"),
+        ("navigation", "best"),
+        ("ingredient_scope", "Local"),
+        ("population_size", 2.0),
+        ("max_generations", "5"),
+        ("step_budget", "2000"),
+        ("seed", True),
+        ("max_patches", None),
+        ("max_patches", 0),
+        ("fast_validation", 1),
+    ],
+)
+def test_config_rejects_invalid_values(field, value):
+    kwargs = {"mode": "jgenprog", field: value}
+    with pytest.raises(ValueError, match=field):
+        EngineConfig(**kwargs)
