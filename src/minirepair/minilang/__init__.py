@@ -34,7 +34,7 @@ from minirepair.minilang.nodes import (
 )
 from minirepair.minilang.errors import CheckError, MiniLangError, ParseError, SuiteError
 from minirepair.minilang.parser import parse
-from minirepair.minilang.checker import binding_env_at, check_unit, typed_free_vars
+from minirepair.minilang.checker import check_unit, typed_free_vars
 from minirepair.minilang.printer import pretty_print, print_expr, print_stmt
 from minirepair.minilang.interpreter import (
     BUDGET_EXHAUSTED,

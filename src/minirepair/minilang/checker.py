@@ -6,6 +6,10 @@ block-scoped variable; redeclaring a name that is already visible
 unique type at any program point. A function is well-formed only when
 every control path that falls off its end is impossible, i.e. its body
 definitely returns.
+
+`check_unit` is the only code that infers types: besides accepting or
+rejecting a unit, it returns the binding environment just before each
+statement, which the repair operators read.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from minirepair.minilang.nodes import (
     IntLit,
     Len,
     LetStmt,
-    Path,
     ReturnStmt,
     SourceUnit,
+    StatementId,
     Stmt,
     T_BOOL,
     T_INT,
@@ -37,7 +41,6 @@ from minirepair.minilang.nodes import (
     Var,
     WhileStmt,
     child_blocks,
-    descend,
     stmt_expr_nodes,
 )
 
@@ -47,6 +50,7 @@ EQUALITY = {"==", "!="}
 LOGIC = {"&&", "||"}
 
 Signature = tuple[tuple[str, ...], str]  # (parameter types, return type)
+Env = dict[str, str]  # variable name -> type
 
 
 def _loc(node) -> tuple[int | None, int | None]:
@@ -58,35 +62,6 @@ def _err(message: str, node) -> CheckError:
     return CheckError(message, line, col)
 
 
-class _Scope:
-    """Chain of block frames mapping names to types."""
-
-    def __init__(self, params: list[tuple[str, str]], fn: FunctionDef):
-        seen = set()
-        for name, _ in params:
-            if name in seen:
-                raise CheckError(f"duplicate parameter {name!r} in function {fn.name!r}")
-            seen.add(name)
-        self.frames: list[dict[str, str]] = [dict(params)]
-
-    def push(self) -> None:
-        self.frames.append({})
-
-    def pop(self) -> None:
-        self.frames.pop()
-
-    def lookup(self, name: str) -> str | None:
-        for frame in reversed(self.frames):
-            if name in frame:
-                return frame[name]
-        return None
-
-    def declare(self, name: str, type_: str, node: Stmt) -> None:
-        if self.lookup(name) is not None:
-            raise _err(f"redeclaration of {name!r}", node)
-        self.frames[-1][name] = type_
-
-
 def signatures(unit: SourceUnit) -> dict[str, Signature]:
     sigs: dict[str, Signature] = {}
     for fn in unit.functions:
@@ -96,72 +71,91 @@ def signatures(unit: SourceUnit) -> dict[str, Signature]:
     return sigs
 
 
-def check_unit(unit: SourceUnit) -> None:
-    """Type-check the whole unit; raises CheckError on the first violation."""
+def check_unit(unit: SourceUnit) -> dict[StatementId, Env]:
+    """Type-check the whole unit; raises CheckError on the first violation.
+
+    Returns the binding environment just before each statement, keyed by
+    its id (the unit is normalized): the parameters plus every `let`
+    earlier in the same block or in an enclosing block.
+    """
     sigs = signatures(unit)
+    envs: dict[StatementId, Env] = {}
     for fn in unit.functions:
-        scope = _Scope(fn.params, fn)
-        _check_block(fn.body, scope, fn, sigs)
+        env: Env = {}
+        for name, type_ in fn.params:
+            if name in env:
+                raise CheckError(f"duplicate parameter {name!r} in function {fn.name!r}")
+            env[name] = type_
+        _check_block(fn.body, env, fn, sigs, envs)
         if not _block_returns(fn.body):
             raise CheckError(f"missing return on some path through function {fn.name!r}")
+    return envs
 
 
-def _check_block(block: list[Stmt], scope: _Scope, fn: FunctionDef, sigs) -> None:
+def _check_block(block: list[Stmt], env: Env, fn: FunctionDef, sigs, envs) -> None:
+    """Check a block in `env`, then drop the names the block declared:
+    with no redeclaration or shadowing, one flat dict serves every block."""
+    declared = []
     for stmt in block:
-        _check_stmt(stmt, scope, fn, sigs)
+        envs[stmt.stmt_id] = dict(env)
+        _check_stmt(stmt, env, fn, sigs, envs)
+        if isinstance(stmt, LetStmt):
+            declared.append(stmt.name)
+    for name in declared:
+        del env[name]
 
 
-def _check_stmt(stmt: Stmt, scope: _Scope, fn: FunctionDef, sigs) -> None:
+def _check_stmt(stmt: Stmt, env: Env, fn: FunctionDef, sigs, envs) -> None:
     if isinstance(stmt, LetStmt):
-        value_t = _check_expr(stmt.value, scope, sigs)
-        scope.declare(stmt.name, value_t, stmt)
+        value_t = _check_expr(stmt.value, env, sigs)
+        if stmt.name in env:
+            raise _err(f"redeclaration of {stmt.name!r}", stmt)
+        env[stmt.name] = value_t
     elif isinstance(stmt, AssignStmt):
-        var_t = scope.lookup(stmt.name)
+        var_t = env.get(stmt.name)
         if var_t is None:
             raise _err(f"assignment to unbound variable {stmt.name!r}", stmt)
-        value_t = _check_expr(stmt.value, scope, sigs)
+        value_t = _check_expr(stmt.value, env, sigs)
         if value_t != var_t:
             raise _err(f"cannot assign {value_t} to {stmt.name!r} of type {var_t}", stmt)
     elif isinstance(stmt, IndexAssignStmt):
-        arr_t = scope.lookup(stmt.name)
+        arr_t = env.get(stmt.name)
         if arr_t is None:
             raise _err(f"unbound variable {stmt.name!r}", stmt)
         if arr_t != T_INT_ARRAY:
             raise _err(f"{stmt.name!r} is not an array", stmt)
-        if _check_expr(stmt.index, scope, sigs) != T_INT:
+        if _check_expr(stmt.index, env, sigs) != T_INT:
             raise _err("array index must be int", stmt)
-        if _check_expr(stmt.value, scope, sigs) != T_INT:
+        if _check_expr(stmt.value, env, sigs) != T_INT:
             raise _err("array element must be int", stmt)
     elif isinstance(stmt, (IfStmt, WhileStmt)):
-        if _check_expr(stmt.cond, scope, sigs) != T_BOOL:
+        if _check_expr(stmt.cond, env, sigs) != T_BOOL:
             kind = "if" if isinstance(stmt, IfStmt) else "while"
             raise _err(f"{kind} condition must be bool", stmt)
         for _, block in child_blocks(stmt):
-            scope.push()
-            _check_block(block, scope, fn, sigs)
-            scope.pop()
+            _check_block(block, env, fn, sigs, envs)
     elif isinstance(stmt, ReturnStmt):
-        value_t = _check_expr(stmt.value, scope, sigs)
+        value_t = _check_expr(stmt.value, env, sigs)
         if value_t != fn.return_type:
             raise _err(f"returning {value_t} from function of type {fn.return_type}", stmt)
     elif isinstance(stmt, ExprStmt):
-        _check_expr(stmt.value, scope, sigs)
+        _check_expr(stmt.value, env, sigs)
     else:  # pragma: no cover - parser produces no other kinds
         raise _err(f"unknown statement kind {type(stmt).__name__}", stmt)
 
 
-def _check_expr(expr: Expr, scope: _Scope, sigs) -> str:
+def _check_expr(expr: Expr, env: Env, sigs) -> str:
     if isinstance(expr, IntLit):
         return T_INT
     if isinstance(expr, BoolLit):
         return T_BOOL
     if isinstance(expr, Var):
-        t = scope.lookup(expr.name)
+        t = env.get(expr.name)
         if t is None:
             raise _err(f"unbound variable {expr.name!r}", expr)
         return t
     if isinstance(expr, Unary):
-        operand_t = _check_expr(expr.operand, scope, sigs)
+        operand_t = _check_expr(expr.operand, env, sigs)
         if expr.op == "-":
             if operand_t != T_INT:
                 raise _err("unary '-' needs an int operand", expr)
@@ -170,8 +164,8 @@ def _check_expr(expr: Expr, scope: _Scope, sigs) -> str:
             raise _err("'!' needs a bool operand", expr)
         return T_BOOL
     if isinstance(expr, Binary):
-        lhs_t = _check_expr(expr.lhs, scope, sigs)
-        rhs_t = _check_expr(expr.rhs, scope, sigs)
+        lhs_t = _check_expr(expr.lhs, env, sigs)
+        rhs_t = _check_expr(expr.rhs, env, sigs)
         if expr.op in ARITH:
             if lhs_t != T_INT or rhs_t != T_INT:
                 raise _err(f"operator {expr.op!r} needs int operands", expr)
@@ -190,16 +184,16 @@ def _check_expr(expr: Expr, scope: _Scope, sigs) -> str:
             return T_BOOL
         raise _err(f"unknown operator {expr.op!r}", expr)
     if isinstance(expr, Index):
-        arr_t = scope.lookup(expr.name)
+        arr_t = env.get(expr.name)
         if arr_t is None:
             raise _err(f"unbound variable {expr.name!r}", expr)
         if arr_t != T_INT_ARRAY:
             raise _err(f"{expr.name!r} is not an array", expr)
-        if _check_expr(expr.index, scope, sigs) != T_INT:
+        if _check_expr(expr.index, env, sigs) != T_INT:
             raise _err("array index must be int", expr)
         return T_INT
     if isinstance(expr, Len):
-        if _check_expr(expr.arg, scope, sigs) != T_INT_ARRAY:
+        if _check_expr(expr.arg, env, sigs) != T_INT_ARRAY:
             raise _err("len() needs an array argument", expr)
         return T_INT
     if isinstance(expr, Call):
@@ -211,12 +205,12 @@ def _check_expr(expr: Expr, scope: _Scope, sigs) -> str:
                 f"{expr.fn!r} takes {len(param_types)} arguments, got {len(expr.args)}", expr
             )
         for arg, want in zip(expr.args, param_types):
-            if _check_expr(arg, scope, sigs) != want:
+            if _check_expr(arg, env, sigs) != want:
                 raise _err(f"argument type mismatch in call to {expr.fn!r}", expr)
         return return_type
     if isinstance(expr, ArrayLit):
         for item in expr.items:
-            if _check_expr(item, scope, sigs) != T_INT:
+            if _check_expr(item, env, sigs) != T_INT:
                 raise _err("array literal elements must be int", expr)
         return T_INT_ARRAY
     raise _err(f"unknown expression kind {type(expr).__name__}", expr)  # pragma: no cover
@@ -232,47 +226,6 @@ def _stmt_returns(stmt: Stmt) -> bool:
     if isinstance(stmt, IfStmt) and stmt.else_body is not None:
         return _block_returns(stmt.then_body) and _block_returns(stmt.else_body)
     return False
-
-
-def binding_env_at(unit: SourceUnit, function: str, path: Path) -> dict[str, str] | None:
-    """Names visible just before the statement addressed by `path`.
-
-    Covers the parameters plus every `let` that dominates the position:
-    earlier in the same block or earlier in any enclosing block on the
-    path. Returns None when the path is stale.
-    """
-    steps = descend(unit, function, path)
-    if steps is None:
-        return None
-    sigs = signatures(unit)
-    env = dict(unit.function(function).params)
-    for block, index in steps:
-        for stmt in block[:index]:
-            if isinstance(stmt, LetStmt):
-                # Well-typed units make this total: `infer_expr_type`
-                # mirrors the checker's rules without re-validating them.
-                env[stmt.name] = infer_expr_type(stmt.value, env, sigs)
-    return env
-
-
-def infer_expr_type(expr: Expr, env: dict[str, str], sigs: dict[str, Signature]) -> str:
-    if isinstance(expr, IntLit):
-        return T_INT
-    if isinstance(expr, BoolLit):
-        return T_BOOL
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Unary):
-        return T_INT if expr.op == "-" else T_BOOL
-    if isinstance(expr, Binary):
-        return T_INT if expr.op in ARITH else T_BOOL
-    if isinstance(expr, (Index, Len)):
-        return T_INT
-    if isinstance(expr, Call):
-        return sigs[expr.fn][1]
-    if isinstance(expr, ArrayLit):
-        return T_INT_ARRAY
-    raise ValueError(f"unknown expression kind {type(expr).__name__}")
 
 
 def typed_free_vars(stmt: Stmt, origin_env: dict[str, str]) -> frozenset[tuple[str, str]]:

@@ -26,7 +26,8 @@ code is kept on the unit object (`SourceUnit._compiled`), which copies
 and pickles leave out, and is reused by every later run of that object.
 Contract: a unit is not edited after its first run. Edit a copy and
 normalize it instead, as the repair operators do. Units must be well
-typed (`check_unit` passes), as `parse` and every operator guarantee.
+typed (`check_unit` passes) and nest no deeper than `MAX_NESTING`, as
+`parse` and every operator guarantee.
 
 Loop cut. A run is deterministic and has no I/O, so a loop whose state at
 its header repeats will repeat that stretch until the budget runs out.
@@ -40,12 +41,12 @@ budget; `executed` is already final, since every statement of the repeated
 stretch has begun once. `loop_cut_at` records the steps counted when the
 cut fired.
 
-Host stack. Compiling a unit and running one MiniLang call each take a
-number of Python frames bounded by the unit's static nesting depth.
-`interpret` raises the recursion limit by that bound (times
-`max_call_depth` for the run) and restores it before returning, so
-`call-depth-exceeded` fires at the declared depth however deep the
-caller's stack is.
+Host stack. Compiling a function and running one MiniLang call each take
+at most four Python frames per level of nesting, and no unit nests deeper
+than `MAX_NESTING`. `interpret` raises the recursion limit by that
+constant bound, `FRAMES_PER_CALL` (times `max_call_depth` for the run),
+and restores it before returning, so `call-depth-exceeded` fires at the
+declared depth however deep the caller's stack is.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
-    iter_depths,
 )
+from minirepair.minilang.parser import MAX_NESTING
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -97,6 +98,8 @@ CUT_WINDOW = 64
 
 # Python frames of `interpret` itself and of the helpers a closure calls.
 _FRAME_SLACK = 50
+# Python frames of one MiniLang call, or of compiling one function.
+FRAMES_PER_CALL = 4 * (MAX_NESTING + 1)
 
 
 @dataclass
@@ -162,12 +165,11 @@ class _Function:
 class _Program:
     """A compiled unit: function entry points and the statement ids."""
 
-    __slots__ = ("functions", "sids", "frames_per_call")
+    __slots__ = ("functions", "sids")
 
-    def __init__(self, functions: dict[str, _Function], sids: list, frames_per_call: int):
+    def __init__(self, functions: dict[str, _Function], sids: list):
         self.functions = functions
         self.sids = sids
-        self.frames_per_call = frames_per_call
 
 
 # -- compiler ---------------------------------------------------------------
@@ -214,10 +216,10 @@ class _Compiler:
         self.functions = {fn.name: _Function() for fn in unit.functions}
         self.sids: list[StatementId | None] = []
 
-    def program(self, frames_per_call: int) -> _Program:
+    def program(self) -> _Program:
         for fn in self.unit.functions:
             self.function(fn)
-        return _Program(self.functions, self.sids, frames_per_call)
+        return _Program(self.functions, self.sids)
 
     def function(self, fn: FunctionDef) -> None:
         self.nslots = 0
@@ -557,19 +559,16 @@ def interpret(
     limit = sys.getrecursionlimit()
     program = unit.__dict__.get("_compiled")
     if program is None:
-        # Compiling takes at most four Python frames per level of nesting,
-        # and the closures of one call nest fewer than that.
-        frames_per_call = 4 * (max((d for _, d in iter_depths(unit)), default=0) + 1)
-        sys.setrecursionlimit(limit + frames_per_call + _FRAME_SLACK)
+        sys.setrecursionlimit(limit + FRAMES_PER_CALL + _FRAME_SLACK)
         try:
-            program = unit._compiled = _Compiler(unit).program(frames_per_call)
+            program = unit._compiled = _Compiler(unit).program()
         finally:
             sys.setrecursionlimit(limit)
     compiled = program.functions[fn_name]
     run = _Run(step_budget, len(program.sids), max_call_depth)
     frame = [None] * compiled.nslots
     frame[: len(args)] = [list(a) if isinstance(a, list) else a for a in args]
-    sys.setrecursionlimit(limit + (max_call_depth + 1) * program.frames_per_call + _FRAME_SLACK)
+    sys.setrecursionlimit(limit + (max_call_depth + 1) * FRAMES_PER_CALL + _FRAME_SLACK)
     try:
         if max_call_depth <= 0:
             raise _Trap("call-depth-exceeded", None)

@@ -14,9 +14,8 @@ through them rather than walking the tree themselves:
 
   statements   `iter_statement_paths` (pre-order, with ids and paths);
                `iter_statements`, `normalize` and `path_of` read it
-  paths        `descend` (the block and index at each step of a path);
-               `resolve_container`, `resolve_path` and the checker's
-               binding environment read it
+  paths        `resolve_container` (the block and index a path ends at);
+               `resolve_path` reads it
   expressions  `walk_expr` (pre-order, left to right); `stmt_expr_nodes`
                applies it to a statement's own expressions
 """
@@ -163,9 +162,10 @@ class FunctionDef:
 @dataclass
 class SourceUnit:
     """A program. Attributes named with a leading underscore are caches
-    derived from the AST: the interpreter's compiled code (`_compiled`) and
-    the repair operators' ingredient list (`_ingredients`); copies and
-    pickles leave them out."""
+    derived from the AST: the interpreter's compiled code (`_compiled`), and
+    the repair operators' ingredient list (`_ingredients`) and binding
+    environments from `check_unit` (`_envs`); copies and pickles leave them
+    out."""
 
     functions: list[FunctionDef]
     source_name: str = field(default="<unit>", compare=False)
@@ -244,11 +244,11 @@ def walk_expr(expr: Expr) -> Iterator[Expr]:
             yield from walk_expr(item)
 
 
-def iter_depths(unit: SourceUnit) -> Iterator[tuple[Stmt | Expr, int]]:
-    """Every statement and expression with its nesting depth, counting a
-    function's top-level statements as 1. Walks without recursion, so it is
-    safe on trees too deep for the recursive passes."""
-    pending: list[tuple[Stmt | Expr, int]] = [(s, 1) for fn in unit.functions for s in fn.body]
+def iter_depths(body: list[Stmt]) -> Iterator[tuple[Stmt | Expr, int]]:
+    """Every statement and expression of a function body with its nesting
+    depth, counting the top-level statements as 1. Walks without recursion,
+    so it is safe on trees too deep for the recursive passes."""
+    pending: list[tuple[Stmt | Expr, int]] = [(s, 1) for s in body]
     while pending:
         node, depth = pending.pop()
         yield node, depth
@@ -312,27 +312,19 @@ def path_of(unit: SourceUnit, sid: StatementId) -> Path | None:
     return next((path for path, stmt in _function_paths(fn) if stmt.stmt_id == sid), None)
 
 
-def descend(unit: SourceUnit, function: str, path: Path) -> list[tuple[list[Stmt], int]] | None:
-    """The path descent: the (block, index) pair at each step of a path,
-    outermost first, or None when the path is stale."""
+def resolve_container(unit: SourceUnit, function: str, path: Path) -> tuple[list[Stmt], int] | None:
+    """The path descent: resolve a path to (containing block, index), or
+    None when the path is stale."""
     fn = unit.function(function)
-    if fn is None:
+    if fn is None or not path:
         return None
     slots = {"body": fn.body}
-    steps = []
     for slot, index in path:
         block = slots.get(slot)
         if block is None or index >= len(block):
             return None
-        steps.append((block, index))
         slots = dict(child_blocks(block[index]))
-    return steps or None
-
-
-def resolve_container(unit: SourceUnit, function: str, path: Path) -> tuple[list[Stmt], int] | None:
-    """Resolve a path to (containing block, index), or None when stale."""
-    steps = descend(unit, function, path)
-    return None if steps is None else steps[-1]
+    return block, index
 
 
 def resolve_path(unit: SourceUnit, function: str, path: Path) -> Stmt | None:

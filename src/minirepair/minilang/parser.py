@@ -18,10 +18,11 @@ Binary operator precedence, loosest first: "||" < "&&" < comparisons
 type-checked SourceUnit with statement ids assigned.
 
 Nesting is bounded by MAX_NESTING, so that neither the recursive-descent
-parser nor the recursive passes over the tree (checker, printer, copies)
-run out of Python stack: open blocks, sub-expressions and
+parser nor the recursive passes over the tree (checker, printer, copies,
+compiled code) run out of Python stack: open blocks, sub-expressions and
 unary operators count while parsing, and every statement and expression
-node counts by its depth in the finished tree, where a chain such as
+node counts by its depth in the finished tree (`check_nesting`, which the
+repair operators apply to each function they edit), where a chain such as
 `a + b + c` nests one level per operator.
 """
 
@@ -345,14 +346,16 @@ def parse(text: str, source_name: str = "<unit>") -> SourceUnit:
     """
     parser = _Parser(tokenize(text))
     unit = parser.parse_unit(source_name)
-    _check_nesting(unit)
+    for fn in unit.functions:
+        check_nesting(fn)
     normalize(unit)
     check_unit(unit)
     return unit
 
 
-def _check_nesting(unit: SourceUnit) -> None:
-    for node, depth in iter_depths(unit):
+def check_nesting(fn: FunctionDef) -> None:
+    """Raise ParseError when a node of `fn` nests deeper than MAX_NESTING."""
+    for node, depth in iter_depths(fn.body):
         if depth > MAX_NESTING:
             line, col = node.loc or (None, None)
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)

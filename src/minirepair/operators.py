@@ -13,19 +13,22 @@ Three families, gated by engine mode:
 
 Children are copy-on-write. An apply_* function returns a new unit that
 shares every FunctionDef object with its parent except a fresh copy of
-the function holding the modification point; only that copy is edited,
-and the child is then normalized and re-type-checked. Sharing is safe
-because no unit is edited once the call that made it (the parser or an
-apply_* function) has returned: the parent is never touched, and
-`normalize` leaves the shared functions as they were, since they were
-normalized when first made. Ingredients are the unit's own statements,
-not copies: they are listed once per unit, cached on it as
-`_ingredients`, and copied only when inserted. Inapplicable or stale
-operations raise a PatchSkip subclass, which callers treat as "discard
-and draw again", never as a fatal error. Template parameters left
-unresolved at enumeration time are drawn from the caller's random stream
-on first application and recorded in the returned concrete op, so a
-lineage of concrete ops replays byte-for-byte.
+the function holding the modification point; only that copy is edited
+and has its nesting checked, and the child is then normalized and
+re-type-checked. Sharing is safe because no unit is edited once the call
+that made it (the parser or an apply_* function) has returned: the
+parent is never touched, and `normalize` leaves the shared functions as
+they were, since they were normalized when first made. Ingredients are
+the unit's own statements, not copies: they are listed once per unit,
+cached on it as `_ingredients`, and copied only when inserted. Scope is
+the binding environment before each statement that `check_unit` returns;
+`_finish` keeps it on the child it checks (`_envs`), so no operator
+works scope out again. Inapplicable or stale operations raise a
+PatchSkip subclass, which callers treat as "discard and draw again",
+never as a fatal error. Template parameters left unresolved at
+enumeration time are drawn from the caller's random stream on first
+application and recorded in the returned concrete op, so a lineage of
+concrete ops replays byte-for-byte.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from minirepair.minilang import (
     resolve_container,
     resolve_path,
 )
-from minirepair.minilang.checker import binding_env_at, check_unit, signatures, typed_free_vars
-from minirepair.minilang.errors import CheckError
+from minirepair.minilang.checker import check_unit, signatures, typed_free_vars
+from minirepair.minilang.errors import MiniLangError
 from minirepair.minilang.nodes import (
     ARITH_OPS,
     Binary,
@@ -66,6 +69,7 @@ from minirepair.minilang.nodes import (
     iter_statement_paths,
     stmt_expr_nodes,
 )
+from minirepair.minilang.parser import check_nesting
 from minirepair.minilang.printer import print_stmt
 
 
@@ -82,7 +86,8 @@ class ScopeViolation(PatchSkip):
 
 
 class TypeCheckFailed(PatchSkip):
-    """The edited unit no longer type-checks."""
+    """The edited unit no longer type-checks, or nests deeper than the
+    parser's limit."""
 
 
 class NotApplicable(PatchSkip):
@@ -214,6 +219,16 @@ def call_sites(stmt: Stmt) -> list[Call]:
 # --- ingredients ---------------------------------------------------------
 
 
+def unit_envs(unit: SourceUnit) -> dict[StatementId, dict[str, str]]:
+    """The binding environment just before each statement, as `check_unit`
+    returns it. `_finish` records it on every unit an operator makes; any
+    other unit is checked on first use. Cached on the unit as `_envs`."""
+    envs = unit.__dict__.get("_envs")
+    if envs is None:
+        envs = unit._envs = check_unit(unit)
+    return envs
+
+
 def unit_ingredients(unit: SourceUnit) -> tuple[Ingredient, ...]:
     """Every statement of the unit as an ingredient, in program order.
 
@@ -222,14 +237,15 @@ def unit_ingredients(unit: SourceUnit) -> tuple[Ingredient, ...]:
     """
     cached = unit.__dict__.get("_ingredients")
     if cached is None:
+        envs = unit_envs(unit)
         cached = unit._ingredients = tuple(
             Ingredient(
                 stmt=stmt,
                 origin=sid,
-                free_vars=typed_free_vars(stmt, binding_env_at(unit, sid.function, path) or {}),
+                free_vars=typed_free_vars(stmt, envs[sid]),
                 text=_condense(print_stmt(stmt)),
             )
-            for sid, path, stmt in iter_statement_paths(unit)
+            for sid, _, stmt in iter_statement_paths(unit)
         )
     return cached
 
@@ -238,17 +254,18 @@ def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) 
     """Collect reusable statements for a modification point.
 
     Local scope draws from the point's function only; global from the
-    whole unit. The statement at the point itself is excluded, and
-    structurally identical statements are deduplicated (first occurrence
-    in program order wins).
+    whole unit. The statement the point's path resolves to is excluded
+    (in a variant its id may differ from the point's), and structurally
+    identical statements are deduplicated (first occurrence in program
+    order wins).
     """
+    at = resolve_path(unit, point.statement.function, point.path)
     entries: list[Ingredient] = []
     seen: set[str] = set()
     for ingredient in unit_ingredients(unit):
-        sid = ingredient.origin
-        if sid == point.statement:
+        if ingredient.stmt is at:
             continue
-        if scope == "local" and sid.function != point.statement.function:
+        if scope == "local" and ingredient.origin.function != point.statement.function:
             continue
         if ingredient.text in seen:
             continue
@@ -258,10 +275,8 @@ def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) 
 
 
 def _env_at(unit: SourceUnit, point: ModificationPoint) -> dict[str, str]:
-    env = binding_env_at(unit, point.statement.function, point.path)
-    if env is None:
-        raise StalePoint(f"point {point.statement} does not resolve")
-    return env
+    block, index = _locate(unit, point)
+    return unit_envs(unit)[block[index].stmt_id]
 
 
 def _fits(ingredient: Ingredient, env: dict[str, str]) -> bool:
@@ -291,11 +306,11 @@ def _child_of(parent: SourceUnit, point: ModificationPoint) -> SourceUnit:
     return SourceUnit(functions, parent.source_name)
 
 
-def _finish(child: SourceUnit) -> SourceUnit:
-    normalize(child)
+def _finish(child: SourceUnit, point: ModificationPoint) -> SourceUnit:
     try:
-        check_unit(child)
-    except CheckError as exc:
+        check_nesting(child.function(point.statement.function))
+        child._envs = check_unit(normalize(child))
+    except MiniLangError as exc:
         raise TypeCheckFailed(str(exc)) from exc
     return child
 
@@ -319,7 +334,7 @@ def apply_genprog(parent: SourceUnit, op: PatchOp) -> SourceUnit:
         block[index] = clone(op.payload["ingredient"].stmt)
     else:
         raise NotApplicable(f"not a statement operation: {op.kind}")
-    return _finish(child)
+    return _finish(child, op.point)
 
 
 def apply_mutation(parent: SourceUnit, op: PatchOp) -> tuple[SourceUnit, PatchOp]:
@@ -352,7 +367,7 @@ def apply_mutation(parent: SourceUnit, op: PatchOp) -> tuple[SourceUnit, PatchOp
                 raise NotApplicable("replacement equals the original operator")
             node.op = replacement
     concrete = PatchOp(op.kind, op.point, payload, op.generation)
-    return _finish(child), concrete
+    return _finish(child, op.point), concrete
 
 
 def apply_par_template(
@@ -409,7 +424,7 @@ def apply_par_template(
         raise NotApplicable(f"not a template operation: {op.kind}")
 
     concrete = PatchOp(op.kind, op.point, payload, op.generation)
-    return _finish(child), concrete
+    return _finish(child, op.point), concrete
 
 
 def _require_rng(rng: random.Random | None) -> random.Random:
@@ -487,9 +502,8 @@ def enumerate_ops(
     unresolved here (one op per template kind per site); mutation ops
     are fully concrete (one per site per replacement operator).
     """
-    stmt = resolve_path(ast, point.statement.function, point.path)
-    if stmt is None:
-        raise StalePoint(f"point {point.statement} does not resolve")
+    block, index = _locate(ast, point)
+    stmt = block[index]
     ops: list[PatchOp] = []
     if mode == "jgenprog":
         ops.append(PatchOp("Remove", point))

@@ -5,15 +5,56 @@ the per-unit ingredient cache, kept as the test oracle.
 path and its origin's binding environment, and returns the pool as
 (condensed text, origin, typed free variables) triples.
 `binding_env_reference` rebuilds the unit's signatures for every
-dominating `let`. The statement copies the old harvester made are left
-out: they do not change what the triples hold.
+dominating `let` and infers its type with `infer_expr_type`, a second
+inference that trusts the unit to be well typed. The statement copies the
+old harvester made are left out: they do not change what the triples
+hold. The statement excluded is the one the point's path resolves to.
 """
 
 from __future__ import annotations
 
-from minirepair.minilang.checker import infer_expr_type, signatures, typed_free_vars
-from minirepair.minilang.nodes import IfStmt, LetStmt, WhileStmt, iter_statements, path_of
+from minirepair.minilang.checker import ARITH, signatures, typed_free_vars
+from minirepair.minilang.nodes import (
+    ArrayLit,
+    Binary,
+    BoolLit,
+    Call,
+    IfStmt,
+    Index,
+    IntLit,
+    Len,
+    LetStmt,
+    T_BOOL,
+    T_INT,
+    T_INT_ARRAY,
+    Unary,
+    Var,
+    WhileStmt,
+    iter_statements,
+    path_of,
+    resolve_path,
+)
 from minirepair.minilang.printer import print_stmt
+
+
+def infer_expr_type(expr, env, sigs):
+    if isinstance(expr, IntLit):
+        return T_INT
+    if isinstance(expr, BoolLit):
+        return T_BOOL
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Unary):
+        return T_INT if expr.op == "-" else T_BOOL
+    if isinstance(expr, Binary):
+        return T_INT if expr.op in ARITH else T_BOOL
+    if isinstance(expr, (Index, Len)):
+        return T_INT
+    if isinstance(expr, Call):
+        return sigs[expr.fn][1]
+    if isinstance(expr, ArrayLit):
+        return T_INT_ARRAY
+    raise ValueError(f"unknown expression kind {type(expr).__name__}")
 
 
 def binding_env_reference(unit, function, path):
@@ -47,8 +88,9 @@ def binding_env_reference(unit, function, path):
 def harvest_reference(unit, point, scope):
     entries = []
     seen = set()
+    excluded = resolve_path(unit, point.statement.function, point.path)
     for sid, stmt in iter_statements(unit):
-        if sid == point.statement:
+        if stmt is excluded:
             continue
         if scope == "local" and sid.function != point.statement.function:
             continue

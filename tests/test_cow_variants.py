@@ -6,13 +6,14 @@ import copy
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minirepair import engine, operators
 from minirepair.engine import EngineConfig, evolve, replay_lineage
 from minirepair.minilang import all_statement_ids, iter_statements, parse, path_of, pretty_print
-from minirepair.minilang.checker import binding_env_at
+from minirepair.minilang.checker import check_unit
 from minirepair.minilang.nodes import (
     Expr,
     IfStmt,
@@ -26,6 +27,7 @@ from minirepair.operators import (
     MODES,
     ModificationPoint,
     PatchSkip,
+    StalePoint,
     apply_patch_op,
     enumerate_ops,
     SCOPES,
@@ -71,15 +73,18 @@ def test_harvest_matches_reference_on_merged_corpus():
 def test_harvest_and_binding_env_match_reference_on_random_units(seed):
     unit = random_unit(seed)
     assert_harvest_matches_reference(unit)
+    envs = check_unit(unit)
+    assert list(envs) == all_statement_ids(unit)
     for sid, path, stmt in iter_statement_paths(unit):
         assert path == path_of(unit, sid)
         expected = binding_env_reference(unit, sid.function, path)
-        assert binding_env_at(unit, sid.function, path) == expected
+        assert envs[sid] == expected
+        assert operators._env_at(unit, ModificationPoint(sid, path, 1.0)) == expected
         for function, stale in stale_paths(unit, sid.function, path, stmt):
-            assert binding_env_at(unit, function, stale) == binding_env_reference(
-                unit, function, stale
-            )
+            assert binding_env_reference(unit, function, stale) is None
             assert resolve_container(unit, function, stale) is None
+            with pytest.raises(StalePoint):
+                operators._env_at(unit, ModificationPoint(sid._replace(function=function), stale, 1.0))
 
 
 def stale_paths(unit, function, path, stmt):

@@ -9,8 +9,9 @@ from minirepair.minilang import (
     parse,
     path_of,
     pretty_print,
+    resolve_path,
 )
-from minirepair.minilang.checker import binding_env_at, typed_free_vars
+from minirepair.minilang.checker import check_unit, typed_free_vars
 from minirepair.minilang.testsuite import load_suite, run_test
 from minirepair.operators import (
     ModificationPoint,
@@ -26,6 +27,7 @@ from minirepair.operators import (
     check_scope,
     enumerate_ops,
     harvest_ingredients,
+    _env_at,
 )
 
 from conftest import MAX_SUITE, corpus_case_names, load_corpus_case
@@ -63,6 +65,20 @@ def test_harvest_excludes_only_the_point_statement(buggy_max):
     texts = {e.text for e in pool.entries}
     assert "let m = a;" not in texts
     assert "if (b < m) { m = b; }" in texts
+
+
+def test_harvest_in_a_variant_excludes_the_statement_at_the_points_path():
+    unit = parse(
+        "fn f(a: int, x: int) -> int {"
+        " a = a * 2; if (a > 0) { x = x - a; } x = x + 1; return x; }"
+    )
+    ingredient = ingredient_from(unit, "f", 0)  # a = a * 2;
+    child = apply_genprog(unit, PatchOp("InsertBefore", point_at(unit, "f", 2), {"ingredient": ingredient}))
+    point = point_at(unit, "f", 4)  # `return x;`, which is f:5 in the child
+    assert resolve_path(child, "f", point.path).stmt_id == StatementId("f", 5)
+    texts = [e.text for e in harvest_ingredients(child, point, "local").entries]
+    assert "return x;" not in texts
+    assert "x = x + 1;" in texts  # f:4 in the child
 
 
 def test_single_statement_function_has_empty_pool():
@@ -135,9 +151,10 @@ def test_check_scope_requires_matching_types():
     assert not check_scope(ing, point_at(other, "f", 1), other)
 
 
-def test_binding_env_at_walks_the_block_chain(buggy_max):
-    env = binding_env_at(buggy_max, "max", path_of(buggy_max, StatementId("max", 2)))
+def test_env_before_a_statement_walks_the_block_chain(buggy_max):
+    env = check_unit(buggy_max)[StatementId("max", 2)]
     assert env == {"a": "int", "b": "int", "m": "int"}
+    assert _env_at(buggy_max, point_at(buggy_max, "max", 2)) == env
 
 
 # --- statement operators (jgenprog) -------------------------------------------
@@ -409,8 +426,6 @@ def test_applies_never_touch_the_parent():
 
 
 def test_children_type_check_or_raise_declared_skips():
-    from minirepair.minilang.checker import check_unit
-
     units = corpus_units()
     produced = 0
     for unit, op, rng in random_op_stream(units, 300, seed=11):
