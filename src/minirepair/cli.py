@@ -27,7 +27,7 @@ from minirepair.engine import (
     UnlocalizableFault,
     evolve,
 )
-from minirepair.faultloc import FORMULAS, STRATEGIES, build_matrix, rank, spectrum_rows
+from minirepair.faultloc import FORMULAS, STRATEGIES, spectrum_rows
 from minirepair.minilang import MiniLangError, parse
 from minirepair.minilang.errors import SuiteError
 from minirepair.minilang.testsuite import load_suite
@@ -118,11 +118,11 @@ def run_single(args: argparse.Namespace) -> int:
         return _fail(f"tests file not found: {args.tests}")
     try:
         unit = parse(args.program.read_text(encoding="utf-8"), source_name=args.program.stem)
-    except MiniLangError as exc:
+    except (MiniLangError, UnicodeDecodeError) as exc:
         return _fail(f"{args.program}: {exc}")
     try:
         suite = load_suite(args.tests.read_text(encoding="utf-8"), unit)
-    except SuiteError as exc:
+    except (SuiteError, UnicodeDecodeError) as exc:
         return _fail(f"{args.tests}: {exc}")
     if not suite:
         return _fail(f"{args.tests}: suite contains no tests")
@@ -139,8 +139,7 @@ def run_single(args: argparse.Namespace) -> int:
 
     _write_artifacts(args.out, outcome)
     if args.dump_spectrum:
-        matrix = build_matrix(unit, suite, config.step_budget)
-        payload = json.dumps(spectrum_rows(rank(matrix, config.formula)), indent=2) + "\n"
+        payload = json.dumps(spectrum_rows(outcome.spectrum), indent=2) + "\n"
         (args.out / "spectrum.json").write_text(payload, encoding="utf-8")
 
     if outcome.status == STATUS_PATCH_FOUND:
@@ -229,7 +228,9 @@ def _run_case(
             raise ValueError(f"meta.json expect_repair must be true or false: {expect_repair!r}")
         seed = meta.get("seed", args.seed)
         configs = [config_from_args(args, mode, seed, meta.get("config")) for mode in modes]
-    except (OSError, ValueError, TypeError, KeyError, MiniLangError, SuiteError) as exc:
+    except (
+        OSError, ValueError, TypeError, KeyError, RecursionError, MiniLangError, SuiteError
+    ) as exc:
         run = CaseRun(name, "-", "error", 0, time.perf_counter() - started, False, detail=str(exc))
         return [run], False
 

@@ -4,8 +4,9 @@ The search starts from a population of clones of the buggy program.
 Each generation, every parent receives one transformation at a point
 chosen by navigating the suspiciousness ranking (computed once, on the
 original program, and re-resolved per variant by structural path), the
-children's fitness (failing-test count) is measured, and the best of
-parents plus children survive. The run stops when enough validated
+children's fitness (failing-test count) is measured in the only run of
+their suites, whose verdicts validate a fitness-zero child, and the best
+of parents plus children survive. The run stops when enough validated
 patches have been collected or the generation budget is spent. Given the
 same inputs and seed, a run is fully deterministic.
 """
@@ -19,6 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 from minirepair.faultloc import FORMULAS, STRATEGIES, Navigator, build_matrix, rank
+from minirepair.faultloc import SuspiciousStatement
 from minirepair.minilang import SourceUnit, pretty_print
 from minirepair.minilang.nodes import path_of
 from minirepair.minilang.testsuite import TestCase, run_test
@@ -33,7 +35,7 @@ from minirepair.operators import (
     enumerate_ops,
     harvest_ingredients,
 )
-from minirepair.validation import validate
+from minirepair.validation import Verdicts, validate
 
 REDRAW_ATTEMPTS = 10  # per parent per generation
 
@@ -119,6 +121,7 @@ class RepairOutcome:
     wall_time_seconds: float
     seed: int
     config: EngineConfig
+    spectrum: list[SuspiciousStatement]  # the original's ranking; not part of the report
 
     def report_dict(self) -> dict:
         return {
@@ -146,28 +149,26 @@ class RepairOutcome:
 def fitness(
     unit: SourceUnit,
     suite: list[TestCase],
+    originally_failing: list[str],
     step_budget: int,
-    failing_first: list[str] | None = None,
     fast: bool = False,
-) -> int:
-    """Number of failing tests (runtime errors and budget blowups fail).
+) -> Verdicts:
+    """Run the suite once; `(test name, passed)` for each test run.
 
-    Tests run originally-failing-first when `failing_first` is given;
-    with `fast`, evaluation stops at the first failure, making the
-    result a lower bound (exact whenever it is zero).
+    Tests run in two-phase order: the originally failing ones first,
+    then the rest, each in suite order. Runtime errors and budget
+    blowups fail. With `fast`, the run stops at the first failure, so
+    the failure count is a lower bound (exact whenever it is zero).
     """
-    ordered = suite
-    if failing_first is not None:
-        first = set(failing_first)
-        ordered = [t for t in suite if t.name in first] + [t for t in suite if t.name not in first]
-    failures = 0
+    first = set(originally_failing)
+    ordered = [t for t in suite if t.name in first] + [t for t in suite if t.name not in first]
+    verdicts = []
     for test in ordered:
-        passed, _ = run_test(unit, test, step_budget)
-        if not passed:
-            failures += 1
-            if fast:
-                break
-    return failures
+        passed = run_test(unit, test, step_budget)[0]
+        verdicts.append((test.name, passed))
+        if fast and not passed:
+            break
+    return tuple(verdicts)
 
 
 def init_population(original: SourceUnit, n: int, original_fitness: int) -> list[ProgramVariant]:
@@ -178,26 +179,18 @@ def init_population(original: SourceUnit, n: int, original_fitness: int) -> list
 
 
 def select(
-    parents: list[ProgramVariant],
-    children: list[ProgramVariant],
-    n: int,
-    original: ProgramVariant | None = None,
-    generation: int = 0,
+    parents: list[ProgramVariant], children: list[ProgramVariant], n: int
 ) -> list[ProgramVariant]:
     """Elitist survival: the n lowest-fitness variants of parents + children.
 
     Ties prefer younger variants, then shorter lineages, then input
-    order. When the pool is smaller than n, fresh clones of the original
-    pad the population.
+    order.
     """
     if not parents:
         raise ValueError("parents must be nonempty")
     pool = parents + children
     pool.sort(key=lambda v: (v.fitness, -v.generation_born, len(v.lineage)))
-    survivors = pool[:n]
-    while len(survivors) < n and original is not None:
-        survivors.append(ProgramVariant(original.ast, [], original.fitness, generation))
-    return survivors
+    return pool[:n]
 
 
 @dataclass
@@ -223,27 +216,26 @@ def step_generation(
     config = state.config
     children: list[ProgramVariant] = []
     for parent in population:
-        child = _spawn_child(parent, state, generation)
-        if child is None:
+        spawned = _spawn_child(parent, state, generation)
+        if spawned is None:
             continue
+        child, verdicts = spawned
         children.append(child)
-        if child.fitness == 0 and len(state.patches) < config.max_patches:
-            result = validate(
-                child.ast, state.suite, set(state.originally_failing), config.step_budget
-            )
-            if result.valid:
-                diff = make_diff(
-                    state.original_text, pretty_print(child.ast), child.ast.source_name
-                )
-                if diff not in state._seen_diffs:
-                    state._seen_diffs.add(diff)
-                    state.patches.append(FoundPatch(diff, list(child.lineage), generation))
+        if (
+            child.fitness == 0
+            and len(state.patches) < config.max_patches
+            and validate(verdicts, state.originally_failing).valid
+        ):
+            diff = make_diff(state.original_text, pretty_print(child.ast), child.ast.source_name)
+            if diff not in state._seen_diffs:
+                state._seen_diffs.add(diff)
+                state.patches.append(FoundPatch(diff, list(child.lineage), generation))
     return children
 
 
 def _spawn_child(
     parent: ProgramVariant, state: _SearchState, generation: int
-) -> ProgramVariant | None:
+) -> tuple[ProgramVariant, Verdicts] | None:
     config = state.config
     for _ in range(REDRAW_ATTEMPTS):
         suspicious = state.navigator.pick()
@@ -264,15 +256,17 @@ def _spawn_child(
         except PatchSkip:
             continue
         concrete.generation = generation
-        child_fitness = fitness(
+        verdicts = fitness(
             child_ast,
             state.suite,
+            state.originally_failing,
             config.step_budget,
-            failing_first=state.originally_failing,
-            fast=config.fast_validation,
+            config.fast_validation,
         )
         state.variants_evaluated += 1
-        return ProgramVariant(child_ast, parent.lineage + [concrete], child_fitness, generation)
+        failures = sum(1 for _, passed in verdicts if not passed)
+        child = ProgramVariant(child_ast, parent.lineage + [concrete], failures, generation)
+        return child, verdicts
     return None
 
 
@@ -302,15 +296,12 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
     )
     state.variants_evaluated = 1  # the original program, measured by the matrix
 
-    prototype = ProgramVariant(original, [], matrix.total_fail, 0)
     population = init_population(original, config.population_size, matrix.total_fail)
     best_per_generation: list[int] = []
     generations_run = 0
     for generation in range(1, config.max_generations + 1):
         children = step_generation(population, state, generation)
-        population = select(
-            population, children, config.population_size, prototype, generation
-        )
+        population = select(population, children, config.population_size)
         best_per_generation.append(min(v.fitness for v in population))
         generations_run = generation
         if config.check_lineages:
@@ -332,6 +323,7 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
         wall_time_seconds=time.perf_counter() - started,
         seed=config.seed,
         config=config,
+        spectrum=ranked,
     )
 
 

@@ -5,9 +5,10 @@ Suite files look like:
     {"tests": [{"name": "t1", "call": {"fn": "max", "args": [3, 5]}, "expect": 5}]}
 
 Argument and expected values are JSON integers, booleans, or integer
-arrays. Every test is checked against the program at load time: the
-called function must exist with matching arity and argument types, and
-the expected value must match its return type.
+arrays; every integer must fit the interpreter's signed 64-bit range.
+Every test is checked against the program at load time: the called
+function must exist with matching arity and argument types, and the
+expected value must match its return type.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 from minirepair.minilang.errors import SuiteError
 from minirepair.minilang.interpreter import ExecutionResult, RETURNED, Value, interpret, values_equal
+from minirepair.minilang.interpreter import INT_MAX, INT_MIN
 from minirepair.minilang.nodes import SourceUnit, T_BOOL, T_INT, T_INT_ARRAY
 
 
@@ -40,12 +42,21 @@ def _value_type(value) -> str | None:
     return None
 
 
+def _int64(literal: str) -> int:
+    """A JSON integer literal; at most 20 characters fit, whatever their value."""
+    if len(literal) > 20 or not INT_MIN <= int(literal) <= INT_MAX:
+        raise SuiteError(f"integer {literal[:24]} is outside the signed 64-bit range")
+    return int(literal)
+
+
 def load_suite(text: str, unit: SourceUnit) -> list[TestCase]:
     """Parse a suite document and validate it against `unit`."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_int64)
     except json.JSONDecodeError as exc:
         raise SuiteError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SuiteError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("tests"), list):
         raise SuiteError('suite document must be an object with a "tests" array')
     tests: list[TestCase] = []
@@ -69,7 +80,9 @@ def load_suite(text: str, unit: SourceUnit) -> list[TestCase]:
         if fn is None:
             raise SuiteError(f"{where}: no function named {call['fn']!r}")
         args = call["args"]
-        if not isinstance(args, list) or len(args) != len(fn.params):
+        if not isinstance(args, list):
+            raise SuiteError(f"{where}: args must be an array")
+        if len(args) != len(fn.params):
             raise SuiteError(
                 f"{where}: {fn.name!r} takes {len(fn.params)} arguments, got {len(args)}"
             )

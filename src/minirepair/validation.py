@@ -1,8 +1,10 @@
-"""Two-phase validation of candidate repairs.
+"""Two-phase validation of candidate repairs, read from one suite run.
 
-Phase 1 re-runs only the originally failing tests; any failure discards
-the candidate immediately and phase 2 never executes. Phase 2 is the
-regression check: every previously passing test must still pass. Which
+A candidate's suite runs once, in the engine's fitness step, with the
+originally failing tests first. Validation runs no test: it splits that
+run's verdicts into phase 1, the originally failing tests, and phase 2,
+the regression check that every previously passing test still passes.
+A phase-1 failure discards the candidate and leaves phase 2 empty. Which
 tests count as "originally failing" is fixed once, from the unpatched
 program, and never re-classified during a run.
 """
@@ -12,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from minirepair.minilang import SourceUnit
-from minirepair.minilang.testsuite import TestCase, run_test
+Verdicts = tuple[tuple[str, bool], ...]  # (test name, passed), in run order
 
 
 class UnknownTestName(Exception):
@@ -22,36 +23,26 @@ class UnknownTestName(Exception):
 
 @dataclass(frozen=True)
 class ValidationResult:
-    phase1: tuple[tuple[str, bool], ...]  # (test name, passed) for originally failing tests
-    phase2: tuple[tuple[str, bool], ...]  # regression verdicts; empty when phase 1 failed
+    phase1: Verdicts  # originally failing tests
+    phase2: Verdicts  # regression verdicts; empty when phase 1 failed
     valid: bool
 
 
-def validate(
-    candidate: SourceUnit,
-    suite: list[TestCase],
-    originally_failing: Iterable[str],
-    step_budget: int,
-) -> ValidationResult:
+def validate(verdicts: Verdicts, originally_failing: Iterable[str]) -> ValidationResult:
+    """The two-phase view of one run's verdicts.
+
+    A run that stopped at its first failure may lack later phase-1
+    verdicts; it is discarded in phase 1 all the same. When phase 1
+    passes, every originally failing test must have a verdict.
+    """
     failing_names = set(originally_failing)
     if not failing_names:
         raise ValueError("originally_failing must be nonempty")
-    known = {test.name for test in suite}
-    unknown = failing_names - known
-    if unknown:
-        raise UnknownTestName(f"unknown test name(s): {', '.join(sorted(unknown))}")
-
-    phase1 = tuple(
-        (test.name, run_test(candidate, test, step_budget)[0])
-        for test in suite
-        if test.name in failing_names
-    )
+    phase1 = tuple(v for v in verdicts if v[0] in failing_names)
     if not all(passed for _, passed in phase1):
         return ValidationResult(phase1, (), False)
-
-    phase2 = tuple(
-        (test.name, run_test(candidate, test, step_budget)[0])
-        for test in suite
-        if test.name not in failing_names
-    )
+    unknown = failing_names.difference(name for name, _ in phase1)
+    if unknown:
+        raise UnknownTestName(f"unknown test name(s): {', '.join(sorted(unknown))}")
+    phase2 = tuple(v for v in verdicts if v[0] not in failing_names)
     return ValidationResult(phase1, phase2, all(passed for _, passed in phase2))

@@ -13,7 +13,8 @@ import time
 import pytest
 
 from minirepair.cli import build_parser, run_corpus
-from minirepair.engine import EngineConfig, evolve
+import minirepair.engine as engine_module
+from minirepair.engine import EngineConfig, evolve, fitness
 from minirepair.faultloc import (
     Navigator,
     SuspiciousStatement,
@@ -32,7 +33,6 @@ from minirepair.operators import (
     enumerate_ops,
     harvest_ingredients,
 )
-import minirepair.validation as validation_module
 from minirepair.validation import validate
 
 from conftest import CORPUS, corpus_case_names, load_corpus_case
@@ -111,21 +111,21 @@ def test_criterion_4_formula_unit_values():
 
 def test_criterion_5_two_phase_discard(buggy_max, max_suite, monkeypatch):
     degenerate = parse("fn max(a: int, b: int) -> int { return 5; }")
-    result = validate(degenerate, max_suite, {"t1"}, 1000)
+    result = validate(fitness(degenerate, max_suite, ["t1"], 1000), ["t1"])
     assert result.phase1 == (("t1", True),)
     assert result.phase2 == (("t2", False),)
     assert not result.valid
 
     executions = []
-    real_run_test = validation_module.run_test
+    real_run_test = engine_module.run_test
 
     def counting(unit, test, budget):
         executions.append(test.name)
         return real_run_test(unit, test, budget)
 
-    monkeypatch.setattr(validation_module, "run_test", counting)
-    failing_phase1 = validate(buggy_max, max_suite, {"t1"}, 1000)
-    assert not failing_phase1.valid
+    monkeypatch.setattr(engine_module, "run_test", counting)
+    failing_phase1 = validate(fitness(buggy_max, max_suite, ["t1"], 1000, fast=True), ["t1"])
+    assert not failing_phase1.valid and failing_phase1.phase2 == ()
     assert executions == ["t1"], "no phase-2 test may run after a phase-1 failure"
     report(
         "5 two-phase discard",

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minirepair.cli import main
 
@@ -85,6 +91,26 @@ def test_over_deep_program_is_usage_error(workspace, capsys):
     )
     assert code == 2
     assert "nesting deeper than 64 levels" in capsys.readouterr().err
+
+
+DEEP_JSON = '{"tests": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("max.ml", b"fn max\xff", "can't decode"),
+        ("max.tests.json", b'{"tests": "\xc3"}', "can't decode"),
+        ("max.tests.json", DEEP_JSON.encode(), "nested too deeply"),
+    ],
+    ids=["undecodable-program", "undecodable-tests", "deep-tests"],
+)
+def test_undecodable_or_over_deep_input_is_usage_error(workspace, capsys, name, content, message):
+    (workspace / name).write_bytes(content)
+    assert main(repair_args(workspace)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repair: error: {workspace / name}: ")
+    assert message in err and err.count("\n") == 1
 
 
 def test_correct_program_is_usage_error(workspace, capsys):
@@ -181,6 +207,51 @@ def test_malformed_case_does_not_poison_others(tmp_path):
     for case, (_, key) in bad_metas.items():
         assert by_case[case]["status"] == "error"
         assert key in by_case[case]["detail"]
+
+
+def test_undecodable_or_over_deep_case_files_are_error_rows(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS / "max_flipped_comparison", corpus / "max_flipped_comparison")
+    bad_files = {
+        "undecodable_program": ("program.ml", b"fn \xff"),
+        "undecodable_tests": ("tests.json", b"\xfe\xff"),
+        "deep_tests": ("tests.json", DEEP_JSON.encode()),
+        "deep_meta": ("meta.json", ("[" * 100_000 + "]" * 100_000).encode()),
+    }
+    for case, (name, content) in bad_files.items():
+        shutil.copytree(CORPUS / "max_flipped_comparison", corpus / case)
+        (corpus / case / name).write_bytes(content)
+    code = main(["--corpus", str(corpus), "--out", str(tmp_path / "out"), "--min-repaired", "1"])
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    by_case = {row["case"]: row for row in summary["cases"]}
+    assert by_case["max_flipped_comparison"]["status"] == "patch_found"
+    for case in bad_files:
+        assert by_case[case]["status"] == "error"
+
+
+def _spliced(valid: bytes):
+    """`valid`, `valid` with a random slice replaced by arbitrary bytes, or arbitrary bytes."""
+    spliced = st.tuples(st.integers(0, len(valid)), st.integers(0, 8), st.binary(max_size=8)).map(
+        lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :]
+    )
+    return st.one_of(st.just(valid), spliced, st.binary(max_size=64))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_spliced(BUGGY_MAX.encode()), _spliced(MAX_SUITE.encode()))
+def test_any_input_bytes_end_in_an_exit_status(program, tests):
+    with tempfile.TemporaryDirectory() as tmp:
+        workspace = Path(tmp)
+        (workspace / "max.ml").write_bytes(program)
+        (workspace / "max.tests.json").write_bytes(tests)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(
+                repair_args(workspace, "--population-size", "1", "--max-generations", "1")
+            )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_summary_schema(tmp_path):

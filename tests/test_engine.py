@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import minirepair.minilang.testsuite as testsuite_module
 from minirepair.engine import (
     EngineConfig,
     NoFailingTest,
@@ -15,6 +16,7 @@ from minirepair.engine import (
     replay_lineage,
     select,
 )
+from minirepair.faultloc import build_matrix, rank
 from minirepair.minilang import parse, pretty_print
 from minirepair.minilang.testsuite import load_suite
 
@@ -30,9 +32,13 @@ def config(**kwargs):
 # --- fitness ----------------------------------------------------------------
 
 
+def failures(verdicts):
+    return sum(1 for _, passed in verdicts if not passed)
+
+
 def test_fitness_counts_failures(buggy_max, correct_max, max_suite):
-    assert fitness(buggy_max, max_suite, 1000) == 1
-    assert fitness(correct_max, max_suite, 1000) == 0
+    assert fitness(buggy_max, max_suite, ["t1"], 1000) == (("t1", False), ("t2", True))
+    assert failures(fitness(correct_max, max_suite, ["t1"], 1000)) == 0
 
 
 def test_fitness_counts_nontermination_as_failure():
@@ -40,12 +46,17 @@ def test_fitness_counts_nontermination_as_failure():
     suite = load_suite(
         '{"tests": [{"name": "t", "call": {"fn": "f", "args": [5]}, "expect": 0}]}', unit
     )
-    assert fitness(unit, suite, 100) == 1
+    assert fitness(unit, suite, ["t"], 100) == (("t", False),)
+
+
+def test_fitness_runs_the_originally_failing_tests_first(correct_max, max_suite):
+    verdicts = fitness(correct_max, max_suite, ["t2"], 1000)
+    assert [name for name, _ in verdicts] == ["t2", "t1"]
 
 
 def test_fast_fitness_is_a_lower_bound(buggy_max, max_suite):
-    exact = fitness(buggy_max, max_suite, 1000)
-    fast = fitness(buggy_max, max_suite, 1000, failing_first=["t1"], fast=True)
+    exact = failures(fitness(buggy_max, max_suite, ["t1"], 1000))
+    fast = failures(fitness(buggy_max, max_suite, ["t1"], 1000, fast=True))
     assert fast <= exact
     assert fast >= 1  # zero only when everything passes
 
@@ -96,14 +107,6 @@ def test_select_breaks_remaining_ties_by_lineage_length(buggy_max):
     b = variant(buggy_max, 1, generation=2, lineage_len=1)
     survivors = select([a], [b], 1)
     assert survivors == [b]
-
-
-def test_select_pads_with_clones(buggy_max):
-    prototype = variant(buggy_max, 4)
-    survivors = select([variant(buggy_max, 2)], [], 3, original=prototype, generation=7)
-    assert len(survivors) == 3
-    assert [v.fitness for v in survivors] == [2, 4, 4]
-    assert all(v.generation_born == 7 for v in survivors[1:])
 
 
 # --- evolve -----------------------------------------------------------------------
@@ -163,6 +166,29 @@ def test_evolve_exhausts_on_unrepairable():
     assert len(outcome.per_generation_best_fitness) == 5
 
 
+def test_a_search_runs_each_suite_once_per_program(buggy_max, max_suite, monkeypatch):
+    # every run_test is one interpret call; the original runs its suite
+    # for fault localization, each child for its fitness, and validation
+    # reads the child's fitness run instead of running the suite again
+    runs = []
+    real_interpret = testsuite_module.interpret
+
+    def counting(*args):
+        runs.append(args[1])
+        return real_interpret(*args)
+
+    monkeypatch.setattr(testsuite_module, "interpret", counting)
+    outcome = evolve(buggy_max, max_suite, config(max_patches=3, max_generations=10))
+    assert outcome.status == STATUS_PATCH_FOUND
+    assert len(runs) == len(max_suite) * outcome.variants_evaluated
+
+
+def test_evolve_carries_the_ranked_spectrum(buggy_max, max_suite):
+    outcome = evolve(buggy_max, max_suite, config())
+    assert outcome.spectrum == rank(build_matrix(buggy_max, max_suite, 100_000), "ochiai")
+    assert "spectrum" not in outcome.report_dict()
+
+
 def test_variant_budget(buggy_max, max_suite):
     cfg = config(max_generations=5, population_size=4, max_patches=99)
     outcome = evolve(buggy_max, max_suite, cfg)
@@ -179,7 +205,7 @@ def test_patch_lineage_replays_to_a_passing_program(buggy_max, max_suite):
     outcome = evolve(buggy_max, max_suite, config())
     patch = outcome.patches[0]
     replayed = replay_lineage(buggy_max, patch.lineage)
-    assert fitness(replayed, max_suite, 1000) == 0
+    assert failures(fitness(replayed, max_suite, ["t1"], 1000)) == 0
     assert make_diff(pretty_print(buggy_max), pretty_print(replayed), "max") == patch.diff
 
 

@@ -29,16 +29,17 @@ def flipped(value):
     return value + [1]
 
 
-def suite_from_runs(unit, rng):
+def suite_from_runs(unit, rng, flip_first=True):
     """Two tests per function expecting what the unit returns, except the
-    first, whose expected value is flipped so that it fails."""
+    first, whose expected value is flipped so that it fails (unless not
+    `flip_first`)."""
     tests = []
     for fn in unit.functions:
         for _ in range(2):
             args = random_args([t for _, t in fn.params], rng)
             result = interpret(unit, fn.name, copy.deepcopy(args), STEP_BUDGET)
             expect = result.value if result.status == RETURNED else DEFAULTS.get(fn.return_type, [])
-            if not tests:
+            if flip_first and not tests:
                 expect = flipped(expect)
             frozen = tuple(tuple(a) if isinstance(a, list) else a for a in args)
             tests.append(testsuite.TestCase(f"t{len(tests)}", fn.name, frozen, expect))

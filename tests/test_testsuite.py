@@ -4,6 +4,7 @@ import pytest
 
 from minirepair.minilang import parse
 from minirepair.minilang.errors import SuiteError
+from minirepair.minilang.interpreter import INT_MAX, INT_MIN
 from minirepair.minilang.testsuite import load_suite, run_test
 
 from conftest import MAX_SUITE
@@ -90,3 +91,45 @@ def test_missing_expect(buggy_max):
     doc = json.dumps({"tests": [{"name": "t", "call": {"fn": "max", "args": [1, 2]}}]})
     with pytest.raises(SuiteError, match="expected value"):
         load_suite(doc, buggy_max)
+
+
+def test_args_must_be_an_array(buggy_max):
+    with pytest.raises(SuiteError, match="args must be an array"):
+        load_suite(suite_doc(call={"fn": "max", "args": 5}), buggy_max)
+
+
+def test_over_deep_json_is_a_suite_error(buggy_max):
+    deep = '{"tests": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(SuiteError, match="nested too deeply"):
+        load_suite(deep, buggy_max)
+
+
+ARRAYS = parse("fn f(v: int[], n: int) -> int[] { return v; }\nfn g(n: int) -> int { return n; }")
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [str(INT_MAX + 1), str(INT_MIN - 1), "99999999999999999999", "-1" + "0" * 5000],
+    ids=["max-plus-1", "min-minus-1", "20-digits", "5001-digits"],
+)
+@pytest.mark.parametrize(
+    "call, expect",
+    [
+        ({"fn": "g", "args": ["X"]}, 0),
+        ({"fn": "f", "args": [[1, "X"], 0]}, []),
+        ({"fn": "g", "args": [0]}, "X"),
+        ({"fn": "f", "args": [[], 0]}, [0, "X"]),
+    ],
+    ids=["argument", "argument-element", "expected", "expected-element"],
+)
+def test_out_of_range_integers_are_rejected(call, expect, literal):
+    doc = json.dumps({"tests": [{"name": "t", "call": call, "expect": expect}]})
+    doc = doc.replace('"X"', literal)
+    with pytest.raises(SuiteError, match=f"integer {literal[:24]} is outside the signed 64-bit"):
+        load_suite(doc, ARRAYS)
+
+
+def test_int64_bounds_are_accepted():
+    call = {"fn": "f", "args": [[INT_MIN, INT_MAX], INT_MAX]}
+    doc = json.dumps({"tests": [{"name": "t", "call": call, "expect": [INT_MIN]}]})
+    assert load_suite(doc, ARRAYS)[0].args == ((INT_MIN, INT_MAX), INT_MAX)
