@@ -112,17 +112,17 @@ def run_single(args: argparse.Namespace) -> int:
         return _fail("--program and --tests are required (or use --corpus)")
     if args.mode is None:
         return _fail("--mode is required")
-    if not args.program.exists():
+    if not args.program.is_file():
         return _fail(f"program file not found: {args.program}")
-    if not args.tests.exists():
+    if not args.tests.is_file():
         return _fail(f"tests file not found: {args.tests}")
     try:
         unit = parse(args.program.read_text(encoding="utf-8"), source_name=args.program.stem)
-    except (MiniLangError, UnicodeDecodeError) as exc:
+    except (OSError, MiniLangError, UnicodeDecodeError) as exc:
         return _fail(f"{args.program}: {exc}")
     try:
         suite = load_suite(args.tests.read_text(encoding="utf-8"), unit)
-    except (SuiteError, UnicodeDecodeError) as exc:
+    except (OSError, SuiteError, UnicodeDecodeError) as exc:
         return _fail(f"{args.tests}: {exc}")
     if not suite:
         return _fail(f"{args.tests}: suite contains no tests")
@@ -323,8 +323,20 @@ def run_corpus_cmd(args: argparse.Namespace) -> int:
     return EXIT_PATCH_FOUND if summary.ok else EXIT_EXHAUSTED
 
 
+def _out_dir_problem(out: Path) -> str | None:
+    """Why `out` cannot become the output directory: it, or the nearest
+    of its ancestors that exists, is not a directory."""
+    for path in (out, *out.parents):
+        if path.exists():
+            return None if path.is_dir() else f"--out is not a directory: {path}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _out_dir_problem(args.out)
+    if problem is not None:
+        return _fail(problem)
     if args.corpus is not None:
         return run_corpus_cmd(args)
     return run_single(args)

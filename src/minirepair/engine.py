@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 from minirepair.faultloc import FORMULAS, STRATEGIES, Navigator, build_matrix, rank
 from minirepair.faultloc import SuspiciousStatement
 from minirepair.minilang import SourceUnit, pretty_print
-from minirepair.minilang.nodes import path_of
+from minirepair.minilang.nodes import iter_statement_paths
 from minirepair.minilang.testsuite import TestCase, run_test
 from minirepair.operators import (
     EMPTY_POOL,
@@ -202,7 +202,7 @@ class _SearchState:
     config: EngineConfig
     rng: random.Random
     navigator: Navigator
-    point_paths: dict  # StatementId -> structural path in the original program
+    points: dict  # StatementId -> its ModificationPoint in the original program
     variants_evaluated: int = 0
     patches: list[FoundPatch] = field(default_factory=list)
     _seen_diffs: set = field(default_factory=set)
@@ -238,9 +238,7 @@ def _spawn_child(
 ) -> tuple[ProgramVariant, Verdicts] | None:
     config = state.config
     for _ in range(REDRAW_ATTEMPTS):
-        suspicious = state.navigator.pick()
-        path = state.point_paths[suspicious.statement]
-        point = ModificationPoint(suspicious.statement, path, suspicious.score)
+        point = state.points[state.navigator.pick().statement]
         try:
             pool = EMPTY_POOL
             if config.mode == "jgenprog":
@@ -291,7 +289,7 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
         config=config,
         rng=rng,
         navigator=Navigator(ranked, config.navigation, rng),
-        point_paths={s.statement: path_of(original, s.statement) for s in ranked},
+        points={sid: ModificationPoint(sid, path) for sid, path, _ in iter_statement_paths(original)},
         original_text=pretty_print(original),
     )
     state.variants_evaluated = 1  # the original program, measured by the matrix

@@ -14,7 +14,7 @@ Semantics notes:
   - `&&` and `||` short-circuit.
   - Arrays are mutable references; array arguments are copied per call
     into the interpreter so runs never alias suite data.
-  - MiniLang recursion is bounded by `max_call_depth` in addition to the
+  - MiniLang recursion is bounded by `MAX_CALL_DEPTH` in addition to the
     step budget; exceeding it is the `call-depth-exceeded` runtime error.
 
 Compilation. The first run of a unit compiles every function into nested
@@ -44,7 +44,7 @@ cut fired.
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
 than `MAX_NESTING`. `interpret` raises the recursion limit by that
-constant bound, `FRAMES_PER_CALL` (times `max_call_depth` for the run),
+constant bound, `FRAMES_PER_CALL` (times `MAX_CALL_DEPTH`),
 and restores it before returning, so `call-depth-exceeded` fires at the
 declared depth however deep the caller's stack is.
 """
@@ -96,6 +96,9 @@ Value = int | bool | list
 CUT_FIRST_SNAPSHOT = 16
 CUT_WINDOW = 64
 
+# MiniLang activations a run may hold at once.
+MAX_CALL_DEPTH = 200
+
 # Python frames of `interpret` itself and of the helpers a closure calls.
 _FRAME_SLACK = 50
 # Python frames of one MiniLang call, or of compiling one function.
@@ -145,13 +148,12 @@ def _trunc_div(a: int, b: int) -> int:
 class _Run:
     """Mutable state of one run, passed to every closure as `r`."""
 
-    __slots__ = ("left", "hit", "depth", "max_depth")
+    __slots__ = ("left", "hit", "depth")
 
-    def __init__(self, budget: int, statements: int, max_depth: int):
+    def __init__(self, budget: int, statements: int):
         self.left = budget  # steps still allowed
         self.hit = [False] * statements  # by compiled statement number
         self.depth = 0
-        self.max_depth = max_depth
 
 
 class _Function:
@@ -434,7 +436,7 @@ class _Compiler:
                 frame[i] = arg(L, r)
                 i += 1
             depth = r.depth
-            if depth >= r.max_depth:
+            if depth >= MAX_CALL_DEPTH:
                 raise _Trap("call-depth-exceeded", sid)
             r.depth = depth + 1
             value = callee.body(frame, r)
@@ -542,7 +544,6 @@ def interpret(
     fn_name: str,
     args: list[Value],
     step_budget: int,
-    max_call_depth: int = 200,
 ) -> ExecutionResult:
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
 
@@ -565,13 +566,11 @@ def interpret(
         finally:
             sys.setrecursionlimit(limit)
     compiled = program.functions[fn_name]
-    run = _Run(step_budget, len(program.sids), max_call_depth)
+    run = _Run(step_budget, len(program.sids))
     frame = [None] * compiled.nslots
     frame[: len(args)] = [list(a) if isinstance(a, list) else a for a in args]
-    sys.setrecursionlimit(limit + (max_call_depth + 1) * FRAMES_PER_CALL + _FRAME_SLACK)
+    sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 1) * FRAMES_PER_CALL + _FRAME_SLACK)
     try:
-        if max_call_depth <= 0:
-            raise _Trap("call-depth-exceeded", None)
         run.depth = 1
         value = compiled.body(frame, run)
         if value is None:

@@ -98,11 +98,6 @@ def load_suite(text: str, unit: SourceUnit) -> list[TestCase]:
     return tests
 
 
-def load_suite_file(path, unit: SourceUnit) -> list[TestCase]:
-    with open(path, encoding="utf-8") as handle:
-        return load_suite(handle.read(), unit)
-
-
 def run_test(unit: SourceUnit, test: TestCase, step_budget: int) -> tuple[bool, ExecutionResult]:
     """Execute one test; passes only when the call returns the expected value."""
     args = [list(a) if isinstance(a, tuple) else a for a in test.args]

@@ -11,12 +11,13 @@ Three families, gated by engine mode:
   jmutrepair  operator swaps: relational, logical, and arithmetic
               operator replacement plus condition negation.
 
-Children are copy-on-write. An apply_* function returns a new unit that
-shares every FunctionDef object with its parent except a fresh copy of
-the function holding the modification point; only that copy is edited
-and has its nesting checked, and the child is then normalized and
+Children are copy-on-write, and `apply_patch_op` makes every one. It
+resolves the modification point in the parent, copies the function
+holding it, and runs the kind's family edit on that copy, which alone is
+edited and has its nesting checked; the child, sharing every other
+FunctionDef object with its parent, is then normalized and
 re-type-checked. Sharing is safe because no unit is edited once the call
-that made it (the parser or an apply_* function) has returned: the
+that made it (the parser or `apply_patch_op`) has returned: the
 parent is never touched, and `normalize` leaves the shared functions as
 they were, since they were normalized when first made. Ingredients are
 the unit's own statements, not copies: they are listed once per unit,
@@ -105,7 +106,6 @@ MODES = tuple(MODE_KINDS)
 class ModificationPoint:
     statement: StatementId
     path: Path
-    suspiciousness: float
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,10 @@ SCOPES = ("local", "global")
 
 @dataclass(frozen=True)
 class IngredientPool:
-    scope: str  # one of SCOPES
     entries: tuple[Ingredient, ...]
 
 
-EMPTY_POOL = IngredientPool("local", ())
+EMPTY_POOL = IngredientPool(())
 
 
 @dataclass
@@ -271,21 +270,11 @@ def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) 
             continue
         seen.add(ingredient.text)
         entries.append(ingredient)
-    return IngredientPool(scope, tuple(entries))
-
-
-def _env_at(unit: SourceUnit, point: ModificationPoint) -> dict[str, str]:
-    block, index = _locate(unit, point)
-    return unit_envs(unit)[block[index].stmt_id]
+    return IngredientPool(tuple(entries))
 
 
 def _fits(ingredient: Ingredient, env: dict[str, str]) -> bool:
     return all(env.get(name) == type_ for name, type_ in ingredient.free_vars)
-
-
-def check_scope(ingredient: Ingredient, point: ModificationPoint, unit: SourceUnit) -> bool:
-    """True when all free variables are bound, type-compatibly, at the point."""
-    return _fits(ingredient, _env_at(unit, point))
 
 
 # --- application ---------------------------------------------------------
@@ -315,72 +304,56 @@ def _finish(child: SourceUnit, point: ModificationPoint) -> SourceUnit:
     return child
 
 
-def apply_genprog(parent: SourceUnit, op: PatchOp) -> SourceUnit:
+# Each family's edit changes the copied function in place at `block[index]`
+# and completes `payload`; `env` is the parent's environment before the point.
+
+
+def _genprog_edit(kind, block, index, payload, env, rng, parent) -> None:
     """Insert an ingredient before, replace, or remove the point statement."""
-    _locate(parent, op.point)  # fail fast before copying
-    if op.kind in ("InsertBefore", "Replace"):
-        ingredient: Ingredient = op.payload["ingredient"]
-        if op.kind == "InsertBefore" and ingredient.is_return_rooted:
-            raise NotApplicable("return statements are never inserted")
-        if not check_scope(ingredient, op.point, parent):
-            raise ScopeViolation(f"ingredient from {ingredient.origin} out of scope")
-    child = _child_of(parent, op.point)
-    block, index = _locate(child, op.point)
-    if op.kind == "Remove":
+    if kind == "Remove":
         del block[index]
-    elif op.kind == "InsertBefore":
-        block.insert(index, clone(op.payload["ingredient"].stmt))
-    elif op.kind == "Replace":
-        block[index] = clone(op.payload["ingredient"].stmt)
+        return
+    ingredient: Ingredient = payload["ingredient"]
+    if kind == "InsertBefore" and ingredient.is_return_rooted:
+        raise NotApplicable("return statements are never inserted")
+    if not _fits(ingredient, env):
+        raise ScopeViolation(f"ingredient from {ingredient.origin} out of scope")
+    if kind == "InsertBefore":
+        block.insert(index, clone(ingredient.stmt))
     else:
-        raise NotApplicable(f"not a statement operation: {op.kind}")
-    return _finish(child, op.point)
+        block[index] = clone(ingredient.stmt)
 
 
-def apply_mutation(parent: SourceUnit, op: PatchOp) -> tuple[SourceUnit, PatchOp]:
+_MUTATION_FAMILIES = {"MutRelationalOp": REL_OPS, "MutLogicalOp": LOGIC_OPS, "MutArithmeticOp": ARITH_OPS}
+
+
+def _mutation_edit(kind, block, index, payload, env, rng, parent) -> None:
     """Swap one operator (or negate one condition) at the recorded site."""
-    _locate(parent, op.point)
-    child = _child_of(parent, op.point)
-    stmt = resolve_path(child, op.point.statement.function, op.point.path)
-    payload = dict(op.payload)
-    if op.kind == "MutNegateCondition":
+    stmt = block[index]
+    if kind == "MutNegateCondition":
         if not isinstance(stmt, (IfStmt, WhileStmt)):
             raise NotApplicable("statement has no condition")
         stmt.cond = Unary("!", stmt.cond)
+        return
+    sites = binary_sites(stmt, _MUTATION_FAMILIES[kind])
+    site = payload.get("site", 0)
+    if site >= len(sites):
+        raise NotApplicable(f"no {kind} site #{site}")
+    node = sites[site]
+    payload.setdefault("original", node.op)
+    if kind == "MutLogicalOp":
+        node.op = _other_logic(node.op)
     else:
-        family = {
-            "MutRelationalOp": REL_OPS,
-            "MutLogicalOp": LOGIC_OPS,
-            "MutArithmeticOp": ARITH_OPS,
-        }[op.kind]
-        sites = binary_sites(stmt, family)
-        site = payload.get("site", 0)
-        if site >= len(sites):
-            raise NotApplicable(f"no {op.kind} site #{site} at {op.point.statement}")
-        node = sites[site]
-        payload.setdefault("original", node.op)
-        if op.kind == "MutLogicalOp":
-            node.op = _other_logic(node.op)
-        else:
-            replacement = payload["replacement"]
-            if replacement == node.op:
-                raise NotApplicable("replacement equals the original operator")
-            node.op = replacement
-    concrete = PatchOp(op.kind, op.point, payload, op.generation)
-    return _finish(child, op.point), concrete
+        replacement = payload["replacement"]
+        if replacement == node.op:
+            raise NotApplicable("replacement equals the original operator")
+        node.op = replacement
 
 
-def apply_par_template(
-    parent: SourceUnit, op: PatchOp, rng: random.Random | None
-) -> tuple[SourceUnit, PatchOp]:
+def _template_edit(kind, block, index, payload, env, rng, parent) -> None:
     """Apply one template; draws unresolved parameters from `rng`."""
-    _locate(parent, op.point)
-    child = _child_of(parent, op.point)
-    block, index = _locate(child, op.point)
     stmt = block[index]
-    payload = dict(op.payload)
-
-    if op.kind == "TemplateGuardArrayAccess":
+    if kind == "TemplateGuardArrayAccess":
         sites = index_access_sites(stmt)
         site = payload.get("site", 0)
         if site >= len(sites):
@@ -395,11 +368,11 @@ def apply_par_template(
         )
         block[index] = IfStmt(guard, [stmt], None)
 
-    elif op.kind == "TemplateMutateConditionTerm":
+    elif kind == "TemplateMutateConditionTerm":
         if not isinstance(stmt, (IfStmt, WhileStmt)):
             raise NotApplicable("statement has no condition")
         if "action" not in payload:
-            payload.update(_draw_condition_edit(parent, op.point, stmt, rng))
+            payload.update(_draw_condition_edit(env, stmt, rng))
         if payload["action"] == "remove":
             cond = stmt.cond
             if not (isinstance(cond, Binary) and cond.op in LOGIC_OPS):
@@ -409,7 +382,7 @@ def apply_par_template(
             atom = Binary(payload["op"], Var(payload["lhs"]), Var(payload["rhs"]))
             stmt.cond = Binary(payload["connective"], stmt.cond, atom)
 
-    elif op.kind == "TemplateSwapCallArg":
+    else:  # TemplateSwapCallArg
         sites = call_sites(stmt)
         site = payload.get("site", 0)
         if site >= len(sites):
@@ -417,14 +390,8 @@ def apply_par_template(
         call = sites[site]
         payload["site"] = site
         if "arg_index" not in payload:
-            payload.update(_draw_argument_swap(parent, op.point, call, rng))
+            payload.update(_draw_argument_swap(parent, env, call, rng))
         call.args[payload["arg_index"]] = Var(payload["var_name"])
-
-    else:
-        raise NotApplicable(f"not a template operation: {op.kind}")
-
-    concrete = PatchOp(op.kind, op.point, payload, op.generation)
-    return _finish(child, op.point), concrete
 
 
 def _require_rng(rng: random.Random | None) -> random.Random:
@@ -433,15 +400,11 @@ def _require_rng(rng: random.Random | None) -> random.Random:
     return rng
 
 
-def _scope_vars(unit: SourceUnit, point: ModificationPoint, type_: str) -> list[str]:
-    return [name for name, t in _env_at(unit, point).items() if t == type_]
-
-
 def _draw_condition_edit(
-    unit: SourceUnit, point: ModificationPoint, stmt: Stmt, rng: random.Random | None
+    env: dict[str, str], stmt: Stmt, rng: random.Random | None
 ) -> dict[str, Any]:
     rng = _require_rng(rng)
-    int_vars = _scope_vars(unit, point, T_INT)
+    int_vars = [name for name, type_ in env.items() if type_ == T_INT]
     removable = isinstance(stmt.cond, Binary) and stmt.cond.op in LOGIC_OPS
     if not removable and not int_vars:
         raise NotApplicable("no condition term to remove and no int variables to compare")
@@ -457,7 +420,7 @@ def _draw_condition_edit(
 
 
 def _draw_argument_swap(
-    unit: SourceUnit, point: ModificationPoint, call: Call, rng: random.Random | None
+    unit: SourceUnit, env: dict[str, str], call: Call, rng: random.Random | None
 ) -> dict[str, Any]:
     rng = _require_rng(rng)
     sigs = signatures(unit)
@@ -468,8 +431,8 @@ def _draw_argument_swap(
     for position, param_type in enumerate(param_types):
         current = call.args[position]
         current_name = current.name if isinstance(current, Var) else None
-        for name in _scope_vars(unit, point, param_type):
-            if name != current_name:
+        for name, type_ in env.items():
+            if type_ == param_type and name != current_name:
                 choices.append((position, name))
     if not choices:
         raise NotApplicable("no in-scope replacement variable for any argument")
@@ -477,17 +440,36 @@ def _draw_argument_swap(
     return {"arg_index": position, "var_name": name}
 
 
+_EDITS = {
+    kind: edit
+    for kinds, edit in (
+        (GENPROG_KINDS, _genprog_edit),
+        (TEMPLATE_KINDS, _template_edit),
+        (MUTATION_KINDS, _mutation_edit),
+    )
+    for kind in kinds
+}
+
+
 def apply_patch_op(
     parent: SourceUnit, op: PatchOp, rng: random.Random | None = None
 ) -> tuple[SourceUnit, PatchOp]:
-    """Apply any operation; returns (child, concrete op suitable for replay)."""
-    if op.kind in GENPROG_KINDS:
-        return apply_genprog(parent, op), op
-    if op.kind in TEMPLATE_KINDS:
-        return apply_par_template(parent, op, rng)
-    if op.kind in MUTATION_KINDS:
-        return apply_mutation(parent, op)
-    raise NotApplicable(f"unknown operation kind {op.kind!r}")
+    """Apply any operation; returns (child, concrete op suitable for replay).
+
+    The point is resolved once in the parent, whose environment before it
+    is what the edit's scope checks and draws read, and once in the copy
+    of its function, which the kind's edit then changes in place.
+    """
+    edit = _EDITS.get(op.kind)
+    if edit is None:
+        raise NotApplicable(f"unknown operation kind {op.kind!r}")
+    block, index = _locate(parent, op.point)
+    env = unit_envs(parent)[block[index].stmt_id]
+    child = _child_of(parent, op.point)
+    block, index = _locate(child, op.point)
+    payload = dict(op.payload)
+    edit(op.kind, block, index, payload, env, rng, parent)
+    return _finish(child, op.point), PatchOp(op.kind, op.point, payload, op.generation)
 
 
 # --- enumeration ----------------------------------------------------------
@@ -507,7 +489,7 @@ def enumerate_ops(
     ops: list[PatchOp] = []
     if mode == "jgenprog":
         ops.append(PatchOp("Remove", point))
-        env = _env_at(ast, point)
+        env = unit_envs(ast)[stmt.stmt_id]
         for ingredient in pool.entries:
             if not _fits(ingredient, env):
                 continue
@@ -522,11 +504,7 @@ def enumerate_ops(
         for site in range(len(call_sites(stmt))):
             ops.append(PatchOp("TemplateSwapCallArg", point, {"site": site}))
     elif mode == "jmutrepair":
-        for family, kind in (
-            (REL_OPS, "MutRelationalOp"),
-            (LOGIC_OPS, "MutLogicalOp"),
-            (ARITH_OPS, "MutArithmeticOp"),
-        ):
+        for kind, family in _MUTATION_FAMILIES.items():
             for site, node in enumerate(binary_sites(stmt, family)):
                 if kind == "MutLogicalOp":
                     ops.append(PatchOp(kind, point, {"site": site}))

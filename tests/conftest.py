@@ -1,34 +1,9 @@
-import json
-from pathlib import Path
-
 import pytest
 
 from minirepair.minilang import parse
 from minirepair.minilang.testsuite import load_suite
 
-ROOT = Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "corpus"
-
-BUGGY_MAX = """\
-fn max(a: int, b: int) -> int {
-  let m = a;
-  if (b < m) {
-    m = b;
-  }
-  return m;
-}
-"""
-
-CORRECT_MAX = BUGGY_MAX.replace("b < m", "b > m")
-
-MAX_SUITE = json.dumps(
-    {
-        "tests": [
-            {"name": "t1", "call": {"fn": "max", "args": [3, 5]}, "expect": 5},
-            {"name": "t2", "call": {"fn": "max", "args": [4, 4]}, "expect": 4},
-        ]
-    }
-)
+from samples import BUGGY_MAX, CORRECT_MAX, MAX_SUITE
 
 
 @pytest.fixture
@@ -44,15 +19,3 @@ def correct_max():
 @pytest.fixture
 def max_suite(buggy_max):
     return load_suite(MAX_SUITE, buggy_max)
-
-
-def corpus_case_names() -> list[str]:
-    return sorted(d.name for d in CORPUS.iterdir() if (d / "program.ml").exists())
-
-
-def load_corpus_case(name: str):
-    case = CORPUS / name
-    meta = json.loads((case / "meta.json").read_text())
-    unit = parse((case / "program.ml").read_text(), source_name=name)
-    suite = load_suite((case / "tests.json").read_text(), unit)
-    return unit, suite, meta

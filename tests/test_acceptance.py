@@ -35,7 +35,7 @@ from minirepair.operators import (
 )
 from minirepair.validation import validate
 
-from conftest import CORPUS, corpus_case_names, load_corpus_case
+from samples import CORPUS, corpus_case_names, load_corpus_case
 from randprog import random_unit
 from test_faultloc import brute_force_rank
 
@@ -181,7 +181,7 @@ def test_criterion_9_operation_validity():
     while applied + skipped < 1000:
         unit = rng.choice(units)
         sid = rng.choice(all_statement_ids(unit))
-        point = ModificationPoint(sid, path_of(unit, sid), 1.0)
+        point = ModificationPoint(sid, path_of(unit, sid))
         mode = rng.choice(("jgenprog", "jpar", "jmutrepair"))
         pool = None
         if mode == "jgenprog":

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from minirepair.cli import main
 
-from conftest import BUGGY_MAX, CORRECT_MAX, CORPUS, MAX_SUITE
+from samples import BUGGY_MAX, CORRECT_MAX, CORPUS, MAX_SUITE
 
 
 @pytest.fixture
@@ -71,6 +71,32 @@ def test_missing_tests_file(workspace, capsys):
     )
     assert code == 2
     assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--program", "--tests"])
+def test_input_directory_is_usage_error(workspace, capsys, flag):
+    args = repair_args(workspace)
+    args[args.index(flag) + 1] = str(workspace)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repair: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_path_through_a_file_is_usage_error(workspace, capsys, out):
+    (workspace / "taken").write_text("")
+    args = repair_args(workspace)
+    args[args.index("--out") + 1] = str(workspace / out)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"repair: error: --out is not a directory: {workspace / 'taken'}\n"
+
+
+def test_corpus_out_file_is_usage_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    assert main(["--corpus", str(CORPUS), "--out", str(tmp_path / "taken")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repair: error: --out is not a directory: {tmp_path / 'taken'}\n"
 
 
 def test_parse_error_is_usage_error(workspace, capsys):

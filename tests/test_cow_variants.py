@@ -26,6 +26,7 @@ from minirepair.minilang.nodes import (
 from minirepair.operators import (
     MODES,
     ModificationPoint,
+    PatchOp,
     PatchSkip,
     StalePoint,
     apply_patch_op,
@@ -34,12 +35,12 @@ from minirepair.operators import (
     harvest_ingredients,
 )
 
-from conftest import CORPUS, corpus_case_names, load_corpus_case
+from samples import CORPUS, corpus_case_names, load_corpus_case
 from randprog import random_unit
 from reference_harvest import binding_env_reference, harvest_reference
 
 def all_points(unit):
-    return [ModificationPoint(sid, path_of(unit, sid), 1.0) for sid in all_statement_ids(unit)]
+    return [ModificationPoint(sid, path_of(unit, sid)) for sid in all_statement_ids(unit)]
 
 
 def merged_corpus_unit():
@@ -54,7 +55,6 @@ def assert_harvest_matches_reference(unit):
             pool = harvest_ingredients(unit, point, scope)
             got = [(e.text, e.origin, e.free_vars) for e in pool.entries]
             assert got == harvest_reference(unit, point, scope)
-            assert pool.scope == scope
 
 
 def test_harvest_matches_reference_on_corpus():
@@ -79,12 +79,14 @@ def test_harvest_and_binding_env_match_reference_on_random_units(seed):
         assert path == path_of(unit, sid)
         expected = binding_env_reference(unit, sid.function, path)
         assert envs[sid] == expected
-        assert operators._env_at(unit, ModificationPoint(sid, path, 1.0)) == expected
         for function, stale in stale_paths(unit, sid.function, path, stmt):
             assert binding_env_reference(unit, function, stale) is None
             assert resolve_container(unit, function, stale) is None
+            stale_point = ModificationPoint(sid._replace(function=function), stale)
             with pytest.raises(StalePoint):
-                operators._env_at(unit, ModificationPoint(sid._replace(function=function), stale, 1.0))
+                enumerate_ops("jgenprog", stale_point, unit)
+            with pytest.raises(StalePoint):
+                apply_patch_op(unit, PatchOp("Remove", stale_point))
 
 
 def stale_paths(unit, function, path, stmt):

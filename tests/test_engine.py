@@ -20,7 +20,7 @@ from minirepair.faultloc import build_matrix, rank
 from minirepair.minilang import parse, pretty_print
 from minirepair.minilang.testsuite import load_suite
 
-from conftest import MAX_SUITE, load_corpus_case
+from samples import MAX_SUITE, load_corpus_case
 
 
 def config(**kwargs):

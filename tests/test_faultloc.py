@@ -20,7 +20,7 @@ from minirepair.faultloc import (
 from minirepair.minilang import StatementId, parse
 from minirepair.minilang.testsuite import load_suite
 
-from conftest import MAX_SUITE, corpus_case_names, load_corpus_case
+from samples import MAX_SUITE, corpus_case_names, load_corpus_case
 
 
 def sid(i, fn="max"):

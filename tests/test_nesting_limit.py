@@ -36,7 +36,7 @@ def deepest_unit():
 
 def test_a_guard_that_nests_a_child_past_the_limit_is_a_type_check_failure():
     unit = deepest_unit()
-    point = ModificationPoint(DEEPEST, path_of(unit, DEEPEST), 1.0)
+    point = ModificationPoint(DEEPEST, path_of(unit, DEEPEST))
     op = PatchOp("TemplateGuardArrayAccess", point, {"site": 0})
     with pytest.raises(TypeCheckFailed, match=f"nesting deeper than {MAX_NESTING} levels"):
         apply_patch_op(unit, op)
@@ -66,7 +66,7 @@ def test_the_deepest_call_stack_returns_under_the_default_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        # 200 activations, the default `max_call_depth`, each with its
+        # 200 activations, `MAX_CALL_DEPTH`, each with its
         # closures nested MAX_NESTING deep.
         deepest = interpret(unit, "f", [[1], 0, 199], 100_000)
         beyond = interpret(unit, "f", [[1], 0, 200], 100_000)

@@ -14,30 +14,26 @@ from minirepair.minilang import (
 from minirepair.minilang.checker import check_unit, typed_free_vars
 from minirepair.minilang.testsuite import load_suite, run_test
 from minirepair.operators import (
+    IngredientPool,
     ModificationPoint,
     NotApplicable,
     PatchOp,
     PatchSkip,
     ScopeViolation,
     StalePoint,
-    apply_genprog,
-    apply_mutation,
-    apply_par_template,
     apply_patch_op,
-    check_scope,
     enumerate_ops,
     harvest_ingredients,
-    _env_at,
 )
 
-from conftest import MAX_SUITE, corpus_case_names, load_corpus_case
+from samples import MAX_SUITE, corpus_case_names, load_corpus_case
 
 
-def point_at(unit, fn, index, score=1.0):
+def point_at(unit, fn, index):
     sid = StatementId(fn, index)
     path = path_of(unit, sid)
     assert path is not None
-    return ModificationPoint(sid, path, score)
+    return ModificationPoint(sid, path)
 
 
 def ingredient_from(unit, fn, index):
@@ -73,7 +69,8 @@ def test_harvest_in_a_variant_excludes_the_statement_at_the_points_path():
         " a = a * 2; if (a > 0) { x = x - a; } x = x + 1; return x; }"
     )
     ingredient = ingredient_from(unit, "f", 0)  # a = a * 2;
-    child = apply_genprog(unit, PatchOp("InsertBefore", point_at(unit, "f", 2), {"ingredient": ingredient}))
+    op = PatchOp("InsertBefore", point_at(unit, "f", 2), {"ingredient": ingredient})
+    child, _ = apply_patch_op(unit, op)
     point = point_at(unit, "f", 4)  # `return x;`, which is f:5 in the child
     assert resolve_path(child, "f", point.path).stmt_id == StatementId("f", 5)
     texts = [e.text for e in harvest_ingredients(child, point, "local").entries]
@@ -125,36 +122,52 @@ def test_let_binds_inside_subtree():
 # --- scope checking -----------------------------------------------------------
 
 
+def in_scope(ingredient, point, unit):
+    """Whether the ingredient's free variables are bound, type-compatibly,
+    at the point, asked of both sides: does `enumerate_ops` offer a Replace
+    with it, and does applying one pass the scope check?"""
+    pool = IngredientPool((ingredient,))
+    offered = any(op.kind == "Replace" for op in enumerate_ops("jgenprog", point, unit, pool))
+    try:
+        apply_patch_op(unit, PatchOp("Replace", point, {"ingredient": ingredient}))
+        applied = True
+    except ScopeViolation:
+        applied = False
+    except PatchSkip:  # a later check failed, so the scope check passed
+        applied = True
+    assert offered == applied
+    return offered
+
+
 def test_check_scope_accepts_bound_names(buggy_max):
     ing = ingredient_from(buggy_max, "max", 2)  # m = b;
-    assert check_scope(ing, point_at(buggy_max, "max", 3), buggy_max)
+    assert in_scope(ing, point_at(buggy_max, "max", 3), buggy_max)
 
 
 def test_check_scope_rejects_unbound_names(buggy_max):
     ing = ingredient_from(buggy_max, "max", 2)  # m = b; needs m and b
     other = parse("fn g(q: int) -> int { return q; }")
-    assert not check_scope(ing, point_at(other, "g", 0), other)
+    assert not in_scope(ing, point_at(other, "g", 0), other)
 
 
 def test_check_scope_respects_dominance():
     unit = parse("fn f(a: int) -> int { let x = a; let y = x; return y; }")
     ing = ingredient_from(unit, "f", 1)  # let y = x;
     # at index 0, x is not yet declared
-    assert not check_scope(ing, point_at(unit, "f", 0), unit)
-    assert check_scope(ing, point_at(unit, "f", 1), unit)
+    assert not in_scope(ing, point_at(unit, "f", 0), unit)
+    assert in_scope(ing, point_at(unit, "f", 1), unit)
 
 
 def test_check_scope_requires_matching_types():
     unit = parse("fn f(a: int) -> int { let x = a; return x; }")
     ing = ingredient_from(unit, "f", 1)  # return x; with x: int
     other = parse("fn f(q: int) -> int { let x = true; return q; }")
-    assert not check_scope(ing, point_at(other, "f", 1), other)
+    assert not in_scope(ing, point_at(other, "f", 1), other)
 
 
 def test_env_before_a_statement_walks_the_block_chain(buggy_max):
     env = check_unit(buggy_max)[StatementId("max", 2)]
     assert env == {"a": "int", "b": "int", "m": "int"}
-    assert _env_at(buggy_max, point_at(buggy_max, "max", 2)) == env
 
 
 # --- statement operators (jgenprog) -------------------------------------------
@@ -162,7 +175,7 @@ def test_env_before_a_statement_walks_the_block_chain(buggy_max):
 
 def test_remove_statement(correct_max):
     # removing the if drops the whole subtree, nested assignment included
-    child = apply_genprog(correct_max, PatchOp("Remove", point_at(correct_max, "max", 1)))
+    child, _ = apply_patch_op(correct_max, PatchOp("Remove", point_at(correct_max, "max", 1)))
     assert len(all_statement_ids(child)) == 2
     suite = load_suite(MAX_SUITE, child)
     assert run_test(child, suite[0], 100)[1].value == 3  # returns a unchanged
@@ -173,14 +186,14 @@ def test_replace_repairs_max(buggy_max, max_suite):
     donor = parse("fn max(a: int, b: int) -> int { let m = a; if (b > m) { m = b; } return m; }")
     ing = ingredient_from(donor, "max", 1)
     op = PatchOp("Replace", point_at(buggy_max, "max", 1), {"ingredient": ing})
-    child = apply_genprog(buggy_max, op)
+    child, _ = apply_patch_op(buggy_max, op)
     assert all(run_test(child, t, 1000)[0] for t in max_suite)
 
 
 def test_insert_before(buggy_max):
     ing = ingredient_from(buggy_max, "max", 2)  # m = b;
     op = PatchOp("InsertBefore", point_at(buggy_max, "max", 3), {"ingredient": ing})
-    child = apply_genprog(buggy_max, op)
+    child, _ = apply_patch_op(buggy_max, op)
     assert len(all_statement_ids(child)) == 5
     assert "m = b;\n  return m;" in pretty_print(child)
 
@@ -189,7 +202,7 @@ def test_return_is_never_inserted(buggy_max):
     ing = ingredient_from(buggy_max, "max", 3)  # return m;
     op = PatchOp("InsertBefore", point_at(buggy_max, "max", 0), {"ingredient": ing})
     with pytest.raises(NotApplicable):
-        apply_genprog(buggy_max, op)
+        apply_patch_op(buggy_max, op)
 
 
 def test_scope_violation_raises(buggy_max):
@@ -197,22 +210,27 @@ def test_scope_violation_raises(buggy_max):
     ing = ingredient_from(foreign, "g", 0)
     op = PatchOp("InsertBefore", point_at(buggy_max, "max", 0), {"ingredient": ing})
     with pytest.raises(ScopeViolation):
-        apply_genprog(buggy_max, op)
+        apply_patch_op(buggy_max, op)
 
 
 def test_stale_point_raises(buggy_max):
-    point = ModificationPoint(StatementId("max", 9), (("body", 9),), 1.0)
+    point = ModificationPoint(StatementId("max", 9), (("body", 9),))
     with pytest.raises(StalePoint):
-        apply_genprog(buggy_max, PatchOp("Remove", point))
+        apply_patch_op(buggy_max, PatchOp("Remove", point))
     with pytest.raises(StalePoint):
         enumerate_ops("jmutrepair", point, buggy_max)
+
+
+def test_unknown_kind_is_not_applicable(buggy_max):
+    with pytest.raises(NotApplicable, match="unknown operation kind"):
+        apply_patch_op(buggy_max, PatchOp("Rename", point_at(buggy_max, "max", 0)))
 
 
 def test_type_check_failure_raises(buggy_max):
     # removing the only return leaves a path without a return
     op = PatchOp("Remove", point_at(buggy_max, "max", 3))
     with pytest.raises(PatchSkip):
-        apply_genprog(buggy_max, op)
+        apply_patch_op(buggy_max, op)
 
 
 # --- templates (jpar) -----------------------------------------------------------
@@ -221,7 +239,7 @@ def test_type_check_failure_raises(buggy_max):
 def test_guard_array_access():
     unit = parse("fn f(v: int[], i: int) -> int { let s = 0; s = v[i]; return s; }")
     op = PatchOp("TemplateGuardArrayAccess", point_at(unit, "f", 1), {"site": 0})
-    child, concrete = apply_par_template(unit, op, random.Random(0))
+    child, concrete = apply_patch_op(unit, op, random.Random(0))
     assert "if (i >= 0 && i < len(v)) {" in pretty_print(child)
     assert "s = v[i];" in pretty_print(child)
     assert concrete.payload["array"] == "v"
@@ -230,14 +248,14 @@ def test_guard_array_access():
 def test_guard_wraps_index_assignment():
     unit = parse("fn f(v: int[], i: int) -> int { v[i] = 1; return 0; }")
     op = PatchOp("TemplateGuardArrayAccess", point_at(unit, "f", 0), {"site": 0})
-    child, _ = apply_par_template(unit, op, random.Random(0))
+    child, _ = apply_patch_op(unit, op, random.Random(0))
     assert "if (i >= 0 && i < len(v)) {" in pretty_print(child)
 
 
 def test_guard_not_applicable_without_access(buggy_max):
     op = PatchOp("TemplateGuardArrayAccess", point_at(buggy_max, "max", 0), {"site": 0})
     with pytest.raises(NotApplicable):
-        apply_par_template(buggy_max, op, random.Random(0))
+        apply_patch_op(buggy_max, op, random.Random(0))
 
 
 def test_condition_term_removal():
@@ -247,7 +265,7 @@ def test_condition_term_removal():
         point_at(unit, "f", 0),
         {"action": "remove", "keep": "lhs"},
     )
-    child, _ = apply_par_template(unit, op, None)
+    child, _ = apply_patch_op(unit, op)
     assert "while (x > 0) {" in pretty_print(child)
 
 
@@ -259,13 +277,13 @@ def test_condition_term_removal_needs_compound_condition():
         {"action": "remove", "keep": "rhs"},
     )
     with pytest.raises(NotApplicable):
-        apply_par_template(unit, op, None)
+        apply_patch_op(unit, op)
 
 
 def test_condition_term_addition_draws_in_scope_variables():
     unit = parse("fn f(x: int) -> int { while (x > 0) { x = x - 1; } return x; }")
     op = PatchOp("TemplateMutateConditionTerm", point_at(unit, "f", 0))
-    child, concrete = apply_par_template(unit, op, random.Random(3))
+    child, concrete = apply_patch_op(unit, op, random.Random(3))
     assert concrete.payload["action"] == "add"
     assert concrete.payload["lhs"] == "x" and concrete.payload["rhs"] == "x"
     text = pretty_print(child)
@@ -280,7 +298,7 @@ def test_swap_call_argument():
     op = PatchOp("TemplateSwapCallArg", point_at(unit, "f", 0), {"site": 0})
     seen = set()
     for seed in range(8):
-        child, concrete = apply_par_template(unit, op, random.Random(seed))
+        child, concrete = apply_patch_op(unit, op, random.Random(seed))
         seen.add(pretty_print(child).splitlines()[-2].strip())
         assert concrete.payload["var_name"] == "b"
     assert seen <= {"return g(b, a);", "return g(a, b);"}
@@ -290,7 +308,7 @@ def test_swap_call_argument():
 def test_swap_call_argument_not_applicable_without_calls(buggy_max):
     op = PatchOp("TemplateSwapCallArg", point_at(buggy_max, "max", 0), {"site": 0})
     with pytest.raises(NotApplicable):
-        apply_par_template(buggy_max, op, random.Random(0))
+        apply_patch_op(buggy_max, op, random.Random(0))
 
 
 # --- mutations (jmutrepair) -------------------------------------------------------
@@ -302,7 +320,7 @@ def test_relational_swap_repairs_max(buggy_max, max_suite):
         point_at(buggy_max, "max", 1),
         {"site": 0, "replacement": ">"},
     )
-    child, concrete = apply_mutation(buggy_max, op)
+    child, concrete = apply_patch_op(buggy_max, op)
     assert all(run_test(child, t, 1000)[0] for t in max_suite)
     assert concrete.payload["original"] == "<"
 
@@ -310,20 +328,20 @@ def test_relational_swap_repairs_max(buggy_max, max_suite):
 def test_logical_swap():
     unit = parse("fn f(p: bool, q: bool) -> int { if (p && q) { return 1; } return 0; }")
     op = PatchOp("MutLogicalOp", point_at(unit, "f", 0), {"site": 0})
-    child, _ = apply_mutation(unit, op)
+    child, _ = apply_patch_op(unit, op)
     assert "if (p || q) {" in pretty_print(child)
 
 
 def test_arithmetic_swap():
     unit = parse("fn f(a: int, b: int) -> int { return a - b; }")
     op = PatchOp("MutArithmeticOp", point_at(unit, "f", 0), {"site": 0, "replacement": "+"})
-    child, _ = apply_mutation(unit, op)
+    child, _ = apply_patch_op(unit, op)
     assert "return a + b;" in pretty_print(child)
 
 
 def test_negate_condition(buggy_max, max_suite):
     op = PatchOp("MutNegateCondition", point_at(buggy_max, "max", 1))
-    child, _ = apply_mutation(buggy_max, op)
+    child, _ = apply_patch_op(buggy_max, op)
     assert "if (!(b < m)) {" in pretty_print(child)
     assert all(run_test(child, t, 1000)[0] for t in max_suite)
 
@@ -331,7 +349,7 @@ def test_negate_condition(buggy_max, max_suite):
 def test_mutation_not_applicable(buggy_max):
     op = PatchOp("MutRelationalOp", point_at(buggy_max, "max", 3), {"site": 0, "replacement": ">"})
     with pytest.raises(NotApplicable):
-        apply_mutation(buggy_max, op)  # `return m;` has no relational site
+        apply_patch_op(buggy_max, op)  # `return m;` has no relational site
 
 
 def test_mutation_sites_exclude_nested_statements(buggy_max):
@@ -396,7 +414,7 @@ def random_op_stream(units, count, seed):
         unit = rng.choice(units)
         sids = all_statement_ids(unit)
         sid = rng.choice(sids)
-        point = ModificationPoint(sid, path_of(unit, sid), 1.0)
+        point = ModificationPoint(sid, path_of(unit, sid))
         mode = rng.choice(("jgenprog", "jpar", "jmutrepair"))
         pool = (
             harvest_ingredients(unit, point, rng.choice(("local", "global")))
@@ -454,16 +472,16 @@ def test_concrete_ops_are_reproducible():
 def test_logical_swap_is_an_involution():
     unit = parse("fn f(p: bool, q: bool) -> int { if (p && q) { return 1; } return 0; }")
     op = PatchOp("MutLogicalOp", point_at(unit, "f", 0), {"site": 0})
-    once, _ = apply_mutation(unit, op)
+    once, _ = apply_patch_op(unit, op)
     op_again = PatchOp("MutLogicalOp", point_at(once, "f", 0), {"site": 0})
-    twice, _ = apply_mutation(once, op_again)
+    twice, _ = apply_patch_op(once, op_again)
     assert pretty_print(twice) == pretty_print(unit)
 
 
 def test_double_negation_is_semantically_neutral(buggy_max, max_suite):
     op = PatchOp("MutNegateCondition", point_at(buggy_max, "max", 1))
-    once, _ = apply_mutation(buggy_max, op)
-    twice, _ = apply_mutation(once, PatchOp("MutNegateCondition", point_at(once, "max", 1)))
+    once, _ = apply_patch_op(buggy_max, op)
+    twice, _ = apply_patch_op(once, PatchOp("MutNegateCondition", point_at(once, "max", 1)))
     for test in max_suite:
         assert run_test(twice, test, 1000)[1].value == run_test(buggy_max, test, 1000)[1].value
 
@@ -474,7 +492,7 @@ def test_trace_entry_shape(buggy_max):
         point_at(buggy_max, "max", 1),
         {"site": 0, "replacement": ">"},
     )
-    _, concrete = apply_mutation(buggy_max, op)
+    _, concrete = apply_patch_op(buggy_max, op)
     concrete.generation = 4
     entry = concrete.trace_entry()
     assert entry == {

@@ -11,7 +11,7 @@ from minirepair.minilang import (
 )
 from minirepair.minilang.nodes import AssignStmt, Binary, IfStmt, LetStmt, ReturnStmt
 
-from conftest import BUGGY_MAX
+from samples import BUGGY_MAX
 
 
 def test_max_statement_ids(buggy_max):

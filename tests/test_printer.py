@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from minirepair.minilang import all_statement_ids, parse, pretty_print
 
-from conftest import BUGGY_MAX
+from samples import BUGGY_MAX
 from randprog import random_unit
 
 

@@ -7,7 +7,7 @@ from minirepair.minilang.errors import SuiteError
 from minirepair.minilang.interpreter import INT_MAX, INT_MIN
 from minirepair.minilang.testsuite import load_suite, run_test
 
-from conftest import MAX_SUITE
+from samples import MAX_SUITE
 
 
 def suite_doc(**test_fields):
