@@ -6,7 +6,9 @@ chosen by navigating the suspiciousness ranking (computed once, on the
 original program, and re-resolved per variant by structural path), the
 children's fitness (failing-test count) is measured in the only run of
 their suites, whose verdicts validate a fitness-zero child, and the best
-of parents plus children survive. The run stops when enough validated
+of parents plus children survive. A child's run reuses its parent's: a
+test that never entered the one function the child edits keeps the
+parent's verdict without running. The run stops when enough validated
 patches have been collected or the generation budget is spent. Given the
 same inputs and seed, a run is fully deterministic.
 """
@@ -35,7 +37,7 @@ from minirepair.operators import (
     enumerate_ops,
     harvest_ingredients,
 )
-from minirepair.validation import Verdicts, validate
+from minirepair.validation import validate
 
 REDRAW_ATTEMPTS = 10  # per parent per generation
 
@@ -96,12 +98,24 @@ _FIELD_CHOICES = {
 }
 
 
+# One test's run on a program: (passed, names of the functions whose
+# statements the run began).
+TestRecord = tuple[bool, frozenset[str]]
+
+
+def _record(passed: bool, executed) -> TestRecord:
+    return passed, frozenset(sid.function for sid in executed)
+
+
 @dataclass
 class ProgramVariant:
     ast: SourceUnit
     lineage: list[PatchOp]
     fitness: int
     generation_born: int
+    # By suite position, the `TestRecord` of each test its suite run
+    # reached; None for a test a fast run stopped before.
+    records: tuple[TestRecord | None, ...] = ()
 
 
 @dataclass
@@ -146,36 +160,81 @@ class RepairOutcome:
         return json.dumps(self.report_dict(), indent=2, sort_keys=True) + "\n"
 
 
+class SuiteRun(tuple):
+    """The `Verdicts` of one fitness run, `(test name, passed)` in run
+    order, which `validate` reads; `records` holds each test's
+    `TestRecord` by suite position, None for a test the run stopped
+    before."""
+
+    def __new__(cls, verdicts: list[tuple[str, bool]], records: tuple[TestRecord | None, ...]):
+        run = super().__new__(cls, verdicts)
+        run.records = records
+        return run
+
+
 def fitness(
     unit: SourceUnit,
     suite: list[TestCase],
     originally_failing: list[str],
     step_budget: int,
     fast: bool = False,
-) -> Verdicts:
+    parent: ProgramVariant | None = None,
+) -> SuiteRun:
     """Run the suite once; `(test name, passed)` for each test run.
 
     Tests run in two-phase order: the originally failing ones first,
     then the rest, each in suite order. Runtime errors and budget
     blowups fail. With `fast`, the run stops at the first failure, so
     the failure count is a lower bound (exact whenever it is zero).
+
+    `parent` is the variant `unit` was made from, with records of this
+    suite at this budget. A function `unit` shares with it is the same
+    object and runs the same code. So a test whose run on the parent
+    began no statement of an unshared function would repeat that run
+    step for step (entering a function without beginning a statement
+    means the budget ran out there, on both): it takes the parent's
+    verdict and record without running (safe regression-test
+    selection). A test the parent has no record of runs.
     """
     first = set(originally_failing)
-    ordered = [t for t in suite if t.name in first] + [t for t in suite if t.name not in first]
+    order = [i for i, t in enumerate(suite) if t.name in first]
+    order += [i for i, t in enumerate(suite) if t.name not in first]
+    edited = _unshared_functions(unit, parent, len(suite))
+    records: list[TestRecord | None] = [None] * len(suite)
     verdicts = []
-    for test in ordered:
-        passed = run_test(unit, test, step_budget)[0]
-        verdicts.append((test.name, passed))
-        if fast and not passed:
+    for i in order:
+        record = None if edited is None else parent.records[i]
+        if record is None or not edited.isdisjoint(record[1]):
+            passed, result = run_test(unit, suite[i], step_budget)
+            record = _record(passed, result.executed)
+        records[i] = record
+        verdicts.append((suite[i].name, record[0]))
+        if fast and not record[0]:
             break
-    return tuple(verdicts)
+    return SuiteRun(verdicts, tuple(records))
 
 
-def init_population(original: SourceUnit, n: int, original_fitness: int) -> list[ProgramVariant]:
-    """n clones of the input program, all with its fitness and empty lineage."""
+def _unshared_functions(
+    unit: SourceUnit, parent: ProgramVariant | None, tests: int
+) -> set[str] | None:
+    """Names of the functions of `unit` that are not its parent's objects,
+    or None when the parent's records cannot stand in for any run."""
+    if parent is None or len(parent.records) != tests:
+        return None
+    before = parent.ast.functions
+    if [fn.name for fn in unit.functions] != [fn.name for fn in before]:
+        return None
+    return {fn.name for fn, old in zip(unit.functions, before) if fn is not old}
+
+
+def init_population(
+    original: SourceUnit, n: int, original_fitness: int, records: tuple[TestRecord | None, ...] = ()
+) -> list[ProgramVariant]:
+    """n clones of the input program, all with its fitness, its test
+    records and empty lineage."""
     if n < 1:
         raise ValueError("population size must be >= 1")
-    return [ProgramVariant(original, [], original_fitness, 0) for _ in range(n)]
+    return [ProgramVariant(original, [], original_fitness, 0, records) for _ in range(n)]
 
 
 def select(
@@ -235,7 +294,7 @@ def step_generation(
 
 def _spawn_child(
     parent: ProgramVariant, state: _SearchState, generation: int
-) -> tuple[ProgramVariant, Verdicts] | None:
+) -> tuple[ProgramVariant, SuiteRun] | None:
     config = state.config
     for _ in range(REDRAW_ATTEMPTS):
         point = state.points[state.navigator.pick().statement]
@@ -254,17 +313,19 @@ def _spawn_child(
         except PatchSkip:
             continue
         concrete.generation = generation
-        verdicts = fitness(
+        run = fitness(
             child_ast,
             state.suite,
             state.originally_failing,
             config.step_budget,
             config.fast_validation,
+            parent,
         )
         state.variants_evaluated += 1
-        failures = sum(1 for _, passed in verdicts if not passed)
-        child = ProgramVariant(child_ast, parent.lineage + [concrete], failures, generation)
-        return child, verdicts
+        failures = sum(1 for _, passed in run if not passed)
+        lineage = parent.lineage + [concrete]
+        child = ProgramVariant(child_ast, lineage, failures, generation, run.records)
+        return child, run
     return None
 
 
@@ -294,7 +355,8 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
     )
     state.variants_evaluated = 1  # the original program, measured by the matrix
 
-    population = init_population(original, config.population_size, matrix.total_fail)
+    records = tuple(_record(row.passed, row.executed) for row in matrix.rows)
+    population = init_population(original, config.population_size, matrix.total_fail, records)
     best_per_generation: list[int] = []
     generations_run = 0
     for generation in range(1, config.max_generations + 1):

@@ -7,9 +7,10 @@ unique type at any program point. A function is well-formed only when
 every control path that falls off its end is impossible, i.e. its body
 definitely returns.
 
-`check_unit` is the only code that infers types: besides accepting or
-rejecting a unit, it returns the binding environment just before each
-statement, which the repair operators read.
+`check_unit` and its per-function part `check_function` are the only
+code that infers types: besides accepting or rejecting a unit, they
+return the binding environment just before each statement, which the
+repair operators read.
 """
 
 from __future__ import annotations
@@ -81,14 +82,23 @@ def check_unit(unit: SourceUnit) -> dict[StatementId, Env]:
     sigs = signatures(unit)
     envs: dict[StatementId, Env] = {}
     for fn in unit.functions:
-        env: Env = {}
-        for name, type_ in fn.params:
-            if name in env:
-                raise CheckError(f"duplicate parameter {name!r} in function {fn.name!r}")
-            env[name] = type_
-        _check_block(fn.body, env, fn, sigs, envs)
-        if not _block_returns(fn.body):
-            raise CheckError(f"missing return on some path through function {fn.name!r}")
+        envs |= check_function(fn, sigs)
+    return envs
+
+
+def check_function(fn: FunctionDef, sigs: dict[str, Signature]) -> dict[StatementId, Env]:
+    """`check_unit` for one function against the unit's signatures: a
+    function's typing depends on nothing else, so an edit to one function
+    needs only this."""
+    env: Env = {}
+    for name, type_ in fn.params:
+        if name in env:
+            raise CheckError(f"duplicate parameter {name!r} in function {fn.name!r}")
+        env[name] = type_
+    envs: dict[StatementId, Env] = {}
+    _check_block(fn.body, env, fn, sigs, envs)
+    if not _block_returns(fn.body):
+        raise CheckError(f"missing return on some path through function {fn.name!r}")
     return envs
 
 

@@ -17,17 +17,21 @@ Semantics notes:
   - MiniLang recursion is bounded by `MAX_CALL_DEPTH` in addition to the
     step budget; exceeding it is the `call-depth-exceeded` runtime error.
 
-Compilation. The first run of a unit compiles every function into nested
-Python closures (Feeley & Lapalme, "Using closures for code generation",
-1987): variables become slots of one list per activation, resolved when
-compiling, and a runtime error is attributed to the statement that
-contains the failing expression, also known when compiling. The compiled
-code is kept on the unit object (`SourceUnit._compiled`), which copies
-and pickles leave out, and is reused by every later run of that object.
-Contract: a unit is not edited after its first run. Edit a copy and
-normalize it instead, as the repair operators do. Units must be well
-typed (`check_unit` passes) and nest no deeper than `MAX_NESTING`, as
-`parse` and every operator guarantee.
+Compilation. A function is compiled on the first run that needs it, into
+nested Python closures (Feeley & Lapalme, "Using closures for code
+generation", 1987): variables become slots of one list per activation,
+resolved when compiling, statements are numbered within their function
+for coverage, and a runtime error is attributed to the statement that
+contains the failing expression, also known when compiling. A call names
+its callee, which each run looks up in its unit's name-to-code table when
+the call is made, so a function's code depends on its own `FunctionDef`
+alone. The code is kept on that object (`FunctionDef._code`) and the table
+on the unit (`SourceUnit._compiled`); copies and pickles leave both out. A
+variant that shares every function but one with its parent therefore
+compiles one function. Contract: a function or unit is not edited after
+its first run. Edit a copy and normalize it instead, as the repair
+operators do. Units must be well typed (`check_unit` passes) and nest no
+deeper than `MAX_NESTING`, as `parse` and every operator guarantee.
 
 Loop cut. A run is deterministic and has no I/O, so a loop whose state at
 its header repeats will repeat that stretch until the budget runs out.
@@ -148,29 +152,37 @@ def _trunc_div(a: int, b: int) -> int:
 class _Run:
     """Mutable state of one run, passed to every closure as `r`."""
 
-    __slots__ = ("left", "hit", "depth")
+    __slots__ = ("left", "hit", "depth", "functions", "entered")
 
-    def __init__(self, budget: int, statements: int):
+    def __init__(self, budget: int, functions: dict[str, "_Function"]):
         self.left = budget  # steps still allowed
-        self.hit = [False] * statements  # by compiled statement number
+        self.hit: list[bool] = []  # the running function's, by statement number
         self.depth = 0
+        self.functions = functions  # the unit's name-to-code table
+        # name -> (frame size, body, hit list, statement ids) of every
+        # function this run has entered
+        self.entered: dict[str, tuple] = {}
+
+    def enter(self, name: str) -> tuple | None:
+        """The `entered` entry of function `name`, made on its first call,
+        or None when the unit has no such function."""
+        code = self.functions.get(name)
+        if code is None:
+            return None
+        hit = [False] * len(code.sids)
+        entered = self.entered[name] = (code.nslots, code.body, hit, code.sids)
+        return entered
 
 
 class _Function:
-    __slots__ = ("nslots", "body")
+    """A compiled function: its frame size, body and statement ids, the
+    ids in statement-number order."""
 
-    def __init__(self):
-        self.nslots = 0
-        self.body = None
+    __slots__ = ("nslots", "body", "sids")
 
-
-class _Program:
-    """A compiled unit: function entry points and the statement ids."""
-
-    __slots__ = ("functions", "sids")
-
-    def __init__(self, functions: dict[str, _Function], sids: list):
-        self.functions = functions
+    def __init__(self, nslots: int, body, sids: list):
+        self.nslots = nslots
+        self.body = body
         self.sids = sids
 
 
@@ -213,26 +225,19 @@ def _evaluate(k: int, value):
 
 
 class _Compiler:
-    def __init__(self, unit: SourceUnit):
-        self.unit = unit
-        self.functions = {fn.name: _Function() for fn in unit.functions}
+    """Compiles one function; reads nothing but its `FunctionDef`."""
+
+    def __init__(self):
+        self.nslots = 0
         self.sids: list[StatementId | None] = []
 
-    def program(self) -> _Program:
-        for fn in self.unit.functions:
-            self.function(fn)
-        return _Program(self.functions, self.sids)
-
-    def function(self, fn: FunctionDef) -> None:
-        self.nslots = 0
+    def function(self, fn: FunctionDef) -> _Function:
         scope: list[dict[str, int]] = [{}]
         for name, _ in fn.params:
             scope[0][name] = self.nslots
             self.nslots += 1
         body = self.block(fn.body, scope)
-        compiled = self.functions[fn.name]
-        compiled.nslots = self.nslots
-        compiled.body = body
+        return _Function(self.nslots, body, self.sids)
 
     # -- statements -------------------------------------------------------
 
@@ -425,12 +430,15 @@ class _Compiler:
 
     def call(self, expr: Call, scope, sid):
         args = tuple([self.expr(a, scope, sid) for a in expr.args])
-        callee = self.functions.get(expr.fn)
-        if callee is None:
-            return _fail("unknown-function", sid, *args)
+        name = expr.fn
+        unknown = _fail("unknown-function", sid, *args)
 
         def call(L, r):
-            frame = [None] * callee.nslots
+            entered = r.entered.get(name) or r.enter(name)
+            if entered is None:
+                return unknown(L, r)
+            nslots, body, hit, _ = entered
+            frame = [None] * nslots
             i = 0
             for arg in args:
                 frame[i] = arg(L, r)
@@ -439,9 +447,12 @@ class _Compiler:
             if depth >= MAX_CALL_DEPTH:
                 raise _Trap("call-depth-exceeded", sid)
             r.depth = depth + 1
-            value = callee.body(frame, r)
+            caller_hit = r.hit
+            r.hit = hit
+            value = body(frame, r)
             if value is None:
                 raise _Trap("missing-return", sid)
+            r.hit = caller_hit
             r.depth = depth
             return value
 
@@ -558,21 +569,21 @@ def interpret(
     if len(args) != len(fn.params):
         raise ValueError(f"{fn_name!r} takes {len(fn.params)} arguments, got {len(args)}")
     limit = sys.getrecursionlimit()
-    program = unit.__dict__.get("_compiled")
-    if program is None:
+    functions = unit.__dict__.get("_compiled")
+    if functions is None:
         sys.setrecursionlimit(limit + FRAMES_PER_CALL + _FRAME_SLACK)
         try:
-            program = unit._compiled = _Compiler(unit).program()
+            functions = unit._compiled = {f.name: _code_of(f) for f in unit.functions}
         finally:
             sys.setrecursionlimit(limit)
-    compiled = program.functions[fn_name]
-    run = _Run(step_budget, len(program.sids))
-    frame = [None] * compiled.nslots
+    run = _Run(step_budget, functions)
+    nslots, body, run.hit, _ = run.enter(fn_name)
+    frame = [None] * nslots
     frame[: len(args)] = [list(a) if isinstance(a, list) else a for a in args]
     sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 1) * FRAMES_PER_CALL + _FRAME_SLACK)
     try:
         run.depth = 1
-        value = compiled.body(frame, run)
+        value = body(frame, run)
         if value is None:
             raise _Trap("missing-return", None)
         result = ExecutionResult(RETURNED, value=value)
@@ -585,6 +596,15 @@ def interpret(
     finally:
         sys.setrecursionlimit(limit)
     result.steps_used = step_budget if result.status == BUDGET_EXHAUSTED else step_budget - run.left
-    result.executed = set(compress(program.sids, run.hit))
+    for _, _, hit, sids in run.entered.values():
+        result.executed.update(compress(sids, hit))
     result.executed.discard(None)
     return result
+
+
+def _code_of(fn: FunctionDef) -> _Function:
+    """The compiled code of `fn`, made on first use and kept on it."""
+    code = fn.__dict__.get("_code")
+    if code is None:
+        code = fn._code = _Compiler().function(fn)
+    return code

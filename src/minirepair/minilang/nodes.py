@@ -12,8 +12,9 @@ original program are re-resolved against evolved variants.
 This module owns the path format and the traversals; other modules go
 through them rather than walking the tree themselves:
 
-  statements   `iter_statement_paths` (pre-order, with ids and paths);
-               `iter_statements`, `normalize` and `path_of` read it
+  statements   `iter_function_paths` (pre-order, with ids and paths),
+               joined over a unit by `iter_statement_paths`;
+               `iter_statements`, `normalize` and `path_of` read them
   paths        `resolve_container` (the block and index a path ends at);
                `resolve_path` reads it
   expressions  `walk_expr` (pre-order, left to right); `stmt_expr_nodes`
@@ -151,21 +152,33 @@ class ExprStmt(Stmt):
     value: Expr
 
 
+def _without_caches(node) -> dict:
+    return {k: v for k, v in node.__dict__.items() if not k.startswith("_")}
+
+
 @dataclass
 class FunctionDef:
+    """A function. Attributes named with a leading underscore are caches
+    derived from this function alone (and the unit's signatures, which no
+    operator changes): the interpreter's compiled code (`_code`), and the
+    repair operators' binding environments from `check_function` (`_envs`)
+    and ingredient list (`_ingredients`). Copies, `clone` and pickles leave
+    them out."""
+
     name: str
     params: list[tuple[str, str]]
     return_type: str
     body: list[Stmt]
 
+    __getstate__ = _without_caches
+
 
 @dataclass
 class SourceUnit:
     """A program. Attributes named with a leading underscore are caches
-    derived from the AST: the interpreter's compiled code (`_compiled`), and
-    the repair operators' ingredient list (`_ingredients`) and binding
-    environments from `check_unit` (`_envs`); copies and pickles leave them
-    out."""
+    joined from its functions' own: the interpreter's name-to-code table
+    (`_compiled`) and the repair operators' ingredient list
+    (`_ingredients`). Copies and pickles leave them out."""
 
     functions: list[FunctionDef]
     source_name: str = field(default="<unit>", compare=False)
@@ -176,8 +189,7 @@ class SourceUnit:
                 return fn
         return None
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+    __getstate__ = _without_caches
 
 
 def clone(node):
@@ -185,10 +197,13 @@ def clone(node):
 
     Copies every node and node list and shares the immutable leaves
     (names, literals, ids, locations); a tenth of `copy.deepcopy`'s cost.
-    Trees never alias a node, so nothing needs a memo.
+    Trees never alias a node, so nothing needs a memo. Caches (attributes
+    named with a leading underscore) are left out, as in a pickle.
     """
     new = object.__new__(type(node))
     for key, value in vars(node).items():
+        if key[0] == "_":
+            continue
         if isinstance(value, (Expr, Stmt)):
             value = clone(value)
         elif isinstance(value, list):
@@ -273,12 +288,18 @@ def _function_paths(fn: FunctionDef) -> Iterator[tuple[Path, Stmt]]:
     return _walk_paths(fn.body, "body", ())
 
 
+def iter_function_paths(fn: FunctionDef) -> Iterator[tuple[StatementId, Path, Stmt]]:
+    """The statements of one function with their ids and structural paths,
+    in pre-order."""
+    for i, (path, stmt) in enumerate(_function_paths(fn)):
+        yield StatementId(fn.name, i), path, stmt
+
+
 def iter_statement_paths(unit: SourceUnit) -> Iterator[tuple[StatementId, Path, Stmt]]:
     """All statements of the unit with their ids and structural paths, in
     (declaration order, pre-order)."""
     for fn in unit.functions:
-        for i, (path, stmt) in enumerate(_function_paths(fn)):
-            yield StatementId(fn.name, i), path, stmt
+        yield from iter_function_paths(fn)
 
 
 def iter_statements(unit: SourceUnit) -> Iterator[tuple[StatementId, Stmt]]:
@@ -297,11 +318,19 @@ def normalize(unit: SourceUnit) -> SourceUnit:
     Must be called after every structural edit; returns the unit for
     convenience.
     """
-    for sid, _, stmt in iter_statement_paths(unit):
+    for fn in unit.functions:
+        normalize_function(fn)
+    return unit
+
+
+def normalize_function(fn: FunctionDef) -> FunctionDef:
+    """`normalize` for one function: its ids depend on nothing else, so an
+    edit to one function needs only this."""
+    for sid, _, stmt in iter_function_paths(fn):
         if isinstance(stmt, IfStmt) and stmt.else_body == []:
             stmt.else_body = None
         stmt.stmt_id = sid
-    return unit
+    return fn
 
 
 def path_of(unit: SourceUnit, sid: StatementId) -> Path | None:

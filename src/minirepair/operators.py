@@ -13,23 +13,25 @@ Three families, gated by engine mode:
 
 Children are copy-on-write, and `apply_patch_op` makes every one. It
 resolves the modification point in the parent, copies the function
-holding it, and runs the kind's family edit on that copy, which alone is
-edited and has its nesting checked; the child, sharing every other
-FunctionDef object with its parent, is then normalized and
-re-type-checked. Sharing is safe because no unit is edited once the call
-that made it (the parser or `apply_patch_op`) has returned: the
-parent is never touched, and `normalize` leaves the shared functions as
-they were, since they were normalized when first made. Ingredients are
-the unit's own statements, not copies: they are listed once per unit,
-cached on it as `_ingredients`, and copied only when inserted. Scope is
-the binding environment before each statement that `check_unit` returns;
-`_finish` keeps it on the child it checks (`_envs`), so no operator
-works scope out again. Inapplicable or stale operations raise a
-PatchSkip subclass, which callers treat as "discard and draw again",
-never as a fatal error. Template parameters left unresolved at
-enumeration time are drawn from the caller's random stream on first
-application and recorded in the returned concrete op, so a lineage of
-concrete ops replays byte-for-byte.
+holding it, and runs the kind's family edit on that copy. `_finish` then
+normalizes, nesting-checks and type-checks that function alone, against
+the unit's signatures, which no operator changes; the child shares every
+other FunctionDef object with its parent. Sharing is safe because no
+unit or function is edited once the call that made it (the parser or
+`apply_patch_op`) has returned: the parent is never touched. Every cost
+a child adds is per function: the binding environment before each
+statement (`check_function`'s result) and the function's ingredients,
+its own statements, are cached on the FunctionDef (`_envs`,
+`_ingredients`), so a child computes them for its edited function only.
+A unit's ingredient list joins its functions' lists and is cached on the
+unit (`_ingredients`); ingredients are copied only when inserted.
+
+Inapplicable or stale operations raise a PatchSkip subclass, which
+callers treat as "discard and draw again", never as a fatal error.
+Template parameters left unresolved at enumeration time are drawn from
+the caller's random stream on first application and recorded in the
+returned concrete op, so a lineage of concrete ops replays
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -38,20 +40,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from minirepair.minilang import (
-    SourceUnit,
-    StatementId,
-    normalize,
-    resolve_container,
-    resolve_path,
-)
-from minirepair.minilang.checker import check_unit, signatures, typed_free_vars
+from minirepair.minilang import SourceUnit, StatementId, resolve_container, resolve_path
+from minirepair.minilang.checker import check_function, signatures, typed_free_vars
 from minirepair.minilang.errors import MiniLangError
 from minirepair.minilang.nodes import (
     ARITH_OPS,
     Binary,
     Call,
     Expr,
+    FunctionDef,
     IfStmt,
     Index,
     IndexAssignStmt,
@@ -67,11 +64,18 @@ from minirepair.minilang.nodes import (
     Var,
     WhileStmt,
     clone,
-    iter_statement_paths,
+    iter_function_paths,
+    normalize_function,
     stmt_expr_nodes,
 )
 from minirepair.minilang.parser import check_nesting
 from minirepair.minilang.printer import print_stmt
+
+# The whole-unit entry points, which no child needs since `_finish` checks
+# one function. They stay importable from here because the benchmark's
+# layer probes (`perfbench/spans.py`) name them.
+from minirepair.minilang.checker import check_unit  # noqa: F401
+from minirepair.minilang.nodes import normalize  # noqa: F401
 
 
 class PatchSkip(Exception):
@@ -218,33 +222,51 @@ def call_sites(stmt: Stmt) -> list[Call]:
 # --- ingredients ---------------------------------------------------------
 
 
-def unit_envs(unit: SourceUnit) -> dict[StatementId, dict[str, str]]:
-    """The binding environment just before each statement, as `check_unit`
-    returns it. `_finish` records it on every unit an operator makes; any
-    other unit is checked on first use. Cached on the unit as `_envs`."""
-    envs = unit.__dict__.get("_envs")
+def function_envs(unit: SourceUnit, fn: FunctionDef) -> dict[StatementId, dict[str, str]]:
+    """The binding environment just before each statement of `fn`, a
+    function of `unit`, as `check_function` returns it. `_finish` records
+    it on every function an operator edits; any other function is checked
+    on first use. Cached on the function as `_envs`."""
+    envs = fn.__dict__.get("_envs")
     if envs is None:
-        envs = unit._envs = check_unit(unit)
+        envs = fn._envs = check_function(fn, signatures(unit))
     return envs
 
 
-def unit_ingredients(unit: SourceUnit) -> tuple[Ingredient, ...]:
-    """Every statement of the unit as an ingredient, in program order.
+def _env_before(unit: SourceUnit, point: ModificationPoint, stmt: Stmt) -> dict[str, str]:
+    """The binding environment before `stmt`, which `point` resolves to."""
+    return function_envs(unit, unit.function(point.statement.function))[stmt.stmt_id]
 
-    Built on first use and cached on the unit as `_ingredients`; units
-    are not edited once built, so the list stays valid.
-    """
-    cached = unit.__dict__.get("_ingredients")
+
+def function_ingredients(unit: SourceUnit, fn: FunctionDef) -> tuple[Ingredient, ...]:
+    """Every statement of `fn`, a function of `unit`, as an ingredient, in
+    pre-order. Built on first use and cached on the function as
+    `_ingredients`."""
+    cached = fn.__dict__.get("_ingredients")
     if cached is None:
-        envs = unit_envs(unit)
-        cached = unit._ingredients = tuple(
+        envs = function_envs(unit, fn)
+        cached = fn._ingredients = tuple(
             Ingredient(
                 stmt=stmt,
                 origin=sid,
                 free_vars=typed_free_vars(stmt, envs[sid]),
                 text=_condense(print_stmt(stmt)),
             )
-            for sid, _, stmt in iter_statement_paths(unit)
+            for sid, _, stmt in iter_function_paths(fn)
+        )
+    return cached
+
+
+def unit_ingredients(unit: SourceUnit) -> tuple[Ingredient, ...]:
+    """Every statement of the unit as an ingredient, in program order: the
+    join of its functions' lists, so a child builds its edited function's
+    part only. Cached on the unit as `_ingredients`; units are not edited
+    once built, so the list stays valid.
+    """
+    cached = unit.__dict__.get("_ingredients")
+    if cached is None:
+        cached = unit._ingredients = tuple(
+            ingredient for fn in unit.functions for ingredient in function_ingredients(unit, fn)
         )
     return cached
 
@@ -296,9 +318,12 @@ def _child_of(parent: SourceUnit, point: ModificationPoint) -> SourceUnit:
 
 
 def _finish(child: SourceUnit, point: ModificationPoint) -> SourceUnit:
+    """Normalize, nesting-check and type-check the edited function alone,
+    keeping its environments on it."""
+    fn = child.function(point.statement.function)
     try:
-        check_nesting(child.function(point.statement.function))
-        child._envs = check_unit(normalize(child))
+        check_nesting(fn)
+        fn._envs = check_function(normalize_function(fn), signatures(child))
     except MiniLangError as exc:
         raise TypeCheckFailed(str(exc)) from exc
     return child
@@ -464,7 +489,7 @@ def apply_patch_op(
     if edit is None:
         raise NotApplicable(f"unknown operation kind {op.kind!r}")
     block, index = _locate(parent, op.point)
-    env = unit_envs(parent)[block[index].stmt_id]
+    env = _env_before(parent, op.point, block[index])
     child = _child_of(parent, op.point)
     block, index = _locate(child, op.point)
     payload = dict(op.payload)
@@ -489,7 +514,7 @@ def enumerate_ops(
     ops: list[PatchOp] = []
     if mode == "jgenprog":
         ops.append(PatchOp("Remove", point))
-        env = unit_envs(ast)[stmt.stmt_id]
+        env = _env_before(ast, point, stmt)
         for ingredient in pool.entries:
             if not _fits(ingredient, env):
                 continue

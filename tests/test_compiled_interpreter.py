@@ -1,5 +1,6 @@
-"""The compiled interpreter against the tree-walking reference, the loop
-cut, the call-depth trap under any caller stack, and the compile cache."""
+"""The compiled interpreter against the tree-walking reference, also on
+units that share functions and their compiled code, the loop cut, the
+call-depth trap under any caller stack, and the compile cache."""
 
 import copy
 import pickle
@@ -10,11 +11,13 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minirepair.minilang import parse
+from minirepair.minilang import SourceUnit, StatementId, parse
 from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, RETURNED, RUNTIME_ERROR, interpret
-from minirepair.minilang.nodes import T_BOOL, T_INT
+from minirepair.minilang.nodes import T_BOOL, T_INT, clone
+from minirepair.operators import MODES, SCOPES, PatchSkip, apply_patch_op
 from randprog import random_unit
 from reference_interpreter import interpret_reference
+from test_cow_variants import every_op
 
 
 @contextmanager
@@ -67,6 +70,59 @@ def test_compiled_matches_reference(seed):
         for budget in (1, 7, 60, 500):
             expected = reference(unit, fn.name, args, budget)
             assert observable(interpret(unit, fn.name, args, budget)) == observable(expected)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_compiled_matches_reference_on_units_sharing_functions(seed):
+    """A lineage of children, each sharing every function but one with its
+    parent: every run matches the reference, and a shared function keeps
+    the code compiled for the parent."""
+    unit = random_unit(seed)
+    rng = random.Random(seed)
+    for generation in range(4):
+        for fn in unit.functions:
+            args = random_args([t for _, t in fn.params], rng)
+            for budget in (7, 500):
+                expected = reference(unit, fn.name, args, budget)
+                assert observable(interpret(unit, fn.name, args, budget)) == observable(expected)
+        ops = list(every_op(unit, rng.choice(MODES), rng.choice(SCOPES)))
+        rng.shuffle(ops)
+        for op in ops:
+            try:
+                child, _ = apply_patch_op(unit, op, rng)
+            except PatchSkip:
+                continue
+            for old, new in zip(unit.functions, child.functions):
+                assert (vars(new).get("_code") is vars(old)["_code"]) == (new is old)
+            unit = child
+            break
+        else:
+            return
+
+
+CALLER_AND_CALLEE = """fn g(x: int) -> int { return x + 1; }
+fn f(x: int) -> int { let y = g(x); return y * 2; }
+"""
+
+
+def test_a_call_finds_its_callee_in_the_running_unit():
+    first = parse(CALLER_AND_CALLEE)
+    other_g = parse("fn g(x: int) -> int { return x - 1; }").functions[0]
+    caller = first.functions[1]
+    assert assert_matches_reference(first, "f", [3], 100).value == 8
+    # the same compiled `f` calls whichever `g` the running unit holds
+    shared = SourceUnit([other_g, caller])
+    result = assert_matches_reference(shared, "f", [3], 100)
+    assert result.value == 4 and shared._compiled["f"] is first._compiled["f"]
+    assert result.executed == {StatementId("g", 0), StatementId("f", 0), StatementId("f", 1)}
+    # and traps when it holds none, after evaluating the arguments
+    alone = assert_matches_reference(SourceUnit([caller]), "f", [3], 100)
+    assert (alone.error_kind, alone.error_at, alone.steps_used) == (
+        "unknown-function",
+        StatementId("f", 0),
+        1,
+    )
 
 
 def assert_matches_reference(unit, fn, args, budget):
@@ -292,7 +348,12 @@ def test_compiled_code_stays_with_the_unit():
     unit = parse("fn f(x: int) -> int { return x + 1; }")
     assert interpret(unit, "f", [1], 10).value == 2
     assert "_compiled" in vars(unit)
-    clone = copy.deepcopy(unit)
-    assert "_compiled" not in vars(clone)
-    assert clone == unit and interpret(clone, "f", [2], 10).value == 3
+    copied = copy.deepcopy(unit)
+    assert "_compiled" not in vars(copied)
+    assert copied == unit and interpret(copied, "f", [2], 10).value == 3
     assert "_compiled" not in vars(pickle.loads(pickle.dumps(unit)))
+    fn = unit.functions[0]
+    assert "_code" in vars(fn)
+    for copied in (clone(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+        assert "_code" not in vars(copied) and copied == fn
+        assert interpret(SourceUnit([copied]), "f", [3], 10).value == 4

@@ -121,6 +121,10 @@ def test_ingredient_list_stays_with_the_unit():
     assert "_ingredients" in vars(unit)
     assert "_ingredients" not in vars(copy.deepcopy(unit))
     assert "_ingredients" not in vars(pickle.loads(pickle.dumps(unit)))
+    fn = unit.functions[0]
+    assert {"_envs", "_ingredients"} <= set(vars(fn))
+    for copied in (clone(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+        assert not any(key.startswith("_") for key in vars(copied))
 
 
 # --- copy-on-write children ---------------------------------------------------
@@ -161,7 +165,9 @@ def every_op(unit, mode, scope):
 
 def apply_every_op(original, lineage, parent, scope, rng):
     """Apply every op of every mode to `parent`, a replay of `lineage` on
-    `original`, checking each child; returns the (lineage, child) pairs."""
+    `original`, checking its harvest and each child; returns the (lineage,
+    child) pairs."""
+    assert_harvest_matches_reference(parent)
     snapshot, text, ids = copy.deepcopy(parent), pretty_print(parent), ids_of(parent)
     made = []
     for mode in MODES:
@@ -192,17 +198,21 @@ def test_children_share_unedited_functions_and_leave_parents_intact(seed):
     rng = random.Random(seed)
     scope = SCOPES[seed % 2]
     children = apply_every_op(original, [], original, scope, rng)
-    if children:
-        # A copy-on-write child as parent: its grandchildren share with it.
+    # A copy-on-write child as parent, then a grandchild: each one's
+    # children share with it, and its ingredient lists are mostly its
+    # parent's.
+    for _ in range(2):
+        if not children:
+            break
         lineage, child = rng.choice(children)
-        apply_every_op(original, lineage, child, scope, rng)
+        children = apply_every_op(original, lineage, child, scope, rng)
 
 
 def test_one_generation_builds_the_ingredient_list_once(monkeypatch):
     unit, suite, meta = load_corpus_case("double_sum_missing_add")
     builds, harvested = [], []
-    build, harvest = operators.iter_statement_paths, engine.harvest_ingredients
-    monkeypatch.setattr(operators, "iter_statement_paths", lambda u: builds.append(u) or build(u))
+    build, harvest = operators.iter_function_paths, engine.harvest_ingredients
+    monkeypatch.setattr(operators, "iter_function_paths", lambda fn: builds.append(fn) or build(fn))
     monkeypatch.setattr(
         engine, "harvest_ingredients", lambda u, *rest: harvested.append(u) or harvest(u, *rest)
     )
@@ -217,4 +227,6 @@ def test_one_generation_builds_the_ingredient_list_once(monkeypatch):
     )
     evolve(unit, suite, config)
     assert len(harvested) >= 10 and all(u is unit for u in harvested)
-    assert len(builds) == 1 and builds[0] is unit
+    # one list per function of the input unit, built once
+    assert len(builds) == len(unit.functions)
+    assert all(built is fn for built, fn in zip(builds, unit.functions))

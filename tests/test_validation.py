@@ -114,8 +114,8 @@ def test_view_agrees_with_fresh_runs_on_random_lineages(fast, monkeypatch):
     runs = []
     real_fitness = engine_module.fitness
 
-    def recording(unit, suite, failing, budget, fast_):
-        verdicts = real_fitness(unit, suite, failing, budget, fast_)
+    def recording(unit, suite, failing, budget, fast_, *rest):
+        verdicts = real_fitness(unit, suite, failing, budget, fast_, *rest)
         runs.append((unit, suite, failing, verdicts))
         return verdicts
 
