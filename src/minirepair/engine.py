@@ -191,10 +191,12 @@ def fitness(
     suite at this budget. A function `unit` shares with it is the same
     object and runs the same code. So a test whose run on the parent
     began no statement of an unshared function would repeat that run
-    step for step (entering a function without beginning a statement
-    means the budget ran out there, on both): it takes the parent's
-    verdict and record without running (safe regression-test
-    selection). A test the parent has no record of runs.
+    step for step: it takes the parent's verdict and record without
+    running (safe regression-test selection). Every well-typed function
+    has a statement, so a run enters one without beginning any only when
+    the budget runs out there or its call trips `call-depth-exceeded`;
+    either ends the run before the body starts, on both programs alike.
+    A test the parent has no record of runs.
     """
     first = set(originally_failing)
     order = [i for i, t in enumerate(suite) if t.name in first]

@@ -17,21 +17,22 @@ Semantics notes:
   - MiniLang recursion is bounded by `MAX_CALL_DEPTH` in addition to the
     step budget; exceeding it is the `call-depth-exceeded` runtime error.
 
-Compilation. A function is compiled on the first run that needs it, into
+Compilation. A function is compiled when a run first calls it, into
 nested Python closures (Feeley & Lapalme, "Using closures for code
 generation", 1987): variables become slots of one list per activation,
 resolved when compiling, statements are numbered within their function
 for coverage, and a runtime error is attributed to the statement that
 contains the failing expression, also known when compiling. A call names
-its callee, which each run looks up in its unit's name-to-code table when
-the call is made, so a function's code depends on its own `FunctionDef`
-alone. The code is kept on that object (`FunctionDef._code`) and the table
-on the unit (`SourceUnit._compiled`); copies and pickles leave both out. A
-variant that shares every function but one with its parent therefore
-compiles one function. Contract: a function or unit is not edited after
-its first run. Edit a copy and normalize it instead, as the repair
-operators do. Units must be well typed (`check_unit` passes) and nest no
-deeper than `MAX_NESTING`, as `parse` and every operator guarantee.
+its callee, which the run finds in its unit (`SourceUnit.function`) the
+first time the call is made, so a function's code depends on its own
+`FunctionDef` alone. The code is kept on that object (`FunctionDef._code`);
+copies and pickles leave it out, and the unit keeps no table. A variant
+that shares every function but one with its parent therefore compiles at
+most one function, and a function that no run enters is never compiled.
+Contract: a function or unit is not edited after its first run. Edit a
+copy and normalize it instead, as the repair operators do. Units must be
+well typed (`check_unit` passes) and nest no deeper than `MAX_NESTING`,
+as `parse` and every operator guarantee.
 
 Loop cut. A run is deterministic and has no I/O, so a loop whose state at
 its header repeats will repeat that stretch until the budget runs out.
@@ -47,10 +48,12 @@ cut fired.
 
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
-than `MAX_NESTING`. `interpret` raises the recursion limit by that
-constant bound, `FRAMES_PER_CALL` (times `MAX_CALL_DEPTH`),
-and restores it before returning, so `call-depth-exceeded` fires at the
-declared depth however deep the caller's stack is.
+than `MAX_NESTING`. A callee is compiled on top of at most
+`MAX_CALL_DEPTH` activations, before the depth check. `interpret` raises
+the recursion limit once by that constant bound, `FRAMES_PER_CALL` times
+`MAX_CALL_DEPTH + 1`, around compiling and running alike, and restores it
+before returning, so `call-depth-exceeded` fires at the declared depth
+however deep the caller's stack is.
 """
 
 from __future__ import annotations
@@ -152,25 +155,26 @@ def _trunc_div(a: int, b: int) -> int:
 class _Run:
     """Mutable state of one run, passed to every closure as `r`."""
 
-    __slots__ = ("left", "hit", "depth", "functions", "entered")
+    __slots__ = ("left", "hit", "depth", "unit", "entered")
 
-    def __init__(self, budget: int, functions: dict[str, "_Function"]):
+    def __init__(self, budget: int, unit: SourceUnit):
         self.left = budget  # steps still allowed
         self.hit: list[bool] = []  # the running function's, by statement number
         self.depth = 0
-        self.functions = functions  # the unit's name-to-code table
+        self.unit = unit  # whose functions the calls name
         # name -> (frame size, body, hit list, statement ids) of every
         # function this run has entered
         self.entered: dict[str, tuple] = {}
 
-    def enter(self, name: str) -> tuple | None:
-        """The `entered` entry of function `name`, made on its first call,
-        or None when the unit has no such function."""
-        code = self.functions.get(name)
-        if code is None:
+    def enter(self, fn: FunctionDef | None) -> tuple | None:
+        """The `entered` entry of `fn`, made (and `fn` compiled, if no run
+        has yet) on its first call in this run; None when the unit has no
+        such function."""
+        if fn is None:
             return None
+        code = _code_of(fn)
         hit = [False] * len(code.sids)
-        entered = self.entered[name] = (code.nslots, code.body, hit, code.sids)
+        entered = self.entered[fn.name] = (code.nslots, code.body, hit, code.sids)
         return entered
 
 
@@ -434,7 +438,7 @@ class _Compiler:
         unknown = _fail("unknown-function", sid, *args)
 
         def call(L, r):
-            entered = r.entered.get(name) or r.enter(name)
+            entered = r.entered.get(name) or r.enter(r.unit.function(name))
             if entered is None:
                 return unknown(L, r)
             nslots, body, hit, _ = entered
@@ -553,13 +557,14 @@ def _loop_state(L: list, live: tuple[int, ...]) -> list:
 def interpret(
     unit: SourceUnit,
     fn_name: str,
-    args: list[Value],
+    args: list | tuple,
     step_budget: int,
 ) -> ExecutionResult:
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
 
     Deterministic: identical inputs always yield identical results.
-    Incoming array arguments are copied, so callers may reuse them.
+    Each array argument, a list or a tuple, is copied into a fresh list,
+    so callers may reuse it.
     """
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
@@ -568,20 +573,13 @@ def interpret(
         raise ValueError(f"no function named {fn_name!r}")
     if len(args) != len(fn.params):
         raise ValueError(f"{fn_name!r} takes {len(fn.params)} arguments, got {len(args)}")
+    run = _Run(step_budget, unit)
     limit = sys.getrecursionlimit()
-    functions = unit.__dict__.get("_compiled")
-    if functions is None:
-        sys.setrecursionlimit(limit + FRAMES_PER_CALL + _FRAME_SLACK)
-        try:
-            functions = unit._compiled = {f.name: _code_of(f) for f in unit.functions}
-        finally:
-            sys.setrecursionlimit(limit)
-    run = _Run(step_budget, functions)
-    nslots, body, run.hit, _ = run.enter(fn_name)
-    frame = [None] * nslots
-    frame[: len(args)] = [list(a) if isinstance(a, list) else a for a in args]
     sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 1) * FRAMES_PER_CALL + _FRAME_SLACK)
     try:
+        nslots, body, run.hit, _ = run.enter(fn)
+        frame = [None] * nslots
+        frame[: len(args)] = [list(a) if isinstance(a, (list, tuple)) else a for a in args]
         run.depth = 1
         value = body(frame, run)
         if value is None:

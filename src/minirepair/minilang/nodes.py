@@ -152,33 +152,29 @@ class ExprStmt(Stmt):
     value: Expr
 
 
-def _without_caches(node) -> dict:
-    return {k: v for k, v in node.__dict__.items() if not k.startswith("_")}
-
-
 @dataclass
 class FunctionDef:
     """A function. Attributes named with a leading underscore are caches
     derived from this function alone (and the unit's signatures, which no
-    operator changes): the interpreter's compiled code (`_code`), and the
-    repair operators' binding environments from `check_function` (`_envs`)
-    and ingredient list (`_ingredients`). Copies, `clone` and pickles leave
-    them out."""
+    operator changes), each written by one function: the interpreter's
+    compiled code (`_code`, by `_code_of`), and the repair operators'
+    binding environments (`_envs`, by `function_envs`) and ingredient list
+    (`_ingredients`, by `function_ingredients`). Copies, `clone` and
+    pickles leave them out."""
 
     name: str
     params: list[tuple[str, str]]
     return_type: str
     body: list[Stmt]
 
-    __getstate__ = _without_caches
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass
 class SourceUnit:
-    """A program. Attributes named with a leading underscore are caches
-    joined from its functions' own: the interpreter's name-to-code table
-    (`_compiled`) and the repair operators' ingredient list
-    (`_ingredients`). Copies and pickles leave them out."""
+    """A program: its functions in declaration order. It holds nothing
+    derived from them; every cache is its functions' own."""
 
     functions: list[FunctionDef]
     source_name: str = field(default="<unit>", compare=False)
@@ -188,8 +184,6 @@ class SourceUnit:
             if fn.name == name:
                 return fn
         return None
-
-    __getstate__ = _without_caches
 
 
 def clone(node):

@@ -100,7 +100,6 @@ def load_suite(text: str, unit: SourceUnit) -> list[TestCase]:
 
 def run_test(unit: SourceUnit, test: TestCase, step_budget: int) -> tuple[bool, ExecutionResult]:
     """Execute one test; passes only when the call returns the expected value."""
-    args = [list(a) if isinstance(a, tuple) else a for a in test.args]
-    result = interpret(unit, test.fn, args, step_budget)
+    result = interpret(unit, test.fn, test.args, step_budget)
     passed = result.status == RETURNED and values_equal(result.value, test.expect)
     return passed, result

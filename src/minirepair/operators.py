@@ -20,11 +20,11 @@ other FunctionDef object with its parent. Sharing is safe because no
 unit or function is edited once the call that made it (the parser or
 `apply_patch_op`) has returned: the parent is never touched. Every cost
 a child adds is per function: the binding environment before each
-statement (`check_function`'s result) and the function's ingredients,
-its own statements, are cached on the FunctionDef (`_envs`,
-`_ingredients`), so a child computes them for its edited function only.
-A unit's ingredient list joins its functions' lists and is cached on the
-unit (`_ingredients`); ingredients are copied only when inserted.
+statement and the function's ingredients, its own statements, are cached
+on the FunctionDef when first asked for (`_envs` by `function_envs`,
+`_ingredients` by `function_ingredients`), so a child computes them only
+once drawn as a parent, and for its edited function only. The unit
+caches nothing; ingredients are copied only when inserted.
 
 Inapplicable or stale operations raise a PatchSkip subclass, which
 callers treat as "discard and draw again", never as a fatal error.
@@ -224,9 +224,8 @@ def call_sites(stmt: Stmt) -> list[Call]:
 
 def function_envs(unit: SourceUnit, fn: FunctionDef) -> dict[StatementId, dict[str, str]]:
     """The binding environment just before each statement of `fn`, a
-    function of `unit`, as `check_function` returns it. `_finish` records
-    it on every function an operator edits; any other function is checked
-    on first use. Cached on the function as `_envs`."""
+    function of `unit`, as `check_function` returns it. Built on first use
+    and cached on the function as `_envs`; nothing else writes it."""
     envs = fn.__dict__.get("_envs")
     if envs is None:
         envs = fn._envs = check_function(fn, signatures(unit))
@@ -257,41 +256,28 @@ def function_ingredients(unit: SourceUnit, fn: FunctionDef) -> tuple[Ingredient,
     return cached
 
 
-def unit_ingredients(unit: SourceUnit) -> tuple[Ingredient, ...]:
-    """Every statement of the unit as an ingredient, in program order: the
-    join of its functions' lists, so a child builds its edited function's
-    part only. Cached on the unit as `_ingredients`; units are not edited
-    once built, so the list stays valid.
-    """
-    cached = unit.__dict__.get("_ingredients")
-    if cached is None:
-        cached = unit._ingredients = tuple(
-            ingredient for fn in unit.functions for ingredient in function_ingredients(unit, fn)
-        )
-    return cached
-
-
 def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) -> IngredientPool:
     """Collect reusable statements for a modification point.
 
     Local scope draws from the point's function only; global from the
-    whole unit. The statement the point's path resolves to is excluded
-    (in a variant its id may differ from the point's), and structurally
-    identical statements are deduplicated (first occurrence in program
-    order wins).
+    whole unit, in declaration order. The statement the point's path
+    resolves to is excluded (in a variant its id may differ from the
+    point's), and structurally identical statements are deduplicated
+    (first occurrence in program order wins).
     """
-    at = resolve_path(unit, point.statement.function, point.path)
+    name = point.statement.function
+    at = resolve_path(unit, name, point.path)
+    functions = unit.functions
+    if scope == "local":
+        functions = [fn for fn in functions if fn.name == name]
     entries: list[Ingredient] = []
     seen: set[str] = set()
-    for ingredient in unit_ingredients(unit):
-        if ingredient.stmt is at:
-            continue
-        if scope == "local" and ingredient.origin.function != point.statement.function:
-            continue
-        if ingredient.text in seen:
-            continue
-        seen.add(ingredient.text)
-        entries.append(ingredient)
+    for fn in functions:
+        for ingredient in function_ingredients(unit, fn):
+            if ingredient.stmt is at or ingredient.text in seen:
+                continue
+            seen.add(ingredient.text)
+            entries.append(ingredient)
     return IngredientPool(tuple(entries))
 
 
@@ -318,12 +304,13 @@ def _child_of(parent: SourceUnit, point: ModificationPoint) -> SourceUnit:
 
 
 def _finish(child: SourceUnit, point: ModificationPoint) -> SourceUnit:
-    """Normalize, nesting-check and type-check the edited function alone,
-    keeping its environments on it."""
+    """Normalize, nesting-check and type-check the edited function alone.
+    Its environments are not kept: `function_envs` builds them again if
+    the child is drawn as a parent."""
     fn = child.function(point.statement.function)
     try:
         check_nesting(fn)
-        fn._envs = check_function(normalize_function(fn), signatures(child))
+        check_function(normalize_function(fn), signatures(child))
     except MiniLangError as exc:
         raise TypeCheckFailed(str(exc)) from exc
     return child

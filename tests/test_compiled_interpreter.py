@@ -1,6 +1,7 @@
 """The compiled interpreter against the tree-walking reference, also on
 units that share functions and their compiled code, the loop cut, the
-call-depth trap under any caller stack, and the compile cache."""
+call-depth trap under any caller stack, and the compile cache, which is
+kept on each function and filled only for functions a run enters."""
 
 import copy
 import pickle
@@ -11,12 +12,15 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minirepair.minilang import SourceUnit, StatementId, parse
+from minirepair.engine import EngineConfig, evolve, fitness
+from minirepair.minilang import SourceUnit, StatementId, parse, testsuite
 from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, RETURNED, RUNTIME_ERROR, interpret
 from minirepair.minilang.nodes import T_BOOL, T_INT, clone
-from minirepair.operators import MODES, SCOPES, PatchSkip, apply_patch_op
+from minirepair.operators import MODES, SCOPES, ModificationPoint, PatchOp, PatchSkip
+from minirepair.operators import apply_patch_op, harvest_ingredients
 from randprog import random_unit
 from reference_interpreter import interpret_reference
+from samples import load_corpus_case
 from test_cow_variants import every_op
 
 
@@ -111,10 +115,11 @@ def test_a_call_finds_its_callee_in_the_running_unit():
     other_g = parse("fn g(x: int) -> int { return x - 1; }").functions[0]
     caller = first.functions[1]
     assert assert_matches_reference(first, "f", [3], 100).value == 8
+    code = vars(caller)["_code"]
     # the same compiled `f` calls whichever `g` the running unit holds
     shared = SourceUnit([other_g, caller])
     result = assert_matches_reference(shared, "f", [3], 100)
-    assert result.value == 4 and shared._compiled["f"] is first._compiled["f"]
+    assert result.value == 4 and vars(caller)["_code"] is code
     assert result.executed == {StatementId("g", 0), StatementId("f", 0), StatementId("f", 1)}
     # and traps when it holds none, after evaluating the arguments
     alone = assert_matches_reference(SourceUnit([caller]), "f", [3], 100)
@@ -345,15 +350,27 @@ def test_recursion_limit_is_restored():
 
 
 def test_compiled_code_stays_with_the_unit():
-    unit = parse("fn f(x: int) -> int { return x + 1; }")
-    assert interpret(unit, "f", [1], 10).value == 2
-    assert "_compiled" in vars(unit)
+    unit, suite, meta = load_corpus_case("double_sum_missing_add")
+    assert interpret(unit, "double_sum", [[1, 2]], 100).value == 3
+    point = ModificationPoint(StatementId("double_sum", 0), (("body", 0),))
+    harvest_ingredients(unit, point, "global")
+    config = EngineConfig(mode="jgenprog", population_size=4, max_generations=2, seed=meta["seed"])
+    evolve(unit, suite, config)
+    assert set(vars(unit)) == {"functions", "source_name"}
     copied = copy.deepcopy(unit)
-    assert "_compiled" not in vars(copied)
-    assert copied == unit and interpret(copied, "f", [2], 10).value == 3
-    assert "_compiled" not in vars(pickle.loads(pickle.dumps(unit)))
+    assert copied == unit and interpret(copied, "double_sum", [[2]], 100).value == 2
     fn = unit.functions[0]
     assert "_code" in vars(fn)
     for copied in (clone(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
         assert "_code" not in vars(copied) and copied == fn
-        assert interpret(SourceUnit([copied]), "f", [3], 10).value == 4
+        assert interpret(SourceUnit([copied]), "double_sum", [[3]], 100).value == 3
+
+
+def test_a_function_no_test_enters_is_never_compiled():
+    unit = parse("fn g(x: int) -> int { return x + 1; }\nfn f(x: int) -> int { return x * 2; }\n")
+    suite = [testsuite.TestCase("doubles", "f", (3,), 7)]
+    point = ModificationPoint(StatementId("g", 0), (("body", 0),))
+    child, _ = apply_patch_op(unit, PatchOp("MutArithmeticOp", point, {"site": 0, "replacement": "-"}))
+    assert list(fitness(child, suite, ["doubles"], 100)) == [("doubles", False)]
+    edited, shared = child.functions
+    assert "_code" not in vars(edited) and "_code" in vars(shared)

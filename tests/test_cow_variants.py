@@ -1,6 +1,7 @@
-"""Copy-on-write variants and the per-unit ingredient list: the harvest
-against the reference harvester, parents left untouched and unedited
-functions shared by every operator, and one list build per unit."""
+"""Copy-on-write variants and the per-function ingredient lists: the
+harvest against the reference harvester, parents left untouched and
+unedited functions shared by every operator, one list build per
+function, and a child's tables built only once it is drawn on."""
 
 import copy
 import pickle
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from minirepair import engine, operators
 from minirepair.engine import EngineConfig, evolve, replay_lineage
 from minirepair.minilang import all_statement_ids, iter_statements, parse, path_of, pretty_print
-from minirepair.minilang.checker import check_unit
+from minirepair.minilang.checker import check_function, check_unit, signatures
 from minirepair.minilang.nodes import (
     Expr,
     IfStmt,
@@ -118,13 +119,25 @@ def test_ingredients_are_the_units_own_statements():
 def test_ingredient_list_stays_with_the_unit():
     unit, _, _ = load_corpus_case("double_sum_missing_add")
     harvest_ingredients(unit, all_points(unit)[0], "global")
-    assert "_ingredients" in vars(unit)
-    assert "_ingredients" not in vars(copy.deepcopy(unit))
-    assert "_ingredients" not in vars(pickle.loads(pickle.dumps(unit)))
     fn = unit.functions[0]
     assert {"_envs", "_ingredients"} <= set(vars(fn))
-    for copied in (clone(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+    copies = [clone(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))]
+    copies += copy.deepcopy(unit).functions + pickle.loads(pickle.dumps(unit)).functions
+    for copied in copies:
         assert not any(key.startswith("_") for key in vars(copied))
+
+
+def test_a_child_builds_its_environments_only_when_drawn_on():
+    unit, _, _ = load_corpus_case("double_sum_missing_add")
+    point = all_points(unit)[3]  # `i = i + 1;` in the first loop
+    child, _ = apply_patch_op(unit, PatchOp("Remove", point))
+    edited = child.function(point.statement.function)
+    assert "_envs" not in vars(edited)
+    child_point = all_points(child)[0]
+    pool = harvest_ingredients(child, child_point, "local")
+    assert enumerate_ops("jgenprog", child_point, child, pool)
+    assert operators.function_envs(child, edited) is vars(edited)["_envs"]
+    assert vars(edited)["_envs"] == check_function(edited, signatures(child))
 
 
 # --- copy-on-write children ---------------------------------------------------

@@ -159,6 +159,14 @@ def test_caller_arguments_are_copied_per_run():
     assert first.value == second.value == 99
 
 
+def test_a_tuple_array_argument_runs_as_a_list_does():
+    unit = parse("fn f(a: int[]) -> int { a[0] = 5; return a[0] + a[1]; }")
+    from_tuple = interpret(unit, "f", [(1, 2)], 100)
+    from_list = interpret(unit, "f", [[1, 2]], 100)
+    assert (from_tuple.status, from_tuple.value) == (RETURNED, 7)
+    assert from_tuple == from_list
+
+
 def test_bool_int_equality_is_strict():
     assert not values_equal(True, 1)
     assert not values_equal(0, False)

@@ -1,18 +1,20 @@
 """The nesting limit holds for every unit, parsed or made by an operator.
 The edge case is a unit nested exactly MAX_NESTING levels deep: an edit
 that nests it further is a skip, a search over it ends in a verdict, and
-the interpreter's constant frame budget covers its deepest call stack."""
+the interpreter's constant frame budget covers its deepest call stack,
+also when its function is first compiled at the deepest call."""
 
 import sys
 
 import pytest
 
 from minirepair.engine import EngineConfig, evolve
-from minirepair.minilang import StatementId, parse, path_of, testsuite
+from minirepair.minilang import SourceUnit, StatementId, parse, path_of, testsuite
 from minirepair.minilang.interpreter import RETURNED, RUNTIME_ERROR, interpret
 from minirepair.minilang.nodes import iter_depths
 from minirepair.minilang.parser import MAX_NESTING
 from minirepair.operators import MODES, ModificationPoint, PatchOp, TypeCheckFailed, apply_patch_op
+from test_compiled_interpreter import observable, reference
 
 # The assignment inside the ifs nests five more levels: `+`, the call,
 # `n - 1` and `n`.
@@ -74,3 +76,28 @@ def test_the_deepest_call_stack_returns_under_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert (deepest.status, deepest.value) == (RETURNED, 199)
     assert (beyond.status, beyond.error_kind) == (RUNTIME_ERROR, "call-depth-exceeded")
+
+
+@pytest.mark.parametrize(
+    "k, outcome", [(198, (RETURNED, 0, None)), (199, (RUNTIME_ERROR, None, "call-depth-exceeded"))]
+)
+def test_the_deepest_callee_compiled_at_the_deepest_call_matches_the_reference(k, outcome):
+    """`f` is compiled when first called, on top of k + 1 activations of `g`
+    (199, or 200 when the call then traps), under the default recursion
+    limit."""
+    deep = deepest_unit().functions[0]
+    caller = parse(
+        "fn g(k: int, a: int[]) -> int { if (k > 0) { return g(k - 1, a); } return f(a, 0, 0); }\n"
+        "fn f(a: int[], i: int, n: int) -> int { return 0; }\n"
+    ).functions[0]
+    unit = SourceUnit([caller, deep])
+    assert "_code" not in vars(deep)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = interpret(unit, "g", [k, [1]], 100_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "_code" in vars(deep)
+    assert (result.status, result.value, result.error_kind) == outcome
+    assert observable(result) == observable(reference(unit, "g", [k, [1]], 100_000))

@@ -2,12 +2,14 @@
 its parent began no statement of the function the child edits the
 parent's verdict and record without running it. Over random lineages of
 several generations, every verdict and record, skipped or run, equals a
-fresh run of that test."""
+fresh run of that test, also for a run that traps on entering the edited
+function."""
 
 import pytest
 
 import minirepair.engine as engine_module
 from minirepair.engine import EngineConfig, NoFailingTest, UnlocalizableFault, evolve
+from minirepair.minilang import SourceUnit, parse, testsuite
 from minirepair.minilang.testsuite import run_test
 from minirepair.operators import MODES
 
@@ -74,3 +76,34 @@ def test_skipped_and_run_verdicts_equal_fresh_runs_on_random_lineages(fast, monk
             passed, result = real_run_test(child, test, STEP_BUDGET)
             assert record == (passed, frozenset(sid.function for sid in result.executed))
             assert (test.name, passed) in run
+
+
+DEPTH_TRAP = """fn g(x: int) -> int { return x; }
+fn f(k: int) -> int { if (k > 0) { return f(k - 1); } return g(k); }
+"""
+
+
+def test_a_run_that_traps_entering_the_edited_function_is_skipped_exactly(monkeypatch):
+    """`f(199)` calls `g` from depth 200: the run enters `g` and traps before
+    its body, so its record holds `f` alone, and a child that edits `g`
+    takes its verdict without running it. That verdict equals a fresh run."""
+    unit = parse(DEPTH_TRAP)
+    suite = [testsuite.TestCase("deep", "f", (199,), 0), testsuite.TestCase("shallow", "f", (3,), 0)]
+    records = engine_module.fitness(unit, suite, [], STEP_BUDGET).records
+    assert records == ((False, frozenset({"f"})), (True, frozenset({"f", "g"})))
+    parent = engine_module.ProgramVariant(unit, [], 1, 0, records)
+    edited_g = parse("fn g(x: int) -> int { return x + 1; }").functions[0]
+    child = SourceUnit([edited_g, unit.functions[1]])
+    ran = []
+
+    def counting(unit, test, budget):
+        ran.append(test.name)
+        return run_test(unit, test, budget)
+
+    monkeypatch.setattr(engine_module, "run_test", counting)
+    run = engine_module.fitness(child, suite, [], STEP_BUDGET, parent=parent)
+    assert ran == ["shallow"]
+    for test, record in zip(suite, run.records):
+        passed, result = run_test(child, test, STEP_BUDGET)
+        assert record == (passed, frozenset(sid.function for sid in result.executed))
+    assert list(run) == [("deep", False), ("shallow", False)]
