@@ -258,6 +258,7 @@ def select(
 class _SearchState:
     """Everything one generation step needs, fixed at run start."""
 
+    original: SourceUnit
     suite: list[TestCase]
     originally_failing: list[str]
     config: EngineConfig
@@ -267,7 +268,7 @@ class _SearchState:
     variants_evaluated: int = 0
     patches: list[FoundPatch] = field(default_factory=list)
     _seen_diffs: set = field(default_factory=set)
-    original_text: str = ""
+    original_text: str | None = None  # printed when the first diff needs it
 
 
 def step_generation(
@@ -287,6 +288,8 @@ def step_generation(
             and len(state.patches) < config.max_patches
             and validate(verdicts, state.originally_failing).valid
         ):
+            if state.original_text is None:
+                state.original_text = pretty_print(state.original)
             diff = make_diff(state.original_text, pretty_print(child.ast), child.ast.source_name)
             if diff not in state._seen_diffs:
                 state._seen_diffs.add(diff)
@@ -347,13 +350,13 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
 
     rng = random.Random(config.seed)
     state = _SearchState(
+        original=original,
         suite=suite,
         originally_failing=matrix.failing_test_names,
         config=config,
         rng=rng,
         navigator=Navigator(ranked, config.navigation, rng),
         points={sid: ModificationPoint(sid, path) for sid, path, _ in iter_statement_paths(original)},
-        original_text=pretty_print(original),
     )
     state.variants_evaluated = 1  # the original program, measured by the matrix
 

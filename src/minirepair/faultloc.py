@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from minirepair.minilang import SourceUnit, StatementId, all_statement_ids
@@ -108,15 +109,15 @@ def rank(matrix: CoverageMatrix, formula: str = "ochiai") -> list[SuspiciousStat
     """
     if matrix.total_fail < 1:
         raise ValueError("fault localization needs at least one failing test")
-    covered = set()
+    ef_by: Counter[StatementId] = Counter()
+    ep_by: Counter[StatementId] = Counter()
     for row in matrix.rows:
-        covered.update(row.executed)
+        (ep_by if row.passed else ef_by).update(row.executed)
     ranked = []
     for sid in matrix.statement_order:
-        if sid not in covered:
+        ef, ep = ef_by[sid], ep_by[sid]
+        if not ef and not ep:
             continue
-        ef = sum(1 for row in matrix.rows if not row.passed and sid in row.executed)
-        ep = sum(1 for row in matrix.rows if row.passed and sid in row.executed)
         score = _score(formula, ef, ep, matrix)
         if score <= 0.0:
             continue

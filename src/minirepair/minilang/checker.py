@@ -10,7 +10,9 @@ definitely returns.
 `check_unit` and its per-function part `check_function` are the only
 code that infers types: besides accepting or rejecting a unit, they
 return the binding environment just before each statement, which the
-repair operators read.
+repair operators read. Statements carry no id, so `check_function` keys
+its table by structural path, in pre-order, and `check_unit` by the
+positional StatementId.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from minirepair.minilang.nodes import (
     IntLit,
     Len,
     LetStmt,
+    Path,
     ReturnStmt,
     SourceUnit,
     StatementId,
@@ -76,46 +79,49 @@ def check_unit(unit: SourceUnit) -> dict[StatementId, Env]:
     """Type-check the whole unit; raises CheckError on the first violation.
 
     Returns the binding environment just before each statement, keyed by
-    its id (the unit is normalized): the parameters plus every `let`
-    earlier in the same block or in an enclosing block.
+    its id: the parameters plus every `let` earlier in the same block or
+    in an enclosing block.
     """
     sigs = signatures(unit)
     envs: dict[StatementId, Env] = {}
     for fn in unit.functions:
-        envs |= check_function(fn, sigs)
+        for index, env in enumerate(check_function(fn, sigs).values()):
+            envs[StatementId(fn.name, index)] = env
     return envs
 
 
-def check_function(fn: FunctionDef, sigs: dict[str, Signature]) -> dict[StatementId, Env]:
-    """`check_unit` for one function against the unit's signatures: a
-    function's typing depends on nothing else, so an edit to one function
-    needs only this."""
+def check_function(fn: FunctionDef, sigs: dict[str, Signature]) -> dict[Path, Env]:
+    """`check_unit` for one function against the unit's signatures, keyed
+    by each statement's path, in pre-order: a function's typing depends on
+    nothing else, so an edit to one function needs only this."""
     env: Env = {}
     for name, type_ in fn.params:
         if name in env:
             raise CheckError(f"duplicate parameter {name!r} in function {fn.name!r}")
         env[name] = type_
-    envs: dict[StatementId, Env] = {}
-    _check_block(fn.body, env, fn, sigs, envs)
+    envs: dict[Path, Env] = {}
+    _check_block(fn.body, "body", (), env, fn, sigs, envs)
     if not _block_returns(fn.body):
         raise CheckError(f"missing return on some path through function {fn.name!r}")
     return envs
 
 
-def _check_block(block: list[Stmt], env: Env, fn: FunctionDef, sigs, envs) -> None:
-    """Check a block in `env`, then drop the names the block declared:
-    with no redeclaration or shadowing, one flat dict serves every block."""
+def _check_block(block: list[Stmt], slot: str, prefix: Path, env: Env, fn, sigs, envs) -> None:
+    """Check a block, which `prefix` and `slot` address, in `env`, then drop
+    the names the block declared: with no redeclaration or shadowing, one
+    flat dict serves every block."""
     declared = []
-    for stmt in block:
-        envs[stmt.stmt_id] = dict(env)
-        _check_stmt(stmt, env, fn, sigs, envs)
+    for index, stmt in enumerate(block):
+        path = prefix + ((slot, index),)
+        envs[path] = dict(env)
+        _check_stmt(stmt, path, env, fn, sigs, envs)
         if isinstance(stmt, LetStmt):
             declared.append(stmt.name)
     for name in declared:
         del env[name]
 
 
-def _check_stmt(stmt: Stmt, env: Env, fn: FunctionDef, sigs, envs) -> None:
+def _check_stmt(stmt: Stmt, path: Path, env: Env, fn: FunctionDef, sigs, envs) -> None:
     if isinstance(stmt, LetStmt):
         value_t = _check_expr(stmt.value, env, sigs)
         if stmt.name in env:
@@ -142,8 +148,8 @@ def _check_stmt(stmt: Stmt, env: Env, fn: FunctionDef, sigs, envs) -> None:
         if _check_expr(stmt.cond, env, sigs) != T_BOOL:
             kind = "if" if isinstance(stmt, IfStmt) else "while"
             raise _err(f"{kind} condition must be bool", stmt)
-        for _, block in child_blocks(stmt):
-            _check_block(block, env, fn, sigs, envs)
+        for slot, block in child_blocks(stmt):
+            _check_block(block, slot, path, env, fn, sigs, envs)
     elif isinstance(stmt, ReturnStmt):
         value_t = _check_expr(stmt.value, env, sigs)
         if value_t != fn.return_type:

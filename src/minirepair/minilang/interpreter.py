@@ -20,17 +20,22 @@ Semantics notes:
 Compilation. A function is compiled when a run first calls it, into
 nested Python closures (Feeley & Lapalme, "Using closures for code
 generation", 1987): variables become slots of one list per activation,
-resolved when compiling, statements are numbered within their function
-for coverage, and a runtime error is attributed to the statement that
-contains the failing expression, also known when compiling. A call names
-its callee, which the run finds in its unit (`SourceUnit.function`) the
-first time the call is made, so a function's code depends on its own
-`FunctionDef` alone. The code is kept on that object (`FunctionDef._code`);
-copies and pickles leave it out, and the unit keeps no table. A variant
-that shares every function but one with its parent therefore compiles at
-most one function, and a function that no run enters is never compiled.
-Contract: a function or unit is not edited after its first run. Edit a
-copy and normalize it instead, as the repair operators do. Units must be
+resolved when compiling; statements are numbered within their function
+in pre-order, so statement number k is the one whose positional id is
+`StatementId(function name, k)`, which coverage records; and a runtime
+error is attributed to the statement that contains the failing
+expression, also known when compiling. A call names its callee, which
+the run finds in its unit (`SourceUnit.function`) the first time the call
+is made, so a function's code depends on its own `FunctionDef` alone. The
+code is kept on that object (`FunctionDef._code`); copies and pickles
+leave it out, and the unit keeps no table. A variant that shares every
+function but one with its parent therefore compiles at most one function,
+and a function that no run enters is never compiled.
+Contract: no node is edited after its first run. Variants share
+statements, which may sit at different positions in different functions,
+so an edit changes a path copy of its function (`copy_path`) and fresh
+copies of the statements it writes, as the repair operators do; the copy
+is a new `FunctionDef` and compiles with its own numbering. Units must be
 well typed (`check_unit` passes) and nest no deeper than `MAX_NESTING`,
 as `parse` and every operator guarantee.
 
@@ -232,10 +237,12 @@ class _Compiler:
     """Compiles one function; reads nothing but its `FunctionDef`."""
 
     def __init__(self):
+        self.name = ""
         self.nslots = 0
-        self.sids: list[StatementId | None] = []
+        self.sids: list[StatementId] = []
 
     def function(self, fn: FunctionDef) -> _Function:
+        self.name = fn.name
         scope: list[dict[str, int]] = [{}]
         for name, _ in fn.params:
             scope[0][name] = self.nslots
@@ -263,11 +270,11 @@ class _Compiler:
         return run_block
 
     def stmt(self, stmt: Stmt, scope: list[dict[str, int]]):
-        sid = stmt.stmt_id
         k = len(self.sids)
+        sid = StatementId(self.name, k)
         self.sids.append(sid)
         if isinstance(stmt, WhileStmt):
-            return self.while_stmt(stmt, scope, k)
+            return self.while_stmt(stmt, scope, k, sid)
         if isinstance(stmt, AssignStmt) and _lookup(scope, stmt.name) is None:
             value = self.expr(stmt.value, scope, sid)
             return _evaluate(k, _fail("unbound-variable", sid, value))
@@ -340,8 +347,7 @@ class _Compiler:
             return _evaluate(k, self.expr(stmt.value, scope, sid))
         return _evaluate(k, _fail("unknown-statement", sid))
 
-    def while_stmt(self, stmt: WhileStmt, scope: list[dict[str, int]], k: int):
-        sid = stmt.stmt_id
+    def while_stmt(self, stmt: WhileStmt, scope: list[dict[str, int]], k: int, sid: StatementId):
         live = tuple(slot for frame in scope for slot in frame.values())
         cond = self.expr(stmt.cond, scope, sid)
         body = self.block(stmt.body, scope)
@@ -596,7 +602,6 @@ def interpret(
     result.steps_used = step_budget if result.status == BUDGET_EXHAUSTED else step_budget - run.left
     for _, _, hit, sids in run.entered.values():
         result.executed.update(compress(sids, hit))
-    result.executed.discard(None)
     return result
 
 

@@ -1,13 +1,21 @@
 """AST node definitions, statement identity, structural paths and the
 tree walks.
 
-Every statement carries a StatementId assigned by `normalize`: the pair
-(function name, pre-order index within that function), with indices
-contiguous from 0. Ids are excluded from equality, so `==` on nodes and
-units means structural equality. Structural paths address statements
-positionally (block slot + index per nesting level) and survive edits
-elsewhere in the tree, which is how modification points computed on the
-original program are re-resolved against evolved variants.
+A statement's id is derived from its position, never stored: the
+StatementId (function name, pre-order index within that function), with
+indices contiguous from 0. Equality on nodes and units is structural.
+Structural paths address statements positionally (block slot + index per
+nesting level) and survive edits elsewhere in the tree, which is how
+modification points computed on the original program are re-resolved
+against evolved variants.
+
+Variants are copy-on-write at statement level. No node is edited once
+the call that made it (the parser, or a repair operator) has returned,
+so variants share statements: `copy_path` copies only a function and the
+blocks and compound statements on the path to an edit, and shares every
+other statement with the function it copies. A statement therefore sits
+at one position in each unit that holds it, but may sit at different
+positions in different units, which is why ids are positional.
 
 This module owns the path format and the traversals; other modules go
 through them rather than walking the tree themselves:
@@ -16,7 +24,7 @@ through them rather than walking the tree themselves:
                joined over a unit by `iter_statement_paths`;
                `iter_statements`, `normalize` and `path_of` read them
   paths        `resolve_container` (the block and index a path ends at);
-               `resolve_path` reads it
+               `resolve_path` reads it, and `copy_path` copies along it
   expressions  `walk_expr` (pre-order, left to right); `stmt_expr_nodes`
                applies it to a statement's own expressions
 """
@@ -106,7 +114,6 @@ class ArrayLit(Expr):
 
 @dataclass
 class Stmt:
-    stmt_id: StatementId | None = field(default=None, compare=False, kw_only=True)
     loc: tuple[int, int] | None = field(default=None, compare=False, kw_only=True)
 
 
@@ -190,8 +197,9 @@ def clone(node):
     """A deep copy of a node tree (`FunctionDef`, `Stmt` or `Expr`).
 
     Copies every node and node list and shares the immutable leaves
-    (names, literals, ids, locations); a tenth of `copy.deepcopy`'s cost.
-    Trees never alias a node, so nothing needs a memo. Caches (attributes
+    (names, literals, locations); a tenth of `copy.deepcopy`'s cost.
+    Units share statements across variants, never within one, so a tree
+    never aliases a node and nothing needs a memo. Caches (attributes
     named with a leading underscore) are left out, as in a pickle.
     """
     new = object.__new__(type(node))
@@ -204,6 +212,43 @@ def clone(node):
             value = [clone(item) if isinstance(item, (Expr, Stmt)) else item for item in value]
         new.__dict__[key] = value
     return new
+
+
+def copy_statement(stmt: Stmt) -> Stmt:
+    """A copy of a statement that owns fresh clones of its own expressions
+    and shares its nested blocks: what an edit that rewrites a statement's
+    expressions needs to copy."""
+    new = object.__new__(type(stmt))
+    for key, value in vars(stmt).items():
+        new.__dict__[key] = clone(value) if isinstance(value, Expr) else value
+    return new
+
+
+# The field of a compound statement that holds the block a path slot names.
+_SLOT_FIELDS = {"then": "then_body", "else": "else_body", "body": "body"}
+
+
+def copy_path(fn: FunctionDef, path: Path) -> tuple[FunctionDef, Stmt | None, list[Stmt], int]:
+    """Path copying (Driscoll et al., "Making data structures persistent",
+    1989): a copy of `fn` in which the function, every block `path` runs
+    through and every compound statement holding one of them are fresh
+    objects, and every other statement is shared with `fn`.
+
+    Returns the copy, the copied statement whose block the path ends in
+    (None for the function body), that block and the index in it. The
+    path must resolve in `fn` (`resolve_container`). The copy carries none
+    of `fn`'s caches.
+    """
+    fresh = FunctionDef(fn.name, fn.params, fn.return_type, list(fn.body))
+    owner, block = None, fresh.body
+    for (_, index), (slot, _) in zip(path, path[1:]):
+        owner = object.__new__(type(block[index]))
+        owner.__dict__.update(vars(block[index]))
+        block[index] = owner
+        field_name = _SLOT_FIELDS[slot]
+        block = list(getattr(owner, field_name))
+        setattr(owner, field_name, block)
+    return fresh, owner, block, path[-1][1]
 
 
 def child_blocks(stmt: Stmt) -> list[tuple[str, list[Stmt]]]:
@@ -253,11 +298,12 @@ def walk_expr(expr: Expr) -> Iterator[Expr]:
             yield from walk_expr(item)
 
 
-def iter_depths(body: list[Stmt]) -> Iterator[tuple[Stmt | Expr, int]]:
-    """Every statement and expression of a function body with its nesting
-    depth, counting the top-level statements as 1. Walks without recursion,
-    so it is safe on trees too deep for the recursive passes."""
-    pending: list[tuple[Stmt | Expr, int]] = [(s, 1) for s in body]
+def iter_depths(nodes: list[Stmt], depth: int = 1) -> Iterator[tuple[Stmt | Expr, int]]:
+    """Every statement and expression of the trees rooted at `nodes`, with
+    its nesting depth: the roots are at `depth`, and a function body's
+    top-level statements at 1. Walks without recursion, so it is safe on
+    trees too deep for the recursive passes."""
+    pending: list[tuple[Stmt | Expr, int]] = [(s, depth) for s in nodes]
     while pending:
         node, depth = pending.pop()
         yield node, depth
@@ -307,24 +353,16 @@ def all_statement_ids(unit: SourceUnit) -> list[StatementId]:
 
 
 def normalize(unit: SourceUnit) -> SourceUnit:
-    """Canonicalize a unit in place: drop empty else branches, reassign ids.
+    """Canonicalize a freshly built unit in place: drop empty else branches.
 
-    Must be called after every structural edit; returns the unit for
-    convenience.
+    The parser calls it; a repair operator keeps its child canonical
+    itself. Returns the unit for convenience.
     """
     for fn in unit.functions:
-        normalize_function(fn)
+        for _, stmt in _function_paths(fn):
+            if isinstance(stmt, IfStmt) and stmt.else_body == []:
+                stmt.else_body = None
     return unit
-
-
-def normalize_function(fn: FunctionDef) -> FunctionDef:
-    """`normalize` for one function: its ids depend on nothing else, so an
-    edit to one function needs only this."""
-    for sid, _, stmt in iter_function_paths(fn):
-        if isinstance(stmt, IfStmt) and stmt.else_body == []:
-            stmt.else_body = None
-        stmt.stmt_id = sid
-    return fn
 
 
 def path_of(unit: SourceUnit, sid: StatementId) -> Path | None:
@@ -332,7 +370,7 @@ def path_of(unit: SourceUnit, sid: StatementId) -> Path | None:
     fn = unit.function(sid.function)
     if fn is None:
         return None
-    return next((path for path, stmt in _function_paths(fn) if stmt.stmt_id == sid), None)
+    return next((path for i, (path, _) in enumerate(_function_paths(fn)) if i == sid.index), None)
 
 
 def resolve_container(unit: SourceUnit, function: str, path: Path) -> tuple[list[Stmt], int] | None:

@@ -15,15 +15,15 @@ Grammar sketch (see README for the full description):
 
 Binary operator precedence, loosest first: "||" < "&&" < comparisons
 < "+ -" < "* / %" < unary "- !". `parse` returns a normalized,
-type-checked SourceUnit with statement ids assigned.
+type-checked SourceUnit.
 
 Nesting is bounded by MAX_NESTING, so that neither the recursive-descent
 parser nor the recursive passes over the tree (checker, printer, copies,
 compiled code) run out of Python stack: open blocks, sub-expressions and
 unary operators count while parsing, and every statement and expression
 node counts by its depth in the finished tree (`check_nesting`, which the
-repair operators apply to each function they edit), where a chain such as
-`a + b + c` nests one level per operator.
+repair operators apply to the statement each edit writes, at its depth),
+where a chain such as `a + b + c` nests one level per operator.
 """
 
 from __future__ import annotations
@@ -347,15 +347,17 @@ def parse(text: str, source_name: str = "<unit>") -> SourceUnit:
     parser = _Parser(tokenize(text))
     unit = parser.parse_unit(source_name)
     for fn in unit.functions:
-        check_nesting(fn)
+        check_nesting(fn.body)
     normalize(unit)
     check_unit(unit)
     return unit
 
 
-def check_nesting(fn: FunctionDef) -> None:
-    """Raise ParseError when a node of `fn` nests deeper than MAX_NESTING."""
-    for node, depth in iter_depths(fn.body):
+def check_nesting(nodes: list[Stmt], depth: int = 1) -> None:
+    """Raise ParseError when a node of the trees rooted at `nodes`, whose
+    roots sit at nesting `depth` (1 for a function body), nests deeper
+    than MAX_NESTING."""
+    for node, depth in iter_depths(nodes, depth):
         if depth > MAX_NESTING:
             line, col = node.loc or (None, None)
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)

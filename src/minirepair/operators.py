@@ -11,20 +11,30 @@ Three families, gated by engine mode:
   jmutrepair  operator swaps: relational, logical, and arithmetic
               operator replacement plus condition negation.
 
-Children are copy-on-write, and `apply_patch_op` makes every one. It
-resolves the modification point in the parent, copies the function
-holding it, and runs the kind's family edit on that copy. `_finish` then
-normalizes, nesting-checks and type-checks that function alone, against
-the unit's signatures, which no operator changes; the child shares every
-other FunctionDef object with its parent. Sharing is safe because no
-unit or function is edited once the call that made it (the parser or
-`apply_patch_op`) has returned: the parent is never touched. Every cost
-a child adds is per function: the binding environment before each
-statement and the function's ingredients, its own statements, are cached
-on the FunctionDef when first asked for (`_envs` by `function_envs`,
-`_ingredients` by `function_ingredients`), so a child computes them only
-once drawn as a parent, and for its edited function only. The unit
-caches nothing; ingredients are copied only when inserted.
+Children are copy-on-write at statement level, and `apply_patch_op`
+makes every one. It resolves the modification point in the parent and
+path-copies the function holding it (`copy_path`): the function, the
+blocks on the point's path and the compound statements holding them are
+fresh, and every other statement is the parent's own object. The kind's
+family edit then changes the copied block at the point, cloning only
+what it writes: the point statement for the template and mutation kinds,
+an inserted ingredient for jgenprog. `_finish` nesting-checks the
+statement the edit wrote, at the point's depth, and type-checks the
+edited function against the unit's signatures, which no operator
+changes; the child shares every other FunctionDef with its parent.
+Sharing is safe because no node is edited once the call that made it
+(the parser or `apply_patch_op`) has returned: the parent is never
+touched. Statement ids are positional (`iter_function_paths`), so a
+shared statement needs no renumbering.
+
+Every cost a child adds is per function: the binding environment before
+each statement, keyed by path, and the function's ingredients, its own
+statements, are cached on the FunctionDef when first asked for (`_envs`
+by `function_envs`, `_ingredients` by `function_ingredients`), so a child
+computes them only once drawn as a parent, and for its edited function
+only. The unit caches nothing; ingredients are copied only when
+inserted. A jgenprog draw builds one operation: `enumerate_ops` returns a
+sequence that makes a PatchOp only when indexed.
 
 Inapplicable or stale operations raise a PatchSkip subclass, which
 callers treat as "discard and draw again", never as a fatal error.
@@ -37,6 +47,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,8 +75,9 @@ from minirepair.minilang.nodes import (
     Var,
     WhileStmt,
     clone,
+    copy_path,
+    copy_statement,
     iter_function_paths,
-    normalize_function,
     stmt_expr_nodes,
 )
 from minirepair.minilang.parser import check_nesting
@@ -222,19 +234,20 @@ def call_sites(stmt: Stmt) -> list[Call]:
 # --- ingredients ---------------------------------------------------------
 
 
-def function_envs(unit: SourceUnit, fn: FunctionDef) -> dict[StatementId, dict[str, str]]:
+def function_envs(unit: SourceUnit, fn: FunctionDef) -> dict[Path, dict[str, str]]:
     """The binding environment just before each statement of `fn`, a
-    function of `unit`, as `check_function` returns it. Built on first use
-    and cached on the function as `_envs`; nothing else writes it."""
+    function of `unit`, by path, as `check_function` returns it. Built on
+    first use and cached on the function as `_envs`; nothing else writes
+    it."""
     envs = fn.__dict__.get("_envs")
     if envs is None:
         envs = fn._envs = check_function(fn, signatures(unit))
     return envs
 
 
-def _env_before(unit: SourceUnit, point: ModificationPoint, stmt: Stmt) -> dict[str, str]:
-    """The binding environment before `stmt`, which `point` resolves to."""
-    return function_envs(unit, unit.function(point.statement.function))[stmt.stmt_id]
+def _env_before(unit: SourceUnit, point: ModificationPoint) -> dict[str, str]:
+    """The binding environment before the statement `point` resolves to."""
+    return function_envs(unit, unit.function(point.statement.function))[point.path]
 
 
 def function_ingredients(unit: SourceUnit, fn: FunctionDef) -> tuple[Ingredient, ...]:
@@ -248,10 +261,10 @@ def function_ingredients(unit: SourceUnit, fn: FunctionDef) -> tuple[Ingredient,
             Ingredient(
                 stmt=stmt,
                 origin=sid,
-                free_vars=typed_free_vars(stmt, envs[sid]),
+                free_vars=typed_free_vars(stmt, envs[path]),
                 text=_condense(print_stmt(stmt)),
             )
-            for sid, _, stmt in iter_function_paths(fn)
+            for sid, path, stmt in iter_function_paths(fn)
         )
     return cached
 
@@ -261,9 +274,9 @@ def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) 
 
     Local scope draws from the point's function only; global from the
     whole unit, in declaration order. The statement the point's path
-    resolves to is excluded (in a variant its id may differ from the
-    point's), and structurally identical statements are deduplicated
-    (first occurrence in program order wins).
+    resolves to is excluded (in a variant its position, and so its id,
+    may differ from the point's), and structurally identical statements
+    are deduplicated (first occurrence in program order wins).
     """
     name = point.statement.function
     at = resolve_path(unit, name, point.path)
@@ -281,10 +294,6 @@ def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) 
     return IngredientPool(tuple(entries))
 
 
-def _fits(ingredient: Ingredient, env: dict[str, str]) -> bool:
-    return all(env.get(name) == type_ for name, type_ in ingredient.free_vars)
-
-
 # --- application ---------------------------------------------------------
 
 
@@ -295,58 +304,56 @@ def _locate(unit: SourceUnit, point: ModificationPoint) -> tuple[list[Stmt], int
     return located
 
 
-def _child_of(parent: SourceUnit, point: ModificationPoint) -> SourceUnit:
-    """A new unit sharing the parent's functions, except a fresh copy of the
-    one holding the point, which must resolve in the parent."""
-    edited = parent.function(point.statement.function)
-    functions = [clone(fn) if fn is edited else fn for fn in parent.functions]
-    return SourceUnit(functions, parent.source_name)
-
-
-def _finish(child: SourceUnit, point: ModificationPoint) -> SourceUnit:
-    """Normalize, nesting-check and type-check the edited function alone.
-    Its environments are not kept: `function_envs` builds them again if
-    the child is drawn as a parent."""
-    fn = child.function(point.statement.function)
+def _finish(child: SourceUnit, fn: FunctionDef, written: Stmt | None, depth: int) -> None:
+    """Nesting-check the statement an edit wrote, which sits at `depth`,
+    then type-check `fn`, the edited function of `child`. Nothing else of
+    the function is new, so nothing else can nest deeper than its parent
+    did. The environments are not kept: `function_envs` builds them again
+    if the child is drawn as a parent."""
     try:
-        check_nesting(fn)
-        check_function(normalize_function(fn), signatures(child))
+        if written is not None:
+            check_nesting([written], depth)
+        check_function(fn, signatures(child))
     except MiniLangError as exc:
         raise TypeCheckFailed(str(exc)) from exc
-    return child
 
 
-# Each family's edit changes the copied function in place at `block[index]`
-# and completes `payload`; `env` is the parent's environment before the point.
+# Each family's edit changes the path-copied `block` in place at `index`,
+# completes `payload` and returns the statement it wrote there (None for a
+# removal). It copies whatever it changes below that block: the block is
+# fresh, but the statements in it are the parent's. `env` is the parent's
+# environment before the point.
 
 
-def _genprog_edit(kind, block, index, payload, env, rng, parent) -> None:
+def _genprog_edit(kind, block, index, payload, env, rng, parent) -> Stmt | None:
     """Insert an ingredient before, replace, or remove the point statement."""
     if kind == "Remove":
         del block[index]
-        return
+        return None
     ingredient: Ingredient = payload["ingredient"]
     if kind == "InsertBefore" and ingredient.is_return_rooted:
         raise NotApplicable("return statements are never inserted")
-    if not _fits(ingredient, env):
+    if not env.items() >= ingredient.free_vars:  # a free variable unbound or retyped
         raise ScopeViolation(f"ingredient from {ingredient.origin} out of scope")
+    written = clone(ingredient.stmt)
     if kind == "InsertBefore":
-        block.insert(index, clone(ingredient.stmt))
+        block.insert(index, written)
     else:
-        block[index] = clone(ingredient.stmt)
+        block[index] = written
+    return written
 
 
 _MUTATION_FAMILIES = {"MutRelationalOp": REL_OPS, "MutLogicalOp": LOGIC_OPS, "MutArithmeticOp": ARITH_OPS}
 
 
-def _mutation_edit(kind, block, index, payload, env, rng, parent) -> None:
+def _mutation_edit(kind, block, index, payload, env, rng, parent) -> Stmt:
     """Swap one operator (or negate one condition) at the recorded site."""
-    stmt = block[index]
+    stmt = block[index] = copy_statement(block[index])
     if kind == "MutNegateCondition":
         if not isinstance(stmt, (IfStmt, WhileStmt)):
             raise NotApplicable("statement has no condition")
         stmt.cond = Unary("!", stmt.cond)
-        return
+        return stmt
     sites = binary_sites(stmt, _MUTATION_FAMILIES[kind])
     site = payload.get("site", 0)
     if site >= len(sites):
@@ -360,10 +367,13 @@ def _mutation_edit(kind, block, index, payload, env, rng, parent) -> None:
         if replacement == node.op:
             raise NotApplicable("replacement equals the original operator")
         node.op = replacement
+    return stmt
 
 
-def _template_edit(kind, block, index, payload, env, rng, parent) -> None:
-    """Apply one template; draws unresolved parameters from `rng`."""
+def _template_edit(kind, block, index, payload, env, rng, parent) -> Stmt:
+    """Apply one template; draws unresolved parameters from `rng`. The
+    guard wraps the parent's statement, shared; the other templates
+    rewrite a copy of it."""
     stmt = block[index]
     if kind == "TemplateGuardArrayAccess":
         sites = index_access_sites(stmt)
@@ -379,8 +389,10 @@ def _template_edit(kind, block, index, payload, env, rng, parent) -> None:
             Binary("<", clone(index_expr), Len(Var(array))),
         )
         block[index] = IfStmt(guard, [stmt], None)
+        return block[index]
 
-    elif kind == "TemplateMutateConditionTerm":
+    stmt = block[index] = copy_statement(stmt)
+    if kind == "TemplateMutateConditionTerm":
         if not isinstance(stmt, (IfStmt, WhileStmt)):
             raise NotApplicable("statement has no condition")
         if "action" not in payload:
@@ -404,6 +416,7 @@ def _template_edit(kind, block, index, payload, env, rng, parent) -> None:
         if "arg_index" not in payload:
             payload.update(_draw_argument_swap(parent, env, call, rng))
         call.args[payload["arg_index"]] = Var(payload["var_name"])
+    return stmt
 
 
 def _require_rng(rng: random.Random | None) -> random.Random:
@@ -468,47 +481,77 @@ def apply_patch_op(
 ) -> tuple[SourceUnit, PatchOp]:
     """Apply any operation; returns (child, concrete op suitable for replay).
 
-    The point is resolved once in the parent, whose environment before it
-    is what the edit's scope checks and draws read, and once in the copy
-    of its function, which the kind's edit then changes in place.
+    The point is resolved in the parent, whose environment before it is
+    what the edit's scope checks and draws read. The kind's edit then
+    changes the block the point ends in, in a path copy of its function.
+    A removal that empties an else branch drops the branch, as the parser
+    does, so the child is canonical.
     """
     edit = _EDITS.get(op.kind)
     if edit is None:
         raise NotApplicable(f"unknown operation kind {op.kind!r}")
-    block, index = _locate(parent, op.point)
-    env = _env_before(parent, op.point, block[index])
-    child = _child_of(parent, op.point)
-    block, index = _locate(child, op.point)
+    point = op.point
+    _locate(parent, point)  # raises StalePoint
+    env = _env_before(parent, point)
+    edited = parent.function(point.statement.function)
+    fn, owner, block, index = copy_path(edited, point.path)
     payload = dict(op.payload)
-    edit(op.kind, block, index, payload, env, rng, parent)
-    return _finish(child, op.point), PatchOp(op.kind, op.point, payload, op.generation)
+    written = edit(op.kind, block, index, payload, env, rng, parent)
+    if not block and isinstance(owner, IfStmt) and owner.else_body is block:
+        owner.else_body = None
+    child = SourceUnit([fn if f is edited else f for f in parent.functions], parent.source_name)
+    _finish(child, fn, written, len(point.path))
+    return child, PatchOp(op.kind, point, payload, op.generation)
 
 
 # --- enumeration ----------------------------------------------------------
 
 
+class GenprogOps(Sequence):
+    """The jgenprog operations at a point, in `enumerate_ops` order: Remove,
+    then for each ingredient that fits the point's environment a Replace
+    and, unless it is return-rooted, an InsertBefore. A draw takes one, so
+    a PatchOp is built only when indexed."""
+
+    def __init__(self, point: ModificationPoint, fitting: list[Ingredient]):
+        self.point = point
+        self.choices = [
+            (kind, ingredient)
+            for ingredient in fitting
+            for kind in (("Replace",) if ingredient.is_return_rooted else ("Replace", "InsertBefore"))
+        ]
+
+    def __len__(self) -> int:
+        return 1 + len(self.choices)
+
+    def __getitem__(self, i: int) -> PatchOp:
+        if i == 0:
+            return PatchOp("Remove", self.point)
+        if not 0 < i <= len(self.choices):
+            raise IndexError("operation index out of range")
+        kind, ingredient = self.choices[i - 1]
+        return PatchOp(kind, self.point, {"ingredient": ingredient})
+
+
 def enumerate_ops(
     mode: str, point: ModificationPoint, ast: SourceUnit, pool: IngredientPool = EMPTY_POOL
-) -> list[PatchOp]:
+) -> Sequence[PatchOp]:
     """Every applicable operation of the mode at the point, in a fixed order.
 
     Template parameters that are drawn at application time are left
     unresolved here (one op per template kind per site); mutation ops
-    are fully concrete (one per site per replacement operator).
+    are fully concrete (one per site per replacement operator). The
+    jgenprog operations come as a `GenprogOps` sequence, the others as a
+    list.
     """
     block, index = _locate(ast, point)
+    if mode == "jgenprog":
+        # An ingredient fits when every free variable is bound, with its type.
+        bound = _env_before(ast, point).items()
+        return GenprogOps(point, [ing for ing in pool.entries if bound >= ing.free_vars])
     stmt = block[index]
     ops: list[PatchOp] = []
-    if mode == "jgenprog":
-        ops.append(PatchOp("Remove", point))
-        env = _env_before(ast, point, stmt)
-        for ingredient in pool.entries:
-            if not _fits(ingredient, env):
-                continue
-            ops.append(PatchOp("Replace", point, {"ingredient": ingredient}))
-            if not ingredient.is_return_rooted:
-                ops.append(PatchOp("InsertBefore", point, {"ingredient": ingredient}))
-    elif mode == "jpar":
+    if mode == "jpar":
         for site in range(len(index_access_sites(stmt))):
             ops.append(PatchOp("TemplateGuardArrayAccess", point, {"site": site}))
         if isinstance(stmt, (IfStmt, WhileStmt)):

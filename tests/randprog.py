@@ -8,6 +8,9 @@ a return of the declared type. The printer tests parse and print them;
 the interpreter tests execute them against the tree-walking reference.
 Loops need not terminate and calls may recurse without bound: the
 interpreters end such runs by step budget or call depth.
+
+`random_lineage` grows a random unit by the repair operators, so that
+tests can check each child against its parent.
 """
 
 from __future__ import annotations
@@ -39,7 +42,18 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
+    all_statement_ids,
     normalize,
+    path_of,
+)
+from minirepair.operators import (
+    EMPTY_POOL,
+    SCOPES,
+    ModificationPoint,
+    PatchSkip,
+    apply_patch_op,
+    enumerate_ops,
+    harvest_ingredients,
 )
 
 TYPES = (T_INT, T_BOOL, T_INT_ARRAY)
@@ -213,3 +227,32 @@ class ProgramGenerator:
 
 def random_unit(seed: int) -> SourceUnit:
     return ProgramGenerator(random.Random(seed)).unit()
+
+
+def random_lineage(seed: int, mode: str, generations: int = 4, draws: int = 40):
+    """(parent, concrete op, child) triples of one random lineage in `mode`,
+    starting from `random_unit(seed)`: each child is made from its parent,
+    the previous child, by `apply_patch_op`. Each generation draws a point,
+    an ingredient scope and an op at random until one applies, at most
+    `draws` times; the lineage ends early when none does."""
+    rng = random.Random(seed)
+    parent = random_unit(seed)
+    for _ in range(generations):
+        for _ in range(draws):
+            sid = rng.choice(all_statement_ids(parent))
+            point = ModificationPoint(sid, path_of(parent, sid))
+            pool = EMPTY_POOL
+            if mode == "jgenprog":
+                pool = harvest_ingredients(parent, point, rng.choice(SCOPES))
+            ops = enumerate_ops(mode, point, parent, pool)
+            if not ops:
+                continue
+            try:
+                child, op = apply_patch_op(parent, ops[rng.randrange(len(ops))], rng)
+            except PatchSkip:
+                continue
+            yield parent, op, child
+            parent = child
+            break
+        else:
+            return

@@ -9,6 +9,8 @@ dominating `let` and infers its type with `infer_expr_type`, a second
 inference that trusts the unit to be well typed. The statement copies the
 old harvester made are left out: they do not change what the triples
 hold. The statement excluded is the one the point's path resolves to.
+Ids and paths come from the reference interpreter's own positional
+numbering (`statement_positions`).
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
-    iter_statements,
-    path_of,
     resolve_path,
 )
 from minirepair.minilang.printer import print_stmt
+
+from reference_interpreter import statement_positions
 
 
 def infer_expr_type(expr, env, sigs):
@@ -89,7 +91,7 @@ def harvest_reference(unit, point, scope):
     entries = []
     seen = set()
     excluded = resolve_path(unit, point.statement.function, point.path)
-    for sid, stmt in iter_statements(unit):
+    for sid, path, stmt in statement_positions(unit):
         if stmt is excluded:
             continue
         if scope == "local" and sid.function != point.statement.function:
@@ -98,6 +100,6 @@ def harvest_reference(unit, point, scope):
         if text in seen:
             continue
         seen.add(text)
-        env = binding_env_reference(unit, sid.function, path_of(unit, sid)) or {}
+        env = binding_env_reference(unit, sid.function, path) or {}
         entries.append((text, sid, typed_free_vars(stmt, env)))
     return entries

@@ -6,6 +6,10 @@ reference oracle for differential tests.
 Each MiniLang call costs it about six Python frames plus one per level of
 nesting, so deep recursion needs a raised recursion limit; the tests
 raise it around each run.
+
+Statements carry no id: `statement_positions` numbers them by its own
+walk, the pre-order numbering that `normalize` once stored on each
+statement, and the machine reads each statement's id from it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,29 @@ from minirepair.minilang.nodes import (
 )
 
 
+def statement_positions(unit: SourceUnit):
+    """Every statement of the unit as (id, path, statement): functions in
+    declaration order, each function's statements numbered from 0 in
+    pre-order (a statement before its then, else or loop body)."""
+    for fn in unit.functions:
+        count = 0
+
+        def walk(block, slot, prefix):
+            nonlocal count
+            for index, stmt in enumerate(block):
+                path = prefix + ((slot, index),)
+                yield StatementId(fn.name, count), path, stmt
+                count += 1
+                if isinstance(stmt, IfStmt):
+                    yield from walk(stmt.then_body, "then", path)
+                    if stmt.else_body is not None:
+                        yield from walk(stmt.else_body, "else", path)
+                elif isinstance(stmt, WhileStmt):
+                    yield from walk(stmt.body, "body", path)
+
+        yield from walk(fn.body, "body", ())
+
+
 class _Trap(Exception):
     def __init__(self, kind: str, at):
         self.kind = kind
@@ -62,6 +89,7 @@ class _Return(Exception):
 class _Machine:
     def __init__(self, unit: SourceUnit, step_budget: int, max_call_depth: int):
         self.functions = {fn.name: fn for fn in unit.functions}
+        self.ids = {id(stmt): sid for sid, _, stmt in statement_positions(unit)}
         self.budget = step_budget
         self.max_call_depth = max_call_depth
         self.steps = 0
@@ -78,9 +106,8 @@ class _Machine:
         if self.steps >= self.budget:
             raise _BudgetExhausted()
         self.steps += 1
-        if stmt.stmt_id is not None:
-            self.executed.add(stmt.stmt_id)
-        self.current = stmt.stmt_id
+        self.current = self.ids[id(stmt)]
+        self.executed.add(self.current)
 
     def exec_block(self, block: list[Stmt], env: list[dict]) -> None:
         for stmt in block:

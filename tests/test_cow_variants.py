@@ -164,8 +164,9 @@ def test_clone_matches_deepcopy_and_shares_no_node():
         assert node_ids(copied).isdisjoint(node_ids(fn))
 
 
-def ids_of(unit):
-    return [stmt.stmt_id for _, stmt in iter_statements(unit)]
+def positions_of(unit):
+    """Each statement's positional id and path, with the statement object."""
+    return [(sid, path, id(stmt)) for sid, path, stmt in iter_statement_paths(unit)]
 
 
 def every_op(unit, mode, scope):
@@ -181,7 +182,7 @@ def apply_every_op(original, lineage, parent, scope, rng):
     `original`, checking its harvest and each child; returns the (lineage,
     child) pairs."""
     assert_harvest_matches_reference(parent)
-    snapshot, text, ids = copy.deepcopy(parent), pretty_print(parent), ids_of(parent)
+    snapshot, text, positions = copy.deepcopy(parent), pretty_print(parent), positions_of(parent)
     made = []
     for mode in MODES:
         for op in every_op(parent, mode, scope):
@@ -190,7 +191,7 @@ def apply_every_op(original, lineage, parent, scope, rng):
             except PatchSkip:
                 child = None
             assert parent == snapshot
-            assert ids_of(parent) == ids
+            assert positions_of(parent) == positions
             if child is None:
                 continue
             edited = op.point.statement.function

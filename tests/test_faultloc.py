@@ -10,6 +10,7 @@ from minirepair.faultloc import (
     CoverageRow,
     Navigator,
     SuspiciousStatement,
+    _score,
     build_matrix,
     ochiai,
     rank,
@@ -201,6 +202,48 @@ def test_rank_matches_brute_force(name, formula):
     assert [s.statement for s in ranked] == [statement for statement, _ in expected]
     for got, (_, want) in zip(ranked, expected):
         assert abs(got.score - want) <= 1e-9
+
+
+def rank_two_sums(matrix, formula):
+    """`rank` as it was before counting in one pass: two scans of the rows
+    for every covered statement."""
+    covered = set()
+    for row in matrix.rows:
+        covered.update(row.executed)
+    ranked = []
+    for statement in matrix.statement_order:
+        if statement not in covered:
+            continue
+        ef = sum(1 for row in matrix.rows if not row.passed and statement in row.executed)
+        ep = sum(1 for row in matrix.rows if row.passed and statement in row.executed)
+        score = _score(formula, ef, ep, matrix)
+        if score <= 0.0:
+            continue
+        ranked.append(
+            SuspiciousStatement(statement, score, ef, ep, matrix.total_fail - ef, matrix.total_pass - ep)
+        )
+    ranked.sort(key=lambda s: -s.score)
+    return ranked
+
+
+def random_matrix(rng):
+    """A matrix over two functions' statements; at least one row fails, and
+    few rows make many tied scores."""
+    order = tuple(StatementId(fn, i) for fn in ("f", "g") for i in range(rng.randint(1, 8)))
+    rows = []
+    for t in range(rng.randint(1, 7)):
+        executed = frozenset(s for s in order if rng.random() < 0.5)
+        rows.append(CoverageRow(f"t{t}", t > 0 and rng.random() < 0.6, executed))
+    total_pass = sum(row.passed for row in rows)
+    return CoverageMatrix(tuple(rows), total_pass, len(rows) - total_pass, order)
+
+
+@pytest.mark.parametrize("formula", ["ochiai", "tarantula", "weimer"])
+def test_one_pass_rank_matches_the_two_sum_form_on_random_matrices(formula):
+    rng = random.Random(formula)
+    for _ in range(500):
+        matrix = random_matrix(rng)
+        assert rank(matrix, formula) == rank_two_sums(matrix, formula)
 
 
 # --- navigation ---------------------------------------------------------------

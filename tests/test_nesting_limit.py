@@ -1,8 +1,10 @@
 """The nesting limit holds for every unit, parsed or made by an operator.
 The edge case is a unit nested exactly MAX_NESTING levels deep: an edit
-that nests it further is a skip, a search over it ends in a verdict, and
-the interpreter's constant frame budget covers its deepest call stack,
-also when its function is first compiled at the deepest call."""
+that nests it further is a skip (an insert, a guard or a negation, each
+checked only where it writes, agreeing with the full-function check of
+the reference child maker), a search over it ends in a verdict, and the
+interpreter's constant frame budget covers its deepest call stack, also
+when its function is first compiled at the deepest call."""
 
 import sys
 
@@ -14,6 +16,8 @@ from minirepair.minilang.interpreter import RETURNED, RUNTIME_ERROR, interpret
 from minirepair.minilang.nodes import iter_depths
 from minirepair.minilang.parser import MAX_NESTING
 from minirepair.operators import MODES, ModificationPoint, PatchOp, TypeCheckFailed, apply_patch_op
+from minirepair.operators import harvest_ingredients
+from reference_children import apply_reference
 from test_compiled_interpreter import observable, reference
 
 # The assignment inside the ifs nests five more levels: `+`, the call,
@@ -42,6 +46,50 @@ def test_a_guard_that_nests_a_child_past_the_limit_is_a_type_check_failure():
     op = PatchOp("TemplateGuardArrayAccess", point, {"site": 0})
     with pytest.raises(TypeCheckFailed, match=f"nesting deeper than {MAX_NESTING} levels"):
         apply_patch_op(unit, op)
+    with pytest.raises(TypeCheckFailed, match=f"nesting deeper than {MAX_NESTING} levels"):
+        apply_reference(unit, op)
+
+
+def test_inserting_a_deep_ingredient_past_the_limit_is_a_type_check_failure():
+    """The outermost `if`, inserted before the deepest statement, nests its
+    whole chain below it."""
+    unit = deepest_unit()
+    point = ModificationPoint(DEEPEST, path_of(unit, DEEPEST))
+    pool = harvest_ingredients(unit, point, "local")
+    outer = next(e for e in pool.entries if e.origin == StatementId("f", 1))
+    op = PatchOp("InsertBefore", point, {"ingredient": outer})
+    for make in (apply_patch_op, apply_reference):
+        with pytest.raises(TypeCheckFailed, match=f"nesting deeper than {MAX_NESTING} levels"):
+            make(unit, op)
+
+
+def nested_ifs(levels):
+    """`g(n)`: `levels` nested `if (n > 0)`, the innermost one `g:levels`,
+    around `r = n;`; its condition's `n` nests `levels + 2` deep."""
+    text = (
+        "fn g(n: int) -> int {\n  let r = 0;\n"
+        + "if (n > 0) {\n" * levels
+        + "r = n;\n"
+        + "}\n" * levels
+        + "return r;\n}\n"
+    )
+    unit = parse(text, source_name="ifs")
+    point = ModificationPoint(StatementId("g", levels), path_of(unit, StatementId("g", levels)))
+    return unit, PatchOp("MutNegateCondition", point)
+
+
+def test_a_negation_past_the_limit_is_a_type_check_failure():
+    unit, op = nested_ifs(MAX_NESTING - 2)
+    for make in (apply_patch_op, apply_reference):
+        with pytest.raises(TypeCheckFailed, match=f"nesting deeper than {MAX_NESTING} levels"):
+            make(unit, op)
+
+
+def test_a_negation_that_reaches_the_limit_applies():
+    unit, op = nested_ifs(MAX_NESTING - 3)
+    child, _ = apply_patch_op(unit, op)
+    assert max(depth for _, depth in iter_depths(child.functions[0].body)) == MAX_NESTING
+    assert child == apply_reference(unit, op)[0]
 
 
 @pytest.mark.parametrize("mode", MODES)

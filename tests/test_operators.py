@@ -9,7 +9,6 @@ from minirepair.minilang import (
     parse,
     path_of,
     pretty_print,
-    resolve_path,
 )
 from minirepair.minilang.checker import check_unit, typed_free_vars
 from minirepair.minilang.testsuite import load_suite, run_test
@@ -72,7 +71,7 @@ def test_harvest_in_a_variant_excludes_the_statement_at_the_points_path():
     op = PatchOp("InsertBefore", point_at(unit, "f", 2), {"ingredient": ingredient})
     child, _ = apply_patch_op(unit, op)
     point = point_at(unit, "f", 4)  # `return x;`, which is f:5 in the child
-    assert resolve_path(child, "f", point.path).stmt_id == StatementId("f", 5)
+    assert path_of(child, StatementId("f", 5)) == point.path
     texts = [e.text for e in harvest_ingredients(child, point, "local").entries]
     assert "return x;" not in texts
     assert "x = x + 1;" in texts  # f:4 in the child
