@@ -12,7 +12,9 @@ code that infers types: besides accepting or rejecting a unit, they
 return the binding environment just before each statement, which the
 repair operators read. Statements carry no id, so `check_function` keys
 its table by structural path, in pre-order, and `check_unit` by the
-positional StatementId.
+positional StatementId. Asked only to accept or reject, `check_function`
+builds no table, and `UnitSignatures` gives it a unit's signatures one
+callee at a time.
 """
 
 from __future__ import annotations
@@ -66,13 +68,33 @@ def _err(message: str, node) -> CheckError:
     return CheckError(message, line, col)
 
 
+def signature(fn: FunctionDef) -> Signature:
+    return tuple(t for _, t in fn.params), fn.return_type
+
+
 def signatures(unit: SourceUnit) -> dict[str, Signature]:
     sigs: dict[str, Signature] = {}
     for fn in unit.functions:
         if fn.name in sigs:
             raise CheckError(f"duplicate function {fn.name!r}")
-        sigs[fn.name] = (tuple(t for _, t in fn.params), fn.return_type)
+        sigs[fn.name] = signature(fn)
     return sigs
+
+
+class UnitSignatures:
+    """`signatures(unit)` read one name at a time, with no table built: its
+    `get` finds the named function in the unit. It does not look for
+    duplicate names; a unit that `check_unit` accepted has none, and no
+    repair operator adds, removes or renames a function."""
+
+    __slots__ = ("unit",)
+
+    def __init__(self, unit: SourceUnit):
+        self.unit = unit
+
+    def get(self, name: str) -> Signature | None:
+        fn = self.unit.function(name)
+        return None if fn is None else signature(fn)
 
 
 def check_unit(unit: SourceUnit) -> dict[StatementId, Env]:
@@ -90,16 +112,19 @@ def check_unit(unit: SourceUnit) -> dict[StatementId, Env]:
     return envs
 
 
-def check_function(fn: FunctionDef, sigs: dict[str, Signature]) -> dict[Path, Env]:
+def check_function(fn: FunctionDef, sigs, table: bool = True) -> dict[Path, Env] | None:
     """`check_unit` for one function against the unit's signatures, keyed
     by each statement's path, in pre-order: a function's typing depends on
-    nothing else, so an edit to one function needs only this."""
+    nothing else, so an edit to one function needs only this. `sigs` is a
+    `signatures` dict or anything else with its `get`, such as
+    `UnitSignatures`. Without `table` it only accepts or rejects, and
+    returns None."""
     env: Env = {}
     for name, type_ in fn.params:
         if name in env:
             raise CheckError(f"duplicate parameter {name!r} in function {fn.name!r}")
         env[name] = type_
-    envs: dict[Path, Env] = {}
+    envs: dict[Path, Env] | None = {} if table else None
     _check_block(fn.body, "body", (), env, fn, sigs, envs)
     if not _block_returns(fn.body):
         raise CheckError(f"missing return on some path through function {fn.name!r}")
@@ -109,11 +134,13 @@ def check_function(fn: FunctionDef, sigs: dict[str, Signature]) -> dict[Path, En
 def _check_block(block: list[Stmt], slot: str, prefix: Path, env: Env, fn, sigs, envs) -> None:
     """Check a block, which `prefix` and `slot` address, in `env`, then drop
     the names the block declared: with no redeclaration or shadowing, one
-    flat dict serves every block."""
+    flat dict serves every block. With no `envs` table, no path is made."""
     declared = []
     for index, stmt in enumerate(block):
-        path = prefix + ((slot, index),)
-        envs[path] = dict(env)
+        path = None
+        if envs is not None:
+            path = prefix + ((slot, index),)
+            envs[path] = dict(env)
         _check_stmt(stmt, path, env, fn, sigs, envs)
         if isinstance(stmt, LetStmt):
             declared.append(stmt.name)
@@ -213,9 +240,10 @@ def _check_expr(expr: Expr, env: Env, sigs) -> str:
             raise _err("len() needs an array argument", expr)
         return T_INT
     if isinstance(expr, Call):
-        if expr.fn not in sigs:
+        sig = sigs.get(expr.fn)
+        if sig is None:
             raise _err(f"call to unknown function {expr.fn!r}", expr)
-        param_types, return_type = sigs[expr.fn]
+        param_types, return_type = sig
         if len(expr.args) != len(param_types):
             raise _err(
                 f"{expr.fn!r} takes {len(param_types)} arguments, got {len(expr.args)}", expr

@@ -39,6 +39,30 @@ is a new `FunctionDef` and compiles with its own numbering. Units must be
 well typed (`check_unit` passes) and nest no deeper than `MAX_NESTING`,
 as `parse` and every operator guarantee.
 
+The common shapes compile to one fused closure each rather than a chain
+of calls, as superoperators do for a bytecode interpreter (Proebsting,
+"Optimizing an ANSI C interpreter with superoperators", POPL 1995):
+  - `while` and `if` run their statement closures inline, with no call
+    per iteration or branch;
+  - `x = y op e` and `let x = y op e`, with `y` a bound variable and `op`
+    one of + - *, charge, compute, check for overflow and store in one
+    closure, which reads `e` itself when it is a constant or an element
+    `v[i]` of bound variables; so do `x = y / c` and `x = y % c` for an
+    int constant `c > 0`;
+  - a comparison reads a bound variable, a constant or the length of a
+    bound variable on either side without a call (`i < len(v)`, `x < c`,
+    `x < y`), swapping such an operand to its right, and so does
+    arithmetic on a bound variable and a constant (`x + c`);
+  - `==` and `!=` are inlined, and so is an ordered comparison against
+    an int constant; `/` and `%` by an int constant `c > 0` skip the
+    general truncating division.
+A fused closure charges its statement's one step and marks its statement
+number first, exactly where the unfused chain did, before any of its
+expressions run. Its operands run in the chain's order, except that an
+operand that can neither trap nor change anything may be read before
+or after the other; and a trap is attributed to the same statement. So
+steps, coverage, traps and the loop cut stay those of the unfused chain.
+
 Loop cut. A run is deterministic and has no I/O, so a loop whose state at
 its header repeats will repeat that stretch until the budget runs out.
 Each loop entry snapshots its state at header visits 16, 32, 64, ... and
@@ -203,9 +227,65 @@ class _Function:
 # cost a Python call per step. They return None to continue, or the value
 # of an executed `return` (MiniLang values are never None). Expression
 # closures take the same arguments and return the value.
+#
+# A binary operator or a fused store reads each operand by its shape: a
+# bound variable is its slot (_SLOT), a literal its value (_CONST), the
+# length of a bound variable that variable's slot (_LEN), an element
+# `a[i]` of bound variables their two slots (_ITEM), and anything else a
+# closure (_EXPR). Reading a slot, a constant or a length cannot trap, and
+# no expression rebinds a caller's slot or resizes an array, so such a
+# pure operand (shape _SLOT or above) reads the same value before or after
+# the other operand runs: a comparison may swap its operands to bring the
+# purer one to its right.
+
+_EXPR, _ITEM, _SLOT, _LEN, _CONST = range(5)
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# `/` and `%` by a positive divisor: on a non-negative dividend, C style
+# is floor style.
+_FLOOR = {"/": operator.floordiv, "%": operator.mod}
+_SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+
+# An ordered comparison with an int constant on its right, inlined per
+# operator: (left operand a slot, left operand a closure).
+_AGAINST_CONSTANT = {
+    "<": (lambda a, c: lambda L, r: L[a] < c, lambda a, c: lambda L, r: a(L, r) < c),
+    "<=": (lambda a, c: lambda L, r: L[a] <= c, lambda a, c: lambda L, r: a(L, r) <= c),
+    ">": (lambda a, c: lambda L, r: L[a] > c, lambda a, c: lambda L, r: a(L, r) > c),
+    ">=": (lambda a, c: lambda L, r: L[a] >= c, lambda a, c: lambda L, r: a(L, r) >= c),
+}
+
+# An ordered comparison by its operator function, for each pair of shapes
+# read without a call.
+_COMPARE_SHAPES = {
+    (_SLOT, _SLOT): lambda f, a, b: lambda L, r: f(L[a], L[b]),
+    (_SLOT, _LEN): lambda f, a, b: lambda L, r: f(L[a], len(L[b])),
+    (_EXPR, _SLOT): lambda f, a, b: lambda L, r: f(a(L, r), L[b]),
+    (_EXPR, _LEN): lambda f, a, b: lambda L, r: f(a(L, r), len(L[b])),
+}
+
+
+def _read(kind: int, x, sid):
+    """An operand of shape `kind` as a closure."""
+    if kind == _EXPR:
+        return x
+    if kind == _ITEM:
+        a, i = x
+
+        def item_at_slot(L, r):
+            array = L[a]
+            index = L[i]
+            if 0 <= index < len(array):
+                return array[index]
+            raise _Trap("index-out-of-bounds", sid)
+
+        return item_at_slot
+    if kind == _SLOT:
+        return lambda L, r: L[x]
+    if kind == _LEN:
+        return lambda L, r: len(L[x])
+    return lambda L, r: x
 
 
 def _fail(kind: str, at, *operands):
@@ -247,27 +327,27 @@ class _Compiler:
         for name, _ in fn.params:
             scope[0][name] = self.nslots
             self.nslots += 1
-        body = self.block(fn.body, scope)
-        return _Function(self.nslots, body, self.sids)
+        stmts = self.block(fn.body, scope)
+        if len(stmts) == 1:
+            return _Function(self.nslots, stmts[0], self.sids)
 
-    # -- statements -------------------------------------------------------
-
-    def block(self, stmts: list[Stmt], scope: list[dict[str, int]]):
-        """Compile a block in a fresh scope frame."""
-        scope.append({})
-        compiled = tuple([self.stmt(s, scope) for s in stmts])
-        scope.pop()
-        if len(compiled) == 1:
-            return compiled[0]
-
-        def run_block(L, r):
-            for stmt in compiled:
+        def body(L, r):
+            for stmt in stmts:
                 value = stmt(L, r)
                 if value is not None:
                     return value
             return None
 
-        return run_block
+        return _Function(self.nslots, body, self.sids)
+
+    # -- statements -------------------------------------------------------
+
+    def block(self, stmts: list[Stmt], scope: list[dict[str, int]]) -> tuple:
+        """Compile a block in a fresh scope frame, as its statement closures."""
+        scope.append({})
+        compiled = tuple([self.stmt(s, scope) for s in stmts])
+        scope.pop()
+        return compiled
 
     def stmt(self, stmt: Stmt, scope: list[dict[str, int]]):
         k = len(self.sids)
@@ -279,23 +359,9 @@ class _Compiler:
             value = self.expr(stmt.value, scope, sid)
             return _evaluate(k, _fail("unbound-variable", sid, value))
         if isinstance(stmt, (LetStmt, AssignStmt)):
-            value = self.expr(stmt.value, scope, sid)
-            slot = scope[-1].get(stmt.name) if isinstance(stmt, LetStmt) else _lookup(scope, stmt.name)
-            if slot is None:
-                slot = scope[-1][stmt.name] = self.nslots
-                self.nslots += 1
-
-            def store(L, r):
-                n = r.left
-                if not n:
-                    raise _BudgetExhausted
-                r.left = n - 1
-                r.hit[k] = True
-                L[slot] = value(L, r)
-
-            return store
+            return self.store(stmt, scope, k, sid)
         if isinstance(stmt, IndexAssignStmt):
-            array = self.load(stmt.name, scope, sid)
+            array = self.expr(Var(stmt.name), scope, sid)
             index = self.expr(stmt.index, scope, sid)
             value = self.expr(stmt.value, scope, sid)
 
@@ -316,7 +382,7 @@ class _Compiler:
         if isinstance(stmt, IfStmt):
             cond = self.expr(stmt.cond, scope, sid)
             then = self.block(stmt.then_body, scope)
-            orelse = None if stmt.else_body is None else self.block(stmt.else_body, scope)
+            orelse = () if stmt.else_body is None else self.block(stmt.else_body, scope)
 
             def branch(L, r):
                 n = r.left
@@ -324,10 +390,10 @@ class _Compiler:
                     raise _BudgetExhausted
                 r.left = n - 1
                 r.hit[k] = True
-                if cond(L, r):
-                    return then(L, r)
-                if orelse is not None:
-                    return orelse(L, r)
+                for stmt in then if cond(L, r) else orelse:
+                    value = stmt(L, r)
+                    if value is not None:
+                        return value
                 return None
 
             return branch
@@ -347,6 +413,99 @@ class _Compiler:
             return _evaluate(k, self.expr(stmt.value, scope, sid))
         return _evaluate(k, _fail("unknown-statement", sid))
 
+    def store(self, stmt: LetStmt | AssignStmt, scope: list[dict[str, int]], k: int, sid: StatementId):
+        """A `let` or an assignment to a bound name. With `y` a bound
+        variable, `x = y op e` for `op` one of + - * is one closure that
+        charges, computes, checks for overflow and stores, and so is
+        `x = y op c` for `op` one of / % and an int constant `c > 0`."""
+        value = stmt.value
+        a = _slot_of(value.lhs, scope) if isinstance(value, Binary) else None
+        op = None if a is None else value.op
+        if op in _ARITH:
+            kind, b = self.operand(value.rhs, scope, sid)
+        elif op in _FLOOR and _positive_constant(value.rhs):
+            kind, b = _CONST, value.rhs.value
+        else:
+            op = None
+            compute = self.expr(value, scope, sid)
+        # Every operand is resolved before a `let` binds its own name.
+        slot = scope[-1].get(stmt.name) if isinstance(stmt, LetStmt) else _lookup(scope, stmt.name)
+        if slot is None:
+            slot = scope[-1][stmt.name] = self.nslots
+            self.nslots += 1
+        if op is None:
+
+            def store(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                L[slot] = compute(L, r)
+
+            return store
+        if op in _FLOOR:
+            floor = _FLOOR[op]
+
+            def store_divide_constant(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                v = L[a]
+                L[slot] = floor(v, b) if v >= 0 else -floor(-v, b)
+
+            return store_divide_constant
+        arith = _ARITH[op]
+        if kind == _CONST:
+
+            def store_arith_constant(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                v = arith(L[a], b)
+                if not INT_MIN <= v <= INT_MAX:
+                    raise _Trap("integer-overflow", sid)
+                L[slot] = v
+
+            return store_arith_constant
+        if kind == _ITEM:
+            array, i = b
+
+            def store_arith_item(L, r):
+                n = r.left
+                if not n:
+                    raise _BudgetExhausted
+                r.left = n - 1
+                r.hit[k] = True
+                items = L[array]
+                index = L[i]
+                if not 0 <= index < len(items):
+                    raise _Trap("index-out-of-bounds", sid)
+                v = arith(L[a], items[index])
+                if not INT_MIN <= v <= INT_MAX:
+                    raise _Trap("integer-overflow", sid)
+                L[slot] = v
+
+            return store_arith_item
+        rhs = _read(kind, b, sid)
+
+        def store_arith(L, r):
+            n = r.left
+            if not n:
+                raise _BudgetExhausted
+            r.left = n - 1
+            r.hit[k] = True
+            v = arith(L[a], rhs(L, r))
+            if not INT_MIN <= v <= INT_MAX:
+                raise _Trap("integer-overflow", sid)
+            L[slot] = v
+
+        return store_arith
+
     def while_stmt(self, stmt: WhileStmt, scope: list[dict[str, int]], k: int, sid: StatementId):
         live = tuple(slot for frame in scope for slot in frame.values())
         cond = self.expr(stmt.cond, scope, sid)
@@ -357,17 +516,19 @@ class _Compiler:
             check_at = snapshot_at = CUT_FIRST_SNAPSHOT
             window_end = 0
             snapshot = None
+            hit = r.hit  # a call made in the loop restores it on return
             while True:
                 n = r.left
                 if not n:
                     raise _BudgetExhausted
                 r.left = n - 1
-                r.hit[k] = True
+                hit[k] = True
                 if not cond(L, r):
                     return None
-                value = body(L, r)
-                if value is not None:
-                    return value
+                for stmt in body:
+                    value = stmt(L, r)
+                    if value is not None:
+                        return value
                 visits += 1
                 if visits >= check_at:
                     if visits == snapshot_at:
@@ -384,24 +545,25 @@ class _Compiler:
 
     # -- expressions ------------------------------------------------------
 
-    def load(self, name: str, scope, sid):
-        slot = _lookup(scope, name)
-        if slot is None:
-            return _fail("unbound-variable", sid)
-        return lambda L, r: L[slot]
-
     def expr(self, expr: Expr, scope: list[dict[str, int]], sid):
+        return _read(*self.operand(expr, scope, sid), sid)
+
+    def operand(self, expr: Expr, scope: list[dict[str, int]], sid) -> tuple[int, object]:
+        """`expr` compiled once, as (shape, how to read it): a slot, a pair
+        of slots, a constant or a closure."""
         if isinstance(expr, (IntLit, BoolLit)):
-            constant = expr.value
-            return lambda L, r: constant
+            return _CONST, expr.value
         if isinstance(expr, Var):
-            return self.load(expr.name, scope, sid)
+            slot = _lookup(scope, expr.name)
+            if slot is None:
+                return _EXPR, _fail("unbound-variable", sid)
+            return _SLOT, slot
         if isinstance(expr, Binary):
-            return self.binary(expr, scope, sid)
+            return _EXPR, self.binary(expr, scope, sid)
         if isinstance(expr, Unary):
             operand = self.expr(expr.operand, scope, sid)
             if expr.op != "-":
-                return lambda L, r: not operand(L, r)
+                return _EXPR, lambda L, r: not operand(L, r)
 
             def negate(L, r):
                 v = -operand(L, r)
@@ -409,34 +571,36 @@ class _Compiler:
                     return v
                 raise _Trap("integer-overflow", sid)
 
-            return negate
+            return _EXPR, negate
         if isinstance(expr, Index):
             slot = _lookup(scope, expr.name)
             if slot is None:
-                return _fail("unbound-variable", sid)
+                return _EXPR, _fail("unbound-variable", sid)
             index_slot = _slot_of(expr.index, scope)
+            if index_slot is not None:
+                return _ITEM, (slot, index_slot)
             index = self.expr(expr.index, scope, sid)
 
             def item(L, r):
                 array = L[slot]
-                i = L[index_slot] if index_slot is not None else index(L, r)
+                i = index(L, r)
                 if 0 <= i < len(array):
                     return array[i]
                 raise _Trap("index-out-of-bounds", sid)
 
-            return item
+            return _EXPR, item
         if isinstance(expr, Len):
             slot = _slot_of(expr.arg, scope)
             if slot is not None:
-                return lambda L, r: len(L[slot])
+                return _LEN, slot
             arg = self.expr(expr.arg, scope, sid)
-            return lambda L, r: len(arg(L, r))
+            return _EXPR, lambda L, r: len(arg(L, r))
         if isinstance(expr, Call):
-            return self.call(expr, scope, sid)
+            return _EXPR, self.call(expr, scope, sid)
         if isinstance(expr, ArrayLit):
             items = tuple([self.expr(i, scope, sid) for i in expr.items])
-            return lambda L, r: [item(L, r) for item in items]
-        return _fail("unknown-expression", sid)
+            return _EXPR, lambda L, r: [item(L, r) for item in items]
+        return _EXPR, _fail("unknown-expression", sid)
 
     def call(self, expr: Call, scope, sid):
         args = tuple([self.expr(a, scope, sid) for a in expr.args])
@@ -469,31 +633,45 @@ class _Compiler:
         return call
 
     def binary(self, expr: Binary, scope, sid):
+        """One closure for the operator and every operand it reads without a
+        call; a comparison first swaps a pure left operand to the right."""
         op = expr.op
-        lhs = self.expr(expr.lhs, scope, sid)
-        rhs = self.expr(expr.rhs, scope, sid)
-        lslot = _slot_of(expr.lhs, scope)
+        lk, a = self.operand(expr.lhs, scope, sid)
+        rk, b = self.operand(expr.rhs, scope, sid)
+        if op in _SWAPPED and lk > rk and lk >= _SLOT:
+            op, lk, a, rk, b = _SWAPPED[op], rk, b, lk, a
+        if lk == _ITEM:
+            lk, a = _EXPR, _read(lk, a, sid)
+        if op in _COMPARE:
+            if rk == _CONST and lk in (_EXPR, _SLOT):
+                return _AGAINST_CONSTANT[op][lk == _EXPR](a, b)
+            shape = _COMPARE_SHAPES.get((lk, rk))
+            if shape is not None:
+                return shape(_COMPARE[op], a, b)
+        if op in ("==", "!=") and rk == _CONST and lk in (_EXPR, _SLOT):
+            return _equal_constant(op == "!=", lk, a, b)
+        if op in _FLOOR and rk == _CONST and _positive_constant(expr.rhs) and lk in (_EXPR, _SLOT):
+            return _divide_by_constant(_FLOOR[op], lk, a, b)
+        lhs = _read(lk, a, sid)
+        rhs = _read(rk, b, sid)
         if op == "&&":
             return lambda L, r: lhs(L, r) and rhs(L, r)
         if op == "||":
             return lambda L, r: lhs(L, r) or rhs(L, r)
         if op in _COMPARE:
             compare = _COMPARE[op]
-            if lslot is not None:
-                return lambda L, r: compare(L[lslot], rhs(L, r))
             return lambda L, r: compare(lhs(L, r), rhs(L, r))
         if op in _ARITH:
             arith = _ARITH[op]
-            if lslot is not None and isinstance(expr.rhs, IntLit):
-                constant = expr.rhs.value
+            if lk == _SLOT and rk == _CONST:
 
-                def arith_var_const(L, r):
-                    v = arith(L[lslot], constant)
+                def arith_slot_constant(L, r):
+                    v = arith(L[a], b)
                     if INT_MIN <= v <= INT_MAX:
                         return v
                     raise _Trap("integer-overflow", sid)
 
-                return arith_var_const
+                return arith_slot_constant
 
             def checked_arith(L, r):
                 v = arith(lhs(L, r), rhs(L, r))
@@ -505,11 +683,11 @@ class _Compiler:
         if op == "/":
 
             def div(L, r):
-                a = lhs(L, r)
-                b = rhs(L, r)
-                if b == 0:
+                x = lhs(L, r)
+                y = rhs(L, r)
+                if y == 0:
                     raise _Trap("division-by-zero", sid)
-                v = _trunc_div(a, b)
+                v = _trunc_div(x, y)
                 if INT_MIN <= v <= INT_MAX:
                     return v
                 raise _Trap("integer-overflow", sid)
@@ -518,18 +696,72 @@ class _Compiler:
         if op == "%":
 
             def mod(L, r):
-                a = lhs(L, r)
-                b = rhs(L, r)
-                if b == 0:
+                x = lhs(L, r)
+                y = rhs(L, r)
+                if y == 0:
                     raise _Trap("modulo-by-zero", sid)
-                return a - _trunc_div(a, b) * b
+                return x - _trunc_div(x, y) * y
 
             return mod
         if op == "==":
-            return lambda L, r: values_equal(lhs(L, r), rhs(L, r))
+
+            def equal(L, r):
+                x = lhs(L, r)
+                y = rhs(L, r)
+                return type(x) is type(y) and x == y
+
+            return equal
         if op == "!=":
-            return lambda L, r: not values_equal(lhs(L, r), rhs(L, r))
+
+            def not_equal(L, r):
+                x = lhs(L, r)
+                y = rhs(L, r)
+                return type(x) is not type(y) or x != y
+
+            return not_equal
         return _fail("unknown-operator", sid, lhs, rhs)
+
+
+def _equal_constant(negated: bool, kind: int, a, c):
+    """`x == c` or `x != c` for a constant `c`, `x` a slot or a closure;
+    type-strict, as `values_equal` is."""
+    t = type(c)
+    if kind == _SLOT:
+        if negated:
+            return lambda L, r: L[a] != c or type(L[a]) is not t
+        return lambda L, r: L[a] == c and type(L[a]) is t
+    if negated:
+
+        def not_equal_constant(L, r):
+            x = a(L, r)
+            return x != c or type(x) is not t
+
+        return not_equal_constant
+
+    def equal_constant(L, r):
+        x = a(L, r)
+        return x == c and type(x) is t
+
+    return equal_constant
+
+
+def _positive_constant(expr: Expr) -> bool:
+    return isinstance(expr, IntLit) and expr.value > 0
+
+
+def _divide_by_constant(floor, kind: int, a, c: int):
+    """`x / c` or `x % c` for an int constant `c > 0` and `x` a slot or a
+    closure, by `floor`, the matching floor operator. C style, as
+    `_trunc_div` is: a negative dividend divides as its negation, negated.
+    The quotient cannot overflow."""
+    if kind == _SLOT:
+        return lambda L, r: floor(L[a], c) if L[a] >= 0 else -floor(-L[a], c)
+
+    def divide_constant(L, r):
+        v = a(L, r)
+        return floor(v, c) if v >= 0 else -floor(-v, c)
+
+    return divide_constant
 
 
 def _lookup(scope: list[dict[str, int]], name: str) -> int | None:

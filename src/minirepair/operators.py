@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from minirepair.minilang import SourceUnit, StatementId, resolve_container, resolve_path
-from minirepair.minilang.checker import check_function, signatures, typed_free_vars
+from minirepair.minilang.checker import UnitSignatures, check_function, typed_free_vars
 from minirepair.minilang.errors import MiniLangError
 from minirepair.minilang.nodes import (
     ARITH_OPS,
@@ -241,7 +241,7 @@ def function_envs(unit: SourceUnit, fn: FunctionDef) -> dict[Path, dict[str, str
     it."""
     envs = fn.__dict__.get("_envs")
     if envs is None:
-        envs = fn._envs = check_function(fn, signatures(unit))
+        envs = fn._envs = check_function(fn, UnitSignatures(unit))
     return envs
 
 
@@ -308,12 +308,12 @@ def _finish(child: SourceUnit, fn: FunctionDef, written: Stmt | None, depth: int
     """Nesting-check the statement an edit wrote, which sits at `depth`,
     then type-check `fn`, the edited function of `child`. Nothing else of
     the function is new, so nothing else can nest deeper than its parent
-    did. The environments are not kept: `function_envs` builds them again
-    if the child is drawn as a parent."""
+    did. The check builds no environment table: `function_envs` builds
+    one if the child is drawn as a parent."""
     try:
         if written is not None:
             check_nesting([written], depth)
-        check_function(fn, signatures(child))
+        check_function(fn, UnitSignatures(child), table=False)
     except MiniLangError as exc:
         raise TypeCheckFailed(str(exc)) from exc
 
@@ -448,10 +448,10 @@ def _draw_argument_swap(
     unit: SourceUnit, env: dict[str, str], call: Call, rng: random.Random | None
 ) -> dict[str, Any]:
     rng = _require_rng(rng)
-    sigs = signatures(unit)
-    if call.fn not in sigs:
+    sig = UnitSignatures(unit).get(call.fn)
+    if sig is None:
         raise NotApplicable(f"call to unknown function {call.fn!r}")
-    param_types = sigs[call.fn][0]
+    param_types = sig[0]
     choices: list[tuple[int, str]] = []
     for position, param_type in enumerate(param_types):
         current = call.args[position]

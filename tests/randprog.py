@@ -9,6 +9,11 @@ the interpreter tests execute them against the tree-walking reference.
 Loops need not terminate and calls may recurse without bound: the
 interpreters end such runs by step budget or call depth.
 
+The generator favours the shapes that the interpreter compiles to one
+fused closure, so that the differential tests reach each of them:
+`x = y op c` and `x = y op v[i]` stores, `i < len(v)` loop headers, and
+operators with a constant on their right, such as `e % c` and `e == c`.
+
 `random_lineage` grows a random unit by the repair operators, so that
 tests can check each child against its parent.
 """
@@ -116,14 +121,14 @@ class ProgramGenerator:
         if kind == "let":
             type_ = self.rng.choice(TYPES)
             name = self._fresh()
-            stmt = LetStmt(name, self._expr(type_, scope, depth=2))
+            stmt = LetStmt(name, self._value(type_, scope))
             scope[-1][name] = type_
             return stmt
         if kind == "assign":
             typed = [t for t in TYPES if self._vars_of(t, scope)]
             type_ = self.rng.choice(typed)
             name = self.rng.choice(self._vars_of(type_, scope))
-            return AssignStmt(name, self._expr(type_, scope, depth=2))
+            return AssignStmt(name, self._value(type_, scope))
         if kind == "index_assign":
             name = self.rng.choice(self._vars_of(T_INT_ARRAY, scope))
             return IndexAssignStmt(
@@ -135,8 +140,39 @@ class ProgramGenerator:
             else_body = self._block(scope, depth + 1, return_type) if self.rng.random() < 0.4 else None
             return IfStmt(cond, then_body, else_body)
         if kind == "while":
-            return WhileStmt(self._expr(T_BOOL, scope, depth=2), self._block(scope, depth + 1, return_type))
+            return WhileStmt(self._header(scope), self._block(scope, depth + 1, return_type))
         return ExprStmt(self._expr(self.rng.choice(TYPES), scope, depth=2))
+
+    def _value(self, type_: str, scope: list[dict]) -> Expr:
+        """A stored value; for an int, three times in four `y op e` on a
+        bound `y`, with a constant or an element `v[i]` as `e` more often
+        than not."""
+        rng = self.rng
+        ints = self._vars_of(T_INT, scope)
+        if type_ != T_INT or not ints or rng.random() < 0.25:
+            return self._expr(type_, scope, depth=2)
+        arrays = self._vars_of(T_INT_ARRAY, scope)
+        roll = rng.random()
+        if roll < 0.4:
+            rhs = IntLit(rng.randint(0, 9))
+        elif roll < 0.8 and arrays:
+            rhs = Index(rng.choice(arrays), Var(rng.choice(ints)))
+        else:
+            rhs = self._expr(T_INT, scope, depth=1)
+        return Binary(rng.choice(ARITH), Var(rng.choice(ints)), rhs)
+
+    def _header(self, scope: list[dict]) -> Expr:
+        """A loop condition; half the time, when it can be, `i op len(v)`."""
+        ints, arrays = self._vars_of(T_INT, scope), self._vars_of(T_INT_ARRAY, scope)
+        if ints and arrays and self.rng.random() < 0.5:
+            return Binary(self.rng.choice(COMPARE), Var(self.rng.choice(ints)), Len(Var(self.rng.choice(arrays))))
+        return self._expr(T_BOOL, scope, depth=2)
+
+    def _rhs(self, type_: str, scope: list[dict], depth: int) -> Expr:
+        """A binary operator's right operand, a constant one time in three."""
+        if type_ == T_INT and self.rng.random() < 1 / 3:
+            return IntLit(self.rng.randint(0, 9))
+        return self._expr(type_, scope, depth)
 
     def _expr(self, type_: str, scope: list[dict], depth: int) -> Expr:
         rng = self.rng
@@ -153,7 +189,7 @@ class ProgramGenerator:
                 return Binary(
                     rng.choice(ARITH),
                     self._expr(T_INT, scope, depth - 1),
-                    self._expr(T_INT, scope, depth - 1),
+                    self._rhs(T_INT, scope, depth - 1),
                 )
             if kind == "unary":
                 return Unary("-", self._expr(T_INT, scope, depth - 1))
@@ -176,7 +212,7 @@ class ProgramGenerator:
                 return Binary(
                     rng.choice(COMPARE),
                     self._expr(T_INT, scope, depth - 1),
-                    self._expr(T_INT, scope, depth - 1),
+                    self._rhs(T_INT, scope, depth - 1),
                 )
             if kind == "logic":
                 return Binary(
@@ -191,7 +227,7 @@ class ProgramGenerator:
                 return Binary(
                     rng.choice(("==", "!=")),
                     self._expr(operand, scope, depth - 1),
-                    self._expr(operand, scope, depth - 1),
+                    self._rhs(operand, scope, depth - 1),
                 )
             if kind == "call":
                 return self._call(T_BOOL, scope, depth)
