@@ -1,0 +1,346 @@
+"""Hot loops: one MiniLang `while` loop as the source text of one Python
+function, which the interpreter compiles once the loop has run long (see
+"Hot loops" in `interpreter`).
+
+`loop_source` reads the loop, the slots of the names visible at its
+header, the first slot its body's `let`s take and its statement number,
+and returns the text of
+
+    hot(frame, run, marks, nvisits, check_at, snapshot_at, window_end, snapshot)
+
+which runs the rest of one loop entry exactly as the closures would:
+`frame` is the activation's slot list, `run` the run state, `marks` the
+running function's coverage list, and the rest is the entry's loop-cut
+state. It raises `Declined` for a loop that holds a call or a nested
+`while`, names an unbound variable, or has a statement, expression,
+operator or literal it does not know.
+
+Slots live in Python locals (MiniLang slot 3 is the local `s3`), all
+loaded at entry; the ones visible at the header that the loop assigns are
+written back to `frame` before each loop-cut check and at a normal exit.
+A trap, an exhausted budget or a `return` ends the activation, so they
+write nothing back, and an arithmetic store may compute into its slot
+before the overflow check. The steps left live in a local too, written
+back to `run` before every trap, cut and return and at a normal exit.
+
+Expressions compile to straight-line code: each check that can trap is a
+statement of its own, emitted in the order the closures evaluate, and
+each operand is a side-effect-free Python expression that is evaluated
+after its checks. MiniLang expressions change nothing (a hot loop makes
+no call), so reading an operand later cannot change its value.
+
+The text holds only slot numbers, statement numbers, operators from the
+tables below and the repr of int and bool literals; no MiniLang name
+enters it. Its globals supply the rest: `_Trap`, `_BudgetExhausted`,
+`_LoopCut`, `_loop_state`, `_SIDS` (statement ids by number), `_LIVE`
+(the slots the loop cut compares) and `_CUT_WINDOW`.
+"""
+
+from __future__ import annotations
+
+from minirepair.minilang.nodes import (
+    INT_MAX,
+    INT_MIN,
+    ArrayLit,
+    AssignStmt,
+    Binary,
+    BoolLit,
+    Expr,
+    ExprStmt,
+    IfStmt,
+    Index,
+    IndexAssignStmt,
+    IntLit,
+    Len,
+    LetStmt,
+    ReturnStmt,
+    Stmt,
+    Unary,
+    Var,
+    WhileStmt,
+)
+
+
+class Declined(Exception):
+    """The loop holds a shape that `loop_source` does not take."""
+
+
+_ARITH = ("+", "-", "*")
+_ORDER = ("<", "<=", ">", ">=")
+# `/` and `%` as Python operators, and the trap of a zero divisor.
+_DIVIDE = {"/": ("//", "division-by-zero"), "%": ("%", "modulo-by-zero")}
+_TYPE_NAMES = {int: "int", bool: "bool"}
+
+# The loop cut at the end of a visit, after the write-back, as the
+# closures run it.
+_CUT = (
+    "    if nvisits == snapshot_at:",
+    "        snapshot = _loop_state(frame, _LIVE)",
+    "        snapshot_at *= 2",
+    "        window_end = nvisits + _CUT_WINDOW",
+    "        check_at = nvisits + 1",
+    "    elif _loop_state(frame, _LIVE) == snapshot:",
+    "        run.steps_left = steps_left",
+    "        raise _LoopCut",
+    "    else:",
+    "        check_at = nvisits + 1 if nvisits < window_end else snapshot_at",
+)
+
+
+def loop_source(stmt: WhileStmt, names: dict[str, int], base: int, k: int) -> str:
+    """The text of `hot` for the loop `stmt`, statement number `k`, whose
+    header sees `names` (name -> slot) and whose body's `let`s take slots
+    from `base` on, as the closure compiler assigns them."""
+    return _Emitter(names, base, k).loop(stmt)
+
+
+class _Emitter:
+    def __init__(self, names: dict[str, int], base: int, k: int):
+        self.scope = [dict(names)]
+        self.live = set(names.values())
+        self.nslots = base
+        self.number = k  # the next statement number
+        self.k = k  # the statement being emitted, which its traps name
+        self.lines: list[str] = []
+        self.depth = 2  # indentation, in levels
+        self.temps = 0
+        self.used: set[int] = set()
+        self.assigned: set[int] = set()
+        self.branches = 0  # the `if` branches around the statement
+
+    def loop(self, stmt: WhileStmt) -> str:
+        self.k = self.number
+        self.number += 1
+        self.charge()
+        cond, _ = self.value(stmt.cond)
+        self.line(f"if not {cond}:")
+        self.line("    break")
+        self.block(stmt.body)
+        write_back = [f"frame[{s}] = s{s}" for s in sorted(self.assigned & self.live)]
+        self.line("nvisits += 1")
+        self.line("if nvisits >= check_at:")
+        for back in write_back:
+            self.line("    " + back)
+        for line in _CUT:
+            self.line(line)
+        head = ["def hot(frame, run, marks, nvisits, check_at, snapshot_at, window_end, snapshot):"]
+        head += [f"    s{s} = frame[{s}]" for s in sorted(self.used)]
+        head += ["    steps_left = run.steps_left", "    while True:"]
+        tail = ["    " + back for back in write_back]
+        tail += ["    run.steps_left = steps_left", "    return None", ""]
+        return "\n".join(head + self.lines + tail)
+
+    # -- text ----------------------------------------------------------------
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def charge(self) -> None:
+        """Charge the statement's step and mark it, before its expressions.
+        The header and the statements outside any branch ran in each of
+        the loop's visits before the switch, so they are marked already."""
+        self.line("if not steps_left:")
+        self.line("    raise _BudgetExhausted")
+        self.line("steps_left -= 1")
+        if self.branches:
+            self.line(f"marks[{self.k}] = True")
+
+    def trap(self, condition: str, kind: str) -> None:
+        self.line(f"if {condition}:")
+        self.line("    run.steps_left = steps_left")
+        self.line(f"    raise _Trap({kind!r}, _SIDS[{self.k}])")
+
+    def in_range(self, value: str) -> None:
+        self.trap(f"not {INT_MIN} <= {value} <= {INT_MAX}", "integer-overflow")
+
+    def slot(self, name: str) -> int:
+        for frame in reversed(self.scope):
+            if name in frame:
+                self.used.add(frame[name])
+                return frame[name]
+        raise Declined(f"unbound variable {name!r}")
+
+    # -- statements ----------------------------------------------------------
+
+    def block(self, stmts: list[Stmt]) -> None:
+        """The statements of a block, in a fresh scope frame."""
+        self.scope.append({})
+        for stmt in stmts:
+            self.stmt(stmt)
+        self.scope.pop()
+
+    def branch(self, stmts: list[Stmt]) -> None:
+        self.depth += 1
+        self.branches += 1
+        if not stmts:
+            self.line("pass")
+        self.block(stmts)
+        self.branches -= 1
+        self.depth -= 1
+
+    def stmt(self, stmt: Stmt) -> None:
+        self.k = self.number
+        self.number += 1
+        if isinstance(stmt, (LetStmt, AssignStmt)):
+            if isinstance(stmt, AssignStmt):
+                slot = self.slot(stmt.name)
+            else:
+                slot = self.scope[-1].get(stmt.name, self.nslots)
+            self.charge()
+            value, _ = self.value(stmt.value, into=f"s{slot}")
+            if slot == self.nslots:
+                # operands are resolved before a `let` binds its own name
+                self.scope[-1][stmt.name] = slot
+                self.nslots += 1
+            self.used.add(slot)
+            self.assigned.add(slot)
+            if value != f"s{slot}":
+                self.line(f"s{slot} = {value}")
+        elif isinstance(stmt, IndexAssignStmt):
+            array = f"s{self.slot(stmt.name)}"
+            self.charge()
+            index = self.atom(stmt.index)
+            value, _ = self.value(stmt.value)
+            self.trap(f"not 0 <= {index} < len({array})", "index-out-of-bounds")
+            self.line(f"{array}[{index}] = {value}")
+        elif isinstance(stmt, IfStmt):
+            self.charge()
+            cond, _ = self.value(stmt.cond)
+            self.line(f"if {cond}:")
+            self.branch(stmt.then_body)
+            if stmt.else_body is not None:
+                self.line("else:")
+                self.branch(stmt.else_body)
+        elif isinstance(stmt, ReturnStmt):
+            self.charge()
+            value, _ = self.value(stmt.value)
+            self.line("run.steps_left = steps_left")
+            self.line(f"return {value}")
+        elif isinstance(stmt, ExprStmt):
+            self.charge()
+            self.value(stmt.value)  # its checks; the value itself is unused
+        else:
+            raise Declined(type(stmt).__name__)
+
+    # -- expressions ---------------------------------------------------------
+
+    def atom(self, expr: Expr) -> str:
+        """`expr` as a local or a literal, which may be read more than once."""
+        value, atomic = self.value(expr)
+        if atomic:
+            return value
+        t = self.temp()
+        self.line(f"{t} = {value}")
+        return t
+
+    def value(self, expr: Expr, into: str | None = None) -> tuple[str, bool]:
+        """Emit the checks of `expr` and return (text, atomic): its value as
+        a Python expression with no side effect, which binds tighter than
+        any binary operator, to be evaluated once; atomic when it is a
+        local or a literal. Arithmetic, computed in one line, is computed
+        into the local `into` when one is given."""
+        if isinstance(expr, (IntLit, BoolLit)):
+            if type(expr.value) not in _TYPE_NAMES:
+                raise Declined(f"literal {type(expr.value).__name__}")
+            return (repr(expr.value) if expr.value >= 0 else f"({expr.value!r})"), True
+        if isinstance(expr, Var):
+            return f"s{self.slot(expr.name)}", True
+        if isinstance(expr, Binary):
+            return self.binary(expr, into)
+        if isinstance(expr, Unary):
+            operand, _ = self.value(expr.operand)
+            if expr.op != "-":
+                return f"(not {operand})", False
+            t = into or self.temp()
+            self.line(f"{t} = -{operand}")
+            self.in_range(t)
+            return t, True
+        if isinstance(expr, Index):
+            array = f"s{self.slot(expr.name)}"
+            index = self.atom(expr.index)
+            self.trap(f"not 0 <= {index} < len({array})", "index-out-of-bounds")
+            return f"{array}[{index}]", False
+        if isinstance(expr, Len):
+            arg, _ = self.value(expr.arg)
+            return f"len({arg})", False
+        if isinstance(expr, ArrayLit):
+            items = [self.value(item)[0] for item in expr.items]
+            return f"[{', '.join(items)}]", False
+        raise Declined(type(expr).__name__)
+
+    def binary(self, expr: Binary, into: str | None) -> tuple[str, bool]:
+        op = expr.op
+        if op in ("&&", "||"):
+            return self.short_circuit(expr)
+        if op in _ARITH:
+            lhs, _ = self.value(expr.lhs)
+            rhs, _ = self.value(expr.rhs)
+            t = into or self.temp()
+            self.line(f"{t} = {lhs} {op} {rhs}")
+            self.in_range(t)
+            return t, True
+        if op in _DIVIDE:
+            return self.divide(expr)
+        if op in _ORDER:
+            lhs, _ = self.value(expr.lhs)
+            rhs, _ = self.value(expr.rhs)
+            return f"({lhs} {op} {rhs})", False
+        if op in ("==", "!="):
+            lhs = self.atom(expr.lhs)
+            rhs = self.atom(expr.rhs)
+            if isinstance(expr.lhs, (IntLit, BoolLit)):
+                lhs, rhs, constant = rhs, lhs, expr.lhs.value
+            elif isinstance(expr.rhs, (IntLit, BoolLit)):
+                constant = expr.rhs.value
+            else:
+                if op == "==":
+                    return f"(type({lhs}) is type({rhs}) and {lhs} == {rhs})", False
+                return f"(type({lhs}) is not type({rhs}) or {lhs} != {rhs})", False
+            # type-strict against a constant, as the closures compare
+            name = _TYPE_NAMES[type(constant)]
+            if op == "==":
+                return f"({lhs} == {rhs} and type({lhs}) is {name})", False
+            return f"({lhs} != {rhs} or type({lhs}) is not {name})", False
+        raise Declined(f"operator {op!r}")
+
+    def short_circuit(self, expr: Binary) -> tuple[str, bool]:
+        """`&&` and `||`, whose right operand's checks run only when the
+        left operand does not decide."""
+        lhs, _ = self.value(expr.lhs)
+        start = len(self.lines)
+        self.depth += 1
+        rhs, _ = self.value(expr.rhs)
+        self.depth -= 1
+        word = "and" if expr.op == "&&" else "or"
+        if len(self.lines) == start:
+            return f"({lhs} {word} {rhs})", False
+        t = self.temp()
+        indent = "    " * self.depth
+        test = t if word == "and" else f"not {t}"
+        self.lines[start:start] = [f"{indent}{t} = {lhs}", f"{indent}if {test}:"]
+        self.line(f"    {t} = {rhs}")
+        return t, True
+
+    def divide(self, expr: Binary) -> tuple[str, bool]:
+        """`/` and `%`: C style, truncating toward zero. By an int constant
+        `c > 0`, a negative dividend divides as its negation, negated, and
+        the quotient cannot overflow."""
+        python_op, zero_trap = _DIVIDE[expr.op]
+        lhs = self.atom(expr.lhs)
+        if isinstance(expr.rhs, IntLit) and expr.rhs.value > 0:
+            c, _ = self.value(expr.rhs)
+            return f"({lhs} {python_op} {c} if {lhs} >= 0 else -(-{lhs} {python_op} {c}))", False
+        rhs = self.atom(expr.rhs)
+        self.trap(f"{rhs} == 0", zero_trap)
+        q = self.temp()
+        self.line(f"{q} = abs({lhs}) // abs({rhs})")
+        self.line(f"if ({lhs} < 0) != ({rhs} < 0):")
+        self.line(f"    {q} = -{q}")
+        if expr.op == "/":
+            self.in_range(q)
+            return q, True
+        return f"({lhs} - {q} * {rhs})", False

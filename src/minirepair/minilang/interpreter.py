@@ -1,4 +1,5 @@
-"""Closure-compiling interpreter with statement coverage and a step budget.
+"""Closure-compiling interpreter with statement coverage and a step budget;
+hot loops run as compiled Python.
 
 Execution is a pure function of (unit, call, budget): the language has
 no I/O, no clock, and no randomness. Each statement evaluation costs one
@@ -75,9 +76,33 @@ budget; `executed` is already final, since every statement of the repeated
 stretch has begun once. `loop_cut_at` records the steps counted when the
 cut fired.
 
+Hot loops. A loop entry whose header reaches `HOT_LOOP_VISITS` visits
+hands the rest of the entry to one Python function for the whole loop,
+header and body, whose source `hotloop.loop_source` writes and
+`compile()` compiles. The loop's closure keeps it, so it is built at most
+once per compiled function and reused by every later run, and a run whose
+loops stay short builds nothing; the closures stay the only form of cold
+code. Building a loop costs about 0.45-0.65 ms, some 1,500 closure steps.
+1,024 visits are at least 2,048 steps, so a loop that gets this far has
+paid for its build; and 1,024 is a snapshot visit of the loop cut. The
+emitter declines a loop that makes a call or holds a nested `while` (the
+inner loop still tiers up on its own), names an unbound variable or has
+a shape it does not know, and a `compile()` that fails declines it too; a
+declined loop stays on closures and is not tried again. The hot form is
+exact. It charges each statement's step and marks it before its
+expressions (the header and the statements outside any branch are marked
+already, by the visits before the switch). It raises the same traps at
+the same statements, with the same checks: overflow, bounds, type-strict
+`==`, and the fast `/` and `%` by a positive constant. It continues the
+entry's loop-cut schedule where the closures left it, after the visit's
+cut check, and writes its locals back to the frame before each check.
+So results, steps, coverage and `loop_cut_at` stay those of the closures.
+
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
-than `MAX_NESTING`. A callee is compiled on top of at most
+than `MAX_NESTING`; so does building a hot loop, which covers the levels
+below the loop's own, and a hot loop runs as one frame more, taken from
+`_FRAME_SLACK`. A callee is compiled on top of at most
 `MAX_CALL_DEPTH` activations, before the depth check. `interpret` raises
 the recursion limit once by that constant bound, `FRAMES_PER_CALL` times
 `MAX_CALL_DEPTH + 1`, around compiling and running alike, and restores it
@@ -93,6 +118,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from minirepair.minilang.nodes import (
+    INT_MAX,
+    INT_MIN,
     ArrayLit,
     AssignStmt,
     Binary,
@@ -117,9 +144,6 @@ from minirepair.minilang.nodes import (
 )
 from minirepair.minilang.parser import MAX_NESTING
 
-INT_MIN = -(2**63)
-INT_MAX = 2**63 - 1
-
 RETURNED = "returned"
 RUNTIME_ERROR = "runtime_error"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -131,6 +155,11 @@ Value = int | bool | list
 # this many.
 CUT_FIRST_SNAPSHOT = 16
 CUT_WINDOW = 64
+
+# A loop entry whose header reaches this many visits runs the rest of the
+# entry as one compiled Python function (see "Hot loops").
+HOT_LOOP_VISITS = 1024
+_NEVER = float("inf")
 
 # MiniLang activations a run may hold at once.
 MAX_CALL_DEPTH = 200
@@ -184,10 +213,10 @@ def _trunc_div(a: int, b: int) -> int:
 class _Run:
     """Mutable state of one run, passed to every closure as `r`."""
 
-    __slots__ = ("left", "hit", "depth", "unit", "entered")
+    __slots__ = ("steps_left", "hit", "depth", "unit", "entered")
 
     def __init__(self, budget: int, unit: SourceUnit):
-        self.left = budget  # steps still allowed
+        self.steps_left = budget
         self.hit: list[bool] = []  # the running function's, by statement number
         self.depth = 0
         self.unit = unit  # whose functions the calls name
@@ -303,10 +332,10 @@ def _evaluate(k: int, value):
     """A statement that evaluates `value` for its effects."""
 
     def evaluate(L, r):
-        n = r.left
+        n = r.steps_left
         if not n:
             raise _BudgetExhausted
-        r.left = n - 1
+        r.steps_left = n - 1
         r.hit[k] = True
         value(L, r)
 
@@ -366,10 +395,10 @@ class _Compiler:
             value = self.expr(stmt.value, scope, sid)
 
             def store_item(L, r):
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 r.hit[k] = True
                 target = array(L, r)
                 i = index(L, r)
@@ -385,10 +414,10 @@ class _Compiler:
             orelse = () if stmt.else_body is None else self.block(stmt.else_body, scope)
 
             def branch(L, r):
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 r.hit[k] = True
                 for stmt in then if cond(L, r) else orelse:
                     value = stmt(L, r)
@@ -401,10 +430,10 @@ class _Compiler:
             value = self.expr(stmt.value, scope, sid)
 
             def ret(L, r):
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 r.hit[k] = True
                 return value(L, r)
 
@@ -436,10 +465,10 @@ class _Compiler:
         if op is None:
 
             def store(L, r):
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 r.hit[k] = True
                 L[slot] = compute(L, r)
 
@@ -448,10 +477,10 @@ class _Compiler:
             floor = _FLOOR[op]
 
             def store_divide_constant(L, r):
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 r.hit[k] = True
                 v = L[a]
                 L[slot] = floor(v, b) if v >= 0 else -floor(-v, b)
@@ -461,10 +490,10 @@ class _Compiler:
         if kind == _CONST:
 
             def store_arith_constant(L, r):
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 r.hit[k] = True
                 v = arith(L[a], b)
                 if not INT_MIN <= v <= INT_MAX:
@@ -476,10 +505,10 @@ class _Compiler:
             array, i = b
 
             def store_arith_item(L, r):
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 r.hit[k] = True
                 items = L[array]
                 index = L[i]
@@ -494,10 +523,10 @@ class _Compiler:
         rhs = _read(kind, b, sid)
 
         def store_arith(L, r):
-            n = r.left
+            n = r.steps_left
             if not n:
                 raise _BudgetExhausted
-            r.left = n - 1
+            r.steps_left = n - 1
             r.hit[k] = True
             v = arith(L[a], rhs(L, r))
             if not INT_MIN <= v <= INT_MAX:
@@ -508,38 +537,55 @@ class _Compiler:
 
     def while_stmt(self, stmt: WhileStmt, scope: list[dict[str, int]], k: int, sid: StatementId):
         live = tuple(slot for frame in scope for slot in frame.values())
+        names = {name: slot for frame in scope for name, slot in frame.items()}
+        base = self.nslots
+        sids = self.sids
         cond = self.expr(stmt.cond, scope, sid)
         body = self.block(stmt.body, scope)
+        # The hot form once built, False once declined. `names` and `base`
+        # let the emitter resolve the loop's names as this compiler did.
+        hot = None
 
         def loop(L, r):
+            nonlocal hot
             visits = 0
             check_at = snapshot_at = CUT_FIRST_SNAPSHOT
             window_end = 0
             snapshot = None
+            hot_at = _NEVER if hot is False else HOT_LOOP_VISITS
+            next_at = check_at if check_at < hot_at else hot_at
             hit = r.hit  # a call made in the loop restores it on return
             while True:
-                n = r.left
+                n = r.steps_left
                 if not n:
                     raise _BudgetExhausted
-                r.left = n - 1
+                r.steps_left = n - 1
                 hit[k] = True
                 if not cond(L, r):
                     return None
-                for stmt in body:
-                    value = stmt(L, r)
+                for statement in body:
+                    value = statement(L, r)
                     if value is not None:
                         return value
                 visits += 1
-                if visits >= check_at:
-                    if visits == snapshot_at:
-                        snapshot = _loop_state(L, live)
-                        snapshot_at *= 2
-                        window_end = visits + CUT_WINDOW
-                        check_at = visits + 1
-                    else:
-                        if _loop_state(L, live) == snapshot:
-                            raise _LoopCut
-                        check_at = visits + 1 if visits < window_end else snapshot_at
+                if visits >= next_at:
+                    if visits >= check_at:
+                        if visits == snapshot_at:
+                            snapshot = _loop_state(L, live)
+                            snapshot_at *= 2
+                            window_end = visits + CUT_WINDOW
+                            check_at = visits + 1
+                        else:
+                            if _loop_state(L, live) == snapshot:
+                                raise _LoopCut
+                            check_at = visits + 1 if visits < window_end else snapshot_at
+                    if visits >= hot_at:
+                        if hot is None:
+                            hot = _hot_loop(stmt, names, base, k, sids, live) or False
+                        if hot:
+                            return hot(L, r, hit, visits, check_at, snapshot_at, window_end, snapshot)
+                        hot_at = _NEVER
+                    next_at = check_at if check_at < hot_at else hot_at
 
         return loop
 
@@ -789,6 +835,32 @@ def _loop_state(L: list, live: tuple[int, ...]) -> list:
     return state
 
 
+# -- hot loops ----------------------------------------------------------------
+
+
+def _hot_loop(stmt: WhileStmt, names: dict, base: int, k: int, sids: list, live: tuple):
+    """The hot form of a loop, compiled from `hotloop.loop_source`, or None
+    when the emitter declines the loop or `compile()` fails."""
+    # Imported on the first build, so that a process whose loops stay short
+    # never loads the emitter.
+    from minirepair.minilang import hotloop
+
+    namespace = {
+        "_Trap": _Trap,
+        "_BudgetExhausted": _BudgetExhausted,
+        "_LoopCut": _LoopCut,
+        "_loop_state": _loop_state,
+        "_SIDS": sids,
+        "_LIVE": live,
+        "_CUT_WINDOW": CUT_WINDOW,
+    }
+    try:
+        exec(compile(hotloop.loop_source(stmt, names, base, k), "<hot loop>", "exec"), namespace)
+    except (hotloop.Declined, SyntaxError, RecursionError, MemoryError):
+        return None
+    return namespace["hot"]
+
+
 # -- entry point --------------------------------------------------------------
 
 
@@ -826,12 +898,12 @@ def interpret(
     except _Trap as trap:
         result = ExecutionResult(RUNTIME_ERROR, error_kind=trap.kind, error_at=trap.at)
     except _LoopCut:
-        result = ExecutionResult(BUDGET_EXHAUSTED, loop_cut_at=step_budget - run.left)
+        result = ExecutionResult(BUDGET_EXHAUSTED, loop_cut_at=step_budget - run.steps_left)
     except _BudgetExhausted:
         result = ExecutionResult(BUDGET_EXHAUSTED)
     finally:
         sys.setrecursionlimit(limit)
-    result.steps_used = step_budget if result.status == BUDGET_EXHAUSTED else step_budget - run.left
+    result.steps_used = step_budget if result.status == BUDGET_EXHAUSTED else step_budget - run.steps_left
     for _, _, hit, sids in run.entered.values():
         result.executed.update(compress(sids, hit))
     return result

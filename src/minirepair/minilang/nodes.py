@@ -42,6 +42,10 @@ ARITH_OPS = ("+", "-", "*", "/", "%")
 REL_OPS = ("<", "<=", ">", ">=", "==", "!=")
 LOGIC_OPS = ("&&", "||")
 
+# MiniLang integers are 64-bit signed; arithmetic outside traps.
+INT_MIN = -(2**63)
+INT_MAX = 2**63 - 1
+
 
 class StatementId(NamedTuple):
     function: str

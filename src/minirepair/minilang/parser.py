@@ -38,6 +38,7 @@ from minirepair.minilang.nodes import (
     Binary,
     BoolLit,
     Call,
+    INT_MAX,
     Expr,
     ExprStmt,
     FunctionDef,
@@ -59,8 +60,6 @@ from minirepair.minilang.nodes import (
     iter_depths,
     normalize,
 )
-
-INT_MAX = 2**63 - 1
 
 MAX_NESTING = 64
 

@@ -1,0 +1,293 @@
+"""Hot loops: a loop entry that reaches `HOT_LOOP_VISITS` header visits runs
+the rest of the entry as one compiled Python function, with exactly the
+results, steps, coverage, traps and loop cut of the closures: every pinned
+report of the benchmark's pools holds with every loop hot. The counts
+check that the hot form does the same loop-cut work, that a loop is built
+once per compiled function and that a run whose loops stay short builds
+nothing; loops the emitter does not take stay on closures.
+`test_hot_differential.py` runs the closure form's own differential tests
+with every loop hot."""
+
+import io
+import re
+import sys
+import tokenize
+from pathlib import Path
+
+import pytest
+
+from minirepair.engine import EngineConfig, evolve
+from minirepair.minilang import interpreter, parse
+from minirepair.minilang.hotloop import Declined, loop_source
+from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, RETURNED, interpret
+from minirepair.minilang.nodes import Binary, Var, clone
+from minirepair.minilang.testsuite import run_test
+from test_compiled_interpreter import observable, reference
+from test_pinned_reports import test_every_pool_job_reproduces_its_pinned_report as assert_pinned
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import worker  # noqa: E402
+import workloads  # noqa: E402
+
+COLD = 10**9
+
+
+@pytest.fixture
+def hot_at_once(monkeypatch):
+    """Every loop entry switches after its first header visit."""
+    monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", 1)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every hot form built while the test runs: the function, or None
+    for a declined loop."""
+    built = []
+    build = interpreter._hot_loop
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(interpreter, "_hot_loop", counting)
+    return built
+
+
+@pytest.mark.parametrize("workload", ["loop-mut", "genprog-wide", "corpus-default"])
+def test_pinned_reports_hold_with_every_loop_hot(workload, hot_at_once):
+    assert_pinned(workload)
+
+
+# -- the same work, counted ------------------------------------------------------
+
+LONG_LOOPS = """\
+fn stalls(v: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < len(v)) {
+    t = t + v[i] * 0;
+    v[i] = v[i] % 7;
+    i = i * 1;
+  }
+  return t;
+}
+
+fn sums(n: int, v: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < n) {
+    if (i % 3 == 0) {
+      let d = v[i % len(v)];
+      t = t + d;
+    } else {
+      t = t - 1;
+    }
+    i = i + 1;
+  }
+  return t;
+}
+
+fn runs_out(v: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < len(v)) {
+    t = t - v[i];
+    i = i * 1;
+  }
+  return t;
+}
+
+fn overflows(x: int) -> int {
+  let i = 0;
+  while (i >= 0) {
+    x = x * 2 + 1;
+    i = i + 1;
+  }
+  return x;
+}
+
+fn returns(n: int) -> int {
+  let i = 0;
+  while (true) {
+    if (i == n) {
+      return i * 2;
+    }
+    i = i + 1;
+  }
+  return 0;
+}
+"""
+
+CALLS = [
+    ("stalls", [[3, 9, 14]], 100_000),
+    ("sums", [5_000, [4, -2, 7]], 100_000),
+    ("sums", [5_000, [4, -2, 7]], 12_345),
+    ("runs_out", [[1, 2, 3]], 30_000),
+    ("overflows", [3], 100_000),
+    ("returns", [3_000], 100_000),
+]
+
+
+@pytest.mark.parametrize("fn, args, budget", CALLS)
+def test_the_loop_cut_does_the_same_work_at_every_threshold(fn, args, budget, monkeypatch):
+    """`_loop_state` is called as often as in the closure form, whatever the
+    threshold: the switch continues the entry's snapshot schedule."""
+    counts = {}
+    results = {}
+    state = interpreter._loop_state
+    for at in (COLD, 1, 16, 1024, 1025):
+        calls = []
+        monkeypatch.setattr(interpreter, "_loop_state", lambda L, live: calls.append(1) or state(L, live))
+        monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", at)
+        results[at] = interpret(parse(LONG_LOOPS), fn, args, budget)
+        counts[at] = len(calls)
+    assert counts[COLD] > 0
+    assert set(counts.values()) == {counts[COLD]}
+    cold = results[COLD]
+    for result in results.values():
+        assert observable(result) == observable(cold)
+        assert result.loop_cut_at == cold.loop_cut_at
+    assert observable(cold) == observable(reference(parse(LONG_LOOPS), fn, args, budget))
+
+
+def test_the_calls_reach_what_they_are_meant_to():
+    unit = parse(LONG_LOOPS)
+    outcomes = [interpret(unit, fn, args, budget) for fn, args, budget in CALLS]
+    assert outcomes[0].loop_cut_at is not None
+    assert [o.status for o in outcomes[1:3]] == [RETURNED, BUDGET_EXHAUSTED]
+    assert outcomes[3].status == BUDGET_EXHAUSTED and outcomes[3].loop_cut_at is None
+    assert outcomes[4].error_kind == "integer-overflow"
+    assert outcomes[5].value == 6_000
+
+
+def test_a_loop_is_built_once_per_compiled_function(builds):
+    """At the default threshold."""
+    unit = parse(LONG_LOOPS)
+    for n in (10, 20, 3_000):
+        assert interpret(unit, "sums", [n, [1, 2]], 100_000).status == RETURNED
+    assert len(builds) == 1 and builds[0] is not None
+    # a copy of the function is compiled anew, and so is its loop
+    copied = parse(LONG_LOOPS)
+    copied.functions[1] = clone(unit.functions[1])
+    interpret(copied, "sums", [3_000, [1]], 100_000)
+    assert len(builds) == 2
+
+
+def test_a_run_whose_loops_stay_short_builds_nothing(builds):
+    """The merged `genprog-wide` unit at its budget of 2,000 steps, in every
+    job of the benchmark's pool: every header visit costs at least two
+    steps, so no loop reaches 1,024 visits."""
+    [(unit, suite)] = worker.load_targets("genprog-wide").values()
+    for test in suite:
+        run_test(unit, test, 2_000)
+    for job in workloads.job_pool("genprog-wide"):
+        assert job.engine_kwargs()["step_budget"] == 2_000
+        evolve(unit, suite, EngineConfig(**job.engine_kwargs()))
+    assert builds == []
+
+
+# -- declines and safety ---------------------------------------------------------
+
+DECLINED = """\
+fn g(x: int) -> int {
+  return x + 1;
+}
+
+fn calls(n: int) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < n) {
+    t = g(t);
+    i = i + 1;
+  }
+  return t;
+}
+
+fn nests(n: int) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < n) {
+    let j = 0;
+    while (j < i) {
+      t = t + j;
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+  return t;
+}
+"""
+
+
+def assert_every_budget_matches(unit, fn, args):
+    full = reference(unit, fn, args, 100_000)
+    for budget in range(1, full.steps_used + 2):
+        assert observable(interpret(unit, fn, args, budget)) == observable(reference(unit, fn, args, budget))
+
+
+def test_a_loop_with_a_call_stays_on_closures(hot_at_once, builds):
+    unit = parse(DECLINED)
+    assert_every_budget_matches(unit, "calls", [6])
+    assert builds == [None]
+
+
+def test_an_inner_loop_tiers_up_on_its_own(hot_at_once, builds):
+    unit = parse(DECLINED)
+    assert_every_budget_matches(unit, "nests", [5])
+    assert len(builds) == 2 and builds.count(None) == 1
+    with pytest.raises(Declined):
+        loop_source(unit.functions[2].body[2], {"n": 0, "t": 1, "i": 2}, 3, 2)
+
+
+def test_a_loop_naming_an_unbound_variable_stays_on_closures(hot_at_once, builds):
+    """Units out of `parse` never name one, so the AST is edited by hand."""
+    unit = parse(
+        "fn f(x: int) -> int { let i = 0; while (i < 3) { if (i == 2) { x = x + 1; } i = i + 1; } return x; }"
+    )
+    unit.functions[0].body[1].body[0].then_body[0].value = Binary("+", Var("x"), Var("nowhere"))
+    assert_every_budget_matches(unit, "f", [1])
+    assert interpret(unit, "f", [1], 100).error_kind == "unbound-variable"
+    assert builds == [None]
+
+
+def test_a_compile_that_raises_leaves_the_loop_on_closures(monkeypatch, hot_at_once, builds):
+    def failing(*args, **kwargs):
+        raise SyntaxError("too many statically nested blocks")
+
+    monkeypatch.setattr(interpreter, "compile", failing, raising=False)
+    unit = parse(LONG_LOOPS)
+    for fn, args, budget in CALLS[1:3]:
+        assert observable(interpret(unit, fn, args, budget)) == observable(reference(unit, fn, args, budget))
+    assert builds == [None]
+
+
+COLLIDING = """\
+fn f(L: int[], r: int) -> int {
+  let left = 0;
+  let hit = 0;
+  let visits = 0;
+  while (visits < len(L)) {
+    let r2 = L[visits] * r;
+    if (r2 % 2 == 0) {
+      hit = hit + 1;
+    } else {
+      left = left - r2;
+      L[visits] = left;
+    }
+    visits = visits + 1;
+  }
+  return left * 100 + hit + L[0];
+}
+"""
+
+
+def test_names_the_generated_code_uses_do_not_collide(hot_at_once):
+    unit = parse(COLLIDING)
+    for args in ([[1, 2, 3, 4, 5], 3], [[], 1], [[7], 2]):
+        assert_every_budget_matches(unit, "f", args)
+    loop = unit.functions[0].body[3]
+    source = loop_source(loop, {"L": 0, "r": 1, "left": 2, "hit": 3, "visits": 4}, 5, 3)
+    tokens = {t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)}
+    assert tokens.isdisjoint({"L", "r", "left", "hit", "visits", "r2"})
+    assert re.findall(r"\bs\d+\b", source)  # slots stand for the names

@@ -4,7 +4,8 @@ that nests it further is a skip (an insert, a guard or a negation, each
 checked only where it writes, agreeing with the full-function check of
 the reference child maker), a search over it ends in a verdict, and the
 interpreter's constant frame budget covers its deepest call stack, also
-when its function is first compiled at the deepest call."""
+when its function is first compiled at the deepest call, or a loop there
+switches to its hot form."""
 
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 
 from minirepair.engine import EngineConfig, evolve
 from minirepair.minilang import SourceUnit, StatementId, parse, path_of, testsuite
+from minirepair.minilang import interpreter
 from minirepair.minilang.interpreter import RETURNED, RUNTIME_ERROR, interpret
 from minirepair.minilang.nodes import iter_depths
 from minirepair.minilang.parser import MAX_NESTING
@@ -149,3 +151,43 @@ def test_the_deepest_callee_compiled_at_the_deepest_call_matches_the_reference(k
     assert "_code" in vars(deep)
     assert (result.status, result.value, result.error_kind) == outcome
     assert observable(result) == observable(reference(unit, "g", [k, [1]], 100_000))
+
+
+def hot_loop_unit():
+    """`g(k, a)` recurses k deep and then calls `f(a, 0, 0)`, whose loop of
+    1,500 visits sits in LEVELS nested ifs, its body's `a[0]` at
+    MAX_NESTING."""
+    deep = parse(
+        "fn f(a: int[], i: int, n: int) -> int {\n  let r = 0;\n"
+        + "if (n >= 0) {\n" * LEVELS
+        + "while (i < 1500) {\nr = r + a[0];\ni = i + 1;\n}\n"
+        + "}\n" * LEVELS
+        + "return r;\n}\n"
+    ).functions[0]
+    assert max(depth for _, depth in iter_depths(deep.body)) == MAX_NESTING
+    caller = parse(
+        "fn g(k: int, a: int[]) -> int { if (k > 0) { return g(k - 1, a); } return f(a, 0, 0); }\n"
+        "fn f(a: int[], i: int, n: int) -> int { return 0; }\n"
+    ).functions[0]
+    return SourceUnit([caller, deep])
+
+
+@pytest.mark.parametrize("threshold", [1, 1024])
+def test_a_hot_loop_at_the_deepest_nesting_of_the_deepest_activation(threshold, monkeypatch):
+    """`f` runs on top of 199 activations of `g`, under the default
+    recursion limit, and its loop switches to the hot form, which is built
+    there and is one Python frame more."""
+    monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", threshold)
+    built = []
+    build = interpreter._hot_loop
+    monkeypatch.setattr(interpreter, "_hot_loop", lambda *args: built.append(build(*args)) or built[-1])
+    unit = hot_loop_unit()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = interpret(unit, "g", [198, [2]], 100_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(built) == 1 and built[0] is not None
+    assert (result.status, result.value) == (RETURNED, 3000)
+    assert observable(result) == observable(reference(unit, "g", [198, [2]], 100_000))
