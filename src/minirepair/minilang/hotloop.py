@@ -6,14 +6,15 @@ function, which the interpreter compiles once the loop has run long (see
 header, the first slot its body's `let`s take and its statement number,
 and returns the text of
 
-    hot(frame, run, marks, nvisits, check_at, snapshot_at, window_end, snapshot)
+    hot(frame, run, marks, nvisits, cut)
 
 which runs the rest of one loop entry exactly as the closures would:
 `frame` is the activation's slot list, `run` the run state, `marks` the
-running function's coverage list, and the rest is the entry's loop-cut
-state. It raises `Declined` for a loop that holds a call or a nested
-`while`, names an unbound variable, or has a statement, expression,
-operator or literal it does not know.
+running function's coverage list, `nvisits` the header visits so far and
+`cut` the entry's loop cut, checked as the closures check it. It raises
+`Declined` for a loop that holds a call or a nested `while`, names an
+unbound variable, or has a statement, expression, operator or literal it
+does not know.
 
 Slots live in Python locals (MiniLang slot 3 is the local `s3`), all
 loaded at entry; the ones visible at the header that the loop assigns are
@@ -21,7 +22,7 @@ written back to `frame` before each loop-cut check and at a normal exit.
 A trap, an exhausted budget or a `return` ends the activation, so they
 write nothing back, and an arithmetic store may compute into its slot
 before the overflow check. The steps left live in a local too, written
-back to `run` before every trap, cut and return and at a normal exit.
+back to `run` before every trap, return and check and at a normal exit.
 
 Expressions compile to straight-line code: each check that can trap is a
 statement of its own, emitted in the order the closures evaluate, and
@@ -31,9 +32,8 @@ no call), so reading an operand later cannot change its value.
 
 The text holds only slot numbers, statement numbers, operators from the
 tables below and the repr of int and bool literals; no MiniLang name
-enters it. Its globals supply the rest: `_Trap`, `_BudgetExhausted`,
-`_LoopCut`, `_loop_state`, `_SIDS` (statement ids by number), `_LIVE`
-(the slots the loop cut compares) and `_CUT_WINDOW`.
+enters it. Its globals supply the rest: `_Trap`, `_BudgetExhausted` and
+`_SIDS` (statement ids by number).
 """
 
 from __future__ import annotations
@@ -71,22 +71,6 @@ _ORDER = ("<", "<=", ">", ">=")
 _DIVIDE = {"/": ("//", "division-by-zero"), "%": ("%", "modulo-by-zero")}
 _TYPE_NAMES = {int: "int", bool: "bool"}
 
-# The loop cut at the end of a visit, after the write-back, as the
-# closures run it.
-_CUT = (
-    "    if nvisits == snapshot_at:",
-    "        snapshot = _loop_state(frame, _LIVE)",
-    "        snapshot_at *= 2",
-    "        window_end = nvisits + _CUT_WINDOW",
-    "        check_at = nvisits + 1",
-    "    elif _loop_state(frame, _LIVE) == snapshot:",
-    "        run.steps_left = steps_left",
-    "        raise _LoopCut",
-    "    else:",
-    "        check_at = nvisits + 1 if nvisits < window_end else snapshot_at",
-)
-
-
 def loop_source(stmt: WhileStmt, names: dict[str, int], base: int, k: int) -> str:
     """The text of `hot` for the loop `stmt`, statement number `k`, whose
     header sees `names` (name -> slot) and whose body's `let`s take slots
@@ -117,17 +101,15 @@ class _Emitter:
         self.line("    break")
         self.block(stmt.body)
         write_back = [f"frame[{s}] = s{s}" for s in sorted(self.assigned & self.live)]
+        write_back.append("run.steps_left = steps_left")
         self.line("nvisits += 1")
         self.line("if nvisits >= check_at:")
-        for back in write_back:
-            self.line("    " + back)
-        for line in _CUT:
-            self.line(line)
-        head = ["def hot(frame, run, marks, nvisits, check_at, snapshot_at, window_end, snapshot):"]
+        for line in write_back + ["check_at = cut.check(frame, nvisits)"]:
+            self.line("    " + line)
+        head = ["def hot(frame, run, marks, nvisits, cut):"]
         head += [f"    s{s} = frame[{s}]" for s in sorted(self.used)]
-        head += ["    steps_left = run.steps_left", "    while True:"]
-        tail = ["    " + back for back in write_back]
-        tail += ["    run.steps_left = steps_left", "    return None", ""]
+        head += ["    steps_left = run.steps_left", "    check_at = cut.check_at", "    while True:"]
+        tail = ["    " + line for line in write_back] + ["    return None", ""]
         return "\n".join(head + self.lines + tail)
 
     # -- text ----------------------------------------------------------------

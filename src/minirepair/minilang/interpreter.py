@@ -74,7 +74,8 @@ Caller frames cannot matter: a loop that never exits never returns. On a
 match the run ends as budget exhaustion with `steps_used` equal to the
 budget; `executed` is already final, since every statement of the repeated
 stretch has begun once. `loop_cut_at` records the steps counted when the
-cut fired.
+cut fired. One `_Cut` per entry, made at its first check, owns the
+schedule, the snapshot and the in-place comparison for both forms.
 
 Hot loops. A loop entry whose header reaches `HOT_LOOP_VISITS` visits
 hands the rest of the entry to one Python function for the whole loop,
@@ -84,8 +85,7 @@ once per compiled function and reused by every later run, and a run whose
 loops stay short builds nothing; the closures stay the only form of cold
 code. Building a loop costs about 0.45-0.65 ms, some 1,500 closure steps.
 1,024 visits are at least 2,048 steps, so a loop that gets this far has
-paid for its build; and 1,024 is a snapshot visit of the loop cut. The
-emitter declines a loop that makes a call or holds a nested `while` (the
+paid for its build. The emitter declines a loop that makes a call or holds a nested `while` (the
 inner loop still tiers up on its own), names an unbound variable or has
 a shape it does not know, and a `compile()` that fails declines it too; a
 declined loop stays on closures and is not tried again. The hot form is
@@ -93,10 +93,10 @@ exact. It charges each statement's step and marks it before its
 expressions (the header and the statements outside any branch are marked
 already, by the visits before the switch). It raises the same traps at
 the same statements, with the same checks: overflow, bounds, type-strict
-`==`, and the fast `/` and `%` by a positive constant. It continues the
-entry's loop-cut schedule where the closures left it, after the visit's
-cut check, and writes its locals back to the frame before each check.
-So results, steps, coverage and `loop_cut_at` stay those of the closures.
+`==`, and the fast `/` and `%` by a positive constant. It takes over the
+entry's `_Cut` after the visit's check and writes its locals back to the
+frame before each later one. So results, steps, coverage and `loop_cut_at`
+stay those of the closures.
 
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
@@ -150,9 +150,7 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 
 Value = int | bool | list
 
-# Loop cut: first snapshot at this header visit, then at every doubling;
-# each snapshot is compared with the header visits that follow it, up to
-# this many.
+# The loop cut's schedule (see "Loop cut"): first snapshot, window length.
 CUT_FIRST_SNAPSHOT = 16
 CUT_WINDOW = 64
 
@@ -549,9 +547,8 @@ class _Compiler:
         def loop(L, r):
             nonlocal hot
             visits = 0
-            check_at = snapshot_at = CUT_FIRST_SNAPSHOT
-            window_end = 0
-            snapshot = None
+            cut = None  # made at the first check
+            check_at = CUT_FIRST_SNAPSHOT
             hot_at = _NEVER if hot is False else HOT_LOOP_VISITS
             next_at = check_at if check_at < hot_at else hot_at
             hit = r.hit  # a call made in the loop restores it on return
@@ -570,20 +567,13 @@ class _Compiler:
                 visits += 1
                 if visits >= next_at:
                     if visits >= check_at:
-                        if visits == snapshot_at:
-                            snapshot = _loop_state(L, live)
-                            snapshot_at *= 2
-                            window_end = visits + CUT_WINDOW
-                            check_at = visits + 1
-                        else:
-                            if _loop_state(L, live) == snapshot:
-                                raise _LoopCut
-                            check_at = visits + 1 if visits < window_end else snapshot_at
+                        cut = cut or _Cut(live)
+                        check_at = cut.check(L, visits)
                     if visits >= hot_at:
                         if hot is None:
-                            hot = _hot_loop(stmt, names, base, k, sids, live) or False
+                            hot = _hot_loop(stmt, names, base, k, sids) or False
                         if hot:
-                            return hot(L, r, hit, visits, check_at, snapshot_at, window_end, snapshot)
+                            return hot(L, r, hit, visits, cut or _Cut(live))
                         hot_at = _NEVER
                     next_at = check_at if check_at < hot_at else hot_at
 
@@ -821,39 +811,65 @@ def _slot_of(expr: Expr, scope) -> int | None:
     return _lookup(scope, expr.name) if isinstance(expr, Var) else None
 
 
-def _loop_state(L: list, live: tuple[int, ...]) -> list:
-    """The bindings in `live` as a comparable value: types, contents, sharing."""
-    state = []
-    first_seen: dict[int, int] = {}
-    for position, slot in enumerate(live):
-        value = L[slot]
-        if type(value) is list:
-            owner = first_seen.setdefault(id(value), position)
-            state.append((owner, tuple(value), tuple(map(type, value))))
-        else:
-            state.append((type(value), value))
-    return state
+# -- loop cut -----------------------------------------------------------------
+
+
+class _Cut:
+    """One loop entry's loop cut, made at its first check (or at an earlier
+    switch to the hot form) and shared by the closures and the hot form:
+    the schedule, snapshot and comparison."""
+
+    __slots__ = ("live", "check_at", "snapshot_at", "window_end", "values", "arrays")
+
+    def __init__(self, live: tuple[int, ...]):
+        self.live = live
+        self.check_at = self.snapshot_at = CUT_FIRST_SNAPSHOT
+        self.window_end = 0
+
+    def check(self, L: list, visits: int) -> int:
+        """Snapshot on a snapshot visit, else raise `_LoopCut` if the state
+        matches the snapshot; return the next visit to check."""
+        if visits == self.snapshot_at:
+            self.snapshot_at *= 2
+            self.window_end = visits + CUT_WINDOW
+            # scalars first, so that most mismatches stop before an array
+            bound = sorted([(slot, L[slot]) for slot in self.live], key=lambda b: type(b[1]) is list)
+            self.values = [(slot, v[:] if type(v) is list else v) for slot, v in bound]
+            self.arrays = [(slot, old, self.owner(L, L[slot])) for slot, old in self.values if type(old) is list]
+        elif self.matches(L):
+            raise _LoopCut
+        self.check_at = visits + 1 if visits < self.window_end else self.snapshot_at
+        return self.check_at
+
+    def matches(self, L: list) -> bool:
+        """Whether every binding in `live` equals the snapshot's, compared in
+        place: types and values, then, once all of those match, the element
+        types of each array and which names share one."""
+        for slot, old in self.values:
+            value = L[slot]
+            if type(value) is not type(old) or value != old:
+                return False
+        return all(
+            self.owner(L, L[slot]) == owner and all(map(operator.is_, map(type, L[slot]), map(type, old)))
+            for slot, old, owner in self.arrays
+        )
+
+    def owner(self, L: list, array: list) -> int:
+        """The first slot in `live` bound to `array`."""
+        return next(slot for slot in self.live if L[slot] is array)
 
 
 # -- hot loops ----------------------------------------------------------------
 
 
-def _hot_loop(stmt: WhileStmt, names: dict, base: int, k: int, sids: list, live: tuple):
+def _hot_loop(stmt: WhileStmt, names: dict, base: int, k: int, sids: list):
     """The hot form of a loop, compiled from `hotloop.loop_source`, or None
     when the emitter declines the loop or `compile()` fails."""
     # Imported on the first build, so that a process whose loops stay short
     # never loads the emitter.
     from minirepair.minilang import hotloop
 
-    namespace = {
-        "_Trap": _Trap,
-        "_BudgetExhausted": _BudgetExhausted,
-        "_LoopCut": _LoopCut,
-        "_loop_state": _loop_state,
-        "_SIDS": sids,
-        "_LIVE": live,
-        "_CUT_WINDOW": CUT_WINDOW,
-    }
+    namespace = {"_Trap": _Trap, "_BudgetExhausted": _BudgetExhausted, "_SIDS": sids}
     try:
         exec(compile(hotloop.loop_source(stmt, names, base, k), "<hot loop>", "exec"), namespace)
     except (hotloop.Declined, SyntaxError, RecursionError, MemoryError):

@@ -131,14 +131,16 @@ CALLS = [
 
 @pytest.mark.parametrize("fn, args, budget", CALLS)
 def test_the_loop_cut_does_the_same_work_at_every_threshold(fn, args, budget, monkeypatch):
-    """`_loop_state` is called as often as in the closure form, whatever the
-    threshold: the switch continues the entry's snapshot schedule."""
+    """The shared cut compares as often as in the closure form, whatever the
+    threshold: the switch hands the entry's cut to the hot form before the
+    first snapshot (1), on a snapshot visit (16, 32, 1,024), inside a
+    comparison window (20, 80, 81, 1,025) or between windows (200)."""
     counts = {}
     results = {}
-    state = interpreter._loop_state
-    for at in (COLD, 1, 16, 1024, 1025):
+    matches = interpreter._Cut.matches
+    for at in (COLD, 1, 16, 20, 32, 80, 81, 200, 1024, 1025):
         calls = []
-        monkeypatch.setattr(interpreter, "_loop_state", lambda L, live: calls.append(1) or state(L, live))
+        monkeypatch.setattr(interpreter._Cut, "matches", lambda cut, L: calls.append(1) or matches(cut, L))
         monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", at)
         results[at] = interpret(parse(LONG_LOOPS), fn, args, budget)
         counts[at] = len(calls)
