@@ -11,18 +11,38 @@ and returns the text of
 which runs the rest of one loop entry exactly as the closures would:
 `frame` is the activation's slot list, `run` the run state, `marks` the
 running function's coverage list, `nvisits` the header visits so far and
-`cut` the entry's loop cut, checked as the closures check it. It raises
+`cut` the entry's loop cut, checked as the closures check it. `hot`
+returns None when the header exits, the value of a `return`, or
+`_HandBack(nvisits)` when it hands the entry back: each iteration begins
+by testing the steps left against the most steps any path through one
+iteration can charge (the header, each statement, and the longer branch
+of each `if`), and when fewer are left it writes its locals back and the
+closures finish the entry. So `hot` never runs out of budget. It raises
 `Declined` for a loop that holds a call or a nested `while`, names an
 unbound variable, or has a statement, expression, operator or literal it
 does not know.
 
+Steps are charged per block, with one decrement before the block's first
+statement: the iteration charges the header and the body's top-level
+statements, and each `if` branch charges its own. A trap, a `return` and
+the header's exit give back the steps charged for statements not yet
+reached, a count the emitter knows statically (the sum over the open
+blocks), so `run.steps_left` is written exact. Each statement in a
+branch is marked before its expressions; the header and the top-level
+statements ran in each visit before the switch, so they are marked
+already.
+
 Slots live in Python locals (MiniLang slot 3 is the local `s3`), all
 loaded at entry; the ones visible at the header that the loop assigns are
-written back to `frame` before each loop-cut check and at a normal exit.
-A trap, an exhausted budget or a `return` ends the activation, so they
-write nothing back, and an arithmetic store may compute into its slot
-before the overflow check. The steps left live in a local too, written
-back to `run` before every trap, return and check and at a normal exit.
+written back to `frame` before each loop-cut check, at a hand-back and at
+a normal exit. A trap or a `return` ends the activation, so they write
+nothing back, and an arithmetic store may compute into its slot before
+the overflow check. The steps left live in a local too, written back to
+`run` at the same points and before every trap and return. A
+MiniLang array never changes length, so an array name bound at the header
+that no statement of the loop assigns or `let`s again has its length
+loaded once at entry (the local `n3` for slot 3), which `len` and the
+index bounds read; other lengths are read at each use.
 
 Expressions compile to straight-line code: each check that can trap is a
 statement of its own, emitted in the order the closures evaluate, and
@@ -30,10 +50,11 @@ each operand is a side-effect-free Python expression that is evaluated
 after its checks. MiniLang expressions change nothing (a hot loop makes
 no call), so reading an operand later cannot change its value.
 
-The text holds only slot numbers, statement numbers, operators from the
-tables below and the repr of int and bool literals; no MiniLang name
-enters it. Its globals supply the rest: `_Trap`, `_BudgetExhausted` and
-`_SIDS` (statement ids by number).
+The text holds only slot numbers, statement numbers, step counts,
+operators from the tables below and the repr of int and bool literals; no
+MiniLang name enters it. Its globals supply the rest: `_Trap`,
+`_HandBack` and `_SIDS` (statement ids by number). It raises no budget
+exhaustion, so it needs no `_BudgetExhausted`.
 """
 
 from __future__ import annotations
@@ -58,6 +79,7 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
+    iter_depths,
 )
 
 
@@ -90,26 +112,37 @@ class _Emitter:
         self.temps = 0
         self.used: set[int] = set()
         self.assigned: set[int] = set()
+        self.fixed: set[int] = set()  # header slots the loop never rebinds
+        self.lengths: set[int] = set()  # fixed lengths the text reads
         self.branches = 0  # the `if` branches around the statement
+        self.ahead = 0  # steps charged for statements not yet reached
 
     def loop(self, stmt: WhileStmt) -> str:
+        rebound = {node.name for node, _ in iter_depths(stmt.body) if isinstance(node, (LetStmt, AssignStmt))}
+        self.fixed = {slot for name, slot in self.scope[0].items() if name not in rebound}
         self.k = self.number
         self.number += 1
-        self.charge()
+        self.ahead = len(stmt.body)
         cond, _ = self.value(stmt.cond)
         self.line(f"if not {cond}:")
         self.line("    break")
-        self.block(stmt.body)
+        self.ahead = 0
+        most = 1 + self.block(stmt.body)
         write_back = [f"frame[{s}] = s{s}" for s in sorted(self.assigned & self.live)]
-        write_back.append("run.steps_left = steps_left")
+        save = write_back + ["run.steps_left = steps_left"]
         self.line("nvisits += 1")
         self.line("if nvisits >= check_at:")
-        for line in write_back + ["check_at = cut.check(frame, nvisits)"]:
+        for line in save + ["check_at = cut.check(frame, nvisits)"]:
             self.line("    " + line)
         head = ["def hot(frame, run, marks, nvisits, cut):"]
         head += [f"    s{s} = frame[{s}]" for s in sorted(self.used)]
+        head += [f"    n{s} = len(s{s})" for s in sorted(self.lengths)]
         head += ["    steps_left = run.steps_left", "    check_at = cut.check_at", "    while True:"]
-        tail = ["    " + line for line in write_back] + ["    return None", ""]
+        head += [f"        if steps_left < {most}:"]
+        head += ["            " + line for line in save + ["return _HandBack(nvisits)"]]
+        head += [f"        steps_left -= {1 + len(stmt.body)}"]
+        tail = ["    " + line for line in write_back]
+        tail += [f"    run.steps_left = {self.steps(len(stmt.body))}", "    return None", ""]
         return "\n".join(head + self.lines + tail)
 
     # -- text ----------------------------------------------------------------
@@ -121,19 +154,14 @@ class _Emitter:
         self.temps += 1
         return f"t{self.temps}"
 
-    def charge(self) -> None:
-        """Charge the statement's step and mark it, before its expressions.
-        The header and the statements outside any branch ran in each of
-        the loop's visits before the switch, so they are marked already."""
-        self.line("if not steps_left:")
-        self.line("    raise _BudgetExhausted")
-        self.line("steps_left -= 1")
-        if self.branches:
-            self.line(f"marks[{self.k}] = True")
+    @staticmethod
+    def steps(ahead: int) -> str:
+        """The steps left, with `ahead` steps charged but not reached given back."""
+        return f"steps_left + {ahead}" if ahead else "steps_left"
 
     def trap(self, condition: str, kind: str) -> None:
         self.line(f"if {condition}:")
-        self.line("    run.steps_left = steps_left")
+        self.line(f"    run.steps_left = {self.steps(self.ahead)}")
         self.line(f"    raise _Trap({kind!r}, _SIDS[{self.k}])")
 
     def in_range(self, value: str) -> None:
@@ -146,33 +174,55 @@ class _Emitter:
                 return frame[name]
         raise Declined(f"unbound variable {name!r}")
 
+    def length(self, array: str) -> str:
+        """The length of the array named `array`: a fixed length loaded at
+        entry, or read where it is used."""
+        slot = self.slot(array)
+        if slot in self.fixed:
+            self.lengths.add(slot)
+            return f"n{slot}"
+        return f"len(s{slot})"
+
     # -- statements ----------------------------------------------------------
 
-    def block(self, stmts: list[Stmt]) -> None:
-        """The statements of a block, in a fresh scope frame."""
+    def block(self, stmts: list[Stmt]) -> int:
+        """The statements of a block, in a fresh scope frame, whose steps
+        its enclosing block has charged; returns the most steps one pass
+        through them can charge."""
         self.scope.append({})
-        for stmt in stmts:
-            self.stmt(stmt)
+        most = 0
+        for i, stmt in enumerate(stmts):
+            rest = len(stmts) - 1 - i
+            self.ahead += rest
+            most += self.stmt(stmt)
+            self.ahead -= rest
         self.scope.pop()
+        return most
 
-    def branch(self, stmts: list[Stmt]) -> None:
+    def branch(self, stmts: list[Stmt]) -> int:
+        """An `if` branch, which charges its own statements and marks each
+        one before its expressions: the visits before the switch may not
+        have taken it."""
         self.depth += 1
         self.branches += 1
-        if not stmts:
-            self.line("pass")
-        self.block(stmts)
+        self.line(f"steps_left -= {len(stmts)}" if stmts else "pass")
+        most = self.block(stmts)
         self.branches -= 1
         self.depth -= 1
+        return most
 
-    def stmt(self, stmt: Stmt) -> None:
+    def stmt(self, stmt: Stmt) -> int:
+        """Emit `stmt`, whose step is charged already; returns the most
+        steps it can charge, its own and those of its branches."""
         self.k = self.number
         self.number += 1
+        if self.branches:
+            self.line(f"marks[{self.k}] = True")
         if isinstance(stmt, (LetStmt, AssignStmt)):
             if isinstance(stmt, AssignStmt):
                 slot = self.slot(stmt.name)
             else:
                 slot = self.scope[-1].get(stmt.name, self.nslots)
-            self.charge()
             value, _ = self.value(stmt.value, into=f"s{slot}")
             if slot == self.nslots:
                 # operands are resolved before a `let` binds its own name
@@ -184,29 +234,27 @@ class _Emitter:
                 self.line(f"s{slot} = {value}")
         elif isinstance(stmt, IndexAssignStmt):
             array = f"s{self.slot(stmt.name)}"
-            self.charge()
             index = self.atom(stmt.index)
             value, _ = self.value(stmt.value)
-            self.trap(f"not 0 <= {index} < len({array})", "index-out-of-bounds")
+            self.trap(f"not 0 <= {index} < {self.length(stmt.name)}", "index-out-of-bounds")
             self.line(f"{array}[{index}] = {value}")
         elif isinstance(stmt, IfStmt):
-            self.charge()
             cond, _ = self.value(stmt.cond)
             self.line(f"if {cond}:")
-            self.branch(stmt.then_body)
+            most = self.branch(stmt.then_body)
             if stmt.else_body is not None:
                 self.line("else:")
-                self.branch(stmt.else_body)
+                most = max(most, self.branch(stmt.else_body))
+            return 1 + most
         elif isinstance(stmt, ReturnStmt):
-            self.charge()
             value, _ = self.value(stmt.value)
-            self.line("run.steps_left = steps_left")
+            self.line(f"run.steps_left = {self.steps(self.ahead)}")
             self.line(f"return {value}")
         elif isinstance(stmt, ExprStmt):
-            self.charge()
             self.value(stmt.value)  # its checks; the value itself is unused
         else:
             raise Declined(type(stmt).__name__)
+        return 1
 
     # -- expressions ---------------------------------------------------------
 
@@ -244,9 +292,12 @@ class _Emitter:
         if isinstance(expr, Index):
             array = f"s{self.slot(expr.name)}"
             index = self.atom(expr.index)
-            self.trap(f"not 0 <= {index} < len({array})", "index-out-of-bounds")
+            self.trap(f"not 0 <= {index} < {self.length(expr.name)}", "index-out-of-bounds")
             return f"{array}[{index}]", False
         if isinstance(expr, Len):
+            if isinstance(expr.arg, Var):
+                length = self.length(expr.arg.name)
+                return length, not length.startswith("len(")
             arg, _ = self.value(expr.arg)
             return f"len({arg})", False
         if isinstance(expr, ArrayLit):

@@ -3,10 +3,17 @@ reference, run again with every loop hot: the threshold lowered to 1,
 where every loop entry switches after its first header visit, and to 16,
 the first snapshot visit of the loop cut."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_compiled_interpreter
 from minirepair.minilang import interpreter
+from minirepair.minilang.interpreter import interpret
+from randprog import random_unit
+from test_compiled_interpreter import observable, random_args, reference
 
 # Collected again in this module, where the fixture below runs each of
 # them at both thresholds.
@@ -44,3 +51,17 @@ def threshold(request, monkeypatch):
 def test_random_programs_match_reference():
     """The seeds and budgets of `test_compiled_matches_reference`."""
     test_compiled_interpreter.test_compiled_matches_reference()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_random_programs_match_reference_at_a_drawn_budget(seed):
+    """One run per function at a budget drawn between 1 and the steps the
+    reference takes at 2,000, so that the hot form hands its entry back at
+    varied offsets of an iteration."""
+    unit = random_unit(seed)
+    rng = random.Random(seed)
+    for fn in unit.functions:
+        args = random_args([t for _, t in fn.params], rng)
+        budget = rng.randint(1, reference(unit, fn.name, args, 2_000).steps_used)
+        assert observable(interpret(unit, fn.name, args, budget)) == observable(reference(unit, fn.name, args, budget))

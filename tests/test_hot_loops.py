@@ -4,11 +4,16 @@ results, steps, coverage, traps and loop cut of the closures: every pinned
 report of the benchmark's pools holds with every loop hot. The counts
 check that the hot form does the same loop-cut work, that a loop is built
 once per compiled function and that a run whose loops stay short builds
-nothing; loops the emitter does not take stay on closures.
+nothing; loops the emitter does not take stay on closures. Budgets that
+run out at every offset of an iteration check the hand-back to the
+closures and the steps charged per block, and the generated text shows
+which array lengths are read once per entry.
 `test_hot_differential.py` runs the closure form's own differential tests
 with every loop hot."""
 
+import cProfile
 import io
+import pstats
 import re
 import sys
 import tokenize
@@ -17,10 +22,10 @@ from pathlib import Path
 import pytest
 
 from minirepair.engine import EngineConfig, evolve
-from minirepair.minilang import interpreter, parse
+from minirepair.minilang import hotloop, interpreter, parse
 from minirepair.minilang.hotloop import Declined, loop_source
 from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, RETURNED, interpret
-from minirepair.minilang.nodes import Binary, Var, clone
+from minirepair.minilang.nodes import Binary, LetStmt, Var, clone
 from minirepair.minilang.testsuite import run_test
 from test_compiled_interpreter import observable, reference
 from test_pinned_reports import test_every_pool_job_reproduces_its_pinned_report as assert_pinned
@@ -52,6 +57,20 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(interpreter, "_hot_loop", counting)
     return built
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """The text of every hot loop the emitter writes while the test runs."""
+    written = []
+    write = hotloop.loop_source
+
+    def recording(*args):
+        written.append(write(*args))
+        return written[-1]
+
+    monkeypatch.setattr(hotloop, "loop_source", recording)
+    return written
 
 
 @pytest.mark.parametrize("workload", ["loop-mut", "genprog-wide", "corpus-default"])
@@ -293,3 +312,173 @@ def test_names_the_generated_code_uses_do_not_collide(hot_at_once):
     tokens = {t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)}
     assert tokens.isdisjoint({"L", "r", "left", "hit", "visits", "r2"})
     assert re.findall(r"\bs\d+\b", source)  # slots stand for the names
+
+
+def test_each_hot_loop_profiles_under_its_own_statement(hot_at_once):
+    """A hot loop compiles under a filename naming its statement id, so a
+    profile keeps one entry per loop."""
+    unit = parse(LONG_LOOPS)
+    profile = cProfile.Profile()
+    for fn, args, budget in (CALLS[1], CALLS[3], CALLS[1], CALLS[3]):
+        profile.runcall(interpret, unit, fn, args, budget)
+    hot = {file: stat[1] for (file, _, name), stat in pstats.Stats(profile).stats.items() if name == "hot"}
+    assert hot == {"<hot loop sums:2>": 2, "<hot loop runs_out:2>": 2}
+
+
+# -- the budget: one test per iteration, steps charged per block -----------------
+
+CHARGED = """\
+fn charges_one_branch(v: int[], n: int) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < n) {
+    if (v[i % len(v)] > 2) {
+      t = t + v[i % len(v)];
+      v[i % len(v)] = t % 5;
+      t = t - 1;
+    } else {
+    }
+    i = i + 1;
+  }
+  return t;
+}
+
+fn returns_from_a_branch(n: int) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < 100) {
+    t = t + i;
+    if (i == n) {
+      t = t * 2;
+      return t;
+    }
+    t = t - 1;
+    i = i + 1;
+  }
+  return t;
+}
+
+fn overflows_in_a_branch(x: int) -> int {
+  let i = 0;
+  while (i < 100) {
+    if (i > 2) {
+      x = x * 100000;
+      i = i + 1;
+    } else {
+      i = i + 1;
+    }
+    x = x + 1;
+  }
+  return x;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        ("charges_one_branch", [[1, 4, 3, 0, 5], 7]),
+        ("charges_one_branch", [[0], 6]),
+        ("returns_from_a_branch", [5]),
+        ("overflows_in_a_branch", [7]),
+    ],
+)
+def test_the_budget_runs_out_at_every_offset_of_an_iteration(fn, args, hot_at_once, builds, sources):
+    """Each budget ends the run at another statement of an iteration: the
+    hot form hands the entry back when one iteration's most steps no longer
+    fit, and the closures finish it. A trap, a `return` and the header's
+    exit give back the steps charged ahead of them."""
+    unit = parse(CHARGED)
+    assert_every_budget_matches(unit, fn, args)
+    assert builds and None not in builds
+    for source in sources:
+        assert "_BudgetExhausted" not in source
+        assert source.count("steps_left <") == 1
+
+
+def test_the_calls_charge_what_they_are_meant_to():
+    unit = parse(CHARGED)
+    assert interpret(unit, "charges_one_branch", [[1, 4, 3, 0, 5], 7], 1_000).status == RETURNED
+    assert interpret(unit, "returns_from_a_branch", [5], 1_000).value == 2 * (15 - 5)
+    overflow = interpret(unit, "overflows_in_a_branch", [7], 1_000)
+    assert overflow.error_kind == "integer-overflow" and overflow.error_at.index == 3
+
+
+# -- fixed lengths ------------------------------------------------------------------
+
+LENGTHS = """\
+fn rebinds(v: int[], w: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < len(v)) {
+    t = t + v[i];
+    if (i == 1) {
+      v = w;
+    }
+    i = i + 1;
+  }
+  return t;
+}
+
+fn shadows(v: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < len(v)) {
+    if (i > 0) {
+      let u = [i, i];
+      t = t + u[1];
+    }
+    t = t + v[i];
+    i = i + 1;
+  }
+  return t;
+}
+
+fn writes(v: int[]) -> int {
+  let i = 0;
+  while (i < len(v)) {
+    v[i] = v[i] * 2 + len(v);
+    i = i + 1;
+  }
+  return v[len(v) - 1];
+}
+
+fn aliases(v: int[]) -> int {
+  let w = v;
+  let i = 0;
+  let t = 0;
+  while (i < len(w)) {
+    w[i] = i;
+    t = t + v[i] * len(v);
+    i = i + 1;
+  }
+  return t;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fn, args, reads",
+    [
+        ("rebinds", [[1, 2, 3], [5, 6, 7, 8, 9]], True),
+        ("rebinds", [[1, 2, 3], [5]], True),
+        ("shadows", [[4, 5, 6]], True),
+        ("writes", [[3, 1, 4]], False),
+        ("aliases", [[7, 8, 9, 10]], False),
+    ],
+)
+def test_a_length_is_read_once_unless_the_loop_rebinds_its_name(fn, args, reads, hot_at_once, sources):
+    """An array never changes length, so a name bound at the header that
+    the loop neither assigns nor `let`s again has one length for the whole
+    entry, loaded before the iteration; other lengths are read at each use.
+    `shadows` has its `let u` renamed to `v` by hand, since the checker
+    rejects shadowing."""
+    unit = parse(LENGTHS)
+    if fn == "shadows":
+        branch = unit.functions[1].body[2].body[0].then_body
+        assert isinstance(branch[0], LetStmt)
+        branch[0].name = branch[1].value.rhs.name = "v"
+    assert_every_budget_matches(unit, fn, args)
+    [source] = sources
+    iteration = source.split("while True:")[1]
+    assert ("len(" in iteration) == reads
