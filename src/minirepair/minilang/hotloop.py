@@ -13,14 +13,25 @@ which runs the rest of one loop entry exactly as the closures would:
 running function's coverage list, `nvisits` the header visits so far and
 `cut` the entry's loop cut, checked as the closures check it. `hot`
 returns None when the header exits, the value of a `return`, or
-`_HandBack(nvisits)` when it hands the entry back: each iteration begins
-by testing the steps left against the most steps any path through one
-iteration can charge (the header, each statement, and the longer branch
-of each `if`), and when fewer are left it writes its locals back and the
-closures finish the entry. So `hot` never runs out of budget. It raises
-`Declined` for a loop that holds a call or a nested `while`, names an
-unbound variable, or has a statement, expression, operator or literal it
-does not know.
+`_HandBack(nvisits)` when it hands the entry back. It raises `Declined`
+for a loop that holds a call or a nested `while`, names an unbound
+variable, or has a statement, expression, operator or literal it does
+not know.
+
+The iterations run in segments. A segment begins with
+
+    m = min(steps_left // most, check_at - nvisits)
+
+where `most` is the most steps any path through one iteration can charge
+(the header, each statement, and the longer branch of each `if`): `m` is
+the number of iterations that neither the budget nor the next loop-cut
+check can interrupt. Then `for _ in range(m):` runs them with no test of
+either, and its `else` adds the `m` visits and checks the cut if its
+visit has come. The next check always lies ahead of the visits so far, so
+`m` is 0 only when fewer than `most` steps are left: `hot` then writes
+its locals back and hands the entry back, and the closures finish it. So
+`hot` never runs out of budget, and it hands back at the iteration where
+a test before every iteration would.
 
 Steps are charged per block, with one decrement before the block's first
 statement: the iteration charges the header and the body's top-level
@@ -43,6 +54,26 @@ MiniLang array never changes length, so an array name bound at the header
 that no statement of the loop assigns or `let`s again has its length
 loaded once at entry (the local `n3` for slot 3), which `len` and the
 index bounds read; other lengths are read at each use.
+
+Checks that cannot fire are left out, so that the loops of mutation
+candidates, which rewrite an increment `i = i + 1` as `i * 1`, `i / 1`
+or `i % 1`, pay for little more than their own arithmetic:
+  - Under a header `i < len(v)` or `len(v) > i`, alone or as a conjunct
+    of an `&&` header, with `v` of fixed length, `v[i]` and `v[i] = e`
+    test only `i >= 0`, from the header up to the first store to `i`'s
+    slot in emission order (a store in a branch ends it for every
+    statement emitted after it): bounds-check elimination from a
+    dominating test, as in Bodik, Gupta and Sarkar, "ABCD: eliminating
+    array bounds checks on demand", PLDI 2000.
+  - `x * 1`, `x / 1`, `x + 0` and `x - 0` are `x`, and `x % 1` is 0,
+    after the checks of `x`; none of them can overflow. A variable or an
+    element `x` is read as `+x`, an int even where an argument of the
+    wrong type made `x` a bool, as the closures' arithmetic would.
+  - `==` and `!=` against an int constant compare without a type test
+    when the other operand can only be an int: an arithmetic result or a
+    length.
+  - `/` and `%` by a length, past its zero check, take the path of a
+    positive constant divisor.
 
 Expressions compile to straight-line code: each check that can trap is a
 statement of its own, emitted in the order the closures evaluate, and
@@ -92,6 +123,8 @@ _ORDER = ("<", "<=", ">", ">=")
 # `/` and `%` as Python operators, and the trap of a zero divisor.
 _DIVIDE = {"/": ("//", "division-by-zero"), "%": ("%", "modulo-by-zero")}
 _TYPE_NAMES = {int: "int", bool: "bool"}
+# `x op c` that is `x`, or 0 for `%`, for every int `x`.
+_IDENTITIES = {("+", 0), ("-", 0), ("*", 1), ("/", 1), ("%", 1)}
 
 def loop_source(stmt: WhileStmt, names: dict[str, int], base: int, k: int) -> str:
     """The text of `hot` for the loop `stmt`, statement number `k`, whose
@@ -108,12 +141,15 @@ class _Emitter:
         self.number = k  # the next statement number
         self.k = k  # the statement being emitted, which its traps name
         self.lines: list[str] = []
-        self.depth = 2  # indentation, in levels
+        self.depth = 3  # indentation, in levels: `def`, `while`, `for`
         self.temps = 0
         self.used: set[int] = set()
         self.assigned: set[int] = set()
         self.fixed: set[int] = set()  # header slots the loop never rebinds
         self.lengths: set[int] = set()  # fixed lengths the text reads
+        # (index slot, array slot) pairs whose `index < len(array)` the
+        # header implies and no store emitted since has ended
+        self.bounds: set[tuple[int, int]] = set()
         self.branches = 0  # the `if` branches around the statement
         self.ahead = 0  # steps charged for statements not yet reached
 
@@ -127,23 +163,43 @@ class _Emitter:
         self.line(f"if not {cond}:")
         self.line("    break")
         self.ahead = 0
+        self.bounds = self.implied_bounds(stmt.cond)
         most = 1 + self.block(stmt.body)
         write_back = [f"frame[{s}] = s{s}" for s in sorted(self.assigned & self.live)]
         save = write_back + ["run.steps_left = steps_left"]
-        self.line("nvisits += 1")
-        self.line("if nvisits >= check_at:")
-        for line in save + ["check_at = cut.check(frame, nvisits)"]:
-            self.line("    " + line)
         head = ["def hot(frame, run, marks, nvisits, cut):"]
         head += [f"    s{s} = frame[{s}]" for s in sorted(self.used)]
         head += [f"    n{s} = len(s{s})" for s in sorted(self.lengths)]
         head += ["    steps_left = run.steps_left", "    check_at = cut.check_at", "    while True:"]
-        head += [f"        if steps_left < {most}:"]
+        head += [f"        m = min(steps_left // {most}, check_at - nvisits)", "        if not m:"]
         head += ["            " + line for line in save + ["return _HandBack(nvisits)"]]
-        head += [f"        steps_left -= {1 + len(stmt.body)}"]
-        tail = ["    " + line for line in write_back]
+        head += ["        for _ in range(m):", f"            steps_left -= {1 + len(stmt.body)}"]
+        tail = ["        else:", "            nvisits += m", "            if nvisits >= check_at:"]
+        tail += ["                " + line for line in save + ["check_at = cut.check(frame, nvisits)"]]
+        tail += ["            continue", "        break"]
+        tail += ["    " + line for line in write_back]
         tail += [f"    run.steps_left = {self.steps(len(stmt.body))}", "    return None", ""]
         return "\n".join(head + self.lines + tail)
+
+    def implied_bounds(self, cond: Expr) -> set[tuple[int, int]]:
+        """(index slot, array slot) of each conjunct `i < len(v)` or
+        `len(v) > i` of the header `cond` whose array `v` has a fixed
+        length."""
+        if not isinstance(cond, Binary):
+            return set()
+        if cond.op == "&&":
+            return self.implied_bounds(cond.lhs) | self.implied_bounds(cond.rhs)
+        if cond.op == "<":
+            index, length = cond.lhs, cond.rhs
+        elif cond.op == ">":
+            index, length = cond.rhs, cond.lhs
+        else:
+            return set()
+        if isinstance(index, Var) and isinstance(length, Len) and isinstance(length.arg, Var):
+            array = self.slot(length.arg.name)
+            if array in self.fixed:
+                return {(self.slot(index.name), array)}
+        return set()
 
     # -- text ----------------------------------------------------------------
 
@@ -166,6 +222,14 @@ class _Emitter:
 
     def in_range(self, value: str) -> None:
         self.trap(f"not {INT_MIN} <= {value} <= {INT_MAX}", "integer-overflow")
+
+    def in_bounds(self, array: str, expr: Expr, index: str) -> None:
+        """The bounds check of `array[expr]`, `index` the text of `expr`:
+        only `index >= 0` while the header's `i < len(v)` holds for it."""
+        if isinstance(expr, Var) and (self.slot(expr.name), self.slot(array)) in self.bounds:
+            self.trap(f"{index} < 0", "index-out-of-bounds")
+        else:
+            self.trap(f"not 0 <= {index} < {self.length(array)}", "index-out-of-bounds")
 
     def slot(self, name: str) -> int:
         for frame in reversed(self.scope):
@@ -230,13 +294,14 @@ class _Emitter:
                 self.nslots += 1
             self.used.add(slot)
             self.assigned.add(slot)
+            self.bounds = {bound for bound in self.bounds if bound[0] != slot}
             if value != f"s{slot}":
                 self.line(f"s{slot} = {value}")
         elif isinstance(stmt, IndexAssignStmt):
             array = f"s{self.slot(stmt.name)}"
             index = self.atom(stmt.index)
             value, _ = self.value(stmt.value)
-            self.trap(f"not 0 <= {index} < {self.length(stmt.name)}", "index-out-of-bounds")
+            self.in_bounds(stmt.name, stmt.index, index)
             self.line(f"{array}[{index}] = {value}")
         elif isinstance(stmt, IfStmt):
             cond, _ = self.value(stmt.cond)
@@ -292,7 +357,7 @@ class _Emitter:
         if isinstance(expr, Index):
             array = f"s{self.slot(expr.name)}"
             index = self.atom(expr.index)
-            self.trap(f"not 0 <= {index} < {self.length(expr.name)}", "index-out-of-bounds")
+            self.in_bounds(expr.name, expr.index, index)
             return f"{array}[{index}]", False
         if isinstance(expr, Len):
             if isinstance(expr.arg, Var):
@@ -309,6 +374,8 @@ class _Emitter:
         op = expr.op
         if op in ("&&", "||"):
             return self.short_circuit(expr)
+        if isinstance(expr.rhs, IntLit) and (op, expr.rhs.value) in _IDENTITIES:
+            return self.identity(expr, into)
         if op in _ARITH:
             lhs, _ = self.value(expr.lhs)
             rhs, _ = self.value(expr.rhs)
@@ -326,19 +393,36 @@ class _Emitter:
             lhs = self.atom(expr.lhs)
             rhs = self.atom(expr.rhs)
             if isinstance(expr.lhs, (IntLit, BoolLit)):
-                lhs, rhs, constant = rhs, lhs, expr.lhs.value
+                lhs, rhs, constant, other = rhs, lhs, expr.lhs.value, expr.rhs
             elif isinstance(expr.rhs, (IntLit, BoolLit)):
-                constant = expr.rhs.value
+                constant, other = expr.rhs.value, expr.lhs
             else:
                 if op == "==":
                     return f"(type({lhs}) is type({rhs}) and {lhs} == {rhs})", False
                 return f"(type({lhs}) is not type({rhs}) or {lhs} != {rhs})", False
-            # type-strict against a constant, as the closures compare
+            if type(constant) is int and _is_int(other):
+                return f"({lhs} {op} {rhs})", False
+            # type-strict against a constant, as the closures compare, unless
+            # the other operand can only be an int
             name = _TYPE_NAMES[type(constant)]
             if op == "==":
                 return f"({lhs} == {rhs} and type({lhs}) is {name})", False
             return f"({lhs} != {rhs} or type({lhs}) is not {name})", False
         raise Declined(f"operator {op!r}")
+
+    def identity(self, expr: Binary, into: str | None) -> tuple[str, bool]:
+        """`x * 1`, `x / 1`, `x + 0` and `x - 0` as `x`, and `x % 1` as 0,
+        after the checks of `x`, which can overflow in none of them. An `x`
+        that is not an int by its shape (a variable or an element, which an
+        argument of the wrong type may make a bool) is read as `+x`, an int,
+        as the closures' arithmetic makes it."""
+        if expr.op == "%":
+            self.value(expr.lhs)  # its checks; the value itself is unused
+            return "0", True
+        if _is_int(expr.lhs):
+            return self.value(expr.lhs, into)
+        x, _ = self.value(expr.lhs)
+        return f"(+{x})", False
 
     def short_circuit(self, expr: Binary) -> tuple[str, bool]:
         """`&&` and `||`, whose right operand's checks run only when the
@@ -359,16 +443,18 @@ class _Emitter:
         return t, True
 
     def divide(self, expr: Binary) -> tuple[str, bool]:
-        """`/` and `%`: C style, truncating toward zero. By an int constant
-        `c > 0`, a negative dividend divides as its negation, negated, and
-        the quotient cannot overflow."""
+        """`/` and `%`: C style, truncating toward zero. By a positive
+        divisor, an int constant `c > 0` or a length past its zero check, a
+        negative dividend divides as its negation, negated, and the quotient
+        cannot overflow."""
         python_op, zero_trap = _DIVIDE[expr.op]
         lhs = self.atom(expr.lhs)
-        if isinstance(expr.rhs, IntLit) and expr.rhs.value > 0:
-            c, _ = self.value(expr.rhs)
-            return f"({lhs} {python_op} {c} if {lhs} >= 0 else -(-{lhs} {python_op} {c}))", False
+        positive = isinstance(expr.rhs, IntLit) and expr.rhs.value > 0
         rhs = self.atom(expr.rhs)
-        self.trap(f"{rhs} == 0", zero_trap)
+        if not positive:
+            self.trap(f"{rhs} == 0", zero_trap)
+        if positive or isinstance(expr.rhs, Len):
+            return f"({lhs} {python_op} {rhs} if {lhs} >= 0 else -(-{lhs} {python_op} {rhs}))", False
         q = self.temp()
         self.line(f"{q} = abs({lhs}) // abs({rhs})")
         self.line(f"if ({lhs} < 0) != ({rhs} < 0):")
@@ -377,3 +463,13 @@ class _Emitter:
             self.in_range(q)
             return q, True
         return f"({lhs} - {q} * {rhs})", False
+
+
+def _is_int(expr: Expr) -> bool:
+    """Whether `expr` evaluates to an int whatever the types of its
+    operands: an int literal, a length or an arithmetic result."""
+    if isinstance(expr, Binary):
+        return expr.op in _ARITH or expr.op in _DIVIDE
+    if isinstance(expr, Unary):
+        return expr.op == "-"
+    return isinstance(expr, Len) or isinstance(expr, IntLit) and type(expr.value) is int

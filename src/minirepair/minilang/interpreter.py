@@ -80,32 +80,39 @@ schedule, the snapshot and the in-place comparison for both forms.
 Hot loops. A loop entry whose header reaches `HOT_LOOP_VISITS` visits
 hands the rest of the entry to one Python function for the whole loop,
 header and body, whose source `hotloop.loop_source` writes and
-`compile()` compiles. The loop's closure keeps it, so it is built at most
+`compile()` compiles, each build under its own filename
+(`<hot loop sum_all:2 #7>`: the loop's statement id and the process's
+build count), so a profile keeps the hot loops of two variants of one
+function apart. The loop's closure keeps it, so it is built at most
 once per compiled function and reused by every later run, and a run whose
 loops stay short builds nothing; the closures stay the only form of cold
 code. Building the loop of a corpus array loop whose increment became
-`i = i * 1` costs 0.45-0.70 ms, some 1,100-1,600 closure steps (CPython
+`i = i * 1` costs 0.3-0.7 ms, some 600-1,700 closure steps (CPython
 3.11, a shared 2-vCPU machine). 1,024 visits are at least 2,048 steps,
 so a loop that gets this far has paid for its build. The emitter
 declines a loop that makes a call or holds a nested `while` (the inner
 loop still tiers up on its own), names an unbound variable or has a
 shape it does not know, and a `compile()` that fails declines it too; a
-declined loop stays on closures and is not tried again. The hot form is
-exact. Each iteration first tests the steps left against the most that
-one iteration can charge; when fewer are left, it hands the entry back
-(`_HandBack`), and the closure loop finishes it statement by statement
-with the same visits and `_Cut`, never trying the hot form again for that
-entry. So the closures stay the only code that runs out of budget. The
-hot form charges the steps of a block at once and gives back those of
-statements not reached when a trap, a `return` or the header's exit
-leaves early, and it marks each statement in a branch before its
-expressions (the header and the statements outside any branch are marked
-already, by the visits before the switch). It raises the same traps at
-the same statements, with the same checks: overflow, bounds, type-strict
-`==`, and the fast `/` and `%` by a positive constant. It takes over the
-entry's `_Cut` after the visit's check and writes its locals back to the
-frame before each later one. So results, steps, coverage and `loop_cut_at`
-stay those of the closures.
+declined loop stays on closures and is not tried again. The hot form is exact. It runs the iterations in segments,
+each as many as neither the budget nor the next loop-cut check can
+interrupt, and tests neither inside a segment; when fewer steps are left
+than one iteration can charge, it hands the entry back (`_HandBack`), and
+the closure loop finishes it statement by statement with the same visits
+and `_Cut`, never trying the hot form again for that entry. So the
+closures stay the only code that runs out of budget. The hot form charges
+the steps of a block at once and gives back those of statements not
+reached when a trap, a `return` or the header's exit leaves early, and it
+marks each statement in a branch before its expressions (the header and
+the statements outside any branch are marked already, by the visits
+before the switch). It raises the same traps at the same statements, and
+leaves out only checks that cannot fire: the upper bound of `v[i]` that a
+header `i < len(v)` implies until `i` is stored, the overflow check of
+`x * 1`, `x / 1`, `x + 0` and `x - 0`, and the type test of `==` against
+an int constant whose other operand is an arithmetic result or a length;
+`/` and `%` by a positive constant or a nonzero length skip the general
+truncating division. It takes over the entry's `_Cut` after the visit's
+check and writes its locals back to the frame before each later one. So
+results, steps, coverage and `loop_cut_at` stay those of the closures.
 
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
@@ -124,7 +131,7 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, count
 
 from minirepair.minilang.nodes import (
     INT_MAX,
@@ -884,6 +891,11 @@ class _Cut:
 
 # -- hot loops ----------------------------------------------------------------
 
+# Numbers this process's hot-loop builds, so that each compiles under its
+# own filename and a profile keeps the loops of two variants of one
+# function apart.
+_BUILDS = count(1)
+
 
 def _hot_loop(stmt: WhileStmt, names: dict, base: int, k: int, sids: list):
     """The hot form of a loop, compiled from `hotloop.loop_source`, or None
@@ -894,7 +906,8 @@ def _hot_loop(stmt: WhileStmt, names: dict, base: int, k: int, sids: list):
 
     namespace = {"_Trap": _Trap, "_HandBack": _HandBack, "_SIDS": sids}
     try:
-        exec(compile(hotloop.loop_source(stmt, names, base, k), f"<hot loop {sids[k]}>", "exec"), namespace)
+        source = hotloop.loop_source(stmt, names, base, k)
+        exec(compile(source, f"<hot loop {sids[k]} #{next(_BUILDS)}>", "exec"), namespace)
     except (hotloop.Declined, SyntaxError, RecursionError, MemoryError):
         return None
     return namespace["hot"]

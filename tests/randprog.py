@@ -13,6 +13,14 @@ The generator favours the shapes that the interpreter compiles to one
 fused closure, so that the differential tests reach each of them:
 `x = y op c` and `x = y op v[i]` stores, `i < len(v)` loop headers, and
 operators with a constant on their right, such as `e % c` and `e == c`.
+It also favours the shapes the hot-loop emitter treats apart. Counted
+loops, `let i = 0;` and a loop guarded by `i < len(v)` (or `len(v) > i`,
+alone or in an `&&`), read and write `v[i]` often and store to `i` in
+the middle of their body, and at times in a branch, so that `v[i]` is
+read both before and after a store to `i`; they make no call and hold
+no loop, either of which would keep them off the hot form. And half the
+constant right operands of arithmetic make an identity: `x * 1`,
+`x / 1`, `x % 1`, `x + 0` or `x - 0`.
 
 `random_lineage` grows a random unit by the repair operators, so that
 tests can check each child against its parent.
@@ -72,6 +80,8 @@ class ProgramGenerator:
         self.rng = rng
         self.signatures: dict[str, tuple[tuple[str, ...], str]] = {}
         self._name_counter = 0
+        # (i, v) of the enclosing counted loop, guarded by `i < len(v)`
+        self.guard: tuple[str, str] | None = None
 
     def unit(self) -> SourceUnit:
         count = self.rng.randint(1, 3)
@@ -104,7 +114,12 @@ class ProgramGenerator:
     def _block(self, scope: list[dict], depth: int, return_type: str) -> list[Stmt]:
         count = self.rng.randint(1, 4 - depth) if depth < 3 else 1
         scope.append({})
-        stmts = [self._stmt(scope, depth, return_type) for _ in range(count)]
+        stmts = []
+        for _ in range(count):
+            if depth < 2 and not self.guard and self._vars_of(T_INT_ARRAY, scope) and self.rng.random() < 0.2:
+                stmts += self._counted_loop(scope, depth, return_type)
+            else:
+                stmts.append(self._stmt(scope, depth, return_type))
         scope.pop()
         # keep the block's bindings visible to the generator caller only
         return stmts
@@ -116,7 +131,7 @@ class ProgramGenerator:
         if self._vars_of(T_INT_ARRAY, scope):
             choices.append("index_assign")
         if depth < 2:
-            choices.extend(["if", "if", "while"])
+            choices.extend(["if", "if"] if self.guard else ["if", "if", "while"])
         kind = self.rng.choice(choices)
         if kind == "let":
             type_ = self.rng.choice(TYPES)
@@ -128,8 +143,13 @@ class ProgramGenerator:
             typed = [t for t in TYPES if self._vars_of(t, scope)]
             type_ = self.rng.choice(typed)
             name = self.rng.choice(self._vars_of(type_, scope))
+            if type_ == T_INT and self.guard and self.rng.random() < 0.3:
+                name = self.guard[0]
             return AssignStmt(name, self._value(type_, scope))
         if kind == "index_assign":
+            if self.guard and self.rng.random() < 0.8:
+                i, name = self.guard
+                return IndexAssignStmt(name, Var(i), self._expr(T_INT, scope, depth=1))
             name = self.rng.choice(self._vars_of(T_INT_ARRAY, scope))
             return IndexAssignStmt(
                 name, self._expr(T_INT, scope, depth=1), self._expr(T_INT, scope, depth=1)
@@ -152,14 +172,15 @@ class ProgramGenerator:
         if type_ != T_INT or not ints or rng.random() < 0.25:
             return self._expr(type_, scope, depth=2)
         arrays = self._vars_of(T_INT_ARRAY, scope)
+        op = rng.choice(ARITH)
         roll = rng.random()
         if roll < 0.4:
-            rhs = IntLit(rng.randint(0, 9))
+            rhs = IntLit(self._constant(op))
         elif roll < 0.8 and arrays:
-            rhs = Index(rng.choice(arrays), Var(rng.choice(ints)))
+            rhs = self._element(Var(rng.choice(ints)), scope)
         else:
             rhs = self._expr(T_INT, scope, depth=1)
-        return Binary(rng.choice(ARITH), Var(rng.choice(ints)), rhs)
+        return Binary(op, Var(rng.choice(ints)), rhs)
 
     def _header(self, scope: list[dict]) -> Expr:
         """A loop condition; half the time, when it can be, `i op len(v)`."""
@@ -168,10 +189,46 @@ class ProgramGenerator:
             return Binary(self.rng.choice(COMPARE), Var(self.rng.choice(ints)), Len(Var(self.rng.choice(arrays))))
         return self._expr(T_BOOL, scope, depth=2)
 
-    def _rhs(self, type_: str, scope: list[dict], depth: int) -> Expr:
-        """A binary operator's right operand, a constant one time in three."""
+    def _counted_loop(self, scope: list[dict], depth: int, return_type: str) -> list[Stmt]:
+        """`let i = 0;` and a loop guarded by `i < len(v)`, written
+        `i < len(v)`, `len(v) > i` or `i < len(v) && e`, whose body stores
+        `i = i op c` between two statements."""
+        rng = self.rng
+        i, v = self._fresh(), rng.choice(self._vars_of(T_INT_ARRAY, scope))
+        scope[-1][i] = T_INT
+        form = rng.choice(("<", ">", "&&"))
+        cond = Binary(">", Len(Var(v)), Var(i)) if form == ">" else Binary("<", Var(i), Len(Var(v)))
+        if form == "&&":
+            cond = Binary("&&", cond, self._expr(T_BOOL, scope, depth=1))
+        self.guard = (i, v)
+        scope.append({})
+        before = self._stmt(scope, depth + 1, return_type)
+        op = rng.choice(ARITH)
+        step = AssignStmt(i, Binary(op, Var(i), IntLit(self._constant(op))))
+        after = self._stmt(scope, depth + 1, return_type)
+        scope.pop()
+        self.guard = None
+        return [LetStmt(i, IntLit(0)), WhileStmt(cond, [before, step, after])]
+
+    def _element(self, index: Expr, scope: list[dict]) -> Index:
+        """An element of a bound array at `index`, or, four times in five
+        inside a counted loop, the guard's `v[i]`."""
+        if self.guard and self.rng.random() < 0.8:
+            i, v = self.guard
+            return Index(v, Var(i))
+        return Index(self.rng.choice(self._vars_of(T_INT_ARRAY, scope)), index)
+
+    def _constant(self, op: str) -> int:
+        """An int constant right operand of `op`: half the time one that
+        makes `x op c` an identity (0 for + and -, 1 for *, / and %)."""
+        if op in ARITH and self.rng.random() < 0.5:
+            return 0 if op in "+-" else 1
+        return self.rng.randint(0, 9)
+
+    def _rhs(self, op: str, type_: str, scope: list[dict], depth: int) -> Expr:
+        """The right operand of `op`, a constant one time in three."""
         if type_ == T_INT and self.rng.random() < 1 / 3:
-            return IntLit(self.rng.randint(0, 9))
+            return IntLit(self._constant(op))
         return self._expr(type_, scope, depth)
 
     def _expr(self, type_: str, scope: list[dict], depth: int) -> Expr:
@@ -186,18 +243,12 @@ class ProgramGenerator:
                 kinds.append("call")
             kind = rng.choice(kinds)
             if kind == "arith":
-                return Binary(
-                    rng.choice(ARITH),
-                    self._expr(T_INT, scope, depth - 1),
-                    self._rhs(T_INT, scope, depth - 1),
-                )
+                op = rng.choice(ARITH)
+                return Binary(op, self._expr(T_INT, scope, depth - 1), self._rhs(op, T_INT, scope, depth - 1))
             if kind == "unary":
                 return Unary("-", self._expr(T_INT, scope, depth - 1))
             if kind == "index":
-                return Index(
-                    rng.choice(self._vars_of(T_INT_ARRAY, scope)),
-                    self._expr(T_INT, scope, depth - 1),
-                )
+                return self._element(self._expr(T_INT, scope, depth - 1), scope)
             if kind == "len":
                 return Len(self._expr(T_INT_ARRAY, scope, depth - 1))
             if kind == "call":
@@ -209,11 +260,8 @@ class ProgramGenerator:
                 kinds.append("call")
             kind = rng.choice(kinds)
             if kind == "compare":
-                return Binary(
-                    rng.choice(COMPARE),
-                    self._expr(T_INT, scope, depth - 1),
-                    self._rhs(T_INT, scope, depth - 1),
-                )
+                op = rng.choice(COMPARE)
+                return Binary(op, self._expr(T_INT, scope, depth - 1), self._rhs(op, T_INT, scope, depth - 1))
             if kind == "logic":
                 return Binary(
                     rng.choice(LOGIC),
@@ -223,12 +271,8 @@ class ProgramGenerator:
             if kind == "not":
                 return Unary("!", self._expr(T_BOOL, scope, depth - 1))
             if kind == "equal":
-                operand = rng.choice((T_INT, T_BOOL))
-                return Binary(
-                    rng.choice(("==", "!=")),
-                    self._expr(operand, scope, depth - 1),
-                    self._rhs(operand, scope, depth - 1),
-                )
+                op, operand = rng.choice(("==", "!=")), rng.choice((T_INT, T_BOOL))
+                return Binary(op, self._expr(operand, scope, depth - 1), self._rhs(op, operand, scope, depth - 1))
             if kind == "call":
                 return self._call(T_BOOL, scope, depth)
             return self._leaf(type_, scope)
@@ -253,6 +297,8 @@ class ProgramGenerator:
         return ArrayLit([IntLit(self.rng.randint(0, 9)) for _ in range(self.rng.randint(0, 2))])
 
     def _callables(self, return_type: str) -> list[str]:
+        if self.guard:
+            return []
         return [name for name, (_, ret) in self.signatures.items() if ret == return_type]
 
     def _call(self, return_type: str, scope: list[dict], depth: int) -> Expr:

@@ -7,16 +7,22 @@ once per compiled function and that a run whose loops stay short builds
 nothing; loops the emitter does not take stay on closures. Budgets that
 run out at every offset of an iteration check the hand-back to the
 closures and the steps charged per block, and the generated text shows
-which array lengths are read once per entry.
+which array lengths are read once per entry, that the budget is tested
+once per segment and which checks are left out: bounds the header
+implies, identities such as `x * 1`, type tests of `==` against a
+constant and the general division by a length. The random programs of
+the differential tests are shown to reach each of those shapes.
 `test_hot_differential.py` runs the closure form's own differential tests
 with every loop hot."""
 
 import cProfile
 import io
 import pstats
+import random
 import re
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,9 +31,10 @@ from minirepair.engine import EngineConfig, evolve
 from minirepair.minilang import hotloop, interpreter, parse
 from minirepair.minilang.hotloop import Declined, loop_source
 from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, RETURNED, interpret
-from minirepair.minilang.nodes import Binary, LetStmt, Var, clone
+from minirepair.minilang.nodes import INT_MAX, INT_MIN, Binary, LetStmt, Var, clone
 from minirepair.minilang.testsuite import run_test
-from test_compiled_interpreter import observable, reference
+from randprog import random_unit
+from test_compiled_interpreter import observable, random_args, reference
 from test_pinned_reports import test_every_pool_job_reproduces_its_pinned_report as assert_pinned
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -314,15 +321,33 @@ def test_names_the_generated_code_uses_do_not_collide(hot_at_once):
     assert re.findall(r"\bs\d+\b", source)  # slots stand for the names
 
 
+def hot_calls(profile) -> dict[str, int]:
+    """Calls of each hot loop in `profile`, by filename."""
+    return {file: stat[1] for (file, _, name), stat in pstats.Stats(profile).stats.items() if name == "hot"}
+
+
 def test_each_hot_loop_profiles_under_its_own_statement(hot_at_once):
-    """A hot loop compiles under a filename naming its statement id, so a
-    profile keeps one entry per loop."""
+    """A hot loop compiles under a filename naming its statement id and its
+    build, so a profile keeps one entry per loop."""
     unit = parse(LONG_LOOPS)
     profile = cProfile.Profile()
     for fn, args, budget in (CALLS[1], CALLS[3], CALLS[1], CALLS[3]):
         profile.runcall(interpret, unit, fn, args, budget)
-    hot = {file: stat[1] for (file, _, name), stat in pstats.Stats(profile).stats.items() if name == "hot"}
-    assert hot == {"<hot loop sums:2>": 2, "<hot loop runs_out:2>": 2}
+    hot = hot_calls(profile)
+    assert sorted(re.sub(r" #\d+>$", ">", file) for file in hot) == ["<hot loop runs_out:2>", "<hot loop sums:2>"]
+    assert list(hot.values()) == [2, 2]
+
+
+def test_the_hot_loops_of_two_variants_of_one_function_profile_apart(hot_at_once):
+    """Two variants of `sums` share the statement id of their loop; each
+    build has its own filename, so the profile keeps both."""
+    variants = [parse(LONG_LOOPS), parse(LONG_LOOPS.replace("t = t - 1;", "t = t - 2;"))]
+    profile = cProfile.Profile()
+    for unit in variants + variants:
+        profile.runcall(interpret, unit, *CALLS[1])
+    hot = hot_calls(profile)
+    assert len(hot) == 2 and list(hot.values()) == [2, 2]
+    assert all(re.fullmatch(r"<hot loop sums:2 #\d+>", file) for file in hot)
 
 
 # -- the budget: one test per iteration, steps charged per block -----------------
@@ -387,13 +412,16 @@ def test_the_budget_runs_out_at_every_offset_of_an_iteration(fn, args, hot_at_on
     """Each budget ends the run at another statement of an iteration: the
     hot form hands the entry back when one iteration's most steps no longer
     fit, and the closures finish it. A trap, a `return` and the header's
-    exit give back the steps charged ahead of them."""
+    exit give back the steps charged ahead of them. The budget is tested
+    once per segment, before its `for`, and never inside it."""
     unit = parse(CHARGED)
     assert_every_budget_matches(unit, fn, args)
     assert builds and None not in builds
     for source in sources:
         assert "_BudgetExhausted" not in source
-        assert source.count("steps_left <") == 1
+        assert source.count("steps_left //") == 1
+        segment = source.split("for _ in range(m):")[1].split("\n        else:")[0]
+        assert "steps_left <" not in segment and "steps_left //" not in segment
 
 
 def test_the_calls_charge_what_they_are_meant_to():
@@ -482,3 +510,296 @@ def test_a_length_is_read_once_unless_the_loop_rebinds_its_name(fn, args, reads,
     [source] = sources
     iteration = source.split("while True:")[1]
     assert ("len(" in iteration) == reads
+
+
+# -- segments ---------------------------------------------------------------------
+
+SEGMENTS = """\
+fn long_run(v: int[], n: int) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < n) {
+    if (i % 3 == 0) {
+      t = t + v[i % len(v)];
+    }
+    i = i + 1;
+  }
+  return t;
+}
+"""
+
+
+def test_segments_end_at_every_budget_inside_and_outside_the_cut_windows(hot_at_once, builds, sources):
+    """A segment runs as many iterations as neither the budget nor the next
+    cut check can interrupt. Over 300 visits the checks fall in windows of
+    one visit each (after the snapshots at 16, 32, 64, 128 and 256) and far
+    apart between them (193 to 256); an iteration that skips its branch
+    charges less than the most, so a segment the budget ends may be
+    followed by another. Every budget hands the entry back at another
+    offset. (A cut inside a segment's run is
+    `test_the_loop_cut_does_the_same_work_at_every_threshold`.)"""
+    assert_every_budget_matches(parse(SEGMENTS), "long_run", [[1, 2, 3], 300])
+    assert builds and None not in builds
+    [source] = sources
+    assert "for _ in range(m):" in source
+
+
+# -- bounds the header implies ------------------------------------------------------
+
+BOUNDS = """\
+fn walks_back(v: int[], i: int) -> int {
+  let t = 0;
+  while (i < len(v)) {
+    t = t + v[i];
+    i = i - 1;
+  }
+  return t;
+}
+
+fn walks_back_the_other_way_round(v: int[], i: int) -> int {
+  let t = 0;
+  while (len(v) > i) {
+    t = t + v[i];
+    i = i - 1;
+  }
+  return t;
+}
+
+fn steps_first(v: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < len(v)) {
+    i = i + 1;
+    t = t + v[i];
+  }
+  return t;
+}
+
+fn steps_in_a_branch(v: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (i < len(v)) {
+    if (t > 5) {
+      i = i + 1;
+    }
+    t = t + v[i];
+    i = i + 1;
+  }
+  return t;
+}
+
+fn stores_after_a_step(v: int[]) -> int {
+  let i = 0;
+  while (i < len(v)) {
+    v[i] = v[i] + 1;
+    i = i + 1;
+    v[i] = 0;
+  }
+  return v[0];
+}
+
+fn stops_early(v: int[]) -> int {
+  let t = 0;
+  let i = 0;
+  while (len(v) > i && t < 12) {
+    t = t + v[i];
+    i = i + 1;
+  }
+  return t;
+}
+
+fn either_side(v: int[], n: int) -> int {
+  let t = 0;
+  let i = 0;
+  while (n > i - 2 && i < len(v)) {
+    v[i] = t;
+    t = t + v[i] + 1;
+    i = i + 1;
+  }
+  return t;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fn, args, reduced, full",
+    [
+        ("walks_back", [[4, 5, 6], 2], 1, 0),
+        ("walks_back", [[7], 0], 1, 0),
+        ("walks_back_the_other_way_round", [[4, 5, 6], 2], 1, 0),
+        ("steps_first", [[3, 4, 5]], 0, 1),
+        ("steps_in_a_branch", [[3, 4, 5, 6, 7]], 0, 1),
+        ("steps_in_a_branch", [[1, 1, 1, 1]], 0, 1),
+        ("stores_after_a_step", [[3, 4, 5]], 2, 1),
+        ("stops_early", [[2, 3, 4, 5]], 1, 0),
+        ("stops_early", [[5, 5, 5, 5, 5]], 1, 0),
+        ("either_side", [[1, 2, 3, 4], 9], 2, 0),
+        ("either_side", [[1, 2, 3, 4], 2], 2, 0),
+    ],
+)
+def test_a_bound_the_header_implies_holds_until_the_index_is_stored(fn, args, reduced, full, hot_at_once, sources):
+    """Under `i < len(v)` or `len(v) > i`, alone or as a conjunct of an `&&`
+    header, with `v` of fixed length, `v[i]` and `v[i] = e` test only
+    `i >= 0` until the first store to `i`, in the body or in a branch;
+    after it they test the full bound. A negative `i` still traps."""
+    assert_every_budget_matches(parse(BOUNDS), fn, args)
+    [source] = sources
+    assert len(re.findall(r"if s\d+ < 0:", source)) == reduced
+    assert len(re.findall(r"if not 0 <= s\d+ < ", source)) == full
+
+
+def test_the_bound_calls_reach_what_they_are_meant_to():
+    unit = parse(BOUNDS)
+    assert interpret(unit, "walks_back", [[4, 5, 6], 2], 1_000).error_kind == "index-out-of-bounds"
+    assert interpret(unit, "walks_back", [[7], 0], 1_000).error_kind == "index-out-of-bounds"
+    for fn, args in [("steps_first", [[3, 4, 5]]), ("steps_in_a_branch", [[3, 4, 5, 6, 7]])]:
+        assert interpret(unit, fn, args, 1_000).error_kind == "index-out-of-bounds"
+    assert interpret(unit, "stores_after_a_step", [[3, 4, 5]], 1_000).error_kind == "index-out-of-bounds"
+    assert interpret(unit, "stops_early", [[5, 5, 5, 5, 5]], 1_000).value == 15
+
+
+# -- arithmetic that cannot trap ----------------------------------------------------
+
+FOLDS = """\
+fn folds(x: int, v: int[]) -> int {
+  let y = 0;
+  let i = 0;
+  while (i < len(v)) {
+    if (x OP == 0 || len(v) != 3) {
+      y = v[i] OP;
+    } else {
+      y = x OP;
+    }
+    i = i + 1;
+  }
+  return y;
+}
+
+fn folds_what_traps(x: int, v: int[]) -> int {
+  let y = 0;
+  let i = 0;
+  while (i < len(v)) {
+    y = (x + i) OP - (x - i) OP;
+    y = v[i + 1] OP;
+    i = i + 1;
+  }
+  return y;
+}
+"""
+
+IDENTITIES = ["* 1", "/ 1", "+ 0", "- 0", "% 1"]
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+@pytest.mark.parametrize("x", [INT_MIN, INT_MAX, 0, -7, 6, True])
+@pytest.mark.parametrize("fn", ["folds", "folds_what_traps"])
+def test_identities_fold_after_the_checks_of_their_operand(fn, x, identity, hot_at_once, sources):
+    """`x * 1`, `x / 1`, `x + 0` and `x - 0` read as `x` and `x % 1` as 0,
+    at the extremes of the int range too, while `(x + i) * 1` still
+    overflows and `v[i + 1] * 1` still runs out of bounds. A bool passed
+    for `x` or held in `v` comes out an int, as the closures' arithmetic
+    makes it, and `==` against a constant drops its type test only for an
+    arithmetic result or a length."""
+    unit = parse(FOLDS.replace("OP", identity))
+    for v in ([5, -3, 8], [True, 2]):
+        assert_every_budget_matches(unit, fn, [x, v])
+    operand = r"(\b[stn]\d+|[)\]])"
+    assert not re.search(rf"{operand} (\*|//|%) 1\b|{operand} [-+] 0\b", "".join(sources))
+
+
+@pytest.mark.parametrize("identity, typed", [("* 1", False), ("% 1", False), ("", True)])
+def test_only_an_int_by_its_shape_drops_the_type_test(identity, typed, hot_at_once, sources):
+    """`x * 1 == 0` and `len(v) != 3` compare without a type test; `x == 0`
+    keeps it."""
+    interpret(parse(FOLDS.replace("OP", identity)), "folds", [0, [1, 2]], 1_000)
+    [source] = sources
+    assert ("type(" in source) == typed
+
+
+# -- lengths as divisors -------------------------------------------------------------
+
+DIVISORS = """\
+fn wraps(v: int[], i: int, k: int) -> int {
+  let t = 0;
+  while (i < 6) {
+    if (i > k) {
+      t = t + v[i % len(v)] * 10 + i / len(v);
+    }
+    i = i + 1;
+  }
+  return t;
+}
+
+fn splits(v: int[], i: int, k: int) -> int {
+  let t = 0;
+  while (i < 6) {
+    if (i > k) {
+      t = t + i / len(v) + i % len(v);
+      v = v;
+    }
+    i = i + 1;
+  }
+  return t;
+}
+"""
+
+
+@pytest.mark.parametrize("fn", ["wraps", "splits"])
+@pytest.mark.parametrize("v", [[4, -2, 7], [9], []])
+def test_a_length_divides_as_a_positive_constant_past_its_zero_check(fn, v, hot_at_once, sources):
+    """A nonzero length is positive: after the zero-divisor trap, `/` and
+    `%` by a length take the constant path, on negative dividends too. The
+    branch first runs hot, so an empty `v` traps in the hot form."""
+    assert_every_budget_matches(parse(DIVISORS), fn, [v, -5, -4])
+    [source] = sources
+    assert "abs(" not in source
+
+
+# -- the random programs reach each shape ---------------------------------------------
+
+
+def implied_bounds_kept(source: str) -> list[bool]:
+    """For each index `i` of a header bound `i < len(v)` (either way round)
+    that the hot text `source` reads as `v[i]` with only `i >= 0`: whether
+    a full check of `v[i]` follows, after a store to `i`."""
+    header = source.split("for _ in range(m):")[1].split("break")[0]
+    pairs = re.findall(r"\((s\d+) < (n\d+)\)", header) + [(i, n) for n, i in re.findall(r"\((n\d+) > (s\d+)\)", header)]
+    kept = []
+    for index, length in pairs:
+        reduced = source.find(f"if {index} < 0:")
+        if reduced >= 0:
+            kept.append(f"if not 0 <= {index} < {length}:" in source[reduced:])
+    return kept
+
+
+def test_random_programs_reach_the_shapes_the_hot_form_treats_apart(hot_at_once, sources, monkeypatch):
+    """The derandomized differential tests run 400 random units each, at
+    budgets up to 500 and 2,000 steps, with every loop hot. Run the same
+    way, seeds 0-399 build hot loops of at least 1 % of the units with each
+    shape: a `v[i]` read or written with only `i >= 0` under the header's
+    `i < len(v)`, one read with the full check after a store to `i`, and
+    each of the five identities folded."""
+    folded = []
+    identity = hotloop._Emitter.identity
+
+    def recording(emitter, expr, into):
+        folded.append(f"{expr.op} {expr.rhs.value}")
+        return identity(emitter, expr, into)
+
+    monkeypatch.setattr(hotloop._Emitter, "identity", recording)
+    reached = Counter()
+    for seed in range(400):
+        sources.clear()
+        folded.clear()
+        unit = random_unit(seed)
+        rng = random.Random(seed)
+        for fn in unit.functions:
+            interpret(unit, fn.name, random_args([t for _, t in fn.params], rng), 500)
+        shapes = set(folded)
+        for source in sources:
+            kept = implied_bounds_kept(source)
+            shapes |= {"implied bound"} if kept else set()
+            shapes |= {"full bound after a store"} if any(kept) else set()
+        reached.update(shapes)
+    shapes = ["implied bound", "full bound after a store", "* 1", "/ 1", "% 1", "+ 0", "- 0"]
+    assert all(reached[shape] >= 4 for shape in shapes), reached
