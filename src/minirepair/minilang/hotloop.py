@@ -20,28 +20,47 @@ not know.
 
 The iterations run in segments. A segment begins with
 
-    m = min(steps_left // most, check_at - nvisits)
+    m = min(steps_left // most, check_at - nvisits, caps...)
 
 where `most` is the most steps any path through one iteration can charge
-(the header, each statement, and the longer branch of each `if`): `m` is
-the number of iterations that neither the budget nor the next loop-cut
-check can interrupt. Then `for _ in range(m):` runs them with no test of
-either, and its `else` adds the `m` visits and checks the cut if its
-visit has come. The next check always lies ahead of the visits so far, so
-`m` is 0 only when fewer than `most` steps are left: `hot` then writes
-its locals back and hands the entry back, and the closures finish it. So
-`hot` never runs out of budget, and it hands back at the iteration where
-a test before every iteration would.
+(the header, each statement, and the longer branch of each `if`), and
+each accumulator (below) adds a cap: `m` is the number of iterations
+that neither the budget nor the next loop-cut check can interrupt and
+that no accumulator can overflow in. Then `for j in range(m - 1, -1, -1):`
+runs them with no test of either, `j` counting the iterations left after
+the current one, and its `else` adds the `m` visits and checks the cut
+if its visit has come. The next check always lies ahead of the visits so
+far, so `m` is below 1 only when fewer than `most` steps are left or an
+accumulator's cap is spent: `hot` then writes its locals back and hands
+the entry back, and the closures finish it, trapping where an
+accumulator overflows. So `hot` never runs out of budget, and it hands
+back at the iteration where a test before every iteration would.
 
-Steps are charged per block, with one decrement before the block's first
-statement: the iteration charges the header and the body's top-level
-statements, and each `if` branch charges its own. A trap, a `return` and
-the header's exit give back the steps charged for statements not yet
-reached, a count the emitter knows statically (the sum over the open
-blocks), so `run.steps_left` is written exact. Each statement in a
-branch is marked before its expressions; the header and the top-level
-statements ran in each visit before the switch, so they are marked
-already.
+Steps are charged per segment and per branch: before its `for`, a
+segment charges the header and the body's top-level statements of all
+its `m` iterations with one decrement, and each `if` branch charges its
+own statements when it runs. A trap, a `return` and the header's exit
+give back the steps charged for statements not yet reached: the count
+the emitter knows statically for this iteration (the sum over the open
+blocks), and the header and top-level statements of the `j` iterations
+left, so `run.steps_left` is written exact. Each statement in a branch is
+marked before its expressions; the header and the top-level statements
+ran in each visit before the switch, so they are marked already.
+
+An accumulator is a slot visible at the header that the loop changes
+only by `x = x + e`, `x = x - e` or `x = e + x`, where `e` is an int
+literal, a variable the loop never rebinds, or, in a loop with no index
+store at all (which could change an element through any alias), an
+element of an array the loop never rebinds. Each entry reads the bound
+of `x`'s increments once: the sum over its stores of `abs` of the
+literal or the variable, or of the array's largest `abs` (the local `b3`
+for slot 3, or a constant when every `e` is a literal; a sum of 0 is
+read as 1). The cap `(INT_MAX - abs(x)) // bound` keeps
+`|x| + m * bound <= INT_MAX` over the segment, so `x`'s stores are
+emitted without their overflow check: the checks that Sol et al.,
+"Dynamic elimination of overflow tests in a trace compiler" (CC 2011),
+drop once a range guard has passed. At `abs(x)` near INT_MAX the cap
+reaches 0 (or -1 at INT_MIN) and the entry is handed back.
 
 Slots live in Python locals (MiniLang slot 3 is the local `s3`), all
 loaded at entry; the ones visible at the header that the loop assigns are
@@ -55,7 +74,7 @@ that no statement of the loop assigns or `let`s again has its length
 loaded once at entry (the local `n3` for slot 3), which `len` and the
 index bounds read; other lengths are read at each use.
 
-Checks that cannot fire are left out, so that the loops of mutation
+Checks that cannot fire are left out too, so that the loops of mutation
 candidates, which rewrite an increment `i = i + 1` as `i * 1`, `i / 1`
 or `i % 1`, pay for little more than their own arithmetic:
   - Under a header `i < len(v)` or `len(v) > i`, alone or as a conjunct
@@ -152,10 +171,15 @@ class _Emitter:
         self.bounds: set[tuple[int, int]] = set()
         self.branches = 0  # the `if` branches around the statement
         self.ahead = 0  # steps charged for statements not yet reached
+        self.top = 1  # steps one iteration charges before its branches
+        self.unchecked: set[int] = set()  # ids of accumulator stores the cap bounds
 
     def loop(self, stmt: WhileStmt) -> str:
-        rebound = {node.name for node, _ in iter_depths(stmt.body) if isinstance(node, (LetStmt, AssignStmt))}
+        nodes = [node for node, _ in iter_depths(stmt.body)]
+        rebound = {node.name for node in nodes if isinstance(node, (LetStmt, AssignStmt))}
         self.fixed = {slot for name, slot in self.scope[0].items() if name not in rebound}
+        increments = self.accumulators(nodes)
+        self.top = 1 + len(stmt.body)
         self.k = self.number
         self.number += 1
         self.ahead = len(stmt.body)
@@ -165,21 +189,85 @@ class _Emitter:
         self.ahead = 0
         self.bounds = self.implied_bounds(stmt.cond)
         most = 1 + self.block(stmt.body)
+        bounds, caps = self.caps(increments)
         write_back = [f"frame[{s}] = s{s}" for s in sorted(self.assigned & self.live)]
         save = write_back + ["run.steps_left = steps_left"]
         head = ["def hot(frame, run, marks, nvisits, cut):"]
         head += [f"    s{s} = frame[{s}]" for s in sorted(self.used)]
         head += [f"    n{s} = len(s{s})" for s in sorted(self.lengths)]
+        head += ["    " + line for line in bounds]
         head += ["    steps_left = run.steps_left", "    check_at = cut.check_at", "    while True:"]
-        head += [f"        m = min(steps_left // {most}, check_at - nvisits)", "        if not m:"]
+        head += [f"        m = min({', '.join([f'steps_left // {most}', 'check_at - nvisits'] + caps)})"]
+        head += ["        if m <= 0:"]
         head += ["            " + line for line in save + ["return _HandBack(nvisits)"]]
-        head += ["        for _ in range(m):", f"            steps_left -= {1 + len(stmt.body)}"]
+        head += [f"        steps_left -= {_times('m', self.top)}", "        for j in range(m - 1, -1, -1):"]
         tail = ["        else:", "            nvisits += m", "            if nvisits >= check_at:"]
         tail += ["                " + line for line in save + ["check_at = cut.check(frame, nvisits)"]]
         tail += ["            continue", "        break"]
         tail += ["    " + line for line in write_back]
         tail += [f"    run.steps_left = {self.steps(len(stmt.body))}", "    return None", ""]
         return "\n".join(head + self.lines + tail)
+
+    def accumulators(self, nodes: list) -> dict[int, list[Expr]]:
+        """The increments `e` of each accumulator among the header's slots:
+        one that the loop, whose statements and expressions are `nodes`,
+        changes only by `x = x + e`, `x = x - e` or `x = e + x`, each `e`
+        an int literal, a variable of fixed binding or, in a loop with no
+        index store at all, an element of an array of fixed binding. Its
+        stores that are not identities go into `unchecked`."""
+        header = self.scope[0]
+        lets = {node.name for node in nodes if isinstance(node, LetStmt)}
+        constant = not any(isinstance(node, IndexAssignStmt) for node in nodes)
+        stores: dict[str, list[AssignStmt]] = {}
+        for node in nodes:
+            if isinstance(node, AssignStmt) and node.name in header and node.name not in lets:
+                stores.setdefault(node.name, []).append(node)
+        increments = {}
+        for name, assigns in stores.items():
+            found = [self.increment(store, constant) for store in assigns]
+            if None in found:
+                continue
+            increments[header[name]] = found
+            for store, e in zip(assigns, found):
+                if not (isinstance(e, IntLit) and (store.value.op, e.value) in _IDENTITIES):
+                    self.unchecked.add(id(store))
+        return increments
+
+    def increment(self, store: AssignStmt, constant: bool) -> Expr | None:
+        """The `e` of an accumulator store `x = x + e`, `x = x - e` or
+        `x = e + x`, or None when `store` is not one; `constant` when no
+        element can change in the loop."""
+        value = store.value
+        if not isinstance(value, Binary) or value.op not in ("+", "-"):
+            return None
+        if isinstance(value.lhs, Var) and value.lhs.name == store.name:
+            e = value.rhs
+        elif value.op == "+" and isinstance(value.rhs, Var) and value.rhs.name == store.name:
+            e = value.lhs
+        else:
+            return None
+        if isinstance(e, IntLit):
+            return e if type(e.value) is int else None
+        if isinstance(e, Var) or isinstance(e, Index) and constant:
+            return e if self.scope[0].get(e.name) in self.fixed else None
+        return None
+
+    def caps(self, increments: dict[int, list[Expr]]) -> tuple[list[str], list[str]]:
+        """The entry's bound of each accumulator's increments per iteration
+        (`b3` for slot 3; literals add in as constants), read once, and the
+        segment caps that keep every accumulator within `|x| <= INT_MAX`."""
+        bounds, caps = [], []
+        for slot, found in sorted(increments.items()):
+            literals = sum(abs(e.value) for e in found if isinstance(e, IntLit))
+            terms = [_bound(self.scope[0][e.name], e) for e in found if not isinstance(e, IntLit)]
+            room = f"{INT_MAX} - abs(s{slot})"
+            if terms:
+                total = " + ".join(terms + ([str(literals)] if literals else []))
+                bounds.append(f"b{slot} = {total} or 1")
+                caps.append(f"({room}) // b{slot}")
+            elif literals:
+                caps.append(room if literals == 1 else f"({room}) // {literals}")
+        return bounds, caps
 
     def implied_bounds(self, cond: Expr) -> set[tuple[int, int]]:
         """(index slot, array slot) of each conjunct `i < len(v)` or
@@ -210,10 +298,12 @@ class _Emitter:
         self.temps += 1
         return f"t{self.temps}"
 
-    @staticmethod
-    def steps(ahead: int) -> str:
-        """The steps left, with `ahead` steps charged but not reached given back."""
-        return f"steps_left + {ahead}" if ahead else "steps_left"
+    def steps(self, ahead: int) -> str:
+        """The steps left, with the steps charged but not reached given back:
+        `ahead` in this iteration and all of each later one in the segment,
+        `j` of them."""
+        back = _times("j", self.top)
+        return f"steps_left + {back} + {ahead}" if ahead else f"steps_left + {back}"
 
     def trap(self, condition: str, kind: str) -> None:
         self.line(f"if {condition}:")
@@ -287,7 +377,10 @@ class _Emitter:
                 slot = self.slot(stmt.name)
             else:
                 slot = self.scope[-1].get(stmt.name, self.nslots)
-            value, _ = self.value(stmt.value, into=f"s{slot}")
+            if id(stmt) in self.unchecked:
+                value = self.accumulate(stmt.value)
+            else:
+                value, _ = self.value(stmt.value, into=f"s{slot}")
             if slot == self.nslots:
                 # operands are resolved before a `let` binds its own name
                 self.scope[-1][stmt.name] = slot
@@ -322,6 +415,13 @@ class _Emitter:
         return 1
 
     # -- expressions ---------------------------------------------------------
+
+    def accumulate(self, expr: Binary) -> str:
+        """An accumulator's `x + e`, `x - e` or `e + x`, after the checks of
+        `e` and with no overflow check: the segment cap keeps it in range."""
+        lhs, _ = self.value(expr.lhs)
+        rhs, _ = self.value(expr.rhs)
+        return f"{lhs} {expr.op} {rhs}"
 
     def atom(self, expr: Expr) -> str:
         """`expr` as a local or a literal, which may be read more than once."""
@@ -463,6 +563,19 @@ class _Emitter:
             self.in_range(q)
             return q, True
         return f"({lhs} - {q} * {rhs})", False
+
+
+def _times(name: str, count: int) -> str:
+    """`name * count` as text, or `name` for a count of 1."""
+    return f"{name} * {count}" if count != 1 else name
+
+
+def _bound(slot: int, e: Expr) -> str:
+    """The largest `abs` an increment `e`, a variable or an element of the
+    array in `slot`, can take in this entry."""
+    if isinstance(e, Var):
+        return f"abs(s{slot})"
+    return f"max(map(abs, s{slot}), default=0)"
 
 
 def _is_int(expr: Expr) -> bool:

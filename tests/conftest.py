@@ -1,9 +1,16 @@
 import pytest
 
-from minirepair.minilang import parse
+from minirepair.minilang import interpreter, parse
 from minirepair.minilang.testsuite import load_suite
 
 from samples import BUGGY_MAX, CORRECT_MAX, MAX_SUITE
+
+
+@pytest.fixture(autouse=True)
+def no_cached_hot_code():
+    """Each test compiles its hot loops anew: code cached by an earlier test
+    would change what a test's builds count and what its `compile()` sees."""
+    interpreter._HOT_CODE.clear()
 
 
 @pytest.fixture

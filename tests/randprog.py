@@ -18,9 +18,15 @@ loops, `let i = 0;` and a loop guarded by `i < len(v)` (or `len(v) > i`,
 alone or in an `&&`), read and write `v[i]` often and store to `i` in
 the middle of their body, and at times in a branch, so that `v[i]` is
 read both before and after a store to `i`; they make no call and hold
-no loop, either of which would keep them off the hot form. And half the
-constant right operands of arithmetic make an identity: `x * 1`,
-`x / 1`, `x % 1`, `x + 0` or `x - 0`.
+no loop, either of which would keep them off the hot form. One time in
+three a counted loop also moves an accumulator that starts within 60 of
+INT_MAX or INT_MIN toward that end, so that the hot form caps its
+segments and hands back before the overflow. Half the constant right
+operands of arithmetic make an identity: `x * 1`, `x / 1`, `x % 1`,
+`x + 0` or `x - 0`. And inside a loop three indexes in four are 0 or 1,
+inside most arrays, so that fewer loops trap in their first iteration.
+(Such indexes everywhere let more runs reach calls, and so enter more
+functions, which leaves too few tests for `test_test_selection` to skip.)
 
 `random_lineage` grows a random unit by the repair operators, so that
 tests can check each child against its parent.
@@ -32,6 +38,7 @@ import random
 
 from minirepair.minilang.checker import check_unit
 from minirepair.minilang.nodes import (
+    INT_MAX,
     ArrayLit,
     AssignStmt,
     Binary,
@@ -82,6 +89,7 @@ class ProgramGenerator:
         self._name_counter = 0
         # (i, v) of the enclosing counted loop, guarded by `i < len(v)`
         self.guard: tuple[str, str] | None = None
+        self.loops = 0  # the loops around the statement being drawn
 
     def unit(self) -> SourceUnit:
         count = self.rng.randint(1, 3)
@@ -151,16 +159,18 @@ class ProgramGenerator:
                 i, name = self.guard
                 return IndexAssignStmt(name, Var(i), self._expr(T_INT, scope, depth=1))
             name = self.rng.choice(self._vars_of(T_INT_ARRAY, scope))
-            return IndexAssignStmt(
-                name, self._expr(T_INT, scope, depth=1), self._expr(T_INT, scope, depth=1)
-            )
+            return IndexAssignStmt(name, self._index(scope, depth=1), self._expr(T_INT, scope, depth=1))
         if kind == "if":
             cond = self._expr(T_BOOL, scope, depth=2)
             then_body = self._block(scope, depth + 1, return_type)
             else_body = self._block(scope, depth + 1, return_type) if self.rng.random() < 0.4 else None
             return IfStmt(cond, then_body, else_body)
         if kind == "while":
-            return WhileStmt(self._header(scope), self._block(scope, depth + 1, return_type))
+            cond = self._header(scope)
+            self.loops += 1
+            body = self._block(scope, depth + 1, return_type)
+            self.loops -= 1
+            return WhileStmt(cond, body)
         return ExprStmt(self._expr(self.rng.choice(TYPES), scope, depth=2))
 
     def _value(self, type_: str, scope: list[dict]) -> Expr:
@@ -177,7 +187,7 @@ class ProgramGenerator:
         if roll < 0.4:
             rhs = IntLit(self._constant(op))
         elif roll < 0.8 and arrays:
-            rhs = self._element(Var(rng.choice(ints)), scope)
+            rhs = self._element(scope, depth=0)
         else:
             rhs = self._expr(T_INT, scope, depth=1)
         return Binary(op, Var(rng.choice(ints)), rhs)
@@ -192,7 +202,8 @@ class ProgramGenerator:
     def _counted_loop(self, scope: list[dict], depth: int, return_type: str) -> list[Stmt]:
         """`let i = 0;` and a loop guarded by `i < len(v)`, written
         `i < len(v)`, `len(v) > i` or `i < len(v) && e`, whose body stores
-        `i = i op c` between two statements."""
+        `i = i op c` between two statements; one time in three with an
+        accumulator near the end of the int range (see `_accumulator`)."""
         rng = self.rng
         i, v = self._fresh(), rng.choice(self._vars_of(T_INT_ARRAY, scope))
         scope[-1][i] = T_INT
@@ -201,22 +212,58 @@ class ProgramGenerator:
         if form == "&&":
             cond = Binary("&&", cond, self._expr(T_BOOL, scope, depth=1))
         self.guard = (i, v)
+        self.loops += 1
+        stmts = [LetStmt(i, IntLit(0))]
+        accumulate = rng.random() < 1 / 3
+        if accumulate:
+            let, store = self._accumulator(scope)
+            stmts.append(let)
         scope.append({})
         before = self._stmt(scope, depth + 1, return_type)
         op = rng.choice(ARITH)
         step = AssignStmt(i, Binary(op, Var(i), IntLit(self._constant(op))))
         after = self._stmt(scope, depth + 1, return_type)
+        body = [before, step, after]
+        if accumulate:
+            body.insert(rng.randint(0, 3), store)
         scope.pop()
         self.guard = None
-        return [LetStmt(i, IntLit(0)), WhileStmt(cond, [before, step, after])]
+        self.loops -= 1
+        return stmts + [WhileStmt(cond, body)]
 
-    def _element(self, index: Expr, scope: list[dict]) -> Index:
-        """An element of a bound array at `index`, or, four times in five
-        inside a counted loop, the guard's `v[i]`."""
+    def _accumulator(self, scope: list[dict]) -> tuple[LetStmt, AssignStmt]:
+        """`let a = c;` with `c` within 60 of INT_MAX or of -INT_MAX, and a
+        store that moves `a` toward that end: `a = a + e` (or `e + a`) or
+        `a = a - e`, with `e` a small constant, the guard's `v[i]` or an int
+        variable. Nothing else names `a`, so the hot form caps its segments
+        by `a` and hands the entry back as `a` nears the end of the range.
+        Called with the guard set, before the loop's body is drawn."""
+        rng = self.rng
+        a = self._fresh()  # kept out of `scope`: no other statement reads or stores it
+        near = IntLit(INT_MAX - rng.randint(0, 60))
+        i, v = self.guard
+        ints = [name for name in self._vars_of(T_INT, scope) if name != i]
+        e = rng.choice([IntLit(rng.randint(1, 9)), Index(v, Var(i))] + ([Var(rng.choice(ints))] if ints else []))
+        if rng.random() < 0.5:
+            return LetStmt(a, Unary("-", near)), AssignStmt(a, Binary("-", Var(a), e))
+        value = Binary("+", e, Var(a)) if rng.random() < 0.3 else Binary("+", Var(a), e)
+        return LetStmt(a, near), AssignStmt(a, value)
+
+    def _element(self, scope: list[dict], depth: int) -> Index:
+        """An element of a bound array at an index from `_index`, or, four
+        times in five inside a counted loop, the guard's `v[i]`."""
         if self.guard and self.rng.random() < 0.8:
             i, v = self.guard
             return Index(v, Var(i))
-        return Index(self.rng.choice(self._vars_of(T_INT_ARRAY, scope)), index)
+        return Index(self.rng.choice(self._vars_of(T_INT_ARRAY, scope)), self._index(scope, depth))
+
+    def _index(self, scope: list[dict], depth: int) -> Expr:
+        """An index: inside a loop three times in four 0 or 1, inside most
+        arrays the programs make or receive, and otherwise any int
+        expression."""
+        if self.loops and self.rng.random() < 0.75:
+            return IntLit(self.rng.randint(0, 1))
+        return self._expr(T_INT, scope, depth)
 
     def _constant(self, op: str) -> int:
         """An int constant right operand of `op`: half the time one that
@@ -248,7 +295,7 @@ class ProgramGenerator:
             if kind == "unary":
                 return Unary("-", self._expr(T_INT, scope, depth - 1))
             if kind == "index":
-                return self._element(self._expr(T_INT, scope, depth - 1), scope)
+                return self._element(scope, depth - 1)
             if kind == "len":
                 return Len(self._expr(T_INT_ARRAY, scope, depth - 1))
             if kind == "call":

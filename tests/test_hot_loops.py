@@ -3,15 +3,17 @@ the rest of the entry as one compiled Python function, with exactly the
 results, steps, coverage, traps and loop cut of the closures: every pinned
 report of the benchmark's pools holds with every loop hot. The counts
 check that the hot form does the same loop-cut work, that a loop is built
-once per compiled function and that a run whose loops stay short builds
-nothing; loops the emitter does not take stay on closures. Budgets that
-run out at every offset of an iteration check the hand-back to the
-closures and the steps charged per block, and the generated text shows
-which array lengths are read once per entry, that the budget is tested
-once per segment and which checks are left out: bounds the header
-implies, identities such as `x * 1`, type tests of `==` against a
-constant and the general division by a length. The random programs of
-the differential tests are shown to reach each of those shapes.
+once per compiled function, that `compile()` runs once per statement and
+text, and that the original programs' suites build nothing; loops the
+emitter does not take stay on closures. Budgets that run out at every
+offset of an iteration check the hand-back to the closures and the steps
+charged per segment and per branch, and the generated text shows which
+array lengths are read once per entry, that the budget is tested once
+per segment and which checks are left out: bounds the header implies,
+identities such as `x * 1`, an accumulator's overflow test under its
+segment cap, type tests of `==` against a constant and the general
+division by a length. The random programs of the differential tests are
+shown to reach each of those shapes.
 `test_hot_differential.py` runs the closure form's own differential tests
 with every loop hot."""
 
@@ -83,6 +85,12 @@ def sources(monkeypatch):
 @pytest.mark.parametrize("workload", ["loop-mut", "genprog-wide", "corpus-default"])
 def test_pinned_reports_hold_with_every_loop_hot(workload, hot_at_once):
     assert_pinned(workload)
+
+
+def segment(source: str) -> str:
+    """The text of the `for` that runs one segment's iterations in the hot
+    loop `source`: the header and the body, up to the `for`'s `else`."""
+    return source.split("for j in range(m - 1, -1, -1):\n")[1].split("\n        else:")[0]
 
 
 # -- the same work, counted ------------------------------------------------------
@@ -159,12 +167,12 @@ CALLS = [
 def test_the_loop_cut_does_the_same_work_at_every_threshold(fn, args, budget, monkeypatch):
     """The shared cut compares as often as in the closure form, whatever the
     threshold: the switch hands the entry's cut to the hot form before the
-    first snapshot (1), on a snapshot visit (16, 32, 1,024), inside a
-    comparison window (20, 80, 81, 1,025) or between windows (200)."""
+    first snapshot (1), on a snapshot visit (16, 32, 64, 1,024), inside a
+    comparison window (20, 65, 80, 81, 1,025) or between windows (200)."""
     counts = {}
     results = {}
     matches = interpreter._Cut.matches
-    for at in (COLD, 1, 16, 20, 32, 80, 81, 200, 1024, 1025):
+    for at in (COLD, 1, 16, 20, 32, 64, 65, 80, 81, 200, 1024, 1025):
         calls = []
         monkeypatch.setattr(interpreter._Cut, "matches", lambda cut, L: calls.append(1) or matches(cut, L))
         monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", at)
@@ -203,16 +211,35 @@ def test_a_loop_is_built_once_per_compiled_function(builds):
 
 
 def test_a_run_whose_loops_stay_short_builds_nothing(builds):
-    """The merged `genprog-wide` unit at its budget of 2,000 steps, in every
-    job of the benchmark's pool: every header visit costs at least two
-    steps, so no loop reaches 1,024 visits."""
-    [(unit, suite)] = worker.load_targets("genprog-wide").values()
-    for test in suite:
-        run_test(unit, test, 2_000)
-    for job in workloads.job_pool("genprog-wide"):
-        assert job.engine_kwargs()["step_budget"] == 2_000
-        evolve(unit, suite, EngineConfig(**job.engine_kwargs()))
+    """Every corpus case's suite at its `meta.json` budget, and the merged
+    `genprog-wide` unit's at 2,000 steps: no loop of an original program
+    reaches 64 visits, so only candidates that loop longer tier up."""
+    for workload in ("corpus-default", "genprog-wide"):
+        targets = worker.load_targets(workload)
+        for job in workloads.job_pool(workload):
+            unit, suite = targets[job.target]
+            budget = EngineConfig(**job.engine_kwargs()).step_budget
+            for test in suite:
+                run_test(unit, test, budget)
     assert builds == []
+
+
+def test_a_pool_pass_compiles_each_hot_loop_once(builds, monkeypatch):
+    """A `genprog-wide` pool pass: its candidates that loop past 64 visits
+    build their hot loops, and `compile()` runs once per (statement id,
+    text); every other build reuses the cached code."""
+    compiled = []
+
+    def counting(source, filename, mode):
+        compiled.append((re.sub(r" #\d+>$", ">", filename), source))
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(interpreter, "compile", counting, raising=False)
+    [(unit, suite)] = worker.load_targets("genprog-wide").values()
+    for job in workloads.job_pool("genprog-wide"):
+        evolve(unit, suite, EngineConfig(**job.engine_kwargs()))
+    assert None not in builds and len(builds) > len(compiled) > 0
+    assert sorted(compiled) == sorted((f"<hot loop {sid}>", text) for sid, text in interpreter._HOT_CODE)
 
 
 # -- declines and safety ---------------------------------------------------------
@@ -412,16 +439,21 @@ def test_the_budget_runs_out_at_every_offset_of_an_iteration(fn, args, hot_at_on
     """Each budget ends the run at another statement of an iteration: the
     hot form hands the entry back when one iteration's most steps no longer
     fit, and the closures finish it. A trap, a `return` and the header's
-    exit give back the steps charged ahead of them. The budget is tested
-    once per segment, before its `for`, and never inside it."""
+    exit give back the steps charged ahead of them, and those of the
+    segment's later iterations. The budget is tested, and the header and
+    top-level statements of all the segment's iterations are charged, once
+    per segment, before its `for`, and never inside it: inside, only a
+    branch charges its own statements."""
     unit = parse(CHARGED)
     assert_every_budget_matches(unit, fn, args)
     assert builds and None not in builds
     for source in sources:
         assert "_BudgetExhausted" not in source
         assert source.count("steps_left //") == 1
-        segment = source.split("for _ in range(m):")[1].split("\n        else:")[0]
-        assert "steps_left <" not in segment and "steps_left //" not in segment
+        assert len(re.findall(r"\n        steps_left -= m \* \d+\n        for j in", source)) == 1
+        body = segment(source)
+        assert "steps_left <" not in body and "steps_left //" not in body
+        assert not re.search(r"^ {12}steps_left -=", body, re.MULTILINE)
 
 
 def test_the_calls_charge_what_they_are_meant_to():
@@ -541,7 +573,7 @@ def test_segments_end_at_every_budget_inside_and_outside_the_cut_windows(hot_at_
     assert_every_budget_matches(parse(SEGMENTS), "long_run", [[1, 2, 3], 300])
     assert builds and None not in builds
     [source] = sources
-    assert "for _ in range(m):" in source
+    assert "for j in range(m - 1, -1, -1):" in source
 
 
 # -- bounds the header implies ------------------------------------------------------
@@ -749,10 +781,167 @@ fn splits(v: int[], i: int, k: int) -> int {
 def test_a_length_divides_as_a_positive_constant_past_its_zero_check(fn, v, hot_at_once, sources):
     """A nonzero length is positive: after the zero-divisor trap, `/` and
     `%` by a length take the constant path, on negative dividends too. The
-    branch first runs hot, so an empty `v` traps in the hot form."""
+    branch first runs hot, so an empty `v` traps in the hot form. (The
+    `abs(` before the segment is the cap of the accumulator `i`.)"""
     assert_every_budget_matches(parse(DIVISORS), fn, [v, -5, -4])
     [source] = sources
-    assert "abs(" not in source
+    assert "abs(" not in segment(source)
+
+
+# -- accumulators: overflow bounded per segment ---------------------------------------
+
+ACCUMULATORS = """\
+fn drifts(v: int[], t: int) -> int {
+  let i = 0;
+  while (i < len(v)) {
+    t = t + v[i];
+    i = i + 1;
+  }
+  return t;
+}
+
+fn nears(t: int, d: int, n: int) -> int {
+  let i = 0;
+  while (i < n) {
+    t = t + d;
+    i = i + 1;
+  }
+  return t;
+}
+
+fn falls(t: int, d: int, n: int) -> int {
+  let i = 0;
+  while (i < n) {
+    t = t - d;
+    i = i + 1;
+  }
+  return t;
+}
+
+fn stalls(v: int[], t: int, d: int) -> int {
+  let i = 0;
+  while (i < len(v)) {
+    t = d + t;
+    i = i * 1;
+  }
+  return t;
+}
+
+fn stores(v: int[], t: int) -> int {
+  let w = v;
+  let i = 0;
+  while (i < len(v)) {
+    t = t + v[i];
+    w[i] = 4611686018427387904;
+    i = i * 1;
+  }
+  return t;
+}
+
+fn leaves(v: int[], t: int, r: int, q: int) -> int {
+  let c = 0;
+  let i = 0;
+  while (i < 100) {
+    t = t + v[i % len(v)];
+    if (c == r) {
+      return t;
+    }
+    if (c > 2) {
+      let z = 100 / (c - q);
+    }
+    c = c + 1;
+    i = i + 1;
+  }
+  return t;
+}
+"""
+
+NEAR_MAX = INT_MAX - 40
+NEAR_MIN = INT_MIN + 40
+
+
+def assert_every_budget_matches_the_closures(unit, fn, args, monkeypatch, most=2_000):
+    """At every budget from 1 to one past a full run's steps (at most
+    `most`), the same result and loop cut with every loop hot as on the
+    closures alone."""
+
+    def run(at, budget):
+        monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", at)
+        result = interpret(unit, fn, args, budget)
+        return observable(result), result.loop_cut_at
+
+    full = interpret(unit, fn, args, most)
+    for budget in range(1, min(full.steps_used, most) + 2):
+        assert run(1, budget) == run(COLD, budget), budget
+
+
+@pytest.mark.parametrize(
+    "fn, args, outcome",
+    [
+        ("drifts", [[2**61] * 4 + [5], 0], "integer-overflow"),
+        ("drifts", [[1, 2, 3], INT_MAX - 4], "integer-overflow"),
+        ("drifts", [[-1, -2, -3], INT_MIN + 3], "integer-overflow"),
+        ("drifts", [[5, -5, 5, -5], INT_MAX - 5], RETURNED),
+        ("nears", [NEAR_MAX, 1, 60], "integer-overflow"),
+        ("nears", [NEAR_MAX, 1, 30], RETURNED),
+        ("nears", [NEAR_MAX, -3, 60], RETURNED),
+        ("nears", [5, INT_MAX, 3], "integer-overflow"),
+        ("nears", [INT_MAX, 0, 20], RETURNED),
+        ("falls", [NEAR_MIN, 1, 60], "integer-overflow"),
+        ("falls", [INT_MIN, 0, 10], RETURNED),
+        ("falls", [3, -4, 20], RETURNED),
+        ("stalls", [[1], 7, 0], "cut"),
+        ("stalls", [[1], INT_MAX, 0], "cut"),
+        ("stalls", [[1], NEAR_MAX, 2], "integer-overflow"),
+        ("stalls", [[1], 7, -1], BUDGET_EXHAUSTED),
+        ("stores", [[1, 2], 0], "integer-overflow"),
+        ("leaves", [[3, 4], NEAR_MAX - 200, 50, 10], "division-by-zero"),
+        ("leaves", [[3, 4], 0, 6, 99], RETURNED),
+        ("leaves", [[30, 40], NEAR_MAX - 200, 50, 99], "integer-overflow"),
+        ("leaves", [[], 0, 5, 5], "modulo-by-zero"),
+    ],
+)
+def test_an_accumulator_is_capped_per_segment_and_traps_where_the_closures_do(fn, args, outcome, monkeypatch):
+    """An accumulator, changed only by `x = x + e`, `x = x - e` or
+    `x = e + x` with `e` a literal, a variable the loop never rebinds or an
+    element of an array no index store can change, stores without an
+    overflow check: each segment is capped so that `|x|` cannot pass
+    INT_MAX, and the entry is handed back to the closures once the cap is 0.
+    An accumulator that overflows, or nears INT_MAX or INT_MIN and hands
+    back, traps or returns at the step the closures do, at every budget,
+    with `x` at INT_MIN too (`falls`), a zero increment (`nears`,
+    `stalls`), the loop cut (`stalls`), a `return` or a trap in a branch
+    (`leaves`); an index store anywhere in the loop keeps the element's
+    store checked (`stores`, through an alias)."""
+    unit = parse(ACCUMULATORS)
+    assert_every_budget_matches_the_closures(unit, fn, args, monkeypatch, most=400)
+    result = interpret(unit, fn, args, 100_000)
+    if outcome == "cut":
+        assert result.loop_cut_at is not None
+    else:
+        assert outcome in (result.status, result.error_kind)
+
+
+@pytest.mark.parametrize(
+    "fn, args, caps, checked",
+    [
+        ("drifts", [[1, 2], 0], 2, 0),
+        ("nears", [0, 1, 5], 2, 0),
+        ("falls", [0, 1, 5], 2, 0),
+        ("stalls", [[1, 2], 0, 1], 1, 0),
+        ("stores", [[1, 2], 0], 0, 1),
+        ("leaves", [[1, 2], 0, 5, 99], 3, 2),
+    ],
+)
+def test_only_accumulators_drop_their_overflow_check(fn, args, caps, checked, hot_at_once, sources):
+    """Each accumulator adds one cap to the segment's `min` and loses its
+    store's overflow check; `t` in `stores`, whose loop has an index store,
+    and `c - q` and `100 / (c - q)` in `leaves` keep theirs."""
+    interpret(parse(ACCUMULATORS), fn, args, 1_000)
+    [source] = sources
+    [segment_min] = re.findall(r"m = min\(.*\)", source)
+    assert segment_min.count("abs(s") == caps
+    assert source.count("'integer-overflow'") == checked
 
 
 # -- the random programs reach each shape ---------------------------------------------
@@ -762,7 +951,7 @@ def implied_bounds_kept(source: str) -> list[bool]:
     """For each index `i` of a header bound `i < len(v)` (either way round)
     that the hot text `source` reads as `v[i]` with only `i >= 0`: whether
     a full check of `v[i]` follows, after a store to `i`."""
-    header = source.split("for _ in range(m):")[1].split("break")[0]
+    header = segment(source).split("break")[0]
     pairs = re.findall(r"\((s\d+) < (n\d+)\)", header) + [(i, n) for n, i in re.findall(r"\((n\d+) > (s\d+)\)", header)]
     kept = []
     for index, length in pairs:
@@ -777,8 +966,10 @@ def test_random_programs_reach_the_shapes_the_hot_form_treats_apart(hot_at_once,
     budgets up to 500 and 2,000 steps, with every loop hot. Run the same
     way, seeds 0-399 build hot loops of at least 1 % of the units with each
     shape: a `v[i]` read or written with only `i >= 0` under the header's
-    `i < len(v)`, one read with the full check after a store to `i`, and
-    each of the five identities folded."""
+    `i < len(v)`, one read with the full check after a store to `i`, each
+    of the five identities folded, a hand-back at an accumulator's cap
+    (with steps left for an iteration) and one that follows a segment the
+    cap ended."""
     folded = []
     identity = hotloop._Emitter.identity
 
@@ -787,19 +978,41 @@ def test_random_programs_reach_the_shapes_the_hot_form_treats_apart(hot_at_once,
         return identity(emitter, expr, into)
 
     monkeypatch.setattr(hotloop._Emitter, "identity", recording)
+    capped = set()
+    build = interpreter._hot_loop
+
+    def watching(*args):
+        hot = build(*args)
+        if hot is None:
+            return None
+        most = int(re.search(r"steps_left // (\d+)", sources[-1]).group(1))
+
+        def watched(frame, run, marks, nvisits, cut):
+            value = hot(frame, run, marks, nvisits, cut)
+            if type(value) is interpreter._HandBack and run.steps_left >= most:
+                capped.add("hand-back at a cap")
+                if value.visits > nvisits:
+                    capped.add("capped segment")
+            return value
+
+        return watched
+
+    monkeypatch.setattr(interpreter, "_hot_loop", watching)
     reached = Counter()
     for seed in range(400):
         sources.clear()
         folded.clear()
+        capped.clear()
         unit = random_unit(seed)
         rng = random.Random(seed)
         for fn in unit.functions:
             interpret(unit, fn.name, random_args([t for _, t in fn.params], rng), 500)
-        shapes = set(folded)
+        shapes = set(folded) | capped
         for source in sources:
             kept = implied_bounds_kept(source)
             shapes |= {"implied bound"} if kept else set()
             shapes |= {"full bound after a store"} if any(kept) else set()
         reached.update(shapes)
     shapes = ["implied bound", "full bound after a store", "* 1", "/ 1", "% 1", "+ 0", "- 0"]
+    shapes += ["hand-back at a cap", "capped segment"]
     assert all(reached[shape] >= 4 for shape in shapes), reached

@@ -172,7 +172,7 @@ def hot_loop_unit():
     return SourceUnit([caller, deep])
 
 
-@pytest.mark.parametrize("threshold", [1, 1024])
+@pytest.mark.parametrize("threshold", [1, 64, 1024])
 def test_a_hot_loop_at_the_deepest_nesting_of_the_deepest_activation(threshold, monkeypatch):
     """`f` runs on top of 199 activations of `g`, under the default
     recursion limit, and its loop switches to the hot form, which is built
