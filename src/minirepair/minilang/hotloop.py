@@ -85,12 +85,7 @@ or `i % 1`, pay for little more than their own arithmetic:
     dominating test, as in Bodik, Gupta and Sarkar, "ABCD: eliminating
     array bounds checks on demand", PLDI 2000.
   - `x * 1`, `x / 1`, `x + 0` and `x - 0` are `x`, and `x % 1` is 0,
-    after the checks of `x`; none of them can overflow. A variable or an
-    element `x` is read as `+x`, an int even where an argument of the
-    wrong type made `x` a bool, as the closures' arithmetic would.
-  - `==` and `!=` against an int constant compare without a type test
-    when the other operand can only be an int: an arithmetic result or a
-    length.
+    after the checks of `x`; none of them can overflow.
   - `/` and `%` by a length, past its zero check, take the path of a
     positive constant divisor.
 
@@ -98,7 +93,9 @@ Expressions compile to straight-line code: each check that can trap is a
 statement of its own, emitted in the order the closures evaluate, and
 each operand is a side-effect-free Python expression that is evaluated
 after its checks. MiniLang expressions change nothing (a hot loop makes
-no call), so reading an operand later cannot change its value.
+no call), so reading an operand later cannot change its value. A value
+always has its static type (`interpret` checks its arguments at entry),
+so `==` and `!=` are emitted as Python's, like `<`, with no type test.
 
 The text holds only slot numbers, statement numbers, step counts,
 operators from the tables below and the repr of int and bool literals; no
@@ -138,10 +135,9 @@ class Declined(Exception):
 
 
 _ARITH = ("+", "-", "*")
-_ORDER = ("<", "<=", ">", ">=")
+_COMPARE = ("<", "<=", ">", ">=", "==", "!=")
 # `/` and `%` as Python operators, and the trap of a zero divisor.
 _DIVIDE = {"/": ("//", "division-by-zero"), "%": ("%", "modulo-by-zero")}
-_TYPE_NAMES = {int: "int", bool: "bool"}
 # `x op c` that is `x`, or 0 for `%`, for every int `x`.
 _IDENTITIES = {("+", 0), ("-", 0), ("*", 1), ("/", 1), ("%", 1)}
 
@@ -439,7 +435,7 @@ class _Emitter:
         local or a literal. Arithmetic, computed in one line, is computed
         into the local `into` when one is given."""
         if isinstance(expr, (IntLit, BoolLit)):
-            if type(expr.value) not in _TYPE_NAMES:
+            if type(expr.value) not in (int, bool):
                 raise Declined(f"literal {type(expr.value).__name__}")
             return (repr(expr.value) if expr.value >= 0 else f"({expr.value!r})"), True
         if isinstance(expr, Var):
@@ -485,44 +481,19 @@ class _Emitter:
             return t, True
         if op in _DIVIDE:
             return self.divide(expr)
-        if op in _ORDER:
+        if op in _COMPARE:
             lhs, _ = self.value(expr.lhs)
             rhs, _ = self.value(expr.rhs)
             return f"({lhs} {op} {rhs})", False
-        if op in ("==", "!="):
-            lhs = self.atom(expr.lhs)
-            rhs = self.atom(expr.rhs)
-            if isinstance(expr.lhs, (IntLit, BoolLit)):
-                lhs, rhs, constant, other = rhs, lhs, expr.lhs.value, expr.rhs
-            elif isinstance(expr.rhs, (IntLit, BoolLit)):
-                constant, other = expr.rhs.value, expr.lhs
-            else:
-                if op == "==":
-                    return f"(type({lhs}) is type({rhs}) and {lhs} == {rhs})", False
-                return f"(type({lhs}) is not type({rhs}) or {lhs} != {rhs})", False
-            if type(constant) is int and _is_int(other):
-                return f"({lhs} {op} {rhs})", False
-            # type-strict against a constant, as the closures compare, unless
-            # the other operand can only be an int
-            name = _TYPE_NAMES[type(constant)]
-            if op == "==":
-                return f"({lhs} == {rhs} and type({lhs}) is {name})", False
-            return f"({lhs} != {rhs} or type({lhs}) is not {name})", False
         raise Declined(f"operator {op!r}")
 
     def identity(self, expr: Binary, into: str | None) -> tuple[str, bool]:
         """`x * 1`, `x / 1`, `x + 0` and `x - 0` as `x`, and `x % 1` as 0,
-        after the checks of `x`, which can overflow in none of them. An `x`
-        that is not an int by its shape (a variable or an element, which an
-        argument of the wrong type may make a bool) is read as `+x`, an int,
-        as the closures' arithmetic makes it."""
+        after the checks of `x`, which can overflow in none of them."""
         if expr.op == "%":
             self.value(expr.lhs)  # its checks; the value itself is unused
             return "0", True
-        if _is_int(expr.lhs):
-            return self.value(expr.lhs, into)
-        x, _ = self.value(expr.lhs)
-        return f"(+{x})", False
+        return self.value(expr.lhs, into)
 
     def short_circuit(self, expr: Binary) -> tuple[str, bool]:
         """`&&` and `||`, whose right operand's checks run only when the
@@ -576,13 +547,3 @@ def _bound(slot: int, e: Expr) -> str:
     if isinstance(e, Var):
         return f"abs(s{slot})"
     return f"max(map(abs, s{slot}), default=0)"
-
-
-def _is_int(expr: Expr) -> bool:
-    """Whether `expr` evaluates to an int whatever the types of its
-    operands: an int literal, a length or an arithmetic result."""
-    if isinstance(expr, Binary):
-        return expr.op in _ARITH or expr.op in _DIVIDE
-    if isinstance(expr, Unary):
-        return expr.op == "-"
-    return isinstance(expr, Len) or isinstance(expr, IntLit) and type(expr.value) is int

@@ -9,6 +9,9 @@ evaluation began, at statement granularity (an if/while header is one
 trace unit; its nested statements trace separately).
 
 Semantics notes:
+  - `interpret` checks its arguments at entry (`value_type`), and units
+    are well typed, so a value always has its static type: no closure,
+    hot loop or loop cut tests a type at run time.
   - 64-bit signed integers with checked overflow.
   - `/` truncates toward zero, `%` takes the dividend's sign (C style);
     both trap on a zero divisor.
@@ -54,9 +57,8 @@ of calls, as superoperators do for a bytecode interpreter (Proebsting,
     bound variable on either side without a call (`i < len(v)`, `x < c`,
     `x < y`), swapping such an operand to its right, and so does
     arithmetic on a bound variable and a constant (`x + c`);
-  - `==` and `!=` are inlined, and so is an ordered comparison against
-    an int constant; `/` and `%` by an int constant `c > 0` skip the
-    general truncating division.
+  - a comparison against a constant is inlined; `/` and `%` by an int
+    constant `c > 0` skip the general truncating division.
 A fused closure charges its statement's one step and marks its statement
 number first, exactly where the unfused chain did, before any of its
 expressions run. Its operands run in the chain's order, except that an
@@ -69,7 +71,7 @@ its header repeats will repeat that stretch until the budget runs out.
 Each loop entry snapshots its state at header visits 16, 32, 64, ... and
 compares each of the next 64 visits with the snapshot. The state is every
 binding visible at the header in the current activation, compared
-type-strictly, with array contents and with which names share one array.
+with array contents and with which names share one array.
 Caller frames cannot matter: a loop that never exits never returns. On a
 match the run ends as budget exhaustion with `steps_used` equal to the
 budget; `executed` is already final, since every statement of the repeated
@@ -124,13 +126,12 @@ the statements outside any branch are marked already, by the visits
 before the switch). It raises the same traps at the same statements, and
 leaves out only checks that cannot fire: the upper bound of `v[i]` that a
 header `i < len(v)` implies until `i` is stored, the overflow check of
-`x * 1`, `x / 1`, `x + 0` and `x - 0`, that of an accumulator's store,
-which the segment cap rules out, and the type test of `==` against an
-int constant whose other operand is an arithmetic result or a length;
-`/` and `%` by a positive constant or a nonzero length skip the general
-truncating division. It takes over the entry's `_Cut` after the visit's
-check and writes its locals back to the frame before each later one. So
-results, steps, coverage and `loop_cut_at` stay those of the closures.
+`x * 1`, `x / 1`, `x + 0` and `x - 0`, and that of an accumulator's
+store, which the segment cap rules out; `/` and `%` by a positive
+constant or a nonzero length skip the general truncating division. It
+takes over the entry's `_Cut` after the visit's check and writes its
+locals back to the frame before each later one. So results, steps,
+coverage and `loop_cut_at` stay those of the closures.
 
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
@@ -173,6 +174,9 @@ from minirepair.minilang.nodes import (
     SourceUnit,
     StatementId,
     Stmt,
+    T_BOOL,
+    T_INT,
+    T_INT_ARRAY,
     Unary,
     Var,
     WhileStmt,
@@ -241,6 +245,27 @@ class _HandBack:
         self.visits = visits
 
 
+def value_type(value) -> str | None:
+    """The MiniLang type of a value passed in from outside a run, or None
+    when it has none: an exact int in the signed 64-bit range, a bool, or a
+    list or tuple of such ints. The one rule for suite values and for the
+    arguments `interpret` takes."""
+    t = type(value)
+    if t is int:
+        return T_INT if INT_MIN <= value <= INT_MAX else None
+    if t is bool:
+        return T_BOOL
+    # the element test runs in C: the element types, then the extremes
+    if (t is list or t is tuple) and (
+        not value or _INT_ONLY.issuperset(map(type, value)) and INT_MIN <= min(value) and max(value) <= INT_MAX
+    ):
+        return T_INT_ARRAY
+    return None
+
+
+_INT_ONLY = frozenset([int])
+
+
 def values_equal(a: Value, b: Value) -> bool:
     """Type-strict value equality (bool is never equal to int)."""
     return type(a) is type(b) and a == b
@@ -282,14 +307,16 @@ class _Run:
 
 class _Function:
     """A compiled function: its frame size, body and statement ids, the
-    ids in statement-number order."""
+    ids in statement-number order, and its parameters' types, which its
+    first slots hold."""
 
-    __slots__ = ("nslots", "body", "sids")
+    __slots__ = ("nslots", "body", "sids", "kinds")
 
-    def __init__(self, nslots: int, body, sids: list):
+    def __init__(self, nslots: int, body, sids: list, kinds: list[str]):
         self.nslots = nslots
         self.body = body
         self.sids = sids
+        self.kinds = kinds
 
 
 # -- compiler ---------------------------------------------------------------
@@ -314,23 +341,32 @@ class _Function:
 _EXPR, _ITEM, _SLOT, _LEN, _CONST = range(5)
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
 # `/` and `%` by a positive divisor: on a non-negative dividend, C style
 # is floor style.
 _FLOOR = {"/": operator.floordiv, "%": operator.mod}
 _SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
-# An ordered comparison with an int constant on its right, inlined per
-# operator: (left operand a slot, left operand a closure).
+# A comparison with a constant on its right, inlined per operator: (left
+# operand a slot, left operand a closure).
 _AGAINST_CONSTANT = {
     "<": (lambda a, c: lambda L, r: L[a] < c, lambda a, c: lambda L, r: a(L, r) < c),
     "<=": (lambda a, c: lambda L, r: L[a] <= c, lambda a, c: lambda L, r: a(L, r) <= c),
     ">": (lambda a, c: lambda L, r: L[a] > c, lambda a, c: lambda L, r: a(L, r) > c),
     ">=": (lambda a, c: lambda L, r: L[a] >= c, lambda a, c: lambda L, r: a(L, r) >= c),
+    "==": (lambda a, c: lambda L, r: L[a] == c, lambda a, c: lambda L, r: a(L, r) == c),
+    "!=": (lambda a, c: lambda L, r: L[a] != c, lambda a, c: lambda L, r: a(L, r) != c),
 }
 
-# An ordered comparison by its operator function, for each pair of shapes
-# read without a call.
+# A comparison by its operator function, for each pair of shapes read
+# without a call.
 _COMPARE_SHAPES = {
     (_SLOT, _SLOT): lambda f, a, b: lambda L, r: f(L[a], L[b]),
     (_SLOT, _LEN): lambda f, a, b: lambda L, r: f(L[a], len(L[b])),
@@ -401,8 +437,9 @@ class _Compiler:
             scope[0][name] = self.nslots
             self.nslots += 1
         stmts = self.block(fn.body, scope)
+        kinds = [kind for _, kind in fn.params]
         if len(stmts) == 1:
-            return _Function(self.nslots, stmts[0], self.sids)
+            return _Function(self.nslots, stmts[0], self.sids, kinds)
 
         def body(L, r):
             for stmt in stmts:
@@ -411,7 +448,7 @@ class _Compiler:
                     return value
             return None
 
-        return _Function(self.nslots, body, self.sids)
+        return _Function(self.nslots, body, self.sids, kinds)
 
     # -- statements -------------------------------------------------------
 
@@ -734,8 +771,6 @@ class _Compiler:
             shape = _COMPARE_SHAPES.get((lk, rk))
             if shape is not None:
                 return shape(_COMPARE[op], a, b)
-        if op in ("==", "!=") and rk == _CONST and lk in (_EXPR, _SLOT):
-            return _equal_constant(op == "!=", lk, a, b)
         if op in _FLOOR and rk == _CONST and _positive_constant(expr.rhs) and lk in (_EXPR, _SLOT):
             return _divide_by_constant(_FLOOR[op], lk, a, b)
         lhs = _read(lk, a, sid)
@@ -789,46 +824,7 @@ class _Compiler:
                 return x - _trunc_div(x, y) * y
 
             return mod
-        if op == "==":
-
-            def equal(L, r):
-                x = lhs(L, r)
-                y = rhs(L, r)
-                return type(x) is type(y) and x == y
-
-            return equal
-        if op == "!=":
-
-            def not_equal(L, r):
-                x = lhs(L, r)
-                y = rhs(L, r)
-                return type(x) is not type(y) or x != y
-
-            return not_equal
         return _fail("unknown-operator", sid, lhs, rhs)
-
-
-def _equal_constant(negated: bool, kind: int, a, c):
-    """`x == c` or `x != c` for a constant `c`, `x` a slot or a closure;
-    type-strict, as `values_equal` is."""
-    t = type(c)
-    if kind == _SLOT:
-        if negated:
-            return lambda L, r: L[a] != c or type(L[a]) is not t
-        return lambda L, r: L[a] == c and type(L[a]) is t
-    if negated:
-
-        def not_equal_constant(L, r):
-            x = a(L, r)
-            return x != c or type(x) is not t
-
-        return not_equal_constant
-
-    def equal_constant(L, r):
-        x = a(L, r)
-        return x == c and type(x) is t
-
-    return equal_constant
 
 
 def _positive_constant(expr: Expr) -> bool:
@@ -885,7 +881,7 @@ class _Cut:
             # scalars first, so that most mismatches stop before an array
             bound = sorted([(slot, L[slot]) for slot in self.live], key=lambda b: type(b[1]) is list)
             self.values = [(slot, v[:] if type(v) is list else v) for slot, v in bound]
-            self.arrays = [(slot, old, self.owner(L, L[slot])) for slot, old in self.values if type(old) is list]
+            self.arrays = [(slot, self.owner(L, L[slot])) for slot, old in self.values if type(old) is list]
         elif self.matches(L):
             raise _LoopCut
         self.check_at = visits + 1 if visits < self.window_end else self.snapshot_at
@@ -893,16 +889,13 @@ class _Cut:
 
     def matches(self, L: list) -> bool:
         """Whether every binding in `live` equals the snapshot's, compared in
-        place: types and values, then, once all of those match, the element
-        types of each array and which names share one."""
+        place: values, then, once all of those match, which names share one
+        array. A slot keeps its static type, so equal values are equal
+        states."""
         for slot, old in self.values:
-            value = L[slot]
-            if type(value) is not type(old) or value != old:
+            if L[slot] != old:
                 return False
-        return all(
-            self.owner(L, L[slot]) == owner and all(map(operator.is_, map(type, L[slot]), map(type, old)))
-            for slot, old, owner in self.arrays
-        )
+        return all(self.owner(L, L[slot]) == owner for slot, owner in self.arrays)
 
     def owner(self, L: list, array: list) -> int:
         """The first slot in `live` bound to `array`."""
@@ -951,8 +944,10 @@ def interpret(
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
 
     Deterministic: identical inputs always yield identical results.
-    Each array argument, a list or a tuple, is copied into a fresh list,
-    so callers may reuse it.
+    Each argument must have its parameter's type (`value_type`), else
+    ValueError names the parameter; so every value in the run has its
+    static type. Each array argument, a list or a tuple, is copied into a
+    fresh list, so callers may reuse it.
     """
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
@@ -965,9 +960,13 @@ def interpret(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 1) * FRAMES_PER_CALL + _FRAME_SLACK)
     try:
+        kinds = list(map(value_type, args))
+        if kinds != _code_of(fn).kinds:
+            name, kind = next(p for p, got in zip(fn.params, kinds) if p[1] != got)
+            raise ValueError(f"{fn_name!r}: argument {name!r} must have type {kind}")
         nslots, body, run.hit, _ = run.enter(fn)
         frame = [None] * nslots
-        frame[: len(args)] = [list(a) if isinstance(a, (list, tuple)) else a for a in args]
+        frame[: len(args)] = [list(a) if type(a) is tuple or type(a) is list else a for a in args]
         run.depth = 1
         value = body(frame, run)
         if value is None:

@@ -8,7 +8,8 @@ Argument and expected values are JSON integers, booleans, or integer
 arrays; every integer must fit the interpreter's signed 64-bit range.
 Every test is checked against the program at load time: the called
 function must exist with matching arity and argument types, and the
-expected value must match its return type.
+expected value must match its return type. Types are those of
+`value_type`, the rule `interpret` applies to its arguments at entry.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import json
 from dataclasses import dataclass
 
 from minirepair.minilang.errors import SuiteError
-from minirepair.minilang.interpreter import ExecutionResult, RETURNED, Value, interpret, values_equal
+from minirepair.minilang.interpreter import ExecutionResult, RETURNED, Value, interpret, value_type, values_equal
 from minirepair.minilang.interpreter import INT_MAX, INT_MIN
-from minirepair.minilang.nodes import SourceUnit, T_BOOL, T_INT, T_INT_ARRAY
+from minirepair.minilang.nodes import SourceUnit
 
 
 @dataclass(frozen=True)
@@ -28,18 +29,6 @@ class TestCase:
     fn: str
     args: tuple
     expect: Value
-
-
-def _value_type(value) -> str | None:
-    if isinstance(value, bool):
-        return T_BOOL
-    if isinstance(value, int):
-        return T_INT
-    if isinstance(value, (list, tuple)) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        return T_INT_ARRAY
-    return None
 
 
 def _int64(literal: str) -> int:
@@ -87,9 +76,9 @@ def load_suite(text: str, unit: SourceUnit) -> list[TestCase]:
                 f"{where}: {fn.name!r} takes {len(fn.params)} arguments, got {len(args)}"
             )
         for arg, (pname, ptype) in zip(args, fn.params):
-            if _value_type(arg) != ptype:
+            if value_type(arg) != ptype:
                 raise SuiteError(f"{where}: argument {pname!r} must have type {ptype}")
-        if _value_type(entry["expect"]) != fn.return_type:
+        if value_type(entry["expect"]) != fn.return_type:
             raise SuiteError(f"{where}: expected value must have type {fn.return_type}")
         args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
         expect = entry["expect"]

@@ -281,10 +281,11 @@ def test_equality_against_a_constant(x):
         assert_every_budget_matches(COMPARISONS, "eq", [x, b, [1, 2, 3]])
 
 
-def test_equality_against_a_constant_is_type_strict():
-    """A bool never equals an int, as in `values_equal`, even where the
-    checker's types do not rule the pair out: here through arguments of
-    the wrong type."""
+def test_equality_never_meets_an_argument_of_the_wrong_type():
+    """`interpret` rejects a bool where an int is declared, as a scalar or
+    as an element, before anything runs: inside a run a bool never meets
+    an int, so `==` and `!=` test no type. Arguments of the declared
+    types match the reference at every budget."""
     unit = parse(
         """\
 fn f(x: int, v: int[]) -> int {
@@ -305,8 +306,10 @@ fn f(x: int, v: int[]) -> int {
 }
 """
     )
-    full = assert_every_budget_matches(unit, "f", [True, [True]])
-    assert full.value == 10
+    for args, name in (([True, [1]], "x"), ([1, [True]], "v")):
+        with pytest.raises(ValueError, match=f"argument '{name}' must have type int"):
+            interpret(unit, "f", args, 1_000)
+    assert assert_every_budget_matches(unit, "f", [1, [2]]).value == 9
 
 
 def test_operands_that_may_trap_keep_their_order():

@@ -11,8 +11,9 @@ charged per segment and per branch, and the generated text shows which
 array lengths are read once per entry, that the budget is tested once
 per segment and which checks are left out: bounds the header implies,
 identities such as `x * 1`, an accumulator's overflow test under its
-segment cap, type tests of `==` against a constant and the general
-division by a length. The random programs of the differential tests are
+segment cap and the general division by a length; no text tests a type,
+since `interpret` rejects an argument of the wrong type at entry, at
+every threshold alike. The random programs of the differential tests are
 shown to reach each of those shapes.
 `test_hot_differential.py` runs the closure form's own differential tests
 with every loop hot."""
@@ -83,8 +84,17 @@ def sources(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["loop-mut", "genprog-wide", "corpus-default"])
-def test_pinned_reports_hold_with_every_loop_hot(workload, hot_at_once):
+def test_pinned_reports_hold_with_every_loop_hot(workload, hot_at_once, sources):
     assert_pinned(workload)
+    assert sources
+    assert_tests_no_type(sources)
+
+
+def assert_tests_no_type(sources: list[str]) -> None:
+    """A value has its static type, so no hot text tests one (`type(`) or
+    makes an int of an operand (`(+`)."""
+    for source in sources:
+        assert "type(" not in source and "(+" not in source, source
 
 
 def segment(source: str) -> str:
@@ -723,29 +733,54 @@ IDENTITIES = ["* 1", "/ 1", "+ 0", "- 0", "% 1"]
 
 
 @pytest.mark.parametrize("identity", IDENTITIES)
-@pytest.mark.parametrize("x", [INT_MIN, INT_MAX, 0, -7, 6, True])
+@pytest.mark.parametrize("x", [INT_MIN, INT_MAX, 0, -7, 6])
 @pytest.mark.parametrize("fn", ["folds", "folds_what_traps"])
 def test_identities_fold_after_the_checks_of_their_operand(fn, x, identity, hot_at_once, sources):
     """`x * 1`, `x / 1`, `x + 0` and `x - 0` read as `x` and `x % 1` as 0,
     at the extremes of the int range too, while `(x + i) * 1` still
-    overflows and `v[i + 1] * 1` still runs out of bounds. A bool passed
-    for `x` or held in `v` comes out an int, as the closures' arithmetic
-    makes it, and `==` against a constant drops its type test only for an
-    arithmetic result or a length."""
+    overflows and `v[i + 1] * 1` still runs out of bounds."""
     unit = parse(FOLDS.replace("OP", identity))
-    for v in ([5, -3, 8], [True, 2]):
-        assert_every_budget_matches(unit, fn, [x, v])
+    assert_every_budget_matches(unit, fn, [x, [5, -3, 8]])
     operand = r"(\b[stn]\d+|[)\]])"
     assert not re.search(rf"{operand} (\*|//|%) 1\b|{operand} [-+] 0\b", "".join(sources))
 
 
-@pytest.mark.parametrize("identity, typed", [("* 1", False), ("% 1", False), ("", True)])
-def test_only_an_int_by_its_shape_drops_the_type_test(identity, typed, hot_at_once, sources):
-    """`x * 1 == 0` and `len(v) != 3` compare without a type test; `x == 0`
-    keeps it."""
-    interpret(parse(FOLDS.replace("OP", identity)), "folds", [0, [1, 2]], 1_000)
-    [source] = sources
-    assert ("type(" in source) == typed
+@pytest.mark.parametrize("identity", IDENTITIES + [""])
+@pytest.mark.parametrize("fn", ["folds", "folds_what_traps"])
+def test_no_hot_text_tests_a_type(fn, identity, hot_at_once, sources):
+    """`x * 1 == 0`, `x == 0` and `len(v) != 3` compare as `<` does, and
+    `x * 1` reads `x` as it is."""
+    interpret(parse(FOLDS.replace("OP", identity)), fn, [0, [1, 2]], 1_000)
+    assert sources
+    assert_tests_no_type(sources)
+
+
+IDENTITY_LATE = """\
+fn f(x: int) -> int {
+  let i = 0;
+  let y = 0;
+  while (i < 100) {
+    if (i == 80) {
+      y = x * 1;
+    }
+    i = i + 1;
+  }
+  return y;
+}
+"""
+
+
+@pytest.mark.parametrize("threshold", [1, 16, 64, COLD])
+@pytest.mark.parametrize("x", [2**63, INT_MIN - 1, True])
+def test_an_argument_of_the_wrong_type_is_rejected_at_every_threshold(x, threshold, monkeypatch):
+    """An int outside the 64-bit range or a bool for an int is rejected at
+    entry with the same error whether the loop runs hot or not, where the
+    hot form once returned `x * 1` as `x` and the closures trapped it."""
+    monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", threshold)
+    unit = parse(IDENTITY_LATE)
+    with pytest.raises(ValueError, match=r"^'f': argument 'x' must have type int$"):
+        interpret(unit, "f", [x], 10_000)
+    assert interpret(unit, "f", [INT_MAX], 10_000).value == INT_MAX
 
 
 # -- lengths as divisors -------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from minirepair.minilang import parse
 from minirepair.minilang.errors import SuiteError
-from minirepair.minilang.interpreter import INT_MAX, INT_MIN
+from minirepair.minilang.interpreter import INT_MAX, INT_MIN, interpret, value_type
 from minirepair.minilang.testsuite import load_suite, run_test
 
 from samples import MAX_SUITE
@@ -133,3 +133,47 @@ def test_int64_bounds_are_accepted():
     call = {"fn": "f", "args": [[INT_MIN, INT_MAX], INT_MAX]}
     doc = json.dumps({"tests": [{"name": "t", "call": call, "expect": [INT_MIN]}]})
     assert load_suite(doc, ARRAYS)[0].args == ((INT_MIN, INT_MAX), INT_MAX)
+
+
+TAKES = parse(
+    """\
+fn takes_int(x: int) -> int { return 0; }
+fn takes_bool(x: bool) -> int { return 0; }
+fn takes_array(x: int[]) -> int { return 0; }
+"""
+)
+PARAMETER_OF = {"int": "takes_int", "bool": "takes_bool", "int[]": "takes_array"}
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        (0, "int"),
+        (INT_MAX, "int"),
+        (INT_MAX + 1, None),
+        (True, "bool"),
+        ([1, True], None),
+        ((1, 2), "int[]"),
+        ([], "int[]"),
+        ([2**63], None),
+        (1.0, None),
+        (None, None),
+    ],
+)
+def test_a_suite_and_interpret_accept_the_same_arguments(value, kind):
+    """`load_suite` and `interpret` apply one rule, `value_type`: each
+    value is accepted for the parameter of its type only, or for none."""
+    assert value_type(value) == kind
+    for param, fn in PARAMETER_OF.items():
+        call = {"fn": fn, "args": [value]}
+        try:
+            load_suite(json.dumps({"tests": [{"name": "t", "call": call, "expect": 0}]}), TAKES)
+            in_suite = True
+        except SuiteError:
+            in_suite = False
+        try:
+            interpret(TAKES, fn, [value], 100)
+            at_entry = True
+        except ValueError:
+            at_entry = False
+        assert in_suite == at_entry == (param == kind), fn
