@@ -774,8 +774,8 @@ fn f(x: int) -> int {
 @pytest.mark.parametrize("x", [2**63, INT_MIN - 1, True])
 def test_an_argument_of_the_wrong_type_is_rejected_at_every_threshold(x, threshold, monkeypatch):
     """An int outside the 64-bit range or a bool for an int is rejected at
-    entry with the same error whether the loop runs hot or not, where the
-    hot form once returned `x * 1` as `x` and the closures trapped it."""
+    entry with the same error whether the loop runs hot or not, so neither
+    tier meets it in `x * 1`; `INT_MAX` comes out as itself."""
     monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", threshold)
     unit = parse(IDENTITY_LATE)
     with pytest.raises(ValueError, match=r"^'f': argument 'x' must have type int$"):
