@@ -28,7 +28,7 @@ def scan_case(case_dir: Path, seeds: range) -> None:
     for mode in meta["modes"]:
         print(f"{case_dir.name} [{mode}]")
         for seed in seeds:
-            config = config_from_args(defaults, mode, seed, meta.get("config"))
+            config = config_from_args(defaults, mode, seed, meta.get("config", {}))
             started = time.perf_counter()
             outcome = evolve(unit, suite, config)
             elapsed = time.perf_counter() - started

@@ -82,14 +82,12 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def config_from_args(
-    args: argparse.Namespace, mode: str, seed: int, overrides: dict | None = None
-) -> EngineConfig:
+def config_from_args(args: argparse.Namespace, mode: str, seed: int, overrides: dict) -> EngineConfig:
     """The engine config of one run: every `EngineConfig` field from `args`
     (`build_parser` gives each one its default), then `overrides`, a case's
-    `meta.json` `config`, which may name any field but `mode` and `seed`.
-    Raises ValueError on any other key and on any invalid value."""
-    overrides = overrides or {}
+    `meta.json` `config` (`{}` when it has none), which must be an object
+    and may name any field but `mode` and `seed`. Raises ValueError on any
+    other key and on any invalid value."""
     if not isinstance(overrides, dict):
         raise ValueError(f"meta.json config must be an object, got {overrides!r}")
     names = [f.name for f in dataclasses.fields(EngineConfig)]
@@ -128,7 +126,7 @@ def run_single(args: argparse.Namespace) -> int:
         return _fail(f"{args.tests}: suite contains no tests")
 
     try:
-        config = config_from_args(args, args.mode, args.seed)
+        config = config_from_args(args, args.mode, args.seed, {})
         outcome = evolve(unit, suite, config)
     except NoFailingTest:
         return _fail("no failing test: the program already passes its suite")
@@ -227,7 +225,7 @@ def _run_case(
         if not isinstance(expect_repair, bool):
             raise ValueError(f"meta.json expect_repair must be true or false: {expect_repair!r}")
         seed = meta.get("seed", args.seed)
-        configs = [config_from_args(args, mode, seed, meta.get("config")) for mode in modes]
+        configs = [config_from_args(args, mode, seed, meta.get("config", {})) for mode in modes]
     except (
         OSError, ValueError, TypeError, KeyError, RecursionError, MiniLangError, SuiteError
     ) as exc:

@@ -1,8 +1,9 @@
 """MiniLang: a small, deterministic, statically typed imperative language.
 
 Programs are lists of functions over three types (int, bool, int[]).
-The submodules provide parsing, canonical pretty-printing, a coverage
-tracing interpreter, and JSON test-suite loading.
+The submodules provide parsing, static checking (`check_unit` accepts
+or rejects a unit), canonical pretty-printing, a coverage tracing
+interpreter, and JSON test-suite loading.
 """
 
 from minirepair.minilang.nodes import (

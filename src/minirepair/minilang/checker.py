@@ -8,13 +8,12 @@ every control path that falls off its end is impossible, i.e. its body
 definitely returns.
 
 `check_unit` and its per-function part `check_function` are the only
-code that infers types: besides accepting or rejecting a unit, they
-return the binding environment just before each statement, which the
-repair operators read. Statements carry no id, so `check_function` keys
-its table by structural path, in pre-order, and `check_unit` by the
-positional StatementId. Asked only to accept or reject, `check_function`
-builds no table, and `UnitSignatures` gives it a unit's signatures one
-callee at a time.
+code that infers types. `check_unit` only accepts or rejects a unit.
+`check_function` also returns the binding environment just before each
+statement of its function, which the repair operators read; statements
+carry no id, so it keys that table by structural path, in pre-order.
+Asked only to accept or reject, it builds no table, and `UnitSignatures`
+gives it a unit's signatures one callee at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from minirepair.minilang.nodes import (
     Path,
     ReturnStmt,
     SourceUnit,
-    StatementId,
     Stmt,
     T_BOOL,
     T_INT,
@@ -97,27 +95,21 @@ class UnitSignatures:
         return None if fn is None else signature(fn)
 
 
-def check_unit(unit: SourceUnit) -> dict[StatementId, Env]:
-    """Type-check the whole unit; raises CheckError on the first violation.
-
-    Returns the binding environment just before each statement, keyed by
-    its id: the parameters plus every `let` earlier in the same block or
-    in an enclosing block.
-    """
+def check_unit(unit: SourceUnit) -> None:
+    """Type-check the whole unit; raises CheckError on the first violation."""
     sigs = signatures(unit)
-    envs: dict[StatementId, Env] = {}
     for fn in unit.functions:
-        for index, env in enumerate(check_function(fn, sigs).values()):
-            envs[StatementId(fn.name, index)] = env
-    return envs
+        check_function(fn, sigs, table=False)
 
 
 def check_function(fn: FunctionDef, sigs, table: bool = True) -> dict[Path, Env] | None:
-    """`check_unit` for one function against the unit's signatures, keyed
-    by each statement's path, in pre-order: a function's typing depends on
-    nothing else, so an edit to one function needs only this. `sigs` is a
-    `signatures` dict or anything else with its `get`, such as
-    `UnitSignatures`. Without `table` it only accepts or rejects, and
+    """`check_unit` for one function against the unit's signatures: a
+    function's typing depends on nothing else, so an edit to one function
+    needs only this. `sigs` is a `signatures` dict or anything else with
+    its `get`, such as `UnitSignatures`. Returns the binding environment
+    just before each statement, keyed by its path, in pre-order: the
+    parameters plus every `let` earlier in the same block or in an
+    enclosing block. Without `table` it only accepts or rejects, and
     returns None."""
     env: Env = {}
     for name, type_ in fn.params:

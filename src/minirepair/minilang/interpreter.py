@@ -50,21 +50,19 @@ of calls, as superoperators do for a bytecode interpreter (Proebsting,
     per iteration or branch;
   - `x = y op e` and `let x = y op e`, with `y` a bound variable and `op`
     one of + - *, charge, compute, check for overflow and store in one
-    closure, which reads `e` itself when it is a constant or an element
-    `v[i]` of bound variables; so do `x = y / c` and `x = y % c` for an
-    int constant `c > 0`;
-  - a comparison reads a bound variable, a constant or the length of a
-    bound variable on either side without a call (`i < len(v)`, `x < c`,
-    `x < y`), swapping such an operand to its right, and so does
-    arithmetic on a bound variable and a constant (`x + c`);
-  - a comparison against a constant is inlined; `/` and `%` by an int
-    constant `c > 0` skip the general truncating division.
+    closure, which reads `e` itself when it is a constant; so do
+    `x = y / c` and `x = y % c` for an int constant `c > 0`;
+  - a comparison of a bound variable with a bound variable, a constant or
+    the length of a bound variable (`x < y`, `x < c`, `i < len(v)`), and
+    one of any expression with a constant, reads those operands without
+    a call;
+  - `/` and `%` by an int constant `c > 0` skip the general truncating
+    division.
 A fused closure charges its statement's one step and marks its statement
 number first, exactly where the unfused chain did, before any of its
-expressions run. Its operands run in the chain's order, except that an
-operand that can neither trap nor change anything may be read before
-or after the other; and a trap is attributed to the same statement. So
-steps, coverage, traps and the loop cut stay those of the unfused chain.
+expressions run. Its operands run in the chain's order, and a trap is
+attributed to the same statement. So steps, coverage, traps and the loop
+cut stay those of the unfused chain.
 
 Loop cut. A run is deterministic and has no I/O, so a loop whose state at
 its header repeats will repeat that stretch until the budget runs out.
@@ -330,15 +328,10 @@ class _Function:
 #
 # A binary operator or a fused store reads each operand by its shape: a
 # bound variable is its slot (_SLOT), a literal its value (_CONST), the
-# length of a bound variable that variable's slot (_LEN), an element
-# `a[i]` of bound variables their two slots (_ITEM), and anything else a
-# closure (_EXPR). Reading a slot, a constant or a length cannot trap, and
-# no expression rebinds a caller's slot or resizes an array, so such a
-# pure operand (shape _SLOT or above) reads the same value before or after
-# the other operand runs: a comparison may swap its operands to bring the
-# purer one to its right.
+# length of a bound variable that variable's slot (_LEN), and anything
+# else a closure (_EXPR).
 
-_EXPR, _ITEM, _SLOT, _LEN, _CONST = range(5)
+_EXPR, _SLOT, _LEN, _CONST = range(4)
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {
@@ -352,44 +345,21 @@ _COMPARE = {
 # `/` and `%` by a positive divisor: on a non-negative dividend, C style
 # is floor style.
 _FLOOR = {"/": operator.floordiv, "%": operator.mod}
-_SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-
-# A comparison with a constant on its right, inlined per operator: (left
-# operand a slot, left operand a closure).
-_AGAINST_CONSTANT = {
-    "<": (lambda a, c: lambda L, r: L[a] < c, lambda a, c: lambda L, r: a(L, r) < c),
-    "<=": (lambda a, c: lambda L, r: L[a] <= c, lambda a, c: lambda L, r: a(L, r) <= c),
-    ">": (lambda a, c: lambda L, r: L[a] > c, lambda a, c: lambda L, r: a(L, r) > c),
-    ">=": (lambda a, c: lambda L, r: L[a] >= c, lambda a, c: lambda L, r: a(L, r) >= c),
-    "==": (lambda a, c: lambda L, r: L[a] == c, lambda a, c: lambda L, r: a(L, r) == c),
-    "!=": (lambda a, c: lambda L, r: L[a] != c, lambda a, c: lambda L, r: a(L, r) != c),
-}
 
 # A comparison by its operator function, for each pair of shapes read
 # without a call.
 _COMPARE_SHAPES = {
     (_SLOT, _SLOT): lambda f, a, b: lambda L, r: f(L[a], L[b]),
     (_SLOT, _LEN): lambda f, a, b: lambda L, r: f(L[a], len(L[b])),
-    (_EXPR, _SLOT): lambda f, a, b: lambda L, r: f(a(L, r), L[b]),
-    (_EXPR, _LEN): lambda f, a, b: lambda L, r: f(a(L, r), len(L[b])),
+    (_SLOT, _CONST): lambda f, a, c: lambda L, r: f(L[a], c),
+    (_EXPR, _CONST): lambda f, a, c: lambda L, r: f(a(L, r), c),
 }
 
 
-def _read(kind: int, x, sid):
+def _read(kind: int, x):
     """An operand of shape `kind` as a closure."""
     if kind == _EXPR:
         return x
-    if kind == _ITEM:
-        a, i = x
-
-        def item_at_slot(L, r):
-            array = L[a]
-            index = L[i]
-            if 0 <= index < len(array):
-                return array[index]
-            raise _Trap("index-out-of-bounds", sid)
-
-        return item_at_slot
     if kind == _SLOT:
         return lambda L, r: L[x]
     if kind == _LEN:
@@ -582,26 +552,7 @@ class _Compiler:
                 L[slot] = v
 
             return store_arith_constant
-        if kind == _ITEM:
-            array, i = b
-
-            def store_arith_item(L, r):
-                n = r.steps_left
-                if not n:
-                    raise _BudgetExhausted
-                r.steps_left = n - 1
-                r.hit[k] = True
-                items = L[array]
-                index = L[i]
-                if not 0 <= index < len(items):
-                    raise _Trap("index-out-of-bounds", sid)
-                v = arith(L[a], items[index])
-                if not INT_MIN <= v <= INT_MAX:
-                    raise _Trap("integer-overflow", sid)
-                L[slot] = v
-
-            return store_arith_item
-        rhs = _read(kind, b, sid)
+        rhs = _read(kind, b)
 
         def store_arith(L, r):
             n = r.steps_left
@@ -669,11 +620,11 @@ class _Compiler:
     # -- expressions ------------------------------------------------------
 
     def expr(self, expr: Expr, scope: list[dict[str, int]], sid):
-        return _read(*self.operand(expr, scope, sid), sid)
+        return _read(*self.operand(expr, scope, sid))
 
     def operand(self, expr: Expr, scope: list[dict[str, int]], sid) -> tuple[int, object]:
-        """`expr` compiled once, as (shape, how to read it): a slot, a pair
-        of slots, a constant or a closure."""
+        """`expr` compiled once, as (shape, how to read it): a slot, a
+        constant or a closure."""
         if isinstance(expr, (IntLit, BoolLit)):
             return _CONST, expr.value
         if isinstance(expr, Var):
@@ -699,9 +650,6 @@ class _Compiler:
             slot = _lookup(scope, expr.name)
             if slot is None:
                 return _EXPR, _fail("unbound-variable", sid)
-            index_slot = _slot_of(expr.index, scope)
-            if index_slot is not None:
-                return _ITEM, (slot, index_slot)
             index = self.expr(expr.index, scope, sid)
 
             def item(L, r):
@@ -757,24 +705,18 @@ class _Compiler:
 
     def binary(self, expr: Binary, scope, sid):
         """One closure for the operator and every operand it reads without a
-        call; a comparison first swaps a pure left operand to the right."""
+        call."""
         op = expr.op
         lk, a = self.operand(expr.lhs, scope, sid)
         rk, b = self.operand(expr.rhs, scope, sid)
-        if op in _SWAPPED and lk > rk and lk >= _SLOT:
-            op, lk, a, rk, b = _SWAPPED[op], rk, b, lk, a
-        if lk == _ITEM:
-            lk, a = _EXPR, _read(lk, a, sid)
         if op in _COMPARE:
-            if rk == _CONST and lk in (_EXPR, _SLOT):
-                return _AGAINST_CONSTANT[op][lk == _EXPR](a, b)
             shape = _COMPARE_SHAPES.get((lk, rk))
             if shape is not None:
                 return shape(_COMPARE[op], a, b)
         if op in _FLOOR and rk == _CONST and _positive_constant(expr.rhs) and lk in (_EXPR, _SLOT):
             return _divide_by_constant(_FLOOR[op], lk, a, b)
-        lhs = _read(lk, a, sid)
-        rhs = _read(rk, b, sid)
+        lhs = _read(lk, a)
+        rhs = _read(rk, b)
         if op == "&&":
             return lambda L, r: lhs(L, r) and rhs(L, r)
         if op == "||":
@@ -784,15 +726,6 @@ class _Compiler:
             return lambda L, r: compare(lhs(L, r), rhs(L, r))
         if op in _ARITH:
             arith = _ARITH[op]
-            if lk == _SLOT and rk == _CONST:
-
-                def arith_slot_constant(L, r):
-                    v = arith(L[a], b)
-                    if INT_MIN <= v <= INT_MAX:
-                        return v
-                    raise _Trap("integer-overflow", sid)
-
-                return arith_slot_constant
 
             def checked_arith(L, r):
                 v = arith(lhs(L, r), rhs(L, r))

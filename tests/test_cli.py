@@ -219,6 +219,11 @@ def test_malformed_case_does_not_poison_others(tmp_path):
         "mode_in_config": ({"config": {"mode": "jgenprog"}}, "mode"),
         "scope_misspelled": ({"config": {"ingredient_scope": "Local"}}, "ingredient_scope"),
         "config_not_object": ({"config": [1, 2]}, "config"),
+        "config_empty_list": ({"config": []}, "config"),
+        "config_zero": ({"config": 0}, "config"),
+        "config_empty_string": ({"config": ""}, "config"),
+        "config_false": ({"config": False}, "config"),
+        "config_null": ({"config": None}, "config"),
         "expect_repair_not_bool": ({"expect_repair": "false"}, "expect_repair"),
     }
     for case, (meta, _) in bad_metas.items():

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from minirepair import engine, operators
 from minirepair.engine import EngineConfig, evolve, replay_lineage
 from minirepair.minilang import all_statement_ids, iter_statements, parse, path_of, pretty_print
-from minirepair.minilang.checker import check_function, check_unit, signatures
+from minirepair.minilang.checker import check_function, signatures
 from minirepair.minilang.nodes import (
     Expr,
     IfStmt,
+    StatementId,
     Stmt,
     WhileStmt,
     clone,
@@ -39,6 +40,18 @@ from minirepair.operators import (
 from samples import CORPUS, corpus_case_names, load_corpus_case
 from randprog import random_unit
 from reference_harvest import binding_env_reference, harvest_reference
+
+
+def binding_envs(unit):
+    """The binding environment just before each statement of `unit`, by its
+    id, in pre-order: `check_function`'s tables, re-keyed."""
+    sigs = signatures(unit)
+    return {
+        StatementId(fn.name, index): env
+        for fn in unit.functions
+        for index, env in enumerate(check_function(fn, sigs).values())
+    }
+
 
 def all_points(unit):
     return [ModificationPoint(sid, path_of(unit, sid)) for sid in all_statement_ids(unit)]
@@ -74,7 +87,7 @@ def test_harvest_matches_reference_on_merged_corpus():
 def test_harvest_and_binding_env_match_reference_on_random_units(seed):
     unit = random_unit(seed)
     assert_harvest_matches_reference(unit)
-    envs = check_unit(unit)
+    envs = binding_envs(unit)
     assert list(envs) == all_statement_ids(unit)
     for sid, path, stmt in iter_statement_paths(unit):
         assert path == path_of(unit, sid)

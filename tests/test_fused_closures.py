@@ -46,6 +46,15 @@ fn subtract_element(x: int, v: int[]) -> int {
   return x;
 }
 
+fn add_past_end(x: int, v: int[]) -> int {
+  let i = 0;
+  while (i <= len(v)) {
+    x = x + v[i];
+    i = i + 1;
+  }
+  return x;
+}
+
 fn subtract_expression(x: int, d: int) -> int {
   let i = 0;
   while (i < 3) {
@@ -77,6 +86,8 @@ fn subtract_variable(x: int, d: int) -> int {
         ("subtract_element", [INT_MIN + 5, [2, 3, 1]]),
         ("subtract_element", [INT_MAX, [-1, 4]]),
         ("subtract_element", [0, []]),
+        ("add_past_end", [0, [1, 2]]),
+        ("add_past_end", [0, []]),
         ("subtract_expression", [INT_MIN + 1, 0]),
         ("subtract_expression", [INT_MIN + 1, -1]),
         ("subtract_expression", [INT_MAX // 2, -1]),
@@ -85,7 +96,7 @@ fn subtract_variable(x: int, d: int) -> int {
         ("subtract_variable", [10, 4]),
     ],
 )
-def test_fused_stores_overflow_where_the_reference_does(fn, args):
+def test_fused_stores_trap_where_the_reference_does(fn, args):
     assert_every_budget_matches(STORES, fn, args)
 
 
@@ -314,7 +325,7 @@ fn f(x: int, v: int[]) -> int {
 
 def test_operands_that_may_trap_keep_their_order():
     """`v[i] == x / d` with both operands trapping traps at the element,
-    which runs first; only a pure operand may swap sides."""
+    which runs first."""
     unit = parse(
         """\
 fn f(v: int[], i: int, x: int, d: int) -> bool {

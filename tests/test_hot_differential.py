@@ -31,7 +31,7 @@ from test_fused_closures import (  # noqa: F401
     test_coverage_of_a_loop_that_calls_a_looping_function,
     test_equality_against_a_constant,
     test_equality_never_meets_an_argument_of_the_wrong_type,
-    test_fused_stores_overflow_where_the_reference_does,
+    test_fused_stores_trap_where_the_reference_does,
     test_let_in_a_nested_block_next_to_an_outer_binding,
     test_literal_divisors_of_any_sign_match_reference,
     test_loop_cut_fires_at_the_same_step_at_every_budget,

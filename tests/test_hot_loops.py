@@ -90,6 +90,14 @@ def test_pinned_reports_hold_with_every_loop_hot(workload, hot_at_once, sources)
     assert_tests_no_type(sources)
 
 
+@pytest.mark.parametrize("workload", ["loop-mut", "genprog-wide", "corpus-default"])
+def test_pinned_reports_hold_with_every_loop_cold(workload, monkeypatch, builds):
+    """The closures alone, long loops included, reproduce every report."""
+    monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", COLD)
+    assert_pinned(workload)
+    assert builds == []
+
+
 def assert_tests_no_type(sources: list[str]) -> None:
     """A value has its static type, so no hot text tests one (`type(`) or
     makes an int of an operand (`(+`)."""

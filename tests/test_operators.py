@@ -26,6 +26,7 @@ from minirepair.operators import (
 )
 
 from samples import MAX_SUITE, corpus_case_names, load_corpus_case
+from test_cow_variants import binding_envs
 
 
 def point_at(unit, fn, index):
@@ -165,7 +166,7 @@ def test_check_scope_requires_matching_types():
 
 
 def test_env_before_a_statement_walks_the_block_chain(buggy_max):
-    env = check_unit(buggy_max)[StatementId("max", 2)]
+    env = binding_envs(buggy_max)[StatementId("max", 2)]
     assert env == {"a": "int", "b": "int", "m": "int"}
 
 

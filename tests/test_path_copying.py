@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minirepair.minilang import SourceUnit, parse, path_of, pretty_print
-from minirepair.minilang.checker import check_unit
 from minirepair.minilang.interpreter import _code_of
 from minirepair.minilang.nodes import iter_function_paths, iter_statement_paths
 from minirepair.operators import MODES, SCOPES, PatchSkip, apply_patch_op
@@ -22,7 +21,7 @@ from randprog import random_lineage, random_unit
 from reference_children import apply_reference
 from reference_interpreter import statement_positions
 from samples import corpus_case_names, load_corpus_case
-from test_cow_variants import every_op, merged_corpus_unit
+from test_cow_variants import binding_envs, every_op, merged_corpus_unit
 
 
 def assert_positional_ids(unit):
@@ -30,7 +29,7 @@ def assert_positional_ids(unit):
     all follow the reference's pre-order numbering."""
     expected = [(sid, path, id(stmt)) for sid, path, stmt in statement_positions(unit)]
     assert [(sid, path, id(stmt)) for sid, path, stmt in iter_statement_paths(unit)] == expected
-    assert list(check_unit(unit)) == [sid for sid, _, _ in expected]
+    assert list(binding_envs(unit)) == [sid for sid, _, _ in expected]
     for sid, path, _ in expected:
         assert path_of(unit, sid) == path
     for fn in unit.functions:
