@@ -16,6 +16,7 @@ same inputs and seed, a run is fully deterministic.
 from __future__ import annotations
 
 import difflib
+import gc
 import json
 import random
 import time
@@ -339,7 +340,27 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
 
     Raises NoFailingTest when the suite already passes and
     UnlocalizableFault when no statement is suspicious.
+
+    The search runs with CPython's cyclic garbage collector paused, as
+    `timeit` runs its statement: the search makes no reference cycles, so
+    reference counting frees all it drops, and a collection pass would
+    free nothing while it walks every live object. The collector's state
+    is restored on return and on any exception, and no collection is made
+    then. The switch is process-wide: another thread's cycles wait until
+    the search ends.
     """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return _search(original, suite, config)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -> RepairOutcome:
+    """The search `evolve` runs with the collector paused."""
     started = time.perf_counter()
     matrix = build_matrix(original, suite, config.step_budget)
     if matrix.total_fail == 0:

@@ -268,28 +268,29 @@ def typed_free_vars(stmt: Stmt, origin_env: dict[str, str]) -> frozenset[tuple[s
     """Variables a statement reads or writes without binding them itself.
 
     Types are taken from `origin_env`, the binding environment at the
-    statement's original position.
+    statement's original position. The walk is the module-level
+    `_note_free`, not a nested closure: a closure that calls itself holds
+    its own cell, a reference cycle that only the cyclic collector frees,
+    and a search makes none (`engine.evolve` runs with it paused).
     """
     free: set[tuple[str, str]] = set()
-
-    def note(name: str, bound: list[set[str]]) -> None:
-        if any(name in frame for frame in bound):
-            return
-        free.add((name, origin_env.get(name, "?")))
-
-    def visit_stmt(s: Stmt, bound: list[set[str]]) -> None:
-        for node in stmt_expr_nodes(s):
-            if isinstance(node, (Var, Index)):
-                note(node.name, bound)
-        if isinstance(s, LetStmt):
-            bound[-1].add(s.name)
-        elif isinstance(s, (AssignStmt, IndexAssignStmt)):
-            note(s.name, bound)
-        for _, body in child_blocks(s):
-            bound.append(set())
-            for child in body:
-                visit_stmt(child, bound)
-            bound.pop()
-
-    visit_stmt(stmt, [set()])
+    _note_free(stmt, [set()], origin_env, free)
     return frozenset(free)
+
+
+def _note_free(stmt: Stmt, bound: list[set[str]], origin_env: dict[str, str], free: set) -> None:
+    """Add to `free` each `(name, type)` that `stmt` uses and no frame of
+    `bound`, the names bound by each enclosing block, binds."""
+    names = [node.name for node in stmt_expr_nodes(stmt) if isinstance(node, (Var, Index))]
+    if isinstance(stmt, (AssignStmt, IndexAssignStmt)):
+        names.append(stmt.name)
+    for name in names:
+        if not any(name in frame for frame in bound):
+            free.add((name, origin_env.get(name, "?")))
+    if isinstance(stmt, LetStmt):
+        bound[-1].add(stmt.name)
+    for _, body in child_blocks(stmt):
+        bound.append(set())
+        for child in body:
+            _note_free(child, bound, origin_env, free)
+        bound.pop()

@@ -9,9 +9,10 @@ evaluation began, at statement granularity (an if/while header is one
 trace unit; its nested statements trace separately).
 
 Semantics notes:
-  - `interpret` checks its arguments at entry (`value_type`), and units
-    are well typed, so a value always has its static type: no closure,
-    hot loop or loop cut tests a type at run time.
+  - `interpret` checks its arguments at entry (`value_type`), unless a
+    `load_suite` test's were checked at load, and units are well typed,
+    so a value always has its static type: no closure, hot loop or loop
+    cut tests a type at run time.
   - 64-bit signed integers with checked overflow.
   - `/` truncates toward zero, `%` takes the dividend's sign (C style);
     both trap on a zero divisor.
@@ -310,7 +311,7 @@ class _Function:
 
     __slots__ = ("nslots", "body", "sids", "kinds")
 
-    def __init__(self, nslots: int, body, sids: list, kinds: list[str]):
+    def __init__(self, nslots: int, body, sids: list, kinds: tuple[str, ...]):
         self.nslots = nslots
         self.body = body
         self.sids = sids
@@ -346,13 +347,44 @@ _COMPARE = {
 # is floor style.
 _FLOOR = {"/": operator.floordiv, "%": operator.mod}
 
-# A comparison by its operator function, for each pair of shapes read
-# without a call.
+# A comparison by its operator function `f`, for each pair of shapes read
+# without a call. Each factory and its closure is a `def` of its own, so
+# that a profile, which keys code by file, line and name, counts them apart.
+
+
+def _slot_slot(f, a, b):
+    def compare_slot_slot(L, r):
+        return f(L[a], L[b])
+
+    return compare_slot_slot
+
+
+def _slot_len(f, a, b):
+    def compare_slot_len(L, r):
+        return f(L[a], len(L[b]))
+
+    return compare_slot_len
+
+
+def _slot_const(f, a, c):
+    def compare_slot_const(L, r):
+        return f(L[a], c)
+
+    return compare_slot_const
+
+
+def _expr_const(f, a, c):
+    def compare_expr_const(L, r):
+        return f(a(L, r), c)
+
+    return compare_expr_const
+
+
 _COMPARE_SHAPES = {
-    (_SLOT, _SLOT): lambda f, a, b: lambda L, r: f(L[a], L[b]),
-    (_SLOT, _LEN): lambda f, a, b: lambda L, r: f(L[a], len(L[b])),
-    (_SLOT, _CONST): lambda f, a, c: lambda L, r: f(L[a], c),
-    (_EXPR, _CONST): lambda f, a, c: lambda L, r: f(a(L, r), c),
+    (_SLOT, _SLOT): _slot_slot,
+    (_SLOT, _LEN): _slot_len,
+    (_SLOT, _CONST): _slot_const,
+    (_EXPR, _CONST): _expr_const,
 }
 
 
@@ -407,7 +439,7 @@ class _Compiler:
             scope[0][name] = self.nslots
             self.nslots += 1
         stmts = self.block(fn.body, scope)
-        kinds = [kind for _, kind in fn.params]
+        kinds = tuple(kind for _, kind in fn.params)
         if len(stmts) == 1:
             return _Function(self.nslots, stmts[0], self.sids, kinds)
 
@@ -873,6 +905,7 @@ def interpret(
     fn_name: str,
     args: list | tuple,
     step_budget: int,
+    kinds: tuple[str, ...] | None = None,
 ) -> ExecutionResult:
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
 
@@ -880,7 +913,9 @@ def interpret(
     Each argument must have its parameter's type (`value_type`), else
     ValueError names the parameter; so every value in the run has its
     static type. Each array argument, a list or a tuple, is copied into a
-    fresh list, so callers may reuse it.
+    fresh list, so callers may reuse it. `kinds` is `value_type` of each
+    argument, found by a caller whose arguments cannot change since, such
+    as a `load_suite` test's; without it they are checked here.
     """
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
@@ -893,7 +928,8 @@ def interpret(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 1) * FRAMES_PER_CALL + _FRAME_SLACK)
     try:
-        kinds = list(map(value_type, args))
+        if kinds is None:
+            kinds = tuple(map(value_type, args))
         if kinds != _code_of(fn).kinds:
             name, kind = next(p for p, got in zip(fn.params, kinds) if p[1] != got)
             raise ValueError(f"{fn_name!r}: argument {name!r} must have type {kind}")

@@ -9,13 +9,15 @@ arrays; every integer must fit the interpreter's signed 64-bit range.
 Every test is checked against the program at load time: the called
 function must exist with matching arity and argument types, and the
 expected value must match its return type. Types are those of
-`value_type`, the rule `interpret` applies to its arguments at entry.
+`value_type`, the rule `interpret` applies to its arguments at entry;
+`run_test` hands it the types `load_suite` found, which it does not
+find again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from minirepair.minilang.errors import SuiteError
 from minirepair.minilang.interpreter import ExecutionResult, RETURNED, Value, interpret, value_type, values_equal
@@ -29,6 +31,11 @@ class TestCase:
     fn: str
     args: tuple
     expect: Value
+    # The types of `args` (`value_type`), set only by `load_suite`, which
+    # checked them and froze every array argument into a tuple, so that
+    # `run_test` need not check them again; None for a hand-built test,
+    # and for a `dataclasses.replace` copy of any test.
+    kinds: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _int64(literal: str) -> int:
@@ -83,12 +90,16 @@ def load_suite(text: str, unit: SourceUnit) -> list[TestCase]:
         args = tuple(tuple(a) if isinstance(a, list) else a for a in args)
         expect = entry["expect"]
         expect = list(expect) if isinstance(expect, list) else expect
-        tests.append(TestCase(name, fn.name, args, expect))
+        test = TestCase(name, fn.name, args, expect)
+        object.__setattr__(test, "kinds", tuple(ptype for _, ptype in fn.params))
+        tests.append(test)
     return tests
 
 
 def run_test(unit: SourceUnit, test: TestCase, step_budget: int) -> tuple[bool, ExecutionResult]:
-    """Execute one test; passes only when the call returns the expected value."""
-    result = interpret(unit, test.fn, test.args, step_budget)
+    """Execute one test; passes only when the call returns the expected value.
+    A test `load_suite` made passes `interpret` the argument types it
+    checked; any other test's arguments are checked by `interpret`."""
+    result = interpret(unit, test.fn, test.args, step_budget, test.kinds)
     passed = result.status == RETURNED and values_equal(result.value, test.expect)
     return passed, result

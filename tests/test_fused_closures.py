@@ -3,9 +3,11 @@ closure, against the tree-walking reference, at every step budget from 1
 to the run's full step count: the step order, coverage, trap site and
 loop cut of a fused closure are those of the unfused chain."""
 
+import operator
+
 import pytest
 
-from minirepair.minilang import SourceUnit, parse
+from minirepair.minilang import SourceUnit, interpreter, parse
 from minirepair.minilang.checker import check_unit
 from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, INT_MAX, INT_MIN, interpret
 from minirepair.minilang.nodes import Binary, IntLit, Var
@@ -426,3 +428,13 @@ def test_unbound_operands_trap_where_the_reference_does():
         result = interpret(unit, "f", [1], budget)
         assert observable(result) == observable(reference(unit, "f", [1], budget))
     assert interpret(unit, "f", [1], 3).error_kind == "unbound-variable"
+
+
+def test_each_compare_shape_closure_profiles_apart_from_its_factory():
+    """A profile keys code by file, line and name, so each fused comparison
+    and the factory that makes it must differ in line or name to be
+    counted apart."""
+    for shape, factory in interpreter._COMPARE_SHAPES.items():
+        closure = factory(operator.lt, lambda L, r: 0, 1)
+        made, maker = closure.__code__, factory.__code__
+        assert made.co_firstlineno != maker.co_firstlineno and made.co_name != maker.co_name, shape

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from minirepair.minilang import parse
+from minirepair.minilang import interpreter, parse, testsuite
 from minirepair.minilang.errors import SuiteError
 from minirepair.minilang.interpreter import INT_MAX, INT_MIN, interpret, value_type
 from minirepair.minilang.testsuite import load_suite, run_test
@@ -177,3 +178,43 @@ def test_a_suite_and_interpret_accept_the_same_arguments(value, kind):
         except ValueError:
             at_entry = False
         assert in_suite == at_entry == (param == kind), fn
+
+
+def test_run_test_checks_a_hand_built_test_as_interpret_does(buggy_max):
+    """A `TestCase` that `load_suite` did not make has its arguments checked
+    at entry: a bool for an int raises interpret's own ValueError."""
+    test = testsuite.TestCase("t", "max", (True, 2), 2)
+    assert test.kinds is None
+    with pytest.raises(ValueError) as direct:
+        interpret(buggy_max, "max", test.args, 100)
+    with pytest.raises(ValueError) as through_run_test:
+        run_test(buggy_max, test, 100)
+    assert str(through_run_test.value) == str(direct.value) == "'max': argument 'a' must have type int"
+
+
+def test_a_loaded_test_is_not_checked_again(buggy_max, max_suite, monkeypatch):
+    """`run_test` hands `interpret` the types `load_suite` checked, so no
+    run of a loaded test calls `value_type`; a `replace` copy, whose
+    arguments `load_suite` never saw, is checked again."""
+    calls = []
+    real = interpreter.value_type
+    monkeypatch.setattr(interpreter, "value_type", lambda v: calls.append(v) or real(v))
+    assert [t.kinds for t in max_suite] == [("int", "int"), ("int", "int")]
+    assert [run_test(buggy_max, t, 1000)[0] for t in max_suite] == [False, True]
+    assert calls == []
+    copy = dataclasses.replace(max_suite[0], args=(False, 5))
+    assert copy.kinds is None
+    with pytest.raises(ValueError, match="argument 'a' must have type int"):
+        run_test(buggy_max, copy, 1000)
+    assert calls == [False, 5]
+
+
+def test_loaded_array_arguments_are_frozen():
+    """An argument `load_suite` checked cannot change after its check."""
+    unit = parse("fn first(v: int[]) -> int { return v[0]; }")
+    doc = {"tests": [{"name": "t", "call": {"fn": "first", "args": [[7]]}, "expect": 7}]}
+    (test,) = load_suite(json.dumps(doc), unit)
+    assert type(test.args) is tuple and type(test.args[0]) is tuple
+    assert test.kinds == ("int[]",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        test.args = ([True],)
