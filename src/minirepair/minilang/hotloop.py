@@ -6,35 +6,35 @@ function, which the interpreter compiles once the loop has run long (see
 header, the first slot its body's `let`s take and its statement number,
 and returns the text of
 
-    hot(frame, run, marks, nvisits, cut)
+    hot(frame, run, marks)
 
-which runs the rest of one loop entry exactly as the closures would:
-`frame` is the activation's slot list, `run` the run state, `marks` the
-running function's coverage list, `nvisits` the header visits so far and
-`cut` the entry's loop cut, checked as the closures check it. `hot`
+which runs the rest of one loop entry with the results, steps and
+coverage of the closures: `frame` is the activation's slot list, `run`
+the run state and `marks` the running function's coverage list. `hot`
 returns None when the header exits, the value of a `return`, or
-`_HandBack(nvisits)` when it hands the entry back. It raises `Declined`
-for a loop that holds a call or a nested `while`, names an unbound
-variable, or has a statement, expression, operator or literal it does
-not know.
+`_HandBack` when it hands the entry back. It knows nothing of the loop
+cut, which is the closures' alone (see "Loop cut" in `interpreter`). It
+raises `Declined` for a loop that holds a call or a nested `while`, names
+an unbound variable, or has a statement, expression, operator or literal
+it does not know.
 
 The iterations run in segments. A segment begins with
 
-    m = min(steps_left // most, check_at - nvisits, caps...)
+    m = min(steps_left // most, caps...)
 
-where `most` is the most steps any path through one iteration can charge
-(the header, each statement, and the longer branch of each `if`), and
-each accumulator (below) adds a cap: `m` is the number of iterations
-that neither the budget nor the next loop-cut check can interrupt and
-that no accumulator can overflow in. Then `for j in range(m - 1, -1, -1):`
-runs them with no test of either, `j` counting the iterations left after
-the current one, and its `else` adds the `m` visits and checks the cut
-if its visit has come. The next check always lies ahead of the visits so
-far, so `m` is below 1 only when fewer than `most` steps are left or an
-accumulator's cap is spent: `hot` then writes its locals back and hands
-the entry back, and the closures finish it, trapping where an
-accumulator overflows. So `hot` never runs out of budget, and it hands
-back at the iteration where a test before every iteration would.
+(`m = steps_left // most` for a loop with no accumulator), where `most`
+is the most steps any path through one iteration can charge (the header,
+each statement, and the longer branch of each `if`), and each
+accumulator (below) adds a cap: `m` is the number of iterations that the
+budget cannot interrupt and that no accumulator can overflow in. Then
+`for j in range(m - 1, -1, -1):` runs them with no test of either, `j`
+counting the iterations left after the current one, and its `else`
+begins the next segment. `m` is below 1 only when fewer than `most`
+steps are left or an accumulator's cap is spent: `hot` then writes its
+locals back and hands the entry back, and the closures finish it,
+trapping where an accumulator overflows. So `hot` never runs out of
+budget, and it hands back at the iteration where a test before every
+iteration would.
 
 Steps are charged per segment and per branch: before its `for`, a
 segment charges the header and the body's top-level statements of all
@@ -64,8 +64,7 @@ reaches 0 (or -1 at INT_MIN) and the entry is handed back.
 
 Slots live in Python locals (MiniLang slot 3 is the local `s3`), all
 loaded at entry; the ones visible at the header that the loop assigns are
-written back to `frame` before each loop-cut check, at a hand-back and at
-a normal exit. A trap or a `return` ends the activation, so they write
+written back to `frame` at a hand-back and at a normal exit. A trap or a `return` ends the activation, so they write
 nothing back, and an arithmetic store may compute into its slot before
 the overflow check. The steps left live in a local too, written back to
 `run` at the same points and before every trap and return. A
@@ -187,19 +186,17 @@ class _Emitter:
         most = 1 + self.block(stmt.body)
         bounds, caps = self.caps(increments)
         write_back = [f"frame[{s}] = s{s}" for s in sorted(self.assigned & self.live)]
-        save = write_back + ["run.steps_left = steps_left"]
-        head = ["def hot(frame, run, marks, nvisits, cut):"]
+        head = ["def hot(frame, run, marks):"]
         head += [f"    s{s} = frame[{s}]" for s in sorted(self.used)]
         head += [f"    n{s} = len(s{s})" for s in sorted(self.lengths)]
         head += ["    " + line for line in bounds]
-        head += ["    steps_left = run.steps_left", "    check_at = cut.check_at", "    while True:"]
-        head += [f"        m = min({', '.join([f'steps_left // {most}', 'check_at - nvisits'] + caps)})"]
+        head += ["    steps_left = run.steps_left", "    while True:"]
+        budget = f"steps_left // {most}"
+        head += [f"        m = min({', '.join([budget] + caps)})" if caps else f"        m = {budget}"]
         head += ["        if m <= 0:"]
-        head += ["            " + line for line in save + ["return _HandBack(nvisits)"]]
+        head += ["            " + line for line in write_back + ["run.steps_left = steps_left", "return _HandBack"]]
         head += [f"        steps_left -= {_times('m', self.top)}", "        for j in range(m - 1, -1, -1):"]
-        tail = ["        else:", "            nvisits += m", "            if nvisits >= check_at:"]
-        tail += ["                " + line for line in save + ["check_at = cut.check(frame, nvisits)"]]
-        tail += ["            continue", "        break"]
+        tail = ["        else:", "            continue", "        break"]
         tail += ["    " + line for line in write_back]
         tail += [f"    run.steps_left = {self.steps(len(stmt.body))}", "    return None", ""]
         return "\n".join(head + self.lines + tail)

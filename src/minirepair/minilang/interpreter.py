@@ -76,7 +76,18 @@ match the run ends as budget exhaustion with `steps_used` equal to the
 budget; `executed` is already final, since every statement of the repeated
 stretch has begun once. `loop_cut_at` records the steps counted when the
 cut fired. One `_Cut` per entry, made at its first check, owns the
-schedule, the snapshot and the in-place comparison for both forms.
+schedule, the snapshot and the in-place comparison.
+The cut is the closures' alone; the hot form (below) compares nothing.
+The closures finish an entry the hot form hands back with the visit count
+and `_Cut` the switch left them: the count then lags the header's, so
+checks fall on other visits than in the closure form, but a match is
+still a true repeat. A state that first repeats after the switch runs to
+the budget, with the result, steps and coverage a cut gives and no
+`loop_cut_at`: `while (i < 1000) { if (i > 100) { i = 100; } i = i + 1; }`,
+which the closure form cuts at visit 129, takes 2.5-3.4 ms at a
+100,000-step budget instead of 0.23 ms (warm runs, CPython 3.11, a shared
+2-vCPU machine). Every cut of the benchmark's pools and of longer
+searches over its loop cases fires before the switch at 64 visits.
 
 Hot loops. A loop entry whose header reaches `HOT_LOOP_VISITS` visits
 hands the rest of the entry to one Python function for the whole loop,
@@ -109,28 +120,26 @@ loops, and importing it here, rather than at the first build, keeps the
 memory of compiling its source (where no bytecode is cached) out of the
 peak of a long run, about 0.5 MB of a 2,700-job `loop-mut` run.
 
-The hot form is exact. It runs the iterations in segments, each as many
-as neither the budget nor the next loop-cut check can interrupt, and
-tests neither inside a segment; when fewer steps are left than one
-iteration can charge, or an accumulator's segment cap is spent
+The hot form is exact in results, steps and coverage. It runs the
+iterations in segments, each as many as the budget cannot interrupt, and
+tests the budget only between segments; when fewer steps are left than
+one iteration can charge, or an accumulator's segment cap is spent
 (`x = x + e` near INT_MAX), it hands the entry back (`_HandBack`), and
-the closure loop finishes it statement by statement with the same visits
-and `_Cut`, never trying the hot form again for that entry. So the
-closures stay the only code that runs out of budget. The hot form charges
-the header and top-level steps of a whole segment at once, and a branch's
-when it runs, and gives back those of statements and iterations not
-reached when a trap, a `return` or the header's exit leaves early, and it
-marks each statement in a branch before its expressions (the header and
-the statements outside any branch are marked already, by the visits
-before the switch). It raises the same traps at the same statements, and
-leaves out only checks that cannot fire: the upper bound of `v[i]` that a
-header `i < len(v)` implies until `i` is stored, the overflow check of
-`x * 1`, `x / 1`, `x + 0` and `x - 0`, and that of an accumulator's
-store, which the segment cap rules out; `/` and `%` by a positive
-constant or a nonzero length skip the general truncating division. It
-takes over the entry's `_Cut` after the visit's check and writes its
-locals back to the frame before each later one. So results, steps,
-coverage and `loop_cut_at` stay those of the closures.
+the closure loop finishes it statement by statement, never trying the
+hot form again for that entry. So the closures stay the only code that
+runs out of budget. The hot form charges the header and top-level steps
+of a whole segment at once, and a branch's when it runs, and gives back
+those of statements and iterations not reached when a trap, a `return`
+or the header's exit leaves early, and it marks each statement in a
+branch before its expressions (the header and the statements outside any
+branch are marked already, by the visits before the switch). It raises
+the same traps at the same statements, and leaves out only checks that
+cannot fire: the upper bound of `v[i]` that a header `i < len(v)` implies
+until `i` is stored, the overflow check of `x * 1`, `x / 1`, `x + 0` and
+`x - 0`, and that of an accumulator's store, which the segment cap rules
+out; `/` and `%` by a positive constant or a nonzero length skip the
+general truncating division. So results, steps and coverage stay those
+of the closures.
 
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
@@ -235,13 +244,8 @@ class _LoopCut(_BudgetExhausted):
 
 
 class _HandBack:
-    """What a hot loop returns when it hands its entry back to the closures:
-    the header visits so far."""
-
-    __slots__ = ("visits",)
-
-    def __init__(self, visits: int):
-        self.visits = visits
+    """What a hot loop returns, the class itself and no instance, when it
+    hands its entry back to the closures."""
 
 
 def value_type(value) -> str | None:
@@ -639,11 +643,9 @@ class _Compiler:
                         if hot is None:
                             hot = _hot_loop(stmt, names, base, k, sids) or False
                         if hot:
-                            cut = cut or _Cut(live)
-                            value = hot(L, r, hit, visits, cut)
-                            if type(value) is not _HandBack:
+                            value = hot(L, r, hit)
+                            if value is not _HandBack:
                                 return value
-                            visits, check_at = value.visits, cut.check_at
                         hot_at = _NEVER
                     next_at = check_at if check_at < hot_at else hot_at
 
@@ -826,15 +828,14 @@ def _slot_of(expr: Expr, scope) -> int | None:
 
 
 class _Cut:
-    """One loop entry's loop cut, made at its first check (or at an earlier
-    switch to the hot form) and shared by the closures and the hot form:
+    """One loop entry's loop cut in the closures, made at its first check:
     the schedule, snapshot and comparison."""
 
-    __slots__ = ("live", "check_at", "snapshot_at", "window_end", "values", "arrays")
+    __slots__ = ("live", "snapshot_at", "window_end", "values", "arrays")
 
     def __init__(self, live: tuple[int, ...]):
         self.live = live
-        self.check_at = self.snapshot_at = CUT_FIRST_SNAPSHOT
+        self.snapshot_at = CUT_FIRST_SNAPSHOT
         self.window_end = 0
 
     def check(self, L: list, visits: int) -> int:
@@ -849,8 +850,7 @@ class _Cut:
             self.arrays = [(slot, self.owner(L, L[slot])) for slot, old in self.values if type(old) is list]
         elif self.matches(L):
             raise _LoopCut
-        self.check_at = visits + 1 if visits < self.window_end else self.snapshot_at
-        return self.check_at
+        return visits + 1 if visits < self.window_end else self.snapshot_at
 
     def matches(self, L: list) -> bool:
         """Whether every binding in `live` equals the snapshot's, compared in
@@ -910,15 +910,17 @@ def interpret(
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
 
     Deterministic: identical inputs always yield identical results.
-    Each argument must have its parameter's type (`value_type`), else
+    `step_budget` must be an int (not a bool) of at least 1, else
+    ValueError: a fractional budget would never count down to 0. Each
+    argument must have its parameter's type (`value_type`), else
     ValueError names the parameter; so every value in the run has its
     static type. Each array argument, a list or a tuple, is copied into a
     fresh list, so callers may reuse it. `kinds` is `value_type` of each
     argument, found by a caller whose arguments cannot change since, such
     as a `load_suite` test's; without it they are checked here.
     """
-    if step_budget < 1:
-        raise ValueError("step_budget must be >= 1")
+    if type(step_budget) is not int or step_budget < 1:
+        raise ValueError(f"step_budget must be an int >= 1, got {step_budget!r}")
     fn = unit.function(fn_name)
     if fn is None:
         raise ValueError(f"no function named {fn_name!r}")

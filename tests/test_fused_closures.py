@@ -11,7 +11,7 @@ from minirepair.minilang import SourceUnit, interpreter, parse
 from minirepair.minilang.checker import check_unit
 from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, INT_MAX, INT_MIN, interpret
 from minirepair.minilang.nodes import Binary, IntLit, Var
-from test_compiled_interpreter import observable, reference
+from test_compiled_interpreter import cut_by, observable, reference
 
 BIG = 100_000
 
@@ -377,7 +377,13 @@ def test_coverage_of_a_loop_that_calls_a_looping_function():
 
 # The loop cut of a fused loop body. `loop_cut_at` is the step count at
 # which the cut fired, as the unfused closures counted it (the reference
-# has no cut; the values are those of the closures before fusion).
+# has no cut; the values are those of the closures before fusion), at
+# header visit 17. The hot form makes no cut, so a run switched to it by
+# then is cut only where it hands the entry back and the closures, which
+# finish the entry with the visits and the cut the switch left them, find
+# the snapshot's state again: a true repeat, no earlier than the closure
+# form's cut (`count_stalled` switched at 16 is cut at budgets 70, 74, ... 98,
+# with fewer steps left than an iteration may charge).
 STALLS = parse(
     """\
 fn sum_stalled(v: int[]) -> int {
@@ -413,8 +419,11 @@ def test_loop_cut_fires_at_the_same_step_at_every_budget(fn, cut_at):
         result = interpret(STALLS, fn, args, budget)
         expected = reference(STALLS, fn, args, budget)
         assert observable(result) == observable(expected), budget
-        assert result.loop_cut_at == (cut_at if budget >= cut_at else None), budget
-    assert interpret(STALLS, fn, args, BIG).loop_cut_at == cut_at
+        if budget < cut_at or not cut_by(17):
+            assert result.loop_cut_at is None or cut_at <= result.loop_cut_at <= budget, budget
+        else:
+            assert result.loop_cut_at == cut_at, budget
+    assert interpret(STALLS, fn, args, BIG).loop_cut_at == (cut_at if cut_by(17) else None)
 
 
 def test_unbound_operands_trap_where_the_reference_does():

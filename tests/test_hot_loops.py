@@ -1,9 +1,11 @@
 """Hot loops: a loop entry that reaches `HOT_LOOP_VISITS` header visits runs
 the rest of the entry as one compiled Python function, with exactly the
-results, steps, coverage, traps and loop cut of the closures: every pinned
-report of the benchmark's pools holds with every loop hot. The counts
-check that the hot form does the same loop-cut work, that a loop is built
-once per compiled function, that `compile()` runs once per statement and
+results, steps, coverage and traps of the closures: every pinned report of
+the benchmark's pools holds with every loop hot, and no hot text knows the
+loop cut. The counts check that the cut compares on the closure form's
+visits up to the switch and on none after it (a state that first repeats
+after the switch runs to the budget hot), that a loop is built once
+per compiled function, that `compile()` runs once per statement and
 text, and that the original programs' suites build nothing; loops the
 emitter does not take stay on closures. Budgets that run out at every
 offset of an iteration check the hand-back to the closures and the steps
@@ -88,6 +90,7 @@ def test_pinned_reports_hold_with_every_loop_hot(workload, hot_at_once, sources)
     assert_pinned(workload)
     assert sources
     assert_tests_no_type(sources)
+    assert_knows_no_cut(sources)
 
 
 @pytest.mark.parametrize("workload", ["loop-mut", "genprog-wide", "corpus-default"])
@@ -103,6 +106,14 @@ def assert_tests_no_type(sources: list[str]) -> None:
     makes an int of an operand (`(+`)."""
     for source in sources:
         assert "type(" not in source and "(+" not in source, source
+
+
+def assert_knows_no_cut(sources: list[str]) -> None:
+    """The loop cut is the closures' alone: `hot` takes no visit count or
+    cut, and no text names either."""
+    for source in sources:
+        assert source.startswith("def hot(frame, run, marks):\n"), source
+        assert not re.search("cut|check_at|nvisits", source), source
 
 
 def segment(source: str) -> str:
@@ -183,26 +194,59 @@ CALLS = [
 
 @pytest.mark.parametrize("fn, args, budget", CALLS)
 def test_the_loop_cut_does_the_same_work_at_every_threshold(fn, args, budget, monkeypatch):
-    """The shared cut compares as often as in the closure form, whatever the
-    threshold: the switch hands the entry's cut to the hot form before the
-    first snapshot (1), on a snapshot visit (16, 32, 64, 1,024), inside a
-    comparison window (20, 65, 80, 81, 1,025) or between windows (200)."""
-    counts = {}
+    """The cut is the closures' alone: whatever the threshold, they compare
+    on exactly the visits the closure form compares on up to the switch,
+    and the hot form compares on none. The switch comes before the first
+    snapshot (1), on a snapshot visit (16, 32, 64, 1,024), inside a
+    comparison window (20, 65, 80, 81, 1,025) or between windows (200).
+    Results are those of the closure form, and so is `loop_cut_at` when
+    its cut fires by the switch; a later cut is not made."""
+    compared = {}
     results = {}
-    matches = interpreter._Cut.matches
+    check, matches = interpreter._Cut.check, interpreter._Cut.matches
     for at in (COLD, 1, 16, 20, 32, 64, 65, 80, 81, 200, 1024, 1025):
-        calls = []
-        monkeypatch.setattr(interpreter._Cut, "matches", lambda cut, L: calls.append(1) or matches(cut, L))
+        visits, calls = [], []
+        monkeypatch.setattr(interpreter._Cut, "check", lambda cut, L, n: visits.append(n) or check(cut, L, n))
+        monkeypatch.setattr(interpreter._Cut, "matches", lambda cut, L: calls.append(visits[-1]) or matches(cut, L))
         monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", at)
         results[at] = interpret(parse(LONG_LOOPS), fn, args, budget)
-        counts[at] = len(calls)
-    assert counts[COLD] > 0
-    assert set(counts.values()) == {counts[COLD]}
+        compared[at] = calls
+    assert compared[COLD]
     cold = results[COLD]
-    for result in results.values():
+    for at, result in results.items():
+        assert compared[at] == [n for n in compared[COLD] if n <= at], at
         assert observable(result) == observable(cold)
-        assert result.loop_cut_at == cold.loop_cut_at
+        cut_by_the_switch = cold.loop_cut_at is not None and compared[COLD][-1] <= at
+        assert result.loop_cut_at == (cold.loop_cut_at if cut_by_the_switch else None), at
     assert observable(cold) == observable(reference(parse(LONG_LOOPS), fn, args, budget))
+
+
+CLAMPS = """\
+fn clamps(n: int) -> int {
+  let i = 0;
+  while (i < n) {
+    if (i > 100) {
+      i = 100;
+    }
+    i = i + 1;
+  }
+  return i;
+}
+"""
+
+
+def test_a_state_that_first_repeats_after_the_switch_runs_to_the_budget(monkeypatch):
+    """The header state of `clamps` repeats from visit 101 on, so the closure
+    form cuts at visit 129, in the window after the snapshot at 128. The
+    default threshold switches to the hot form at 64, which runs the entry
+    to the budget: the same result, steps and coverage, and no cut."""
+    unit = parse(CLAMPS)
+    hot = interpret(unit, "clamps", [1_000], 100_000)
+    monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", COLD)
+    cold = interpret(unit, "clamps", [1_000], 100_000)
+    assert observable(hot) == observable(cold)
+    assert hot.status == BUDGET_EXHAUSTED and hot.steps_used == 100_000
+    assert cold.loop_cut_at is not None and hot.loop_cut_at is None
 
 
 def test_the_calls_reach_what_they_are_meant_to():
@@ -580,14 +624,11 @@ fn long_run(v: int[], n: int) -> int {
 
 
 def test_segments_end_at_every_budget_inside_and_outside_the_cut_windows(hot_at_once, builds, sources):
-    """A segment runs as many iterations as neither the budget nor the next
-    cut check can interrupt. Over 300 visits the checks fall in windows of
-    one visit each (after the snapshots at 16, 32, 64, 128 and 256) and far
-    apart between them (193 to 256); an iteration that skips its branch
-    charges less than the most, so a segment the budget ends may be
-    followed by another. Every budget hands the entry back at another
-    offset. (A cut inside a segment's run is
-    `test_the_loop_cut_does_the_same_work_at_every_threshold`.)"""
+    """A segment runs as many iterations as the budget cannot interrupt, and
+    segments end at budgets and accumulator caps only: the hot form checks
+    no loop cut. An iteration that skips its branch charges less than the
+    most, so a segment the budget ends may be followed by another. Every
+    budget hands the entry back at another offset of its 300 visits."""
     assert_every_budget_matches(parse(SEGMENTS), "long_run", [[1, 2, 3], 300])
     assert builds and None not in builds
     [source] = sources
@@ -905,8 +946,10 @@ NEAR_MIN = INT_MIN + 40
 
 def assert_every_budget_matches_the_closures(unit, fn, args, monkeypatch, most=2_000):
     """At every budget from 1 to one past a full run's steps (at most
-    `most`), the same result and loop cut with every loop hot as on the
-    closures alone."""
+    `most`), the same result with every loop hot as on the closures alone.
+    The hot form makes no loop cut: a hot run's here is none, or the
+    closures' where the hot form hands the entry back before its first
+    iteration (as at a cap of 0) and they finish it."""
 
     def run(at, budget):
         monkeypatch.setattr(interpreter, "HOT_LOOP_VISITS", at)
@@ -915,7 +958,9 @@ def assert_every_budget_matches_the_closures(unit, fn, args, monkeypatch, most=2
 
     full = interpret(unit, fn, args, most)
     for budget in range(1, min(full.steps_used, most) + 2):
-        assert run(1, budget) == run(COLD, budget), budget
+        (hot, hot_cut), (cold, cold_cut) = run(1, budget), run(COLD, budget)
+        assert hot == cold, budget
+        assert hot_cut in (None, cold_cut), budget
 
 
 @pytest.mark.parametrize(
@@ -953,7 +998,8 @@ def test_an_accumulator_is_capped_per_segment_and_traps_where_the_closures_do(fn
     An accumulator that overflows, or nears INT_MAX or INT_MIN and hands
     back, traps or returns at the step the closures do, at every budget,
     with `x` at INT_MIN too (`falls`), a zero increment (`nears`,
-    `stalls`), the loop cut (`stalls`), a `return` or a trap in a branch
+    `stalls`), a header state that repeats (`stalls`, which the closures
+    cut by the default threshold), a `return` or a trap in a branch
     (`leaves`); an index store anywhere in the loop keeps the element's
     store checked (`stores`, through an alias)."""
     unit = parse(ACCUMULATORS)
@@ -977,13 +1023,13 @@ def test_an_accumulator_is_capped_per_segment_and_traps_where_the_closures_do(fn
     ],
 )
 def test_only_accumulators_drop_their_overflow_check(fn, args, caps, checked, hot_at_once, sources):
-    """Each accumulator adds one cap to the segment's `min` and loses its
+    """Each accumulator adds one cap to the segment size `m` and loses its
     store's overflow check; `t` in `stores`, whose loop has an index store,
     and `c - q` and `100 / (c - q)` in `leaves` keep theirs."""
     interpret(parse(ACCUMULATORS), fn, args, 1_000)
     [source] = sources
-    [segment_min] = re.findall(r"m = min\(.*\)", source)
-    assert segment_min.count("abs(s") == caps
+    [segment_size] = re.findall(r"m = .*", source)
+    assert segment_size.count("abs(s") == caps
     assert source.count("'integer-overflow'") == checked
 
 
@@ -1030,11 +1076,12 @@ def test_random_programs_reach_the_shapes_the_hot_form_treats_apart(hot_at_once,
             return None
         most = int(re.search(r"steps_left // (\d+)", sources[-1]).group(1))
 
-        def watched(frame, run, marks, nvisits, cut):
-            value = hot(frame, run, marks, nvisits, cut)
-            if type(value) is interpreter._HandBack and run.steps_left >= most:
+        def watched(frame, run, marks):
+            steps = run.steps_left
+            value = hot(frame, run, marks)
+            if value is interpreter._HandBack and run.steps_left >= most:
                 capped.add("hand-back at a cap")
-                if value.visits > nvisits:
+                if run.steps_left < steps:
                     capped.add("capped segment")
             return value
 

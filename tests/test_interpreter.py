@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minirepair.faultloc import build_matrix
 from minirepair.minilang import StatementId, interpret, parse
 from minirepair.minilang.interpreter import (
     BUDGET_EXHAUSTED,
@@ -11,6 +12,7 @@ from minirepair.minilang.interpreter import (
     RUNTIME_ERROR,
     values_equal,
 )
+from minirepair.minilang.testsuite import run_test
 
 
 def ids(*indexes, fn="max"):
@@ -43,6 +45,21 @@ def test_step_budget_boundary():
     unit = parse("fn f() -> int { let a = 1; return a; }")
     assert interpret(unit, "f", [], 2).status == RETURNED
     assert interpret(unit, "f", [], 1).status == BUDGET_EXHAUSTED
+
+
+@pytest.mark.parametrize("budget", [2.5, 1000.5, True, 0])
+def test_a_step_budget_is_an_int_of_at_least_one(budget, buggy_max, max_suite):
+    """As `EngineConfig` requires: a float budget never counts down to
+    exactly 0, so a runaway loop would never stop, and a bool is no int.
+    The function is loop-free, so an accepted budget returns. A test run
+    and the coverage matrix raise the same error."""
+    with pytest.raises(ValueError, match="step_budget") as direct:
+        interpret(buggy_max, "max", [3, 5], budget)
+    with pytest.raises(ValueError) as through_run_test:
+        run_test(buggy_max, max_suite[0], budget)
+    with pytest.raises(ValueError) as through_build_matrix:
+        build_matrix(buggy_max, max_suite, budget)
+    assert str(through_run_test.value) == str(through_build_matrix.value) == str(direct.value)
 
 
 @pytest.mark.parametrize(
