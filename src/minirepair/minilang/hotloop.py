@@ -13,10 +13,19 @@ coverage of the closures: `frame` is the activation's slot list, `run`
 the run state and `marks` the running function's coverage list. `hot`
 returns None when the header exits, the value of a `return`, or
 `_HandBack` when it hands the entry back. It knows nothing of the loop
-cut, which is the closures' alone (see "Loop cut" in `interpreter`). It
-raises `Declined` for a loop that holds a call or a nested `while`, names
-an unbound variable, or has a statement, expression, operator or literal
-it does not know.
+cut, which is the closures' alone (see "Loop cut" in `interpreter`).
+
+It takes only the loops that the corpus programs and the repair
+operators build, and raises `Declined` for any other, which stays on the
+closures. The hot language is:
+  - statements `let x = e;`, `x = e;`, `return e;` and an `if` with no
+    `else`;
+  - int and bool literals, variables, unary `-` and `!`, the binary
+    operators, and `v[e]` and `len(v)` with `v` an array bound at the
+    header that the loop never rebinds.
+So a hot loop makes no call, holds no loop and never writes an array,
+and the arrays it reads cannot change during the entry: their lengths
+are loaded once at entry (the local `n3` for slot 3).
 
 The iterations run in segments. A segment begins with
 
@@ -24,9 +33,9 @@ The iterations run in segments. A segment begins with
 
 (`m = steps_left // most` for a loop with no accumulator), where `most`
 is the most steps any path through one iteration can charge (the header,
-each statement, and the longer branch of each `if`), and each
-accumulator (below) adds a cap: `m` is the number of iterations that the
-budget cannot interrupt and that no accumulator can overflow in. Then
+each statement, and each `if`'s branch), and each accumulator (below)
+adds a cap: `m` is the number of iterations that the budget cannot
+interrupt and that no accumulator can overflow in. Then
 `for j in range(m - 1, -1, -1):` runs them with no test of either, `j`
 counting the iterations left after the current one, and its `else`
 begins the next segment. `m` is below 1 only when fewer than `most`
@@ -49,44 +58,35 @@ ran in each visit before the switch, so they are marked already.
 
 An accumulator is a slot visible at the header that the loop changes
 only by `x = x + e`, `x = x - e` or `x = e + x`, where `e` is an int
-literal, a variable the loop never rebinds, or, in a loop with no index
-store at all (which could change an element through any alias), an
-element of an array the loop never rebinds. Each entry reads the bound
-of `x`'s increments once: the sum over its stores of `abs` of the
-literal or the variable, or of the array's largest `abs` (the local `b3`
-for slot 3, or a constant when every `e` is a literal; a sum of 0 is
-read as 1). The cap `(INT_MAX - abs(x)) // bound` keeps
-`|x| + m * bound <= INT_MAX` over the segment, so `x`'s stores are
-emitted without their overflow check: the checks that Sol et al.,
-"Dynamic elimination of overflow tests in a trace compiler" (CC 2011),
-drop once a range guard has passed. At `abs(x)` near INT_MAX the cap
-reaches 0 (or -1 at INT_MIN) and the entry is handed back.
+literal or an array element, which no iteration can change. Each entry reads the
+bound of `x`'s increments once: the sum over its stores of `abs` of the
+literal or of the array's largest `abs` (the local `b3` for slot 3, or a
+constant when every `e` is a literal; a sum of 0 is read as 1). The cap
+`(INT_MAX - abs(x)) // bound` keeps `|x| + m * bound <= INT_MAX` over
+the segment, so `x`'s stores are emitted without their overflow check:
+the checks that Sol et al., "Dynamic elimination of overflow tests in a
+trace compiler" (CC 2011), drop once a range guard has passed. At
+`abs(x)` near INT_MAX the cap reaches 0 (or -1 at INT_MIN) and the entry
+is handed back.
 
 Slots live in Python locals (MiniLang slot 3 is the local `s3`), all
 loaded at entry; the ones visible at the header that the loop assigns are
 written back to `frame` at a hand-back and at a normal exit. A trap or a `return` ends the activation, so they write
 nothing back, and an arithmetic store may compute into its slot before
 the overflow check. The steps left live in a local too, written back to
-`run` at the same points and before every trap and return. A
-MiniLang array never changes length, so an array name bound at the header
-that no statement of the loop assigns or `let`s again has its length
-loaded once at entry (the local `n3` for slot 3), which `len` and the
-index bounds read; other lengths are read at each use.
+`run` at the same points and before every trap and return.
 
 Checks that cannot fire are left out too, so that the loops of mutation
 candidates, which rewrite an increment `i = i + 1` as `i * 1`, `i / 1`
 or `i % 1`, pay for little more than their own arithmetic:
-  - Under a header `i < len(v)` or `len(v) > i`, alone or as a conjunct
-    of an `&&` header, with `v` of fixed length, `v[i]` and `v[i] = e`
-    test only `i >= 0`, from the header up to the first store to `i`'s
-    slot in emission order (a store in a branch ends it for every
-    statement emitted after it): bounds-check elimination from a
-    dominating test, as in Bodik, Gupta and Sarkar, "ABCD: eliminating
+  - Under a header `i < len(v)`, alone or as a conjunct of an `&&`
+    header, `v[i]` tests only `i >= 0`, from the header up to the first
+    store to `i`'s slot in emission order (a store in a branch ends it
+    for every statement emitted after it): bounds-check elimination from
+    a dominating test, as in Bodik, Gupta and Sarkar, "ABCD: eliminating
     array bounds checks on demand", PLDI 2000.
   - `x * 1`, `x / 1`, `x + 0` and `x - 0` are `x`, and `x % 1` is 0,
     after the checks of `x`; none of them can overflow.
-  - `/` and `%` by a length, past its zero check, take the path of a
-    positive constant divisor.
 
 Expressions compile to straight-line code: each check that can trap is a
 statement of its own, emitted in the order the closures evaluate, and
@@ -108,15 +108,12 @@ from __future__ import annotations
 from minirepair.minilang.nodes import (
     INT_MAX,
     INT_MIN,
-    ArrayLit,
     AssignStmt,
     Binary,
     BoolLit,
     Expr,
-    ExprStmt,
     IfStmt,
     Index,
-    IndexAssignStmt,
     IntLit,
     Len,
     LetStmt,
@@ -205,19 +202,17 @@ class _Emitter:
         """The increments `e` of each accumulator among the header's slots:
         one that the loop, whose statements and expressions are `nodes`,
         changes only by `x = x + e`, `x = x - e` or `x = e + x`, each `e`
-        an int literal, a variable of fixed binding or, in a loop with no
-        index store at all, an element of an array of fixed binding. Its
-        stores that are not identities go into `unchecked`."""
+        an int literal or an array element, which cannot change in a hot
+        loop. Its stores that are not identities go into `unchecked`."""
         header = self.scope[0]
         lets = {node.name for node in nodes if isinstance(node, LetStmt)}
-        constant = not any(isinstance(node, IndexAssignStmt) for node in nodes)
         stores: dict[str, list[AssignStmt]] = {}
         for node in nodes:
             if isinstance(node, AssignStmt) and node.name in header and node.name not in lets:
                 stores.setdefault(node.name, []).append(node)
         increments = {}
         for name, assigns in stores.items():
-            found = [self.increment(store, constant) for store in assigns]
+            found = [self.increment(store) for store in assigns]
             if None in found:
                 continue
             increments[header[name]] = found
@@ -226,10 +221,9 @@ class _Emitter:
                     self.unchecked.add(id(store))
         return increments
 
-    def increment(self, store: AssignStmt, constant: bool) -> Expr | None:
+    def increment(self, store: AssignStmt) -> Expr | None:
         """The `e` of an accumulator store `x = x + e`, `x = x - e` or
-        `x = e + x`, or None when `store` is not one; `constant` when no
-        element can change in the loop."""
+        `x = e + x`, or None when `store` is not one."""
         value = store.value
         if not isinstance(value, Binary) or value.op not in ("+", "-"):
             return None
@@ -241,18 +235,17 @@ class _Emitter:
             return None
         if isinstance(e, IntLit):
             return e if type(e.value) is int else None
-        if isinstance(e, Var) or isinstance(e, Index) and constant:
-            return e if self.scope[0].get(e.name) in self.fixed else None
-        return None
+        return e if isinstance(e, Index) else None
 
     def caps(self, increments: dict[int, list[Expr]]) -> tuple[list[str], list[str]]:
         """The entry's bound of each accumulator's increments per iteration
-        (`b3` for slot 3; literals add in as constants), read once, and the
+        (`b3` for slot 3, from its arrays' largest `abs`; literals add in as
+        constants), read once, and the
         segment caps that keep every accumulator within `|x| <= INT_MAX`."""
         bounds, caps = [], []
         for slot, found in sorted(increments.items()):
             literals = sum(abs(e.value) for e in found if isinstance(e, IntLit))
-            terms = [_bound(self.scope[0][e.name], e) for e in found if not isinstance(e, IntLit)]
+            terms = [f"max(map(abs, s{self.scope[0][e.name]}), default=0)" for e in found if isinstance(e, Index)]
             room = f"{INT_MAX} - abs(s{slot})"
             if terms:
                 total = " + ".join(terms + ([str(literals)] if literals else []))
@@ -263,23 +256,15 @@ class _Emitter:
         return bounds, caps
 
     def implied_bounds(self, cond: Expr) -> set[tuple[int, int]]:
-        """(index slot, array slot) of each conjunct `i < len(v)` or
-        `len(v) > i` of the header `cond` whose array `v` has a fixed
-        length."""
+        """(index slot, array slot) of each conjunct `i < len(v)` of the
+        header `cond`, whose text is emitted, so `v` has a fixed binding."""
         if not isinstance(cond, Binary):
             return set()
         if cond.op == "&&":
             return self.implied_bounds(cond.lhs) | self.implied_bounds(cond.rhs)
-        if cond.op == "<":
-            index, length = cond.lhs, cond.rhs
-        elif cond.op == ">":
-            index, length = cond.rhs, cond.lhs
-        else:
-            return set()
-        if isinstance(index, Var) and isinstance(length, Len) and isinstance(length.arg, Var):
-            array = self.slot(length.arg.name)
-            if array in self.fixed:
-                return {(self.slot(index.name), array)}
+        index, length = cond.lhs, cond.rhs
+        if cond.op == "<" and isinstance(index, Var) and isinstance(length, Len) and isinstance(length.arg, Var):
+            return {(self.slot(index.name), self.slot(length.arg.name))}
         return set()
 
     # -- text ----------------------------------------------------------------
@@ -322,13 +307,13 @@ class _Emitter:
         raise Declined(f"unbound variable {name!r}")
 
     def length(self, array: str) -> str:
-        """The length of the array named `array`: a fixed length loaded at
-        entry, or read where it is used."""
+        """The length of the array named `array`, of fixed binding, loaded
+        at entry."""
         slot = self.slot(array)
-        if slot in self.fixed:
-            self.lengths.add(slot)
-            return f"n{slot}"
-        return f"len(s{slot})"
+        if slot not in self.fixed:
+            raise Declined(f"rebound array {array!r}")
+        self.lengths.add(slot)
+        return f"n{slot}"
 
     # -- statements ----------------------------------------------------------
 
@@ -383,26 +368,14 @@ class _Emitter:
             self.bounds = {bound for bound in self.bounds if bound[0] != slot}
             if value != f"s{slot}":
                 self.line(f"s{slot} = {value}")
-        elif isinstance(stmt, IndexAssignStmt):
-            array = f"s{self.slot(stmt.name)}"
-            index = self.atom(stmt.index)
-            value, _ = self.value(stmt.value)
-            self.in_bounds(stmt.name, stmt.index, index)
-            self.line(f"{array}[{index}] = {value}")
-        elif isinstance(stmt, IfStmt):
+        elif isinstance(stmt, IfStmt) and stmt.else_body is None:
             cond, _ = self.value(stmt.cond)
             self.line(f"if {cond}:")
-            most = self.branch(stmt.then_body)
-            if stmt.else_body is not None:
-                self.line("else:")
-                most = max(most, self.branch(stmt.else_body))
-            return 1 + most
+            return 1 + self.branch(stmt.then_body)
         elif isinstance(stmt, ReturnStmt):
             value, _ = self.value(stmt.value)
             self.line(f"run.steps_left = {self.steps(self.ahead)}")
             self.line(f"return {value}")
-        elif isinstance(stmt, ExprStmt):
-            self.value(stmt.value)  # its checks; the value itself is unused
         else:
             raise Declined(type(stmt).__name__)
         return 1
@@ -452,15 +425,8 @@ class _Emitter:
             index = self.atom(expr.index)
             self.in_bounds(expr.name, expr.index, index)
             return f"{array}[{index}]", False
-        if isinstance(expr, Len):
-            if isinstance(expr.arg, Var):
-                length = self.length(expr.arg.name)
-                return length, not length.startswith("len(")
-            arg, _ = self.value(expr.arg)
-            return f"len({arg})", False
-        if isinstance(expr, ArrayLit):
-            items = [self.value(item)[0] for item in expr.items]
-            return f"[{', '.join(items)}]", False
+        if isinstance(expr, Len) and isinstance(expr.arg, Var):
+            return self.length(expr.arg.name), True
         raise Declined(type(expr).__name__)
 
     def binary(self, expr: Binary, into: str | None) -> tuple[str, bool]:
@@ -511,18 +477,15 @@ class _Emitter:
         return t, True
 
     def divide(self, expr: Binary) -> tuple[str, bool]:
-        """`/` and `%`: C style, truncating toward zero. By a positive
-        divisor, an int constant `c > 0` or a length past its zero check, a
-        negative dividend divides as its negation, negated, and the quotient
-        cannot overflow."""
+        """`/` and `%`: C style, truncating toward zero. By an int constant
+        `c > 0`, a negative dividend divides as its negation, negated, and
+        the quotient cannot overflow."""
         python_op, zero_trap = _DIVIDE[expr.op]
         lhs = self.atom(expr.lhs)
-        positive = isinstance(expr.rhs, IntLit) and expr.rhs.value > 0
         rhs = self.atom(expr.rhs)
-        if not positive:
-            self.trap(f"{rhs} == 0", zero_trap)
-        if positive or isinstance(expr.rhs, Len):
+        if isinstance(expr.rhs, IntLit) and expr.rhs.value > 0:
             return f"({lhs} {python_op} {rhs} if {lhs} >= 0 else -(-{lhs} {python_op} {rhs}))", False
+        self.trap(f"{rhs} == 0", zero_trap)
         q = self.temp()
         self.line(f"{q} = abs({lhs}) // abs({rhs})")
         self.line(f"if ({lhs} < 0) != ({rhs} < 0):")
@@ -536,11 +499,3 @@ class _Emitter:
 def _times(name: str, count: int) -> str:
     """`name * count` as text, or `name` for a count of 1."""
     return f"{name} * {count}" if count != 1 else name
-
-
-def _bound(slot: int, e: Expr) -> str:
-    """The largest `abs` an increment `e`, a variable or an element of the
-    array in `slot`, can take in this entry."""
-    if isinstance(e, Var):
-        return f"abs(s{slot})"
-    return f"max(map(abs, s{slot}), default=0)"

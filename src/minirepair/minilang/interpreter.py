@@ -111,10 +111,11 @@ Building the loop of a corpus array loop whose increment became
 for a cached build by the time it has run as long again; a loop that
 runs to a 100,000-step budget pays for either many times over, and
 `genprog-wide`'s runaway candidates (budget 2,000) tier up too. The
-emitter declines a loop that makes a call or holds a nested `while` (the
-inner loop still tiers up on its own), names an unbound variable or has
-a shape it does not know, and a `compile()` that fails declines it too;
-a declined loop stays on closures and is not tried again. The emitter is
+emitter declines a loop outside `hotloop`'s language (a call, a nested
+`while`, whose inner loop still tiers up on its own, an array store or
+literal, a rebound array, an `else`, an expression statement), and a
+`compile()` that fails declines it too; a declined loop stays on
+closures and is not tried again. The emitter is
 imported with this module: at 64 visits nearly every search builds hot
 loops, and importing it here, rather than at the first build, keeps the
 memory of compiling its source (where no bytecode is cached) out of the
@@ -137,9 +138,8 @@ the same traps at the same statements, and leaves out only checks that
 cannot fire: the upper bound of `v[i]` that a header `i < len(v)` implies
 until `i` is stored, the overflow check of `x * 1`, `x / 1`, `x + 0` and
 `x - 0`, and that of an accumulator's store, which the segment cap rules
-out; `/` and `%` by a positive constant or a nonzero length skip the
-general truncating division. So results, steps and coverage stay those
-of the closures.
+out; `/` and `%` by a positive constant skip the general truncating
+division. So results, steps and coverage stay those of the closures.
 
 Host stack. Compiling a function and running one MiniLang call each take
 at most four Python frames per level of nesting, and no unit nests deeper
@@ -926,6 +926,8 @@ def interpret(
         raise ValueError(f"no function named {fn_name!r}")
     if len(args) != len(fn.params):
         raise ValueError(f"{fn_name!r} takes {len(fn.params)} arguments, got {len(args)}")
+    if kinds is not None and len(kinds) != len(args):
+        raise ValueError(f"{fn_name!r}: {len(kinds)} kinds for {len(args)} arguments")
     run = _Run(step_budget, unit)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + (MAX_CALL_DEPTH + 1) * FRAMES_PER_CALL + _FRAME_SLACK)

@@ -94,14 +94,15 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(two, two, line, col))
             i, col = i + 2, col + 2
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             lit = text[start:i]
-            if int(lit) > INT_MAX:
+            digits = lit.lstrip("0") or "0"  # converted only when at most 20 long
+            if len(digits) > 20 or int(digits) > INT_MAX:
                 raise ParseError(f"integer literal out of range: {lit}", line, col)
-            tokens.append(Token("int", lit, line, col))
+            tokens.append(Token("int", digits, line, col))
             col += i - start
             continue
         if ch.isalpha() or ch == "_":

@@ -28,6 +28,15 @@ inside most arrays, so that fewer loops trap in their first iteration.
 (Such indexes everywhere let more runs reach calls, and so enter more
 functions, which leaves too few tests for `test_test_selection` to skip.)
 
+`random_hot_unit` draws every loop, header and body, from the hot-loop
+emitter's language alone (see `minirepair.minilang.hotloop`), so that
+its loops tier up instead of staying on the closures. Inside a loop it
+draws no call, nested loop, index store, `else`, expression statement,
+array literal, array `let` or store, or `len` of anything but a
+variable; a counted loop's header is `i < len(v)` (alone or in an `&&`),
+and an accumulator moves by a constant or `v[i]`. `random_unit`'s units
+are drawn as before.
+
 `random_lineage` grows a random unit by the repair operators, so that
 tests can check each child against its parent.
 """
@@ -83,8 +92,10 @@ LOGIC = ("&&", "||")
 
 
 class ProgramGenerator:
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, hot: bool = False):
         self.rng = rng
+        self.hot = hot  # draw loops from the hot-loop emitter's language
+        self.in_hot_loop = False  # drawing a loop's header or body, when `hot`
         self.signatures: dict[str, tuple[tuple[str, ...], str]] = {}
         self._name_counter = 0
         # (i, v) of the enclosing counted loop, guarded by `i < len(v)`
@@ -124,7 +135,8 @@ class ProgramGenerator:
         scope.append({})
         stmts = []
         for _ in range(count):
-            if depth < 2 and not self.guard and self._vars_of(T_INT_ARRAY, scope) and self.rng.random() < 0.2:
+            nested = self.guard or self.in_hot_loop
+            if depth < 2 and not nested and self._vars_of(T_INT_ARRAY, scope) and self.rng.random() < 0.2:
                 stmts += self._counted_loop(scope, depth, return_type)
             else:
                 stmts.append(self._stmt(scope, depth, return_type))
@@ -133,6 +145,8 @@ class ProgramGenerator:
         return stmts
 
     def _stmt(self, scope: list[dict], depth: int, return_type: str) -> Stmt:
+        if self.in_hot_loop:
+            return self._hot_stmt(scope, depth, return_type)
         choices = ["let", "let", "expr"]
         if any(self._vars_of(t, scope) for t in TYPES):
             choices.append("assign")
@@ -166,12 +180,33 @@ class ProgramGenerator:
             else_body = self._block(scope, depth + 1, return_type) if self.rng.random() < 0.4 else None
             return IfStmt(cond, then_body, else_body)
         if kind == "while":
+            self.in_hot_loop = self.hot
             cond = self._header(scope)
             self.loops += 1
             body = self._block(scope, depth + 1, return_type)
             self.loops -= 1
+            self.in_hot_loop = False
             return WhileStmt(cond, body)
         return ExprStmt(self._expr(self.rng.choice(TYPES), scope, depth=2))
+
+    def _hot_stmt(self, scope: list[dict], depth: int, return_type: str) -> Stmt:
+        """A statement of a loop body in the hot language: a `let` or a
+        store of an int or a bool, or an `if` with no `else`."""
+        rng = self.rng
+        kind = rng.choice(["let", "let", "assign", "if"] if depth < 2 else ["let", "let", "assign"])
+        if kind == "if":
+            return IfStmt(self._expr(T_BOOL, scope, depth=2), self._block(scope, depth + 1, return_type), None)
+        type_ = rng.choice((T_INT, T_INT, T_BOOL))
+        names = self._vars_of(type_, scope)
+        if kind == "let" or not names:
+            name = self._fresh()
+            stmt = LetStmt(name, self._value(type_, scope))
+            scope[-1][name] = type_
+            return stmt
+        name = rng.choice(names)
+        if type_ == T_INT and self.guard and rng.random() < 0.3:
+            name = self.guard[0]
+        return AssignStmt(name, self._value(type_, scope))
 
     def _value(self, type_: str, scope: list[dict]) -> Expr:
         """A stored value; for an int, three times in four `y op e` on a
@@ -207,7 +242,8 @@ class ProgramGenerator:
         rng = self.rng
         i, v = self._fresh(), rng.choice(self._vars_of(T_INT_ARRAY, scope))
         scope[-1][i] = T_INT
-        form = rng.choice(("<", ">", "&&"))
+        self.in_hot_loop = self.hot
+        form = rng.choice(("<", "&&") if self.hot else ("<", ">", "&&"))
         cond = Binary(">", Len(Var(v)), Var(i)) if form == ">" else Binary("<", Var(i), Len(Var(v)))
         if form == "&&":
             cond = Binary("&&", cond, self._expr(T_BOOL, scope, depth=1))
@@ -229,21 +265,23 @@ class ProgramGenerator:
         scope.pop()
         self.guard = None
         self.loops -= 1
+        self.in_hot_loop = False
         return stmts + [WhileStmt(cond, body)]
 
     def _accumulator(self, scope: list[dict]) -> tuple[LetStmt, AssignStmt]:
         """`let a = c;` with `c` within 60 of INT_MAX or of -INT_MAX, and a
         store that moves `a` toward that end: `a = a + e` (or `e + a`) or
-        `a = a - e`, with `e` a small constant, the guard's `v[i]` or an int
-        variable. Nothing else names `a`, so the hot form caps its segments
-        by `a` and hands the entry back as `a` nears the end of the range.
+        `a = a - e`, with `e` a small constant, the guard's `v[i]` or, but
+        in a hot unit, an int variable. Nothing else names `a`, so the hot
+        form caps its segments by `a` and hands the entry back as `a` nears
+        the end of the range.
         Called with the guard set, before the loop's body is drawn."""
         rng = self.rng
         a = self._fresh()  # kept out of `scope`: no other statement reads or stores it
         near = IntLit(INT_MAX - rng.randint(0, 60))
         i, v = self.guard
         ints = [name for name in self._vars_of(T_INT, scope) if name != i]
-        e = rng.choice([IntLit(rng.randint(1, 9)), Index(v, Var(i))] + ([Var(rng.choice(ints))] if ints else []))
+        e = rng.choice([IntLit(rng.randint(1, 9)), Index(v, Var(i))] + ([Var(rng.choice(ints))] if ints and not self.hot else []))
         if rng.random() < 0.5:
             return LetStmt(a, Unary("-", near)), AssignStmt(a, Binary("-", Var(a), e))
         value = Binary("+", e, Var(a)) if rng.random() < 0.3 else Binary("+", Var(a), e)
@@ -297,6 +335,8 @@ class ProgramGenerator:
             if kind == "index":
                 return self._element(scope, depth - 1)
             if kind == "len":
+                if self.in_hot_loop:
+                    return Len(Var(rng.choice(self._vars_of(T_INT_ARRAY, scope))))
                 return Len(self._expr(T_INT_ARRAY, scope, depth - 1))
             if kind == "call":
                 return self._call(T_INT, scope, depth)
@@ -344,7 +384,7 @@ class ProgramGenerator:
         return ArrayLit([IntLit(self.rng.randint(0, 9)) for _ in range(self.rng.randint(0, 2))])
 
     def _callables(self, return_type: str) -> list[str]:
-        if self.guard:
+        if self.guard or self.in_hot_loop:
             return []
         return [name for name, (_, ret) in self.signatures.items() if ret == return_type]
 
@@ -356,6 +396,11 @@ class ProgramGenerator:
 
 def random_unit(seed: int) -> SourceUnit:
     return ProgramGenerator(random.Random(seed)).unit()
+
+
+def random_hot_unit(seed: int) -> SourceUnit:
+    """A random unit whose loops are all in the hot-loop emitter's language."""
+    return ProgramGenerator(random.Random(seed), hot=True).unit()
 
 
 def random_lineage(seed: int, mode: str, generations: int = 4, draws: int = 40):

@@ -109,6 +109,15 @@ def test_parse_error_is_usage_error(workspace, capsys):
     assert "bad.ml" in capsys.readouterr().err
 
 
+def test_overlong_literal_is_usage_error(workspace, capsys):
+    long = workspace / "long.ml"
+    long.write_text("fn max(a: int, b: int) -> int { return " + "9" * 5_000 + "; }")
+    code = main(["--program", str(long), "--tests", str(workspace / "max.tests.json"), "--mode", "jpar"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repair: error: ") and "out of range" in err and "Traceback" not in err
+
+
 def test_over_deep_program_is_usage_error(workspace, capsys):
     deep = workspace / "deep.ml"
     deep.write_text("fn max(a: int, b: int) -> int { return " + "(" * 400 + "a" + ")" * 400 + "; }")

@@ -1,7 +1,8 @@
 """The closure form's differential tests against the tree-walking
 reference, run again with every loop hot: the threshold lowered to 1,
 where every loop entry switches after its first header visit, and to 16,
-the first snapshot visit of the loop cut."""
+the first snapshot visit of the loop cut. The random units of
+`random_hot_unit`, whose loops are all in the hot language, run too."""
 
 import random
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import test_compiled_interpreter
 from minirepair.minilang import interpreter
 from minirepair.minilang.interpreter import interpret
-from randprog import random_unit
+from randprog import random_hot_unit, random_unit
 from test_compiled_interpreter import observable, random_args, reference
 
 # Collected again in this module, where the fixture below runs each of
@@ -55,11 +56,32 @@ def test_random_programs_match_reference():
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
+def test_random_hot_programs_match_reference(seed):
+    """The budgets of `test_compiled_matches_reference`."""
+    unit = random_hot_unit(seed)
+    rng = random.Random(seed)
+    for fn in unit.functions:
+        args = random_args([t for _, t in fn.params], rng)
+        for budget in (1, 7, 60, 500):
+            assert observable(interpret(unit, fn.name, args, budget)) == observable(reference(unit, fn.name, args, budget))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
 def test_random_programs_match_reference_at_a_drawn_budget(seed):
     """One run per function at a budget drawn between 1 and the steps the
     reference takes at 2,000, so that the hot form hands its entry back at
     varied offsets of an iteration."""
-    unit = random_unit(seed)
+    assert_matches_at_a_drawn_budget(random_unit(seed), seed)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_random_hot_programs_match_reference_at_a_drawn_budget(seed):
+    assert_matches_at_a_drawn_budget(random_hot_unit(seed), seed)
+
+
+def assert_matches_at_a_drawn_budget(unit, seed):
     rng = random.Random(seed)
     for fn in unit.functions:
         args = random_args([t for _, t in fn.params], rng)

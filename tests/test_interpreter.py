@@ -62,6 +62,15 @@ def test_a_step_budget_is_an_int_of_at_least_one(budget, buggy_max, max_suite):
     assert str(through_run_test.value) == str(through_build_matrix.value) == str(direct.value)
 
 
+@pytest.mark.parametrize("kinds", [("int", "int"), ()])
+def test_kinds_of_another_length_than_the_arguments_are_rejected(kinds):
+    """`kinds` names one type per argument; any other count raises
+    ValueError, as a wrong type does."""
+    unit = parse("fn f(x: int) -> int { return x; }")
+    with pytest.raises(ValueError, match=r"^'f': \d kinds for 1 arguments$"):
+        interpret(unit, "f", [1], 100, kinds)
+
+
 @pytest.mark.parametrize(
     "src,kind",
     [

@@ -140,6 +140,28 @@ def test_integer_literal_range():
         parse("fn f() -> int { return 9223372036854775808; }")
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("\u00b2", "unexpected character"),
+        ("1\u00b2", "unexpected character"),
+        ("\u0663", "unexpected character"),
+        ("9" * 5_000, "out of range"),
+    ],
+    ids=["superscript-two", "one-superscript-two", "arabic-indic-three", "5000-digits"],
+)
+def test_an_integer_literal_is_ascii_digits_in_range(literal, message):
+    """Only `0`-`9` make a literal, and no literal, however long, escapes
+    `parse` as anything but a ParseError."""
+    with pytest.raises(ParseError, match=message):
+        parse(f"fn f() -> int {{ return {literal}; }}")
+
+
+def test_leading_zeros_do_not_count_toward_the_range():
+    unit = parse("fn f() -> int { return " + "0" * 5_000 + "1; }")
+    assert interpret(unit, "f", [], 10).value == 1
+
+
 def test_array_literal_and_len():
     unit = parse("fn f() -> int { let v = [1, 2, 3]; let e = []; return len(v) + len(e); }")
     assert len(unit.functions[0].body) == 3
