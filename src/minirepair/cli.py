@@ -219,8 +219,10 @@ def _run_case(
         unit = parse((case_dir / "program.ml").read_text(encoding="utf-8"), source_name=name)
         suite = load_suite((case_dir / "tests.json").read_text(encoding="utf-8"), unit)
         modes = meta["modes"]
-        if not modes or any(mode not in MODES for mode in modes):
+        if type(modes) is not list or not modes or any(mode not in MODES for mode in modes):
             raise ValueError(f"meta.json declares invalid modes: {modes}")
+        if len(set(modes)) < len(modes):
+            raise ValueError(f"meta.json declares a mode twice: {modes}")
         expect_repair = meta.get("expect_repair", True)
         if not isinstance(expect_repair, bool):
             raise ValueError(f"meta.json expect_repair must be true or false: {expect_repair!r}")

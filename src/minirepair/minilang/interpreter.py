@@ -44,26 +44,11 @@ is a new `FunctionDef` and compiles with its own numbering. Units must be
 well typed (`check_unit` passes) and nest no deeper than `MAX_NESTING`,
 as `parse` and every operator guarantee.
 
-The common shapes compile to one fused closure each rather than a chain
-of calls, as superoperators do for a bytecode interpreter (Proebsting,
-"Optimizing an ANSI C interpreter with superoperators", POPL 1995):
-  - `while` and `if` run their statement closures inline, with no call
-    per iteration or branch;
-  - `x = y op e` and `let x = y op e`, with `y` a bound variable and `op`
-    one of + - *, charge, compute, check for overflow and store in one
-    closure, which reads `e` itself when it is a constant; so do
-    `x = y / c` and `x = y % c` for an int constant `c > 0`;
-  - a comparison of a bound variable with a bound variable, a constant or
-    the length of a bound variable (`x < y`, `x < c`, `i < len(v)`), and
-    one of any expression with a constant, reads those operands without
-    a call;
-  - `/` and `%` by an int constant `c > 0` skip the general truncating
-    division.
-A fused closure charges its statement's one step and marks its statement
-number first, exactly where the unfused chain did, before any of its
-expressions run. Its operands run in the chain's order, and a trap is
-attributed to the same statement. So steps, coverage, traps and the loop
-cut stay those of the unfused chain.
+Each statement and each expression compiles one way, to one closure of
+its node kind, which calls the closures of its operands in source order:
+a variable is a read of its slot, a literal returns its value. A statement
+closure charges its step and marks its statement number before any of its
+expressions run. The long runs of a search run as hot loops (below).
 
 Loop cut. A run is deterministic and has no I/O, so a loop whose state at
 its header repeats will repeat that stretch until the budget runs out.
@@ -330,13 +315,6 @@ class _Function:
 # cost a Python call per step. They return None to continue, or the value
 # of an executed `return` (MiniLang values are never None). Expression
 # closures take the same arguments and return the value.
-#
-# A binary operator or a fused store reads each operand by its shape: a
-# bound variable is its slot (_SLOT), a literal its value (_CONST), the
-# length of a bound variable that variable's slot (_LEN), and anything
-# else a closure (_EXPR).
-
-_EXPR, _SLOT, _LEN, _CONST = range(4)
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {
@@ -347,60 +325,6 @@ _COMPARE = {
     "==": operator.eq,
     "!=": operator.ne,
 }
-# `/` and `%` by a positive divisor: on a non-negative dividend, C style
-# is floor style.
-_FLOOR = {"/": operator.floordiv, "%": operator.mod}
-
-# A comparison by its operator function `f`, for each pair of shapes read
-# without a call. Each factory and its closure is a `def` of its own, so
-# that a profile, which keys code by file, line and name, counts them apart.
-
-
-def _slot_slot(f, a, b):
-    def compare_slot_slot(L, r):
-        return f(L[a], L[b])
-
-    return compare_slot_slot
-
-
-def _slot_len(f, a, b):
-    def compare_slot_len(L, r):
-        return f(L[a], len(L[b]))
-
-    return compare_slot_len
-
-
-def _slot_const(f, a, c):
-    def compare_slot_const(L, r):
-        return f(L[a], c)
-
-    return compare_slot_const
-
-
-def _expr_const(f, a, c):
-    def compare_expr_const(L, r):
-        return f(a(L, r), c)
-
-    return compare_expr_const
-
-
-_COMPARE_SHAPES = {
-    (_SLOT, _SLOT): _slot_slot,
-    (_SLOT, _LEN): _slot_len,
-    (_SLOT, _CONST): _slot_const,
-    (_EXPR, _CONST): _expr_const,
-}
-
-
-def _read(kind: int, x):
-    """An operand of shape `kind` as a closure."""
-    if kind == _EXPR:
-        return x
-    if kind == _SLOT:
-        return lambda L, r: L[x]
-    if kind == _LEN:
-        return lambda L, r: len(L[x])
-    return lambda L, r: x
 
 
 def _fail(kind: str, at, *operands):
@@ -530,78 +454,23 @@ class _Compiler:
         return _evaluate(k, _fail("unknown-statement", sid))
 
     def store(self, stmt: LetStmt | AssignStmt, scope: list[dict[str, int]], k: int, sid: StatementId):
-        """A `let` or an assignment to a bound name. With `y` a bound
-        variable, `x = y op e` for `op` one of + - * is one closure that
-        charges, computes, checks for overflow and stores, and so is
-        `x = y op c` for `op` one of / % and an int constant `c > 0`."""
-        value = stmt.value
-        a = _slot_of(value.lhs, scope) if isinstance(value, Binary) else None
-        op = None if a is None else value.op
-        if op in _ARITH:
-            kind, b = self.operand(value.rhs, scope, sid)
-        elif op in _FLOOR and _positive_constant(value.rhs):
-            kind, b = _CONST, value.rhs.value
-        else:
-            op = None
-            compute = self.expr(value, scope, sid)
+        """A `let` or an assignment to a bound name."""
+        compute = self.expr(stmt.value, scope, sid)
         # Every operand is resolved before a `let` binds its own name.
         slot = scope[-1].get(stmt.name) if isinstance(stmt, LetStmt) else _lookup(scope, stmt.name)
         if slot is None:
             slot = scope[-1][stmt.name] = self.nslots
             self.nslots += 1
-        if op is None:
 
-            def store(L, r):
-                n = r.steps_left
-                if not n:
-                    raise _BudgetExhausted
-                r.steps_left = n - 1
-                r.hit[k] = True
-                L[slot] = compute(L, r)
-
-            return store
-        if op in _FLOOR:
-            floor = _FLOOR[op]
-
-            def store_divide_constant(L, r):
-                n = r.steps_left
-                if not n:
-                    raise _BudgetExhausted
-                r.steps_left = n - 1
-                r.hit[k] = True
-                v = L[a]
-                L[slot] = floor(v, b) if v >= 0 else -floor(-v, b)
-
-            return store_divide_constant
-        arith = _ARITH[op]
-        if kind == _CONST:
-
-            def store_arith_constant(L, r):
-                n = r.steps_left
-                if not n:
-                    raise _BudgetExhausted
-                r.steps_left = n - 1
-                r.hit[k] = True
-                v = arith(L[a], b)
-                if not INT_MIN <= v <= INT_MAX:
-                    raise _Trap("integer-overflow", sid)
-                L[slot] = v
-
-            return store_arith_constant
-        rhs = _read(kind, b)
-
-        def store_arith(L, r):
+        def store(L, r):
             n = r.steps_left
             if not n:
                 raise _BudgetExhausted
             r.steps_left = n - 1
             r.hit[k] = True
-            v = arith(L[a], rhs(L, r))
-            if not INT_MIN <= v <= INT_MAX:
-                raise _Trap("integer-overflow", sid)
-            L[slot] = v
+            L[slot] = compute(L, r)
 
-        return store_arith
+        return store
 
     def while_stmt(self, stmt: WhileStmt, scope: list[dict[str, int]], k: int, sid: StatementId):
         live = tuple(slot for frame in scope for slot in frame.values())
@@ -654,24 +523,21 @@ class _Compiler:
     # -- expressions ------------------------------------------------------
 
     def expr(self, expr: Expr, scope: list[dict[str, int]], sid):
-        return _read(*self.operand(expr, scope, sid))
-
-    def operand(self, expr: Expr, scope: list[dict[str, int]], sid) -> tuple[int, object]:
-        """`expr` compiled once, as (shape, how to read it): a slot, a
-        constant or a closure."""
+        """`expr` compiled once, as a closure."""
         if isinstance(expr, (IntLit, BoolLit)):
-            return _CONST, expr.value
+            c = expr.value
+            return lambda L, r: c
         if isinstance(expr, Var):
             slot = _lookup(scope, expr.name)
             if slot is None:
-                return _EXPR, _fail("unbound-variable", sid)
-            return _SLOT, slot
+                return _fail("unbound-variable", sid)
+            return lambda L, r: L[slot]
         if isinstance(expr, Binary):
-            return _EXPR, self.binary(expr, scope, sid)
+            return self.binary(expr, scope, sid)
         if isinstance(expr, Unary):
             operand = self.expr(expr.operand, scope, sid)
             if expr.op != "-":
-                return _EXPR, lambda L, r: not operand(L, r)
+                return lambda L, r: not operand(L, r)
 
             def negate(L, r):
                 v = -operand(L, r)
@@ -679,11 +545,11 @@ class _Compiler:
                     return v
                 raise _Trap("integer-overflow", sid)
 
-            return _EXPR, negate
+            return negate
         if isinstance(expr, Index):
             slot = _lookup(scope, expr.name)
             if slot is None:
-                return _EXPR, _fail("unbound-variable", sid)
+                return _fail("unbound-variable", sid)
             index = self.expr(expr.index, scope, sid)
 
             def item(L, r):
@@ -693,19 +559,16 @@ class _Compiler:
                     return array[i]
                 raise _Trap("index-out-of-bounds", sid)
 
-            return _EXPR, item
+            return item
         if isinstance(expr, Len):
-            slot = _slot_of(expr.arg, scope)
-            if slot is not None:
-                return _LEN, slot
             arg = self.expr(expr.arg, scope, sid)
-            return _EXPR, lambda L, r: len(arg(L, r))
+            return lambda L, r: len(arg(L, r))
         if isinstance(expr, Call):
-            return _EXPR, self.call(expr, scope, sid)
+            return self.call(expr, scope, sid)
         if isinstance(expr, ArrayLit):
             items = tuple([self.expr(i, scope, sid) for i in expr.items])
-            return _EXPR, lambda L, r: [item(L, r) for item in items]
-        return _EXPR, _fail("unknown-expression", sid)
+            return lambda L, r: [item(L, r) for item in items]
+        return _fail("unknown-expression", sid)
 
     def call(self, expr: Call, scope, sid):
         args = tuple([self.expr(a, scope, sid) for a in expr.args])
@@ -738,19 +601,9 @@ class _Compiler:
         return call
 
     def binary(self, expr: Binary, scope, sid):
-        """One closure for the operator and every operand it reads without a
-        call."""
         op = expr.op
-        lk, a = self.operand(expr.lhs, scope, sid)
-        rk, b = self.operand(expr.rhs, scope, sid)
-        if op in _COMPARE:
-            shape = _COMPARE_SHAPES.get((lk, rk))
-            if shape is not None:
-                return shape(_COMPARE[op], a, b)
-        if op in _FLOOR and rk == _CONST and _positive_constant(expr.rhs) and lk in (_EXPR, _SLOT):
-            return _divide_by_constant(_FLOOR[op], lk, a, b)
-        lhs = _read(lk, a)
-        rhs = _read(rk, b)
+        lhs = self.expr(expr.lhs, scope, sid)
+        rhs = self.expr(expr.rhs, scope, sid)
         if op == "&&":
             return lambda L, r: lhs(L, r) and rhs(L, r)
         if op == "||":
@@ -794,34 +647,11 @@ class _Compiler:
         return _fail("unknown-operator", sid, lhs, rhs)
 
 
-def _positive_constant(expr: Expr) -> bool:
-    return isinstance(expr, IntLit) and expr.value > 0
-
-
-def _divide_by_constant(floor, kind: int, a, c: int):
-    """`x / c` or `x % c` for an int constant `c > 0` and `x` a slot or a
-    closure, by `floor`, the matching floor operator. C style, as
-    `_trunc_div` is: a negative dividend divides as its negation, negated.
-    The quotient cannot overflow."""
-    if kind == _SLOT:
-        return lambda L, r: floor(L[a], c) if L[a] >= 0 else -floor(-L[a], c)
-
-    def divide_constant(L, r):
-        v = a(L, r)
-        return floor(v, c) if v >= 0 else -floor(-v, c)
-
-    return divide_constant
-
-
 def _lookup(scope: list[dict[str, int]], name: str) -> int | None:
     for frame in reversed(scope):
         if name in frame:
             return frame[name]
     return None
-
-
-def _slot_of(expr: Expr, scope) -> int | None:
-    return _lookup(scope, expr.name) if isinstance(expr, Var) else None
 
 
 # -- loop cut -----------------------------------------------------------------

@@ -101,7 +101,8 @@ def tokenize(text: str) -> list[Token]:
             lit = text[start:i]
             digits = lit.lstrip("0") or "0"  # converted only when at most 20 long
             if len(digits) > 20 or int(digits) > INT_MAX:
-                raise ParseError(f"integer literal out of range: {lit}", line, col)
+                quoted = lit if len(lit) <= 20 else f"{lit[:20]}... ({len(lit)} digits)"
+                raise ParseError(f"integer literal out of range: {quoted}", line, col)
             tokens.append(Token("int", digits, line, col))
             col += i - start
             continue

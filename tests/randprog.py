@@ -9,8 +9,8 @@ the interpreter tests execute them against the tree-walking reference.
 Loops need not terminate and calls may recurse without bound: the
 interpreters end such runs by step budget or call depth.
 
-The generator favours the shapes that the interpreter compiles to one
-fused closure, so that the differential tests reach each of them:
+The generator favours the shapes that the repair searches run most, so
+that the differential tests reach each of them often:
 `x = y op c` and `x = y op v[i]` stores, `i < len(v)` loop headers, and
 operators with a constant on their right, such as `e % c` and `e == c`.
 It also favours the shapes the hot-loop emitter treats apart. Counted

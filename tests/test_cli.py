@@ -116,6 +116,7 @@ def test_overlong_literal_is_usage_error(workspace, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("repair: error: ") and "out of range" in err and "Traceback" not in err
+    assert "99999999999999999999... (5000 digits)" in err and len(err) < 200
 
 
 def test_over_deep_program_is_usage_error(workspace, capsys):
@@ -234,6 +235,7 @@ def test_malformed_case_does_not_poison_others(tmp_path):
         "config_false": ({"config": False}, "config"),
         "config_null": ({"config": None}, "config"),
         "expect_repair_not_bool": ({"expect_repair": "false"}, "expect_repair"),
+        "modes_not_list": ({"modes": {"jmutrepair": 0}}, "modes"),
     }
     for case, (meta, _) in bad_metas.items():
         shutil.copytree(CORPUS / "max_flipped_comparison", corpus / case)
@@ -247,6 +249,20 @@ def test_malformed_case_does_not_poison_others(tmp_path):
     for case, (_, key) in bad_metas.items():
         assert by_case[case]["status"] == "error"
         assert key in by_case[case]["detail"]
+
+
+def test_a_mode_listed_twice_is_an_error_row(tmp_path):
+    """One row, an error, and no run: a repeated mode would run twice and
+    write the same artifact directory twice."""
+    corpus = tmp_path / "corpus"
+    case = corpus / "twice"
+    shutil.copytree(CORPUS / "max_flipped_comparison", case)
+    (case / "meta.json").write_text(json.dumps({"modes": ["jmutrepair", "jgenprog", "jmutrepair"]}))
+    assert main(["--corpus", str(corpus), "--out", str(tmp_path / "out"), "--min-repaired", "0"]) == 0
+    rows = json.loads((tmp_path / "out" / "summary.json").read_text())["cases"]
+    assert [(row["case"], row["mode"], row["status"]) for row in rows] == [("twice", "-", "error")]
+    assert "twice" in rows[0]["detail"]
+    assert not (tmp_path / "out" / "twice").exists()
 
 
 def test_undecodable_or_over_deep_case_files_are_error_rows(tmp_path):

@@ -1,13 +1,14 @@
-"""Each statement and expression shape that the compiler fuses into one
-closure, against the tree-walking reference, at every step budget from 1
-to the run's full step count: the step order, coverage, trap site and
-loop cut of a fused closure are those of the unfused chain."""
-
-import operator
+"""Stores, divisions, comparisons and lets of the closure compiler,
+against the tree-walking reference, at every step budget from 1 to the
+run's full step count: the closures' step order, coverage and trap sites
+are the reference's, and their loop cut fires where `STALLS` below says.
+The shapes are the ones a search runs most: `x = y op c`, `x = y op v[i]`,
+`i < len(v)`, `e % c`, `e == c`. The module keeps its name from when the
+compiler fused such shapes into one closure each."""
 
 import pytest
 
-from minirepair.minilang import SourceUnit, interpreter, parse
+from minirepair.minilang import SourceUnit, parse
 from minirepair.minilang.checker import check_unit
 from minirepair.minilang.interpreter import BUDGET_EXHAUSTED, INT_MAX, INT_MIN, interpret
 from minirepair.minilang.nodes import Binary, IntLit, Var
@@ -162,8 +163,7 @@ def test_variable_divisors_match_reference(x, d):
 
 def with_divisor(divisor: int) -> SourceUnit:
     """`x / c` and `x % c` with a literal divisor `c`, which may be one the
-    parser never makes (it reads `-3` as a negation): a zero or negative
-    one takes the unfused path."""
+    parser never makes (it reads `-3` as a negation)."""
     unit = parse("fn f(x: int) -> int { let q = x; let m = x; return q * 10 + m; }")
     q, m, _ = unit.functions[0].body
     q.value = Binary("/", Var("x"), IntLit(divisor))
@@ -375,15 +375,15 @@ def test_coverage_of_a_loop_that_calls_a_looping_function():
     assert_every_budget_matches(CALL_IN_LOOP, "f", [[2, 0, 3]])
 
 
-# The loop cut of a fused loop body. `loop_cut_at` is the step count at
-# which the cut fired, as the unfused closures counted it (the reference
-# has no cut; the values are those of the closures before fusion), at
-# header visit 17. The hot form makes no cut, so a run switched to it by
-# then is cut only where it hands the entry back and the closures, which
-# finish the entry with the visits and the cut the switch left them, find
-# the snapshot's state again: a true repeat, no earlier than the closure
-# form's cut (`count_stalled` switched at 16 is cut at budgets 70, 74, ... 98,
-# with fewer steps left than an iteration may charge).
+# The loop cut of a loop body of stores. `loop_cut_at` is the step count
+# at which the cut fired, as the closures count it (the reference has no
+# cut), at header visit 17. The hot form makes no cut, so a run switched
+# to it by then is cut only where it hands the entry back and the
+# closures, which finish the entry with the visits and the cut the switch
+# left them, find the snapshot's state again: a true repeat, no earlier
+# than the closure form's cut (`count_stalled` switched at 16 is cut at
+# budgets 70, 74, ... 98, with fewer steps left than an iteration may
+# charge).
 STALLS = parse(
     """\
 fn sum_stalled(v: int[]) -> int {
@@ -427,8 +427,8 @@ def test_loop_cut_fires_at_the_same_step_at_every_budget(fn, cut_at):
 
 
 def test_unbound_operands_trap_where_the_reference_does():
-    """A fused shape whose variable is unbound is compiled unfused; units
-    out of `parse` never hold one, so the AST is edited by hand."""
+    """An unbound variable traps when it is read; units out of `parse`
+    never hold one, so the AST is edited by hand."""
     unit = parse("fn f(x: int) -> int { let y = x + 1; x = x - 2; return x; }")
     let, assign, _ = unit.functions[0].body
     let.value = Binary("+", Var("nowhere"), IntLit(1))
@@ -438,12 +438,3 @@ def test_unbound_operands_trap_where_the_reference_does():
         assert observable(result) == observable(reference(unit, "f", [1], budget))
     assert interpret(unit, "f", [1], 3).error_kind == "unbound-variable"
 
-
-def test_each_compare_shape_closure_profiles_apart_from_its_factory():
-    """A profile keys code by file, line and name, so each fused comparison
-    and the factory that makes it must differ in line or name to be
-    counted apart."""
-    for shape, factory in interpreter._COMPARE_SHAPES.items():
-        closure = factory(operator.lt, lambda L, r: 0, 1)
-        made, maker = closure.__code__, factory.__code__
-        assert made.co_firstlineno != maker.co_firstlineno and made.co_name != maker.co_name, shape
