@@ -32,7 +32,6 @@ from minirepair.minilang import MiniLangError, parse
 from minirepair.minilang.errors import SuiteError
 from minirepair.minilang.testsuite import load_suite
 from minirepair.operators import MODES, SCOPES
-from minirepair.validation import UnknownTestName
 
 EXIT_PATCH_FOUND = 0
 EXIT_EXHAUSTED = 1
@@ -132,7 +131,7 @@ def run_single(args: argparse.Namespace) -> int:
         return _fail("no failing test: the program already passes its suite")
     except UnlocalizableFault:
         return _fail("fault is unlocalizable: no statement has a positive score")
-    except (UnknownTestName, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
     _write_artifacts(args.out, outcome)
@@ -241,7 +240,7 @@ def _run_case(
         mode_started = time.perf_counter()
         try:
             outcome = evolve(unit, suite, config)
-        except (NoFailingTest, UnlocalizableFault, UnknownTestName, ValueError) as exc:
+        except (NoFailingTest, UnlocalizableFault, ValueError) as exc:
             runs.append(
                 CaseRun(
                     name, mode, "error", 0, time.perf_counter() - mode_started,

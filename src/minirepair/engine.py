@@ -5,12 +5,12 @@ Each generation, every parent receives one transformation at a point
 chosen by navigating the suspiciousness ranking (computed once, on the
 original program, and re-resolved per variant by structural path), the
 children's fitness (failing-test count) is measured in the only run of
-their suites, whose verdicts validate a fitness-zero child, and the best
-of parents plus children survive. A child's run reuses its parent's: a
-test that never entered the one function the child edits keeps the
-parent's verdict without running. The run stops when enough validated
-patches have been collected or the generation budget is spent. Given the
-same inputs and seed, a run is fully deterministic.
+their suites, which is also their validation: a child that fails no test
+is a patch. The best of parents plus children survive. A child's run
+reuses its parent's: a test that never entered the one function the
+child edits keeps the parent's verdict without running. The run stops
+when enough patches have been collected or the generation budget is
+spent. Given the same inputs and seed, a run is fully deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ from minirepair.operators import (
     enumerate_ops,
     harvest_ingredients,
 )
-from minirepair.validation import validate
+# The two-phase view of a run, which no child needs since a fitness-zero
+# child is a patch. It stays importable from here because the benchmark's
+# layer probes (`perfbench/spans.py`) name it.
+from minirepair.validation import validate  # noqa: F401
 
 REDRAW_ATTEMPTS = 10  # per parent per generation
 
@@ -163,9 +166,8 @@ class RepairOutcome:
 
 class SuiteRun(tuple):
     """The `Verdicts` of one fitness run, `(test name, passed)` in run
-    order, which `validate` reads; `records` holds each test's
-    `TestRecord` by suite position, None for a test the run stopped
-    before."""
+    order; `records` holds each test's `TestRecord` by suite position,
+    None for a test the run stopped before."""
 
     def __new__(cls, verdicts: list[tuple[str, bool]], records: tuple[TestRecord | None, ...]):
         run = super().__new__(cls, verdicts)
@@ -275,20 +277,15 @@ class _SearchState:
 def step_generation(
     population: list[ProgramVariant], state: _SearchState, generation: int
 ) -> list[ProgramVariant]:
-    """Produce at most one child per parent; validate any fitness-zero child."""
+    """Produce at most one child per parent; a fitness-zero child is a patch."""
     config = state.config
     children: list[ProgramVariant] = []
     for parent in population:
-        spawned = _spawn_child(parent, state, generation)
-        if spawned is None:
+        child = _spawn_child(parent, state, generation)
+        if child is None:
             continue
-        child, verdicts = spawned
         children.append(child)
-        if (
-            child.fitness == 0
-            and len(state.patches) < config.max_patches
-            and validate(verdicts, state.originally_failing).valid
-        ):
+        if child.fitness == 0 and len(state.patches) < config.max_patches:
             if state.original_text is None:
                 state.original_text = pretty_print(state.original)
             diff = make_diff(state.original_text, pretty_print(child.ast), child.ast.source_name)
@@ -298,9 +295,7 @@ def step_generation(
     return children
 
 
-def _spawn_child(
-    parent: ProgramVariant, state: _SearchState, generation: int
-) -> tuple[ProgramVariant, SuiteRun] | None:
+def _spawn_child(parent: ProgramVariant, state: _SearchState, generation: int) -> ProgramVariant | None:
     config = state.config
     for _ in range(REDRAW_ATTEMPTS):
         point = state.points[state.navigator.pick().statement]
@@ -330,8 +325,7 @@ def _spawn_child(
         state.variants_evaluated += 1
         failures = sum(1 for _, passed in run if not passed)
         lineage = parent.lineage + [concrete]
-        child = ProgramVariant(child_ast, lineage, failures, generation, run.records)
-        return child, run
+        return ProgramVariant(child_ast, lineage, failures, generation, run.records)
     return None
 
 

@@ -300,11 +300,11 @@ class _Emitter:
             self.trap(f"not 0 <= {index} < {self.length(array)}", "index-out-of-bounds")
 
     def slot(self, name: str) -> int:
+        """The slot of `name`, which the closure compiler has resolved."""
         for frame in reversed(self.scope):
             if name in frame:
                 self.used.add(frame[name])
                 return frame[name]
-        raise Declined(f"unbound variable {name!r}")
 
     def length(self, array: str) -> str:
         """The length of the array named `array`, of fixed binding, loaded

@@ -44,6 +44,18 @@ is a new `FunctionDef` and compiles with its own numbering. Units must be
 well typed (`check_unit` passes) and nest no deeper than `MAX_NESTING`,
 as `parse` and every operator guarantee.
 
+Traps. A run of a checked unit traps only on its values and its call
+depth: `index-out-of-bounds`, `integer-overflow`, `division-by-zero`,
+`modulo-by-zero` and `call-depth-exceeded`; a run checks nothing that
+the checker decided. For a hand-edited unit the checker would reject, the compiler
+raises ValueError, naming the function, at an unbound name, an unknown
+node kind or an unknown operator, and a call raises ValueError when the
+running unit lacks its callee: compiled code is shared across units, so
+each run finds its callees itself. The argument counts of the unit's own
+calls, operand types and a body that can fall off its end are checked
+only by `check_unit`; a unit that gets them wrong runs with unspecified
+results.
+
 Each statement and each expression compiles one way, to one closure of
 its node kind, which calls the closures of its operands in source order:
 a variable is a read of its slot, a literal returns its value. A statement
@@ -281,12 +293,9 @@ class _Run:
         # function this run has entered
         self.entered: dict[str, tuple] = {}
 
-    def enter(self, fn: FunctionDef | None) -> tuple | None:
+    def enter(self, fn: FunctionDef) -> tuple:
         """The `entered` entry of `fn`, made (and `fn` compiled, if no run
-        has yet) on its first call in this run; None when the unit has no
-        such function."""
-        if fn is None:
-            return None
+        has yet) on its first call in this run."""
         code = _code_of(fn)
         hit = [False] * len(code.sids)
         entered = self.entered[fn.name] = (code.nslots, code.body, hit, code.sids)
@@ -325,17 +334,6 @@ _COMPARE = {
     "==": operator.eq,
     "!=": operator.ne,
 }
-
-
-def _fail(kind: str, at, *operands):
-    """An expression that evaluates `operands`, then traps."""
-
-    def fail(L, r):
-        for operand in operands:
-            operand(L, r)
-        raise _Trap(kind, at)
-
-    return fail
 
 
 def _evaluate(k: int, value):
@@ -395,9 +393,6 @@ class _Compiler:
         self.sids.append(sid)
         if isinstance(stmt, WhileStmt):
             return self.while_stmt(stmt, scope, k, sid)
-        if isinstance(stmt, AssignStmt) and _lookup(scope, stmt.name) is None:
-            value = self.expr(stmt.value, scope, sid)
-            return _evaluate(k, _fail("unbound-variable", sid, value))
         if isinstance(stmt, (LetStmt, AssignStmt)):
             return self.store(stmt, scope, k, sid)
         if isinstance(stmt, IndexAssignStmt):
@@ -451,16 +446,19 @@ class _Compiler:
             return ret
         if isinstance(stmt, ExprStmt):
             return _evaluate(k, self.expr(stmt.value, scope, sid))
-        return _evaluate(k, _fail("unknown-statement", sid))
+        raise self.error(f"unknown statement kind {type(stmt).__name__}")
 
     def store(self, stmt: LetStmt | AssignStmt, scope: list[dict[str, int]], k: int, sid: StatementId):
         """A `let` or an assignment to a bound name."""
         compute = self.expr(stmt.value, scope, sid)
         # Every operand is resolved before a `let` binds its own name.
-        slot = scope[-1].get(stmt.name) if isinstance(stmt, LetStmt) else _lookup(scope, stmt.name)
-        if slot is None:
-            slot = scope[-1][stmt.name] = self.nslots
-            self.nslots += 1
+        if isinstance(stmt, AssignStmt):
+            slot = self.slot(scope, stmt.name)
+        else:
+            slot = scope[-1].get(stmt.name)
+            if slot is None:
+                slot = scope[-1][stmt.name] = self.nslots
+                self.nslots += 1
 
         def store(L, r):
             n = r.steps_left
@@ -528,9 +526,7 @@ class _Compiler:
             c = expr.value
             return lambda L, r: c
         if isinstance(expr, Var):
-            slot = _lookup(scope, expr.name)
-            if slot is None:
-                return _fail("unbound-variable", sid)
+            slot = self.slot(scope, expr.name)
             return lambda L, r: L[slot]
         if isinstance(expr, Binary):
             return self.binary(expr, scope, sid)
@@ -547,9 +543,7 @@ class _Compiler:
 
             return negate
         if isinstance(expr, Index):
-            slot = _lookup(scope, expr.name)
-            if slot is None:
-                return _fail("unbound-variable", sid)
+            slot = self.slot(scope, expr.name)
             index = self.expr(expr.index, scope, sid)
 
             def item(L, r):
@@ -568,17 +562,19 @@ class _Compiler:
         if isinstance(expr, ArrayLit):
             items = tuple([self.expr(i, scope, sid) for i in expr.items])
             return lambda L, r: [item(L, r) for item in items]
-        return _fail("unknown-expression", sid)
+        raise self.error(f"unknown expression kind {type(expr).__name__}")
 
     def call(self, expr: Call, scope, sid):
         args = tuple([self.expr(a, scope, sid) for a in expr.args])
         name = expr.fn
-        unknown = _fail("unknown-function", sid, *args)
 
         def call(L, r):
-            entered = r.entered.get(name) or r.enter(r.unit.function(name))
+            entered = r.entered.get(name)
             if entered is None:
-                return unknown(L, r)
+                fn = r.unit.function(name)
+                if fn is None:
+                    raise ValueError(f"{sid.function!r} calls {name!r}, which the running unit lacks")
+                entered = r.enter(fn)
             nslots, body, hit, _ = entered
             frame = [None] * nslots
             i = 0
@@ -592,8 +588,6 @@ class _Compiler:
             caller_hit = r.hit
             r.hit = hit
             value = body(frame, r)
-            if value is None:
-                raise _Trap("missing-return", sid)
             r.hit = caller_hit
             r.depth = depth
             return value
@@ -644,14 +638,18 @@ class _Compiler:
                 return x - _trunc_div(x, y) * y
 
             return mod
-        return _fail("unknown-operator", sid, lhs, rhs)
+        raise self.error(f"unknown operator {op!r}")
 
+    def slot(self, scope: list[dict[str, int]], name: str) -> int:
+        """The slot `name` is bound to in `scope`."""
+        for frame in reversed(scope):
+            if name in frame:
+                return frame[name]
+        raise self.error(f"unbound name {name!r}")
 
-def _lookup(scope: list[dict[str, int]], name: str) -> int | None:
-    for frame in reversed(scope):
-        if name in frame:
-            return frame[name]
-    return None
+    def error(self, problem: str) -> ValueError:
+        """The error for a unit `check_unit` rejects (see "Traps")."""
+        return ValueError(f"{self.name!r}: {problem}; interpret takes units that check_unit passes")
 
 
 # -- loop cut -----------------------------------------------------------------
@@ -740,6 +738,7 @@ def interpret(
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
 
     Deterministic: identical inputs always yield identical results.
+    `unit` must pass `check_unit` (see "Traps" in the module docstring).
     `step_budget` must be an int (not a bool) of at least 1, else
     ValueError: a fractional budget would never count down to 0. Each
     argument must have its parameter's type (`value_type`), else
@@ -771,10 +770,7 @@ def interpret(
         frame = [None] * nslots
         frame[: len(args)] = [list(a) if type(a) is tuple or type(a) is list else a for a in args]
         run.depth = 1
-        value = body(frame, run)
-        if value is None:
-            raise _Trap("missing-return", None)
-        result = ExecutionResult(RETURNED, value=value)
+        result = ExecutionResult(RETURNED, value=body(frame, run))
     except _Trap as trap:
         result = ExecutionResult(RUNTIME_ERROR, error_kind=trap.kind, error_at=trap.at)
     except _LoopCut:

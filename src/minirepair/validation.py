@@ -6,7 +6,9 @@ run's verdicts into phase 1, the originally failing tests, and phase 2,
 the regression check that every previously passing test still passes.
 A phase-1 failure discards the candidate and leaves phase 2 empty. Which
 tests count as "originally failing" is fixed once, from the unpatched
-program, and never re-classified during a run.
+program, and never re-classified during a run. A run with no failing
+verdict passes both phases, so the engine takes a fitness-zero child as
+a patch without calling `validate`.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import random
 import sys
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,13 +122,9 @@ def test_a_call_finds_its_callee_in_the_running_unit():
     result = assert_matches_reference(shared, "f", [3], 100)
     assert result.value == 4 and vars(caller)["_code"] is code
     assert result.executed == {StatementId("g", 0), StatementId("f", 0), StatementId("f", 1)}
-    # and traps when it holds none, after evaluating the arguments
-    alone = assert_matches_reference(SourceUnit([caller]), "f", [3], 100)
-    assert (alone.error_kind, alone.error_at, alone.steps_used) == (
-        "unknown-function",
-        StatementId("f", 0),
-        1,
-    )
+    # and raises when it holds none
+    with pytest.raises(ValueError, match="^'f' calls 'g', which the running unit lacks$"):
+        interpret(SourceUnit([caller]), "f", [3], 100)
 
 
 def assert_matches_reference(unit, fn, args, budget):

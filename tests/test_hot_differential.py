@@ -26,7 +26,7 @@ from test_compiled_interpreter import (  # noqa: F401
     test_nested_loops,
     test_runs_differing_only_in_sharing,
 )
-from test_fused_closures import (  # noqa: F401
+from test_closures import (  # noqa: F401
     test_a_let_reads_the_outer_binding_of_its_own_name,
     test_constant_divisors_match_reference,
     test_coverage_of_a_loop_that_calls_a_looping_function,
@@ -39,7 +39,6 @@ from test_fused_closures import (  # noqa: F401
     test_operands_that_may_trap_keep_their_order,
     test_ordered_comparisons_with_pure_operands_on_either_side,
     test_stores_reach_the_overflow_they_are_meant_to,
-    test_unbound_operands_trap_where_the_reference_does,
     test_variable_divisors_match_reference,
 )
 

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minirepair
 from minirepair.faultloc import build_matrix
 from minirepair.minilang import StatementId, interpret, parse
 from minirepair.minilang.interpreter import (
@@ -12,6 +16,7 @@ from minirepair.minilang.interpreter import (
     RUNTIME_ERROR,
     values_equal,
 )
+from minirepair.minilang.nodes import Binary, Expr, Index, IntLit, Stmt, Var
 from minirepair.minilang.testsuite import run_test
 
 
@@ -89,6 +94,45 @@ def test_runtime_errors(src, kind):
     assert result.status == RUNTIME_ERROR
     assert result.error_kind == kind
     assert result.error_at is not None
+
+
+EDITED = "fn f(x: int, v: int[]) -> int { let y = x + 1; x = y - 2; return v[x]; }"
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda body: setattr(body[0], "value", Binary("+", Var("nowhere"), IntLit(1))), "unbound name 'nowhere'"),
+        (lambda body: setattr(body[1], "name", "nowhere"), "unbound name 'nowhere'"),
+        (lambda body: setattr(body[2], "value", Index("nowhere", Var("x"))), "unbound name 'nowhere'"),
+        (lambda body: setattr(body[0], "value", Binary("**", Var("x"), IntLit(1))), "unknown operator '**'"),
+        (lambda body: setattr(body[0], "value", Expr()), "unknown expression kind Expr"),
+        (lambda body: body.insert(0, Stmt()), "unknown statement kind Stmt"),
+    ],
+    ids=["read", "assignment", "index", "operator", "expression", "statement"],
+)
+def test_a_unit_the_checker_rejects_raises_where_the_compiler_meets_it(edit, problem):
+    """Units out of `parse` pass `check_unit`, so the AST is edited by
+    hand. An assignment to an unbound name raises; it takes no slot as a
+    `let` would."""
+    unit = parse(EDITED)
+    edit(unit.functions[0].body)
+    with pytest.raises(ValueError, match=re.escape(f"'f': {problem};")):
+        interpret(unit, "f", [1, [1, 2]], 100)
+
+
+def test_a_run_traps_only_on_its_values_and_its_call_depth():
+    """The checks `check_unit` makes have no trap kind in the interpreter."""
+    source = "".join(path.read_text() for path in Path(minirepair.__file__).parent.rglob("*.py"))
+    for kind in (
+        "unbound-variable",
+        "unknown-statement",
+        "unknown-expression",
+        "unknown-operator",
+        "unknown-function",
+        "missing-return",
+    ):
+        assert kind not in source
 
 
 def test_error_attributed_to_innermost_statement():
