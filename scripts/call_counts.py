@@ -9,23 +9,48 @@ holding this script); `minirepair` is imported from its `src/` and the
 workloads from its `perfbench/`, as `scripts/pool_pairs.py` does. For
 each of `loop-mut` and `genprog-wide`, in this one process, it runs one
 unmeasured warm-up pass of the pool (every job of `workloads.job_pool`,
-in pool order), then one pass under cProfile, and prints cProfile's
-`total_calls` of that pass with the sha256 of its jobs' report digests
-(the pinned `report_sha256` of `perfbench/worker.py`). A run is
-deterministic, so two runs of one checkout print the same counts, and
-two checkouts whose digests agree did the same searches. Nothing is
-written.
+in pool order), then two passes under cProfile, and prints the calls of
+a pass with the sha256 of its jobs' report digests (the pinned
+`report_sha256` of `perfbench/worker.py`). A run is deterministic, so two
+runs of one checkout print the same counts, and two checkouts whose
+digests agree did the same searches. Nothing is written.
+
+A pass's calls are summed over every code object the profiler saw
+(`Profile.getstats()`), not read from `pstats`: pstats keys a function by
+file, line and name, and of the code objects that share them, such as the
+`__init__` that `dataclasses` generates for each class, it keeps only the
+one the profiler lists last, an order that follows memory addresses. Its
+`total_calls` therefore moved between runs with equal reports.
+
+Should the two profiled passes make different numbers of calls, it
+prints both totals and each function whose call count differs, and exits
+1, so that a count that is not deterministic names where it is not.
 """
 
 from __future__ import annotations
 
 import cProfile
 import hashlib
-import pstats
 import sys
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("loop-mut", "genprog-wide")
+
+
+def call_counts(profile: cProfile.Profile) -> Counter:
+    """The calls of each function of a profile, by its code object (a
+    builtin by its name); equal code objects are summed."""
+    counts: Counter = Counter()
+    for entry in profile.getstats():
+        counts[entry.code] += entry.callcount
+    return counts
+
+
+def describe(code) -> str:
+    if isinstance(code, str):
+        return code
+    return f"{code.co_filename}:{code.co_firstlineno}({getattr(code, 'co_qualname', code.co_name)})"
 
 
 def main(argv: list[str]) -> int:
@@ -45,16 +70,28 @@ def main(argv: list[str]) -> int:
             digests.update(worker.report_digest(outcome).encode())
         return digests.hexdigest()
 
+    status = 0
     for name in WORKLOADS:
         targets = worker.load_targets(name)
         pool = workloads.job_pool(name)
         warm = digest(outcomes(targets, pool))
-        profile = cProfile.Profile()
-        if digest(profile.runcall(outcomes, targets, pool)) != warm:
-            raise SystemExit(f"{name}: the profiled pass's reports differ from the warm-up's")
-        calls = pstats.Stats(profile).total_calls
-        print(f"{name}: {calls:,} calls in one pass of {len(pool)} jobs, reports {warm[:12]}")
-    return 0
+        counts = []
+        for _ in range(2):
+            profile = cProfile.Profile()
+            if digest(profile.runcall(outcomes, targets, pool)) != warm:
+                raise SystemExit(f"{name}: a profiled pass's reports differ from the warm-up's")
+            counts.append(call_counts(profile))
+        first, second = (sum(count.values()) for count in counts)
+        if first == second:
+            print(f"{name}: {first:,} calls in one pass of {len(pool)} jobs, reports {warm[:12]}")
+            continue
+        status = 1
+        print(f"{name}: the two profiled passes made {first:,} and {second:,} calls, reports {warm[:12]}")
+        for code in sorted(counts[0].keys() | counts[1].keys(), key=describe):
+            before, after = counts[0][code], counts[1][code]
+            if before != after:
+                print(f"  {describe(code)}: {before:,} -> {after:,}")
+    return status
 
 
 if __name__ == "__main__":

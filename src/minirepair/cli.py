@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, field
@@ -316,7 +317,7 @@ def run_corpus_cmd(args: argparse.Namespace) -> int:
     if not summary.runs:
         return _fail(f"corpus directory contains no cases: {corpus_dir}")
     args.out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(summary.as_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     (args.out / "summary.json").write_text(payload, encoding="utf-8")
     _print_summary_table(summary)
     return EXIT_PATCH_FOUND if summary.ok else EXIT_EXHAUSTED
@@ -331,9 +332,19 @@ def _out_dir_problem(out: Path) -> str | None:
     return None
 
 
+def _threshold_problem(args: argparse.Namespace) -> str | None:
+    """Why the corpus thresholds cannot be met or written: `--max-seconds`
+    must be a finite number of seconds, `--min-repaired` a count."""
+    if not (math.isfinite(args.max_seconds) and args.max_seconds >= 0):
+        return f"--max-seconds must be a finite number >= 0, got {args.max_seconds}"
+    if args.min_repaired < 0:
+        return f"--min-repaired must be >= 0, got {args.min_repaired}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _out_dir_problem(args.out)
+    problem = _threshold_problem(args) or _out_dir_problem(args.out)
     if problem is not None:
         return _fail(problem)
     if args.corpus is not None:

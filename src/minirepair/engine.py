@@ -269,6 +269,8 @@ class _SearchState:
     navigator: Navigator
     points: dict  # StatementId -> its ModificationPoint in the original program
     variants_evaluated: int = 0
+    # `harvest_ingredients`' pools of this generation's parents, by unit
+    pools: dict = field(default_factory=dict)
     patches: list[FoundPatch] = field(default_factory=list)
     _seen_diffs: set = field(default_factory=set)
     original_text: str | None = None  # printed when the first diff needs it
@@ -292,6 +294,7 @@ def step_generation(
             if diff not in state._seen_diffs:
                 state._seen_diffs.add(diff)
                 state.patches.append(FoundPatch(diff, list(child.lineage), generation))
+    state.pools.clear()
     return children
 
 
@@ -302,7 +305,7 @@ def _spawn_child(parent: ProgramVariant, state: _SearchState, generation: int) -
         try:
             pool = EMPTY_POOL
             if config.mode == "jgenprog":
-                pool = harvest_ingredients(parent.ast, point, config.ingredient_scope)
+                pool = harvest_ingredients(parent.ast, point, config.ingredient_scope, state.pools)
             ops = enumerate_ops(config.mode, point, parent.ast, pool)
         except PatchSkip:
             continue
@@ -356,7 +359,8 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
 def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -> RepairOutcome:
     """The search `evolve` runs with the collector paused."""
     started = time.perf_counter()
-    matrix = build_matrix(original, suite, config.step_budget)
+    points = {sid: ModificationPoint(sid, path) for sid, path, _ in iter_statement_paths(original)}
+    matrix = build_matrix(original, suite, config.step_budget, tuple(points))
     if matrix.total_fail == 0:
         raise NoFailingTest("all tests pass on the input program")
     ranked = rank(matrix, config.formula)
@@ -371,7 +375,7 @@ def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -
         config=config,
         rng=rng,
         navigator=Navigator(ranked, config.navigation, rng),
-        points={sid: ModificationPoint(sid, path) for sid, path, _ in iter_statement_paths(original)},
+        points=points,
     )
     state.variants_evaluated = 1  # the original program, measured by the matrix
 

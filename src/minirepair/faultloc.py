@@ -51,8 +51,15 @@ class SuspiciousStatement:
     np: int  # passing tests not executing it
 
 
-def build_matrix(unit: SourceUnit, suite: list[TestCase], step_budget: int) -> CoverageMatrix:
-    """One row per test, in suite order; errors and budget blowups fail."""
+def build_matrix(
+    unit: SourceUnit,
+    suite: list[TestCase],
+    step_budget: int,
+    statement_order: tuple[StatementId, ...] | None = None,
+) -> CoverageMatrix:
+    """One row per test, in suite order; errors and budget blowups fail.
+    `statement_order` is `all_statement_ids(unit)` for a caller that has
+    walked the unit already."""
     if not suite:
         raise ValueError("empty test suite")
     rows = []
@@ -60,11 +67,13 @@ def build_matrix(unit: SourceUnit, suite: list[TestCase], step_budget: int) -> C
         passed, result = run_test(unit, test, step_budget)
         rows.append(CoverageRow(test.name, passed, frozenset(result.executed)))
     total_pass = sum(1 for row in rows if row.passed)
+    if statement_order is None:
+        statement_order = tuple(all_statement_ids(unit))
     return CoverageMatrix(
         rows=tuple(rows),
         total_pass=total_pass,
         total_fail=len(rows) - total_pass,
-        statement_order=tuple(all_statement_ids(unit)),
+        statement_order=statement_order,
     )
 
 

@@ -45,7 +45,7 @@ from minirepair.minilang.nodes import (
     Var,
     WhileStmt,
     child_blocks,
-    stmt_expr_nodes,
+    stmt_exprs,
 )
 
 ARITH = {"+", "-", "*", "/", "%"}
@@ -264,33 +264,98 @@ def _stmt_returns(stmt: Stmt) -> bool:
     return False
 
 
+def returns_after_edit(block: list[Stmt], path: Path, written: Stmt | None) -> bool:
+    """`_block_returns(block)` once the statement that `path` leads to from
+    `block` is `written`, or is removed when `written` is None. A branch
+    that the edit empties returns no more, so an `if` whose emptied else
+    branch is dropped is judged alike."""
+    index = path[0][1]
+    for i, stmt in enumerate(block):
+        if i != index:
+            returns = _stmt_returns(stmt)
+        elif len(path) == 1:
+            returns = written is not None and _stmt_returns(written)
+        else:
+            slot = path[1][0]
+            returns = (
+                isinstance(stmt, IfStmt)
+                and stmt.else_body is not None
+                and all(
+                    returns_after_edit(body, path[1:], written)
+                    if name == slot
+                    else _block_returns(body)
+                    for name, body in child_blocks(stmt)
+                )
+            )
+        if returns:
+            return True
+    return False
+
+
 def typed_free_vars(stmt: Stmt, origin_env: dict[str, str]) -> frozenset[tuple[str, str]]:
     """Variables a statement reads or writes without binding them itself.
 
     Types are taken from `origin_env`, the binding environment at the
-    statement's original position. The walk is the module-level
-    `_note_free`, not a nested closure: a closure that calls itself holds
-    its own cell, a reference cycle that only the cyclic collector frees,
-    and a search makes none (`engine.evolve` runs with it paused).
+    statement's original position. It is the first of `statement_facts`."""
+    return statement_facts(stmt, origin_env)[0]
+
+
+def statement_facts(
+    stmt: Stmt, origin_env: dict[str, str]
+) -> tuple[frozenset[tuple[str, str]], frozenset[str], int]:
+    """What a statement offered for reuse needs to be judged at another
+    position, from one walk: its typed free variables (`typed_free_vars`),
+    the names its `let`s declare at any depth, and its height, the number
+    of nesting levels from it down to its deepest node as
+    `nodes.iter_depths` counts them. So it nests within `MAX_NESTING` at
+    depth `d` exactly when `d + height - 1 <= MAX_NESTING`.
+
+    The walk is the module-level `_note_stmt`, not a nested closure: a
+    closure that calls itself holds its own cell, a reference cycle that
+    only the cyclic collector frees, and a search makes none
+    (`engine.evolve` runs with it paused).
     """
     free: set[tuple[str, str]] = set()
-    _note_free(stmt, [set()], origin_env, free)
-    return frozenset(free)
+    declared: set[str] = set()
+    height = _note_stmt(stmt, [set()], origin_env, free, declared)
+    return frozenset(free), frozenset(declared), height
 
 
-def _note_free(stmt: Stmt, bound: list[set[str]], origin_env: dict[str, str], free: set) -> None:
+def _note_stmt(
+    stmt: Stmt, bound: list[set[str]], origin_env: dict[str, str], free: set, declared: set
+) -> int:
     """Add to `free` each `(name, type)` that `stmt` uses and no frame of
-    `bound`, the names bound by each enclosing block, binds."""
-    names = [node.name for node in stmt_expr_nodes(stmt) if isinstance(node, (Var, Index))]
-    if isinstance(stmt, (AssignStmt, IndexAssignStmt)):
-        names.append(stmt.name)
+    `bound`, the names bound by each enclosing block, binds, and to
+    `declared` each name its `let`s declare; return its height."""
+    names = [stmt.name] if isinstance(stmt, (AssignStmt, IndexAssignStmt)) else []
+    height = 0
+    for expr in stmt_exprs(stmt):
+        height = max(height, _note_expr(expr, names))
     for name in names:
         if not any(name in frame for frame in bound):
             free.add((name, origin_env.get(name, "?")))
     if isinstance(stmt, LetStmt):
         bound[-1].add(stmt.name)
+        declared.add(stmt.name)
     for _, body in child_blocks(stmt):
         bound.append(set())
         for child in body:
-            _note_free(child, bound, origin_env, free)
+            height = max(height, _note_stmt(child, bound, origin_env, free, declared))
         bound.pop()
+    return height + 1
+
+
+def _note_expr(expr: Expr, names: list[str]) -> int:
+    """Append to `names` each variable `expr` reads; return its height.
+    Its children are what `nodes.iter_depths` counts as such: each node
+    in a field, and each node of a list in a field."""
+    if isinstance(expr, (Var, Index)):
+        names.append(expr.name)
+    height = 0
+    for value in vars(expr).values():
+        if isinstance(value, Expr):
+            height = max(height, _note_expr(value, names))
+        elif isinstance(value, list):
+            for item in value:
+                height = max(height, _note_expr(item, names))
+    return height + 1

@@ -26,7 +26,9 @@ through them rather than walking the tree themselves:
   paths        `resolve_container` (the block and index a path ends at);
                `resolve_path` reads it, and `copy_path` copies along it
   expressions  `walk_expr` (pre-order, left to right); `stmt_expr_nodes`
-               applies it to a statement's own expressions
+               applies it to a statement's own expressions, `stmt_exprs`;
+               `iter_depths` walks statements and expressions alike, and
+               the checker's `statement_facts` counts depth as it does
 """
 
 from __future__ import annotations
@@ -267,17 +269,21 @@ def child_blocks(stmt: Stmt) -> list[tuple[str, list[Stmt]]]:
     return []
 
 
-def stmt_expr_nodes(stmt: Stmt) -> Iterator[Expr]:
-    """Every node of a statement's own expressions, by `walk_expr`. An
-    if/while has just its condition: nested statements are their own."""
+def stmt_exprs(stmt: Stmt) -> list[Expr]:
+    """A statement's own expressions, in field order. An if/while has just
+    its condition: nested statements are their own."""
     if isinstance(stmt, IndexAssignStmt):
-        exprs = [stmt.index, stmt.value]
-    elif isinstance(stmt, (IfStmt, WhileStmt)):
-        exprs = [stmt.cond]
-    else:
-        value = getattr(stmt, "value", None)
-        exprs = [value] if value is not None else []
-    for expr in exprs:
+        return [stmt.index, stmt.value]
+    if isinstance(stmt, (IfStmt, WhileStmt)):
+        return [stmt.cond]
+    value = getattr(stmt, "value", None)
+    return [value] if value is not None else []
+
+
+def stmt_expr_nodes(stmt: Stmt) -> Iterator[Expr]:
+    """Every node of a statement's own expressions (`stmt_exprs`), by
+    `walk_expr`."""
+    for expr in stmt_exprs(stmt):
         yield from walk_expr(expr)
 
 

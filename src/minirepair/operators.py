@@ -22,6 +22,16 @@ an inserted ingredient for jgenprog. `_finish` nesting-checks the
 statement the edit wrote, at the point's depth, and type-checks the
 edited function against the unit's signatures, which no operator
 changes; the child shares every other FunctionDef with its parent.
+
+A discarded jgenprog draw pays no copy. Before it copies anything,
+`apply_patch_op` rejects, with the `TypeCheckFailed` that `_finish` would
+raise, each jgenprog op whose child is certain to fail the check
+(`_certain_type_error`): an ingredient nested too deep at the point, one
+that redeclares a visible name, a `return` of another type, a `let`
+removed from before its uses, a body left without a return. It reads the
+facts the ingredient records carry (`declares`, `height`), so an op it
+cannot decide is copied and checked as before, and every child that is
+kept is still checked whole.
 Sharing is safe because no node is edited once the call that made it
 (the parser or `apply_patch_op`) has returned: the parent is never
 touched. Statement ids are positional (`iter_function_paths`), so a
@@ -33,8 +43,11 @@ statements, are cached on the FunctionDef when first asked for (`_envs`
 by `function_envs`, `_ingredients` by `function_ingredients`), so a child
 computes them only once drawn as a parent, and for its edited function
 only. The unit caches nothing; ingredients are copied only when
-inserted. A jgenprog draw builds one operation: `enumerate_ops` returns a
-sequence that makes a PatchOp only when indexed.
+inserted. Pools are per parent: `harvest_ingredients` deduplicates a
+unit's ingredients once into the `pools` its caller keeps (the engine's
+search state, cleared each generation), and a draw takes that pool
+without its point's own statement. A jgenprog draw builds one operation:
+`enumerate_ops` returns a sequence that makes only the PatchOp indexed.
 
 Inapplicable or stale operations raise a PatchSkip subclass, which
 callers treat as "discard and draw again", never as a fatal error.
@@ -52,7 +65,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from minirepair.minilang import SourceUnit, StatementId, resolve_container, resolve_path
-from minirepair.minilang.checker import UnitSignatures, check_function, typed_free_vars
+from minirepair.minilang.checker import (
+    UnitSignatures,
+    check_function,
+    returns_after_edit,
+    statement_facts,
+)
 from minirepair.minilang.errors import MiniLangError
 from minirepair.minilang.nodes import (
     ARITH_OPS,
@@ -65,6 +83,7 @@ from minirepair.minilang.nodes import (
     IndexAssignStmt,
     IntLit,
     Len,
+    LetStmt,
     LOGIC_OPS,
     Path,
     REL_OPS,
@@ -77,10 +96,11 @@ from minirepair.minilang.nodes import (
     clone,
     copy_path,
     copy_statement,
+    iter_depths,
     iter_function_paths,
     stmt_expr_nodes,
 )
-from minirepair.minilang.parser import check_nesting
+from minirepair.minilang.parser import MAX_NESTING, check_nesting
 from minirepair.minilang.printer import print_stmt
 
 # The whole-unit entry points, which no child needs since `_finish` checks
@@ -127,12 +147,15 @@ class ModificationPoint:
 @dataclass(frozen=True)
 class Ingredient:
     """A statement of a unit offered for reuse. `stmt` is the unit's own
-    node, shared and never edited; `text` is its condensed print."""
+    node, shared and never edited; `text` is its condensed print.
+    `free_vars`, `declares` and `height` are its `statement_facts`."""
 
     stmt: Stmt
     origin: StatementId
     free_vars: frozenset[tuple[str, str]]
     text: str
+    declares: frozenset[str]
+    height: int
 
     @property
     def is_return_rooted(self) -> bool:
@@ -258,18 +281,16 @@ def function_ingredients(unit: SourceUnit, fn: FunctionDef) -> tuple[Ingredient,
     if cached is None:
         envs = function_envs(unit, fn)
         cached = fn._ingredients = tuple(
-            Ingredient(
-                stmt=stmt,
-                origin=sid,
-                free_vars=typed_free_vars(stmt, envs[path]),
-                text=_condense(print_stmt(stmt)),
-            )
+            Ingredient(stmt, sid, free, _condense(print_stmt(stmt)), declares, height)
             for sid, path, stmt in iter_function_paths(fn)
+            for free, declares, height in (statement_facts(stmt, envs[path]),)
         )
     return cached
 
 
-def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) -> IngredientPool:
+def harvest_ingredients(
+    unit: SourceUnit, point: ModificationPoint, scope: str, pools: dict | None = None
+) -> IngredientPool:
     """Collect reusable statements for a modification point.
 
     Local scope draws from the point's function only; global from the
@@ -277,21 +298,57 @@ def harvest_ingredients(unit: SourceUnit, point: ModificationPoint, scope: str) 
     resolves to is excluded (in a variant its position, and so its id,
     may differ from the point's), and structurally identical statements
     are deduplicated (first occurrence in program order wins).
+
+    `pools` is a dict that the caller keeps while `unit` lives and clears
+    when it likes (the engine: each generation). The scope's deduplicated
+    pool of `unit`, with no statement excluded, is built there once, and a
+    point takes it without its own statement's entry, by index. When that
+    entry's text occurs again, its second occurrence takes the place the
+    walk would give it.
     """
     name = point.statement.function
     at = resolve_path(unit, name, point.path)
-    functions = unit.functions
-    if scope == "local":
-        functions = [fn for fn in functions if fn.name == name]
+    if pools is None:
+        pools = {}
+    key = (id(unit), name if scope == "local" else None)
+    held = pools.get(key)
+    if held is None:  # the unit is held too, so that its id is not reused
+        functions = unit.functions
+        if scope == "local":
+            functions = [fn for fn in functions if fn.name == name]
+        held = pools[key] = (unit, *_deduplicate(unit, functions))
+    _, entries, first, seconds = held
+    index = first.get(id(at))
+    if index is None:  # a later occurrence of a text: the pool already leaves it out
+        return IngredientPool(entries)
+    second = seconds.get(entries[index].text)
+    if second is None:
+        return IngredientPool(entries[:index] + entries[index + 1 :])
+    ingredient, position = second
+    before, after = entries[:index] + entries[index + 1 : position], entries[position:]
+    return IngredientPool(before + (ingredient,) + after)
+
+
+def _deduplicate(
+    unit: SourceUnit, functions: list[FunctionDef]
+) -> tuple[tuple[Ingredient, ...], dict[int, int], dict[str, tuple[Ingredient, int]]]:
+    """The first occurrence of each text among the ingredients of
+    `functions`; the index of each by the id of its statement; and, for
+    each text that occurs again, its second occurrence and the number of
+    first occurrences before it."""
     entries: list[Ingredient] = []
+    first: dict[int, int] = {}
+    seconds: dict[str, tuple[Ingredient, int]] = {}
     seen: set[str] = set()
     for fn in functions:
         for ingredient in function_ingredients(unit, fn):
-            if ingredient.stmt is at or ingredient.text in seen:
-                continue
-            seen.add(ingredient.text)
-            entries.append(ingredient)
-    return IngredientPool(tuple(entries))
+            if ingredient.text not in seen:
+                seen.add(ingredient.text)
+                first[id(ingredient.stmt)] = len(entries)
+                entries.append(ingredient)
+            elif ingredient.text not in seconds:
+                seconds[ingredient.text] = (ingredient, len(entries))
+    return tuple(entries), first, seconds
 
 
 # --- application ---------------------------------------------------------
@@ -309,7 +366,12 @@ def _finish(child: SourceUnit, fn: FunctionDef, written: Stmt | None, depth: int
     then type-check `fn`, the edited function of `child`. Nothing else of
     the function is new, so nothing else can nest deeper than its parent
     did. The check builds no environment table: `function_envs` builds
-    one if the child is drawn as a parent."""
+    one if the child is drawn as a parent.
+
+    A jgenprog draw that this check is certain to reject never gets here:
+    `_certain_type_error` rejects it before the path copy, so a discarded
+    draw pays no copy, no clone and no check. Every child that is kept is
+    still judged here."""
     try:
         if written is not None:
             check_nesting([written], depth)
@@ -318,29 +380,86 @@ def _finish(child: SourceUnit, fn: FunctionDef, written: Stmt | None, depth: int
         raise TypeCheckFailed(str(exc)) from exc
 
 
-# Each family's edit changes the path-copied `block` in place at `index`,
-# completes `payload` and returns the statement it wrote there (None for a
-# removal). It copies whatever it changes below that block: the block is
-# fresh, but the statements in it are the parent's. `env` is the parent's
-# environment before the point.
-
-
-def _genprog_edit(kind, block, index, payload, env, rng, parent) -> Stmt | None:
-    """Insert an ingredient before, replace, or remove the point statement."""
-    if kind == "Remove":
-        del block[index]
-        return None
-    ingredient: Ingredient = payload["ingredient"]
+def _admit_ingredient(kind: str, ingredient: Ingredient | None, env: dict[str, str]) -> None:
+    """The jgenprog family's own conditions on an op, which need no copy:
+    a `return` is never inserted, and every free variable of the
+    ingredient is bound at the point, with its type."""
+    if ingredient is None:  # a removal
+        return
     if kind == "InsertBefore" and ingredient.is_return_rooted:
         raise NotApplicable("return statements are never inserted")
     if not env.items() >= ingredient.free_vars:  # a free variable unbound or retyped
         raise ScopeViolation(f"ingredient from {ingredient.origin} out of scope")
-    written = clone(ingredient.stmt)
+
+
+def _certain_type_error(
+    parent: SourceUnit,
+    fn: FunctionDef,
+    path: Path,
+    block: list[Stmt],
+    index: int,
+    kind: str,
+    ingredient: Ingredient | None,
+    env: dict[str, str],
+) -> str | None:
+    """Why `_finish` is certain to reject the child of an admitted jgenprog
+    op, found in the parent before any copy; None when these rules cannot
+    tell, and `_finish` decides. `fn` is the parent's function holding the
+    point, `block[index]` the point statement and `env` the environment
+    before it. Each rule rests on the parent's being well typed, and on
+    the ingredient's coming from a unit with the parent's signatures:
+    - an ingredient nests deeper than the limit at the point's depth;
+    - it declares, at any depth, a name visible at the point, and MiniLang
+      has no shadowing;
+    - a `return` that replaces the point returns its origin function's
+      type, since its free variables keep their types (`_admit_ingredient`),
+      and that is not the point function's;
+    - a removed or replaced `let x` leaves `x` unbound for each later
+      statement of its block, none of which can declare `x` again, unless
+      a `let x` replaces it;
+    - the edit leaves the body with no statement that definitely returns.
+    """
+    if ingredient is not None:
+        if len(path) + ingredient.height - 1 > MAX_NESTING:
+            return f"nesting deeper than {MAX_NESTING} levels"
+        if not env.keys().isdisjoint(ingredient.declares):
+            return f"ingredient from {ingredient.origin} redeclares a visible name"
+        if kind == "Replace" and ingredient.is_return_rooted:
+            origin = parent.function(ingredient.origin.function)
+            if origin is not None and origin.return_type != fn.return_type:
+                return f"ingredient from {ingredient.origin} returns {origin.return_type}"
     if kind == "InsertBefore":
-        block.insert(index, written)
+        return None
+    written = None if ingredient is None else ingredient.stmt
+    at = block[index]
+    if isinstance(at, LetStmt) and not (isinstance(written, LetStmt) and written.name == at.name):
+        # A node of a later statement named `x` is a use: a variable, an
+        # indexed array or an assignment target.
+        later = iter_depths(block[index + 1 :])
+        if any(getattr(node, "name", None) == at.name for node, _ in later):
+            return f"{at.name!r} is used after its `let` is gone"
+    if not returns_after_edit(fn.body, path, written):
+        return f"missing return on some path through function {fn.name!r}"
+    return None
+
+
+# Each family's edit changes the path-copied `block` in place at `index`,
+# completes `payload` and returns the statement it wrote there that still
+# needs its nesting checked (None for a removal, and for an ingredient,
+# whose height `_certain_type_error` read). It copies whatever it changes
+# below that block: the block is fresh, but the statements in it are the
+# parent's. `env` is the parent's environment before the point.
+
+
+def _genprog_edit(kind, block, index, payload, env, rng, parent) -> None:
+    """Insert an ingredient before, replace, or remove the point statement;
+    `_admit_ingredient` has admitted the op."""
+    if kind == "Remove":
+        del block[index]
+    elif kind == "InsertBefore":
+        block.insert(index, clone(payload["ingredient"].stmt))
     else:
-        block[index] = written
-    return written
+        block[index] = clone(payload["ingredient"].stmt)
 
 
 _MUTATION_FAMILIES = {"MutRelationalOp": REL_OPS, "MutLogicalOp": LOGIC_OPS, "MutArithmeticOp": ARITH_OPS}
@@ -482,18 +601,27 @@ def apply_patch_op(
     """Apply any operation; returns (child, concrete op suitable for replay).
 
     The point is resolved in the parent, whose environment before it is
-    what the edit's scope checks and draws read. The kind's edit then
-    changes the block the point ends in, in a path copy of its function.
-    A removal that empties an else branch drops the branch, as the parser
-    does, so the child is canonical.
+    what the edit's scope checks and draws read. A jgenprog op is admitted
+    and, when certain to fail the type check, rejected there, before any
+    copy. The kind's edit then changes the block the point ends in, in a
+    path copy of its function. A removal that empties an else branch
+    drops the branch, as the parser does, so the child is canonical.
     """
     edit = _EDITS.get(op.kind)
     if edit is None:
         raise NotApplicable(f"unknown operation kind {op.kind!r}")
     point = op.point
-    _locate(parent, point)  # raises StalePoint
+    at_block, at_index = _locate(parent, point)  # raises StalePoint
     env = _env_before(parent, point)
     edited = parent.function(point.statement.function)
+    if edit is _genprog_edit:
+        ingredient = None if op.kind == "Remove" else op.payload["ingredient"]
+        _admit_ingredient(op.kind, ingredient, env)
+        error = _certain_type_error(
+            parent, edited, point.path, at_block, at_index, op.kind, ingredient, env
+        )
+        if error is not None:
+            raise TypeCheckFailed(error)
     fn, owner, block, index = copy_path(edited, point.path)
     payload = dict(op.payload)
     written = edit(op.kind, block, index, payload, env, rng, parent)
@@ -511,26 +639,26 @@ class GenprogOps(Sequence):
     """The jgenprog operations at a point, in `enumerate_ops` order: Remove,
     then for each ingredient that fits the point's environment a Replace
     and, unless it is return-rooted, an InsertBefore. A draw takes one, so
-    a PatchOp is built only when indexed."""
+    only the PatchOp indexed is built."""
 
     def __init__(self, point: ModificationPoint, fitting: list[Ingredient]):
         self.point = point
-        self.choices = [
-            (kind, ingredient)
-            for ingredient in fitting
-            for kind in (("Replace",) if ingredient.is_return_rooted else ("Replace", "InsertBefore"))
-        ]
+        self.fitting = fitting
+        rooted = sum(ingredient.is_return_rooted for ingredient in fitting)
+        self.length = 1 + 2 * len(fitting) - rooted
 
     def __len__(self) -> int:
-        return 1 + len(self.choices)
+        return self.length
 
     def __getitem__(self, i: int) -> PatchOp:
         if i == 0:
             return PatchOp("Remove", self.point)
-        if not 0 < i <= len(self.choices):
-            raise IndexError("operation index out of range")
-        kind, ingredient = self.choices[i - 1]
-        return PatchOp(kind, self.point, {"ingredient": ingredient})
+        for ingredient in self.fitting if i > 0 else ():
+            for kind in ("Replace",) if ingredient.is_return_rooted else ("Replace", "InsertBefore"):
+                i -= 1
+                if i == 0:
+                    return PatchOp(kind, self.point, {"ingredient": ingredient})
+        raise IndexError("operation index out of range")
 
 
 def enumerate_ops(

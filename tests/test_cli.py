@@ -205,6 +205,33 @@ def test_corpus_run(tmp_path, capsys):
     assert "sum_digits_unrepairable" in table
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-seconds", "nan"),
+        ("--max-seconds", "inf"),
+        ("--max-seconds", "-inf"),
+        ("--max-seconds", "-1"),
+        ("--min-repaired", "-3"),
+    ],
+)
+def test_invalid_threshold_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["--corpus", str(CORPUS), "--out", str(out), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repair: error: {flag} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_zero_thresholds_are_valid_and_the_summary_is_strict_json(tmp_path):
+    out = tmp_path / "out"
+    code = main(["--corpus", str(CORPUS), "--out", str(out), "--max-seconds", "0", "--min-repaired", "0"])
+    assert code == 1  # no run takes less than no time
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
+    assert summary["thresholds"] == {"min_repaired": 0, "max_seconds": 0.0}
+
+
 def test_empty_corpus_dir(tmp_path, capsys):
     empty = tmp_path / "corpus"
     empty.mkdir()

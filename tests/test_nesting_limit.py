@@ -18,7 +18,7 @@ from minirepair.minilang.interpreter import RETURNED, RUNTIME_ERROR, interpret
 from minirepair.minilang.nodes import iter_depths
 from minirepair.minilang.parser import MAX_NESTING
 from minirepair.operators import MODES, ModificationPoint, PatchOp, TypeCheckFailed, apply_patch_op
-from minirepair.operators import harvest_ingredients
+from minirepair.operators import function_ingredients, harvest_ingredients
 from reference_children import apply_reference
 from test_compiled_interpreter import observable, reference
 
@@ -63,6 +63,18 @@ def test_inserting_a_deep_ingredient_past_the_limit_is_a_type_check_failure():
     for make in (apply_patch_op, apply_reference):
         with pytest.raises(TypeCheckFailed, match=f"nesting deeper than {MAX_NESTING} levels"):
             make(unit, op)
+
+
+def test_inserting_an_ingredient_that_reaches_the_limit_applies():
+    """The deepest statement, inserted before itself, nests exactly as deep."""
+    unit = deepest_unit()
+    point = ModificationPoint(DEEPEST, path_of(unit, DEEPEST))
+    ingredients = function_ingredients(unit, unit.functions[0])
+    deepest = next(e for e in ingredients if e.origin == DEEPEST)
+    op = PatchOp("InsertBefore", point, {"ingredient": deepest})
+    child, _ = apply_patch_op(unit, op)
+    assert max(depth for _, depth in iter_depths(child.functions[0].body)) == MAX_NESTING
+    assert child == apply_reference(unit, op)[0]
 
 
 def nested_ifs(levels):
