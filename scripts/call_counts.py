@@ -2,7 +2,7 @@
 """Count the Python calls of one pool pass, a work count that timing noise
 cannot hide.
 
-    python3 scripts/call_counts.py [CHECKOUT]
+    python3 scripts/call_counts.py [CHECKOUT] [--calls NAME ...]
 
 CHECKOUT is the root of a checkout of this repository (by default the one
 holding this script); `minirepair` is imported from its `src/` and the
@@ -14,6 +14,12 @@ a pass with the sha256 of its jobs' report digests (the pinned
 `report_sha256` of `perfbench/worker.py`). A run is deterministic, so two
 runs of one checkout print the same counts, and two checkouts whose
 digests agree did the same searches. Nothing is written.
+
+With `--calls`, it also prints the calls a pass makes of each function
+NAME, summed over the code objects of that name: a Python function by its
+qualified name (`run_test`, `fitness`, `SourceUnit.function`), a builtin
+method as TYPE.METHOD (`set.isdisjoint`) and a builtin function by its
+name (`isinstance`, `sys.setrecursionlimit`).
 
 A pass's calls are summed over every code object the profiler saw
 (`Profile.getstats()`), not read from `pstats`: pstats keys a function by
@@ -29,8 +35,10 @@ prints both totals and each function whose call count differs, and exits
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import hashlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -53,8 +61,26 @@ def describe(code) -> str:
     return f"{code.co_filename}:{code.co_firstlineno}({getattr(code, 'co_qualname', code.co_name)})"
 
 
+def name_of(code) -> str:
+    """The name `--calls` matches: a code object's qualified name, and for a
+    builtin, TYPE.METHOD or the function's name without `builtins.`."""
+    if not isinstance(code, str):
+        return getattr(code, "co_qualname", code.co_name)
+    method = re.fullmatch(r"<method '(.+)' of '(.+)' objects>", code)
+    if method:
+        return f"{method[2]}.{method[1]}"
+    function = re.fullmatch(r"<built-in method (.+)>", code)
+    if function:
+        return function[1].removeprefix("builtins.")
+    return code
+
+
 def main(argv: list[str]) -> int:
-    checkout = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    parser = argparse.ArgumentParser(description="Count the Python calls of one pool pass.")
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--calls", nargs="+", default=[], metavar="NAME")
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
     sys.path.insert(0, str(checkout / "perfbench"))
     import worker  # puts the checkout's src/ first on the path
     import workloads
@@ -84,6 +110,11 @@ def main(argv: list[str]) -> int:
         first, second = (sum(count.values()) for count in counts)
         if first == second:
             print(f"{name}: {first:,} calls in one pass of {len(pool)} jobs, reports {warm[:12]}")
+            by_name: Counter = Counter()
+            for code, calls in counts[0].items():
+                by_name[name_of(code)] += calls
+            for wanted in args.calls:
+                print(f"  {wanted}: {by_name[wanted]:,}")
             continue
         status = 1
         print(f"{name}: the two profiled passes made {first:,} and {second:,} calls, reports {warm[:12]}")

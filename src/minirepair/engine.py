@@ -8,9 +8,14 @@ children's fitness (failing-test count) is measured in the only run of
 their suites, which is also their validation: a child that fails no test
 is a patch. The best of parents plus children survive. A child's run
 reuses its parent's: a test that never entered the one function the
-child edits keeps the parent's verdict without running. The run stops
-when enough patches have been collected or the generation budget is
-spent. Given the same inputs and seed, a run is fully deterministic.
+child edits keeps the parent's verdict without running. Its cost follows
+the tests it runs, not the suite: the run order is fixed once per
+search, and a parent's records are indexed once, by the functions each
+test began, so a child looks up the tests of its edited function, runs
+those, and copies the rest of its parent's verdicts, records and failure
+count. The run stops when enough patches have been collected or the
+generation budget is spent. Given the same inputs and seed, a run is
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -25,17 +30,16 @@ from dataclasses import asdict, dataclass, field, fields
 from minirepair.faultloc import FORMULAS, STRATEGIES, Navigator, build_matrix, rank
 from minirepair.faultloc import SuspiciousStatement
 from minirepair.minilang import SourceUnit, pretty_print
-from minirepair.minilang.nodes import iter_statement_paths
 from minirepair.minilang.testsuite import TestCase, run_test
 from minirepair.operators import (
     EMPTY_POOL,
     MODES,
     SCOPES,
-    ModificationPoint,
     PatchOp,
     PatchSkip,
     apply_patch_op,
     enumerate_ops,
+    function_points,
     harvest_ingredients,
 )
 # The two-phase view of a run, which no child needs since a fitness-zero
@@ -107,8 +111,40 @@ _FIELD_CHOICES = {
 TestRecord = tuple[bool, frozenset[str]]
 
 
-def _record(passed: bool, executed) -> TestRecord:
-    return passed, frozenset(sid.function for sid in executed)
+def run_order(suite: list[TestCase], originally_failing: list[str]) -> tuple[int, ...]:
+    """The suite positions in two-phase order: the originally failing tests
+    first, then the rest, each in suite order."""
+    first = set(originally_failing)
+    order = [i for i, t in enumerate(suite) if t.name in first]
+    return tuple(order + [i for i, t in enumerate(suite) if t.name not in first])
+
+
+class RecordIndex:
+    """A variant's `records`, by run order, as a child's `fitness` reads
+    them: `verdicts`, its verdicts in `order` (None where it has no
+    record), `failures` among them, `by_function`, for each function name
+    the run-order positions of the tests that began it, and `unknown`, the
+    positions with no record. Built for one `suite` and `order`."""
+
+    __slots__ = ("records", "suite", "order", "verdicts", "failures", "by_function", "unknown")
+
+    def __init__(self, records: tuple, suite: list[TestCase], order: tuple[int, ...]):
+        self.records, self.suite, self.order = records, suite, order
+        self.verdicts: list[tuple[str, bool] | None] = []
+        self.failures = 0
+        self.by_function: dict[str, list[int]] = {}
+        self.unknown: list[int] = []
+        for k, i in enumerate(order):
+            record = records[i]
+            if record is None:
+                self.unknown.append(k)
+                self.verdicts.append(None)
+                continue
+            passed, functions = record
+            self.verdicts.append((suite[i].name, passed))
+            self.failures += not passed
+            for name in functions:
+                self.by_function.setdefault(name, []).append(k)
 
 
 @dataclass
@@ -120,6 +156,9 @@ class ProgramVariant:
     # By suite position, the `TestRecord` of each test its suite run
     # reached; None for a test a fast run stopped before.
     records: tuple[TestRecord | None, ...] = ()
+    # `records` indexed by `fitness` when the variant is first a parent;
+    # `init_population`'s clones share the original's.
+    index: RecordIndex | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -167,11 +206,15 @@ class RepairOutcome:
 class SuiteRun(tuple):
     """The `Verdicts` of one fitness run, `(test name, passed)` in run
     order; `records` holds each test's `TestRecord` by suite position,
-    None for a test the run stopped before."""
+    None for a test the run stopped before, and `failures` counts the
+    failed verdicts."""
 
-    def __new__(cls, verdicts: list[tuple[str, bool]], records: tuple[TestRecord | None, ...]):
+    def __new__(
+        cls, verdicts: list[tuple[str, bool]], records: tuple[TestRecord | None, ...], failures: int
+    ):
         run = super().__new__(cls, verdicts)
         run.records = records
+        run.failures = failures
         return run
 
 
@@ -182,13 +225,16 @@ def fitness(
     step_budget: int,
     fast: bool = False,
     parent: ProgramVariant | None = None,
+    order: tuple[int, ...] | None = None,
 ) -> SuiteRun:
     """Run the suite once; `(test name, passed)` for each test run.
 
     Tests run in two-phase order: the originally failing ones first,
-    then the rest, each in suite order. Runtime errors and budget
-    blowups fail. With `fast`, the run stops at the first failure, so
-    the failure count is a lower bound (exact whenever it is zero).
+    then the rest, each in suite order. `order` is that order, as
+    `run_order` gives it, from a caller that computed it once for many
+    calls. Runtime errors and budget blowups fail. With `fast`, the run
+    stops at the first failure, so the failure count is a lower bound
+    (exact whenever it is zero).
 
     `parent` is the variant `unit` was made from, with records of this
     suite at this budget. A function `unit` shares with it is the same
@@ -200,23 +246,72 @@ def fitness(
     the budget runs out there or its call trips `call-depth-exceeded`;
     either ends the run before the body starts, on both programs alike.
     A test the parent has no record of runs.
+
+    Without `fast`, the parent's records are read through its
+    `RecordIndex`, built once per parent (and `order`): the run copies the
+    parent's verdicts and records, runs the tests the index lists under
+    the unshared functions and those with no record, in run order, and
+    counts its failures from the verdicts they change. A fast run, and
+    any run whose parent cannot stand in, walks the order test by test;
+    both run the same tests.
     """
-    first = set(originally_failing)
-    order = [i for i, t in enumerate(suite) if t.name in first]
-    order += [i for i, t in enumerate(suite) if t.name not in first]
+    if order is None:
+        order = run_order(suite, originally_failing)
     edited = _unshared_functions(unit, parent, len(suite))
+    if edited is not None and not fast:
+        return _rerun(unit, step_budget, _index_of(parent, suite, order), edited)
     records: list[TestRecord | None] = [None] * len(suite)
     verdicts = []
+    failures = 0
     for i in order:
         record = None if edited is None else parent.records[i]
         if record is None or not edited.isdisjoint(record[1]):
             passed, result = run_test(unit, suite[i], step_budget)
-            record = _record(passed, result.executed)
+            record = passed, result.functions
         records[i] = record
         verdicts.append((suite[i].name, record[0]))
-        if fast and not record[0]:
-            break
-    return SuiteRun(verdicts, tuple(records))
+        if not record[0]:
+            failures += 1
+            if fast:
+                break
+    return SuiteRun(verdicts, tuple(records), failures)
+
+
+def _index_of(parent: ProgramVariant, suite: list[TestCase], order: tuple[int, ...]) -> RecordIndex:
+    """The `RecordIndex` of the parent's records for `suite` and `order`,
+    built and kept on it unless it has one; nothing else writes
+    `ProgramVariant.index` but `init_population`."""
+    index = parent.index
+    if index is None or (index.records, index.suite, index.order) != (parent.records, suite, order):
+        index = parent.index = RecordIndex(parent.records, suite, order)
+    return index
+
+
+def _rerun(unit: SourceUnit, step_budget: int, index: RecordIndex, edited: set[str]) -> SuiteRun:
+    """The run of `unit` given its parent's `index`: it reruns the tests the
+    index lists under an `edited` function or as unknown, in run order,
+    and copies the parent's other verdicts and records."""
+    positions = index.unknown
+    for name in edited:
+        positions = positions + index.by_function.get(name, [])
+    if len(edited) > 1 or index.unknown:
+        positions = sorted(set(positions))
+    records, suite, order = index.records, index.suite, index.order
+    verdicts = list(index.verdicts)
+    changed = list(records)
+    failures = index.failures
+    for k in positions:
+        i = order[k]
+        old = records[i]
+        if old is not None and not old[0]:
+            failures -= 1
+        test = suite[i]
+        passed, result = run_test(unit, test, step_budget)
+        changed[i] = passed, result.functions
+        verdicts[k] = test.name, passed
+        if not passed:
+            failures += 1
+    return SuiteRun(verdicts, tuple(changed), failures)
 
 
 def _unshared_functions(
@@ -233,13 +328,17 @@ def _unshared_functions(
 
 
 def init_population(
-    original: SourceUnit, n: int, original_fitness: int, records: tuple[TestRecord | None, ...] = ()
+    original: SourceUnit,
+    n: int,
+    original_fitness: int,
+    records: tuple[TestRecord | None, ...] = (),
+    index: RecordIndex | None = None,
 ) -> list[ProgramVariant]:
     """n clones of the input program, all with its fitness, its test
-    records and empty lineage."""
+    records, the one `index` of them and empty lineage."""
     if n < 1:
         raise ValueError("population size must be >= 1")
-    return [ProgramVariant(original, [], original_fitness, 0, records) for _ in range(n)]
+    return [ProgramVariant(original, [], original_fitness, 0, records, index) for _ in range(n)]
 
 
 def select(
@@ -264,6 +363,7 @@ class _SearchState:
     original: SourceUnit
     suite: list[TestCase]
     originally_failing: list[str]
+    order: tuple[int, ...]  # `run_order` of the suite
     config: EngineConfig
     rng: random.Random
     navigator: Navigator
@@ -324,11 +424,11 @@ def _spawn_child(parent: ProgramVariant, state: _SearchState, generation: int) -
             config.step_budget,
             config.fast_validation,
             parent,
+            state.order,
         )
         state.variants_evaluated += 1
-        failures = sum(1 for _, passed in run if not passed)
         lineage = parent.lineage + [concrete]
-        return ProgramVariant(child_ast, lineage, failures, generation, run.records)
+        return ProgramVariant(child_ast, lineage, run.failures, generation, run.records)
     return None
 
 
@@ -359,7 +459,7 @@ def evolve(original: SourceUnit, suite: list[TestCase], config: EngineConfig) ->
 def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -> RepairOutcome:
     """The search `evolve` runs with the collector paused."""
     started = time.perf_counter()
-    points = {sid: ModificationPoint(sid, path) for sid, path, _ in iter_statement_paths(original)}
+    points = dict(pair for fn in original.functions for pair in function_points(fn))
     matrix = build_matrix(original, suite, config.step_budget, tuple(points))
     if matrix.total_fail == 0:
         raise NoFailingTest("all tests pass on the input program")
@@ -368,10 +468,12 @@ def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -
         raise UnlocalizableFault("no statement has a positive suspiciousness score")
 
     rng = random.Random(config.seed)
+    failing = matrix.failing_test_names
     state = _SearchState(
         original=original,
         suite=suite,
-        originally_failing=matrix.failing_test_names,
+        originally_failing=failing,
+        order=run_order(suite, failing),
         config=config,
         rng=rng,
         navigator=Navigator(ranked, config.navigation, rng),
@@ -379,8 +481,9 @@ def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -
     )
     state.variants_evaluated = 1  # the original program, measured by the matrix
 
-    records = tuple(_record(row.passed, row.executed) for row in matrix.rows)
-    population = init_population(original, config.population_size, matrix.total_fail, records)
+    records = tuple((row.passed, row.functions) for row in matrix.rows)
+    index = RecordIndex(records, suite, state.order)
+    population = init_population(original, config.population_size, matrix.total_fail, records, index)
     best_per_generation: list[int] = []
     generations_run = 0
     for generation in range(1, config.max_generations + 1):

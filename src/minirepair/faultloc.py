@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from minirepair.minilang import SourceUnit, StatementId, all_statement_ids
 from minirepair.minilang.testsuite import TestCase, run_test
@@ -27,6 +27,12 @@ class CoverageRow:
     test_name: str
     passed: bool
     executed: frozenset[StatementId]
+    # The names of the functions of `executed`, found from it unless given.
+    functions: frozenset[str] | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.functions is None:
+            object.__setattr__(self, "functions", frozenset(sid.function for sid in self.executed))
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ def build_matrix(
     rows = []
     for test in suite:
         passed, result = run_test(unit, test, step_budget)
-        rows.append(CoverageRow(test.name, passed, frozenset(result.executed)))
+        rows.append(CoverageRow(test.name, passed, frozenset(result.executed), result.functions))
     total_pass = sum(1 for row in rows if row.passed)
     if statement_order is None:
         statement_order = tuple(all_statement_ids(unit))

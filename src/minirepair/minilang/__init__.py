@@ -31,7 +31,6 @@ from minirepair.minilang.nodes import (
     normalize,
     path_of,
     resolve_container,
-    resolve_path,
 )
 from minirepair.minilang.errors import CheckError, MiniLangError, ParseError, SuiteError
 from minirepair.minilang.parser import parse

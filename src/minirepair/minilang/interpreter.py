@@ -220,6 +220,8 @@ class ExecutionResult:
     error_kind: str | None = None
     error_at: StatementId | None = None
     executed: set[StatementId] = field(default_factory=set)
+    # The names of the functions of the statements in `executed`.
+    functions: frozenset[str] = frozenset()
     steps_used: int = 0
     # Steps counted when the loop cut ended the run (status is then
     # budget exhaustion with steps_used == budget); None otherwise.
@@ -736,6 +738,9 @@ def interpret(
     kinds: tuple[str, ...] | None = None,
 ) -> ExecutionResult:
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
+    Coverage comes twice: `executed`, the ids of the statements whose
+    evaluation began, and `functions`, the names of their functions, which
+    is all a caller that only asks which functions a run began needs.
 
     Deterministic: identical inputs always yield identical results.
     `unit` must pass `check_unit` (see "Traps" in the module docstring).
@@ -780,8 +785,12 @@ def interpret(
     finally:
         sys.setrecursionlimit(limit)
     result.steps_used = step_budget if result.status == BUDGET_EXHAUSTED else step_budget - run.steps_left
-    for _, _, hit, sids in run.entered.values():
-        result.executed.update(compress(sids, hit))
+    began = []
+    for name, (_, _, hit, sids) in run.entered.items():
+        if True in hit:
+            began.append(name)
+            result.executed.update(compress(sids, hit))
+    result.functions = frozenset(began)
     return result
 
 

@@ -24,7 +24,7 @@ through them rather than walking the tree themselves:
                joined over a unit by `iter_statement_paths`;
                `iter_statements`, `normalize` and `path_of` read them
   paths        `resolve_container` (the block and index a path ends at);
-               `resolve_path` reads it, and `copy_path` copies along it
+               `copy_path` copies along it
   expressions  `walk_expr` (pre-order, left to right); `stmt_expr_nodes`
                applies it to a statement's own expressions, `stmt_exprs`;
                `iter_depths` walks statements and expressions alike, and
@@ -171,9 +171,10 @@ class FunctionDef:
     derived from this function alone (and the unit's signatures, which no
     operator changes), each written by one function: the interpreter's
     compiled code (`_code`, by `_code_of`), and the repair operators'
-    binding environments (`_envs`, by `function_envs`) and ingredient list
-    (`_ingredients`, by `function_ingredients`). Copies, `clone` and
-    pickles leave them out."""
+    binding environments (`_envs`, by `function_envs`), ingredient list
+    (`_ingredients`, by `function_ingredients`) and modification points
+    (`_points`, by `function_points`). Copies, `clone` and pickles leave
+    them out."""
 
     name: str
     params: list[tuple[str, str]]
@@ -186,17 +187,49 @@ class FunctionDef:
 
 @dataclass
 class SourceUnit:
-    """A program: its functions in declaration order. It holds nothing
-    derived from them; every cache is its functions' own."""
+    """A program: its functions in declaration order. The one thing it
+    derives from them is `_positions`, the position of the first function
+    of each name, which `function` builds on first use and `replacing`
+    hands on; every other cache is its functions' own. Copies and pickles
+    leave `_positions` out."""
 
     functions: list[FunctionDef]
     source_name: str = field(default="<unit>", compare=False)
 
     def function(self, name: str) -> FunctionDef | None:
+        """The first function named `name`, or None. It looks at the
+        position `_positions` gives and scans the list only when the
+        function there has another name, as after a caller rebinds a slot
+        of `functions`."""
+        try:
+            fn = self.functions[self._positions[name]]
+            if fn.name == name:
+                return fn
+        except AttributeError:
+            positions = {}
+            for i, fn in enumerate(self.functions):
+                positions.setdefault(fn.name, i)
+            self._positions = positions
+            return self.function(name)
+        except (KeyError, IndexError):
+            pass
         for fn in self.functions:
             if fn.name == name:
                 return fn
         return None
+
+    def replacing(self, old: FunctionDef, new: FunctionDef) -> SourceUnit:
+        """A unit whose functions are this one's with `new`, a function of
+        `old`'s name, in place of `old`; it shares this unit's
+        `_positions`, which hold for it too."""
+        unit = SourceUnit([new if fn is old else fn for fn in self.functions], self.source_name)
+        positions = self.__dict__.get("_positions")
+        if positions is not None:
+            unit._positions = positions
+        return unit
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 def clone(node):
@@ -396,11 +429,3 @@ def resolve_container(unit: SourceUnit, function: str, path: Path) -> tuple[list
             return None
         slots = dict(child_blocks(block[index]))
     return block, index
-
-
-def resolve_path(unit: SourceUnit, function: str, path: Path) -> Stmt | None:
-    located = resolve_container(unit, function, path)
-    if located is None:
-        return None
-    block, index = located
-    return block[index]

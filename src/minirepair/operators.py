@@ -42,12 +42,17 @@ each statement, keyed by path, and the function's ingredients, its own
 statements, are cached on the FunctionDef when first asked for (`_envs`
 by `function_envs`, `_ingredients` by `function_ingredients`), so a child
 computes them only once drawn as a parent, and for its edited function
-only. The unit caches nothing; ingredients are copied only when
-inserted. Pools are per parent: `harvest_ingredients` deduplicates a
-unit's ingredients once into the `pools` its caller keeps (the engine's
-search state, cleared each generation), and a draw takes that pool
-without its point's own statement. A jgenprog draw builds one operation:
-`enumerate_ops` returns a sequence that makes only the PatchOp indexed.
+only. So are a function's modification points (`_points`, by
+`function_points`), which the engine reads of the original. The unit
+caches only its name index (`SourceUnit.function`), which a child shares;
+ingredients are copied only when inserted. Pools are per parent:
+`harvest_ingredients` deduplicates a unit's ingredients once into the
+`pools` its caller keeps (the engine's search state, cleared each
+generation), and a draw takes that pool without its point's own
+statement. A draw resolves its point once: the pool, the ops of
+`enumerate_ops` and so `apply_patch_op` take it `Located` from the step
+before. A jgenprog draw builds one operation: `enumerate_ops` returns a
+sequence that makes only the PatchOp indexed.
 
 Inapplicable or stale operations raise a PatchSkip subclass, which
 callers treat as "discard and draw again", never as a fatal error.
@@ -62,9 +67,9 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
-from minirepair.minilang import SourceUnit, StatementId, resolve_container, resolve_path
+from minirepair.minilang import SourceUnit, StatementId, resolve_container
 from minirepair.minilang.checker import (
     UnitSignatures,
     check_function,
@@ -148,7 +153,9 @@ class ModificationPoint:
 class Ingredient:
     """A statement of a unit offered for reuse. `stmt` is the unit's own
     node, shared and never edited; `text` is its condensed print.
-    `free_vars`, `declares` and `height` are its `statement_facts`."""
+    `free_vars`, `declares` and `height` are its `statement_facts`, and
+    `is_return_rooted` says whether it is a `return`, found once here so
+    that a draw reads it."""
 
     stmt: Stmt
     origin: StatementId
@@ -156,10 +163,10 @@ class Ingredient:
     text: str
     declares: frozenset[str]
     height: int
+    is_return_rooted: bool = field(init=False)
 
-    @property
-    def is_return_rooted(self) -> bool:
-        return isinstance(self.stmt, ReturnStmt)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_return_rooted", isinstance(self.stmt, ReturnStmt))
 
 
 SCOPES = ("local", "global")
@@ -168,9 +175,25 @@ SCOPES = ("local", "global")
 @dataclass(frozen=True)
 class IngredientPool:
     entries: tuple[Ingredient, ...]
+    # The `Located` point the pool was harvested for, when it resolves.
+    located: Located | None = field(default=None, compare=False, repr=False)
 
 
 EMPTY_POOL = IngredientPool(())
+
+
+class Located(NamedTuple):
+    """A point resolved in one unit: the block its path ends in and the
+    index there, and the binding environment before it (None until asked
+    for). The steps of one draw hand it on, so that a draw resolves its
+    point once: `harvest_ingredients` in the pool, `enumerate_ops` in each
+    op, and `apply_patch_op` reads it when the op is applied to `unit`."""
+
+    unit: SourceUnit
+    point: ModificationPoint
+    block: list[Stmt]
+    index: int
+    env: dict[str, str] | None = None
 
 
 @dataclass
@@ -179,6 +202,8 @@ class PatchOp:
     point: ModificationPoint
     payload: dict[str, Any] = field(default_factory=dict)
     generation: int | None = None
+    # Where `enumerate_ops` resolved `point`; a concrete op carries none.
+    located: Located | None = field(default=None, compare=False, repr=False)
 
     def summary(self) -> str:
         p = self.payload
@@ -273,6 +298,18 @@ def _env_before(unit: SourceUnit, point: ModificationPoint) -> dict[str, str]:
     return function_envs(unit, unit.function(point.statement.function))[point.path]
 
 
+def function_points(fn: FunctionDef) -> tuple[tuple[StatementId, ModificationPoint], ...]:
+    """Every statement of `fn` as `(id, modification point)`, in pre-order.
+    Built on first use and cached on the function as `_points`; nothing
+    else writes it."""
+    points = fn.__dict__.get("_points")
+    if points is None:
+        points = fn._points = tuple(
+            (sid, ModificationPoint(sid, path)) for sid, path, _ in iter_function_paths(fn)
+        )
+    return points
+
+
 def function_ingredients(unit: SourceUnit, fn: FunctionDef) -> tuple[Ingredient, ...]:
     """Every statement of `fn`, a function of `unit`, as an ingredient, in
     pre-order. Built on first use and cached on the function as
@@ -307,7 +344,10 @@ def harvest_ingredients(
     walk would give it.
     """
     name = point.statement.function
-    at = resolve_path(unit, name, point.path)
+    located = resolve_container(unit, name, point.path)
+    if located is not None:
+        located = Located(unit, point, *located)
+    at = None if located is None else located.block[located.index]
     if pools is None:
         pools = {}
     key = (id(unit), name if scope == "local" else None)
@@ -320,13 +360,13 @@ def harvest_ingredients(
     _, entries, first, seconds = held
     index = first.get(id(at))
     if index is None:  # a later occurrence of a text: the pool already leaves it out
-        return IngredientPool(entries)
+        return IngredientPool(entries, located)
     second = seconds.get(entries[index].text)
     if second is None:
-        return IngredientPool(entries[:index] + entries[index + 1 :])
+        return IngredientPool(entries[:index] + entries[index + 1 :], located)
     ingredient, position = second
     before, after = entries[:index] + entries[index + 1 : position], entries[position:]
-    return IngredientPool(before + (ingredient,) + after)
+    return IngredientPool(before + (ingredient,) + after, located)
 
 
 def _deduplicate(
@@ -354,11 +394,15 @@ def _deduplicate(
 # --- application ---------------------------------------------------------
 
 
-def _locate(unit: SourceUnit, point: ModificationPoint) -> tuple[list[Stmt], int]:
-    located = resolve_container(unit, point.statement.function, point.path)
-    if located is None:
+def _locate(unit: SourceUnit, point: ModificationPoint, located: Located | None = None) -> Located:
+    """`point` resolved in `unit`: `located` when it was resolved there
+    already, else resolved now."""
+    if located is not None and located.unit is unit and located.point is point:
+        return located
+    found = resolve_container(unit, point.statement.function, point.path)
+    if found is None:
         raise StalePoint(f"point {point.statement} does not resolve")
-    return located
+    return Located(unit, point, *found)
 
 
 def _finish(child: SourceUnit, fn: FunctionDef, written: Stmt | None, depth: int) -> None:
@@ -600,8 +644,9 @@ def apply_patch_op(
 ) -> tuple[SourceUnit, PatchOp]:
     """Apply any operation; returns (child, concrete op suitable for replay).
 
-    The point is resolved in the parent, whose environment before it is
-    what the edit's scope checks and draws read. A jgenprog op is admitted
+    The point is resolved in the parent (an op of `enumerate_ops` on the
+    parent carries it resolved), whose environment before it is what the
+    edit's scope checks and draws read. A jgenprog op is admitted
     and, when certain to fail the type check, rejected there, before any
     copy. The kind's edit then changes the block the point ends in, in a
     path copy of its function. A removal that empties an else branch
@@ -611,8 +656,9 @@ def apply_patch_op(
     if edit is None:
         raise NotApplicable(f"unknown operation kind {op.kind!r}")
     point = op.point
-    at_block, at_index = _locate(parent, point)  # raises StalePoint
-    env = _env_before(parent, point)
+    _, _, at_block, at_index, env = _locate(parent, point, op.located)  # raises StalePoint
+    if env is None:
+        env = _env_before(parent, point)
     edited = parent.function(point.statement.function)
     if edit is _genprog_edit:
         ingredient = None if op.kind == "Remove" else op.payload["ingredient"]
@@ -627,7 +673,7 @@ def apply_patch_op(
     written = edit(op.kind, block, index, payload, env, rng, parent)
     if not block and isinstance(owner, IfStmt) and owner.else_body is block:
         owner.else_body = None
-    child = SourceUnit([fn if f is edited else f for f in parent.functions], parent.source_name)
+    child = parent.replacing(edited, fn)
     _finish(child, fn, written, len(point.path))
     return child, PatchOp(op.kind, point, payload, op.generation)
 
@@ -639,12 +685,13 @@ class GenprogOps(Sequence):
     """The jgenprog operations at a point, in `enumerate_ops` order: Remove,
     then for each ingredient that fits the point's environment a Replace
     and, unless it is return-rooted, an InsertBefore. A draw takes one, so
-    only the PatchOp indexed is built."""
+    only the PatchOp indexed is built; it carries the point `located`."""
 
-    def __init__(self, point: ModificationPoint, fitting: list[Ingredient]):
-        self.point = point
+    def __init__(self, located: Located, fitting: list[Ingredient]):
+        self.point = located.point
+        self.located = located
         self.fitting = fitting
-        rooted = sum(ingredient.is_return_rooted for ingredient in fitting)
+        rooted = sum([ingredient.is_return_rooted for ingredient in fitting])
         self.length = 1 + 2 * len(fitting) - rooted
 
     def __len__(self) -> int:
@@ -652,12 +699,12 @@ class GenprogOps(Sequence):
 
     def __getitem__(self, i: int) -> PatchOp:
         if i == 0:
-            return PatchOp("Remove", self.point)
+            return PatchOp("Remove", self.point, located=self.located)
         for ingredient in self.fitting if i > 0 else ():
             for kind in ("Replace",) if ingredient.is_return_rooted else ("Replace", "InsertBefore"):
                 i -= 1
                 if i == 0:
-                    return PatchOp(kind, self.point, {"ingredient": ingredient})
+                    return PatchOp(kind, self.point, {"ingredient": ingredient}, located=self.located)
         raise IndexError("operation index out of range")
 
 
@@ -670,35 +717,37 @@ def enumerate_ops(
     unresolved here (one op per template kind per site); mutation ops
     are fully concrete (one per site per replacement operator). The
     jgenprog operations come as a `GenprogOps` sequence, the others as a
-    list.
+    list. Every op carries the point resolved in `ast`, where `pool`
+    (harvested for this point of `ast`) found it already.
     """
-    block, index = _locate(ast, point)
+    located = _locate(ast, point, pool.located)
     if mode == "jgenprog":
         # An ingredient fits when every free variable is bound, with its type.
-        bound = _env_before(ast, point).items()
-        return GenprogOps(point, [ing for ing in pool.entries if bound >= ing.free_vars])
-    stmt = block[index]
+        env = _env_before(ast, point)
+        bound = env.items()
+        fitting = [ing for ing in pool.entries if bound >= ing.free_vars]
+        return GenprogOps(located._replace(env=env), fitting)
+    stmt = located.block[located.index]
     ops: list[PatchOp] = []
     if mode == "jpar":
         for site in range(len(index_access_sites(stmt))):
-            ops.append(PatchOp("TemplateGuardArrayAccess", point, {"site": site}))
+            ops.append(PatchOp("TemplateGuardArrayAccess", point, {"site": site}, located=located))
         if isinstance(stmt, (IfStmt, WhileStmt)):
-            ops.append(PatchOp("TemplateMutateConditionTerm", point))
+            ops.append(PatchOp("TemplateMutateConditionTerm", point, located=located))
         for site in range(len(call_sites(stmt))):
-            ops.append(PatchOp("TemplateSwapCallArg", point, {"site": site}))
+            ops.append(PatchOp("TemplateSwapCallArg", point, {"site": site}, located=located))
     elif mode == "jmutrepair":
         for kind, family in _MUTATION_FAMILIES.items():
             for site, node in enumerate(binary_sites(stmt, family)):
                 if kind == "MutLogicalOp":
-                    ops.append(PatchOp(kind, point, {"site": site}))
+                    ops.append(PatchOp(kind, point, {"site": site}, located=located))
                     continue
                 for replacement in family:
                     if replacement != node.op:
-                        ops.append(
-                            PatchOp(kind, point, {"site": site, "replacement": replacement})
-                        )
+                        payload = {"site": site, "replacement": replacement}
+                        ops.append(PatchOp(kind, point, payload, located=located))
         if isinstance(stmt, (IfStmt, WhileStmt)):
-            ops.append(PatchOp("MutNegateCondition", point))
+            ops.append(PatchOp("MutNegateCondition", point, located=located))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ops

@@ -32,7 +32,7 @@ from minirepair.minilang.nodes import (
     Unary,
     Var,
     WhileStmt,
-    resolve_path,
+    resolve_container,
 )
 from minirepair.minilang.printer import print_stmt
 
@@ -90,7 +90,8 @@ def binding_env_reference(unit, function, path):
 def harvest_reference(unit, point, scope):
     entries = []
     seen = set()
-    excluded = resolve_path(unit, point.statement.function, point.path)
+    located = resolve_container(unit, point.statement.function, point.path)
+    excluded = None if located is None else located[0][located[1]]
     for sid, path, stmt in statement_positions(unit):
         if stmt is excluded:
             continue

@@ -74,7 +74,9 @@ def test_compiled_matches_reference(seed):
         args = random_args([t for _, t in fn.params], rng)
         for budget in (1, 7, 60, 500):
             expected = reference(unit, fn.name, args, budget)
-            assert observable(interpret(unit, fn.name, args, budget)) == observable(expected)
+            got = interpret(unit, fn.name, args, budget)
+            assert observable(got) == observable(expected)
+            assert got.functions == {sid.function for sid in expected.executed}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -372,8 +374,10 @@ def test_compiled_code_stays_with_the_unit():
     harvest_ingredients(unit, point, "global")
     config = EngineConfig(mode="jgenprog", population_size=4, max_generations=2, seed=meta["seed"])
     evolve(unit, suite, config)
-    assert set(vars(unit)) == {"functions", "source_name"}
+    # the unit holds no code; its one cache is its name index
+    assert set(vars(unit)) == {"functions", "source_name", "_positions"}
     copied = copy.deepcopy(unit)
+    assert "_positions" not in vars(pickle.loads(pickle.dumps(unit))) and "_positions" not in vars(copied)
     assert copied == unit and interpret(copied, "double_sum", [[2]], 100).value == 2
     fn = unit.functions[0]
     assert "_code" in vars(fn)

@@ -237,6 +237,8 @@ def test_children_share_unedited_functions_and_leave_parents_intact(seed):
 
 def test_one_generation_builds_the_ingredient_list_once(monkeypatch):
     unit, suite, meta = load_corpus_case("double_sum_missing_add")
+    for fn in unit.functions:  # the search's points walk too; cache them first
+        operators.function_points(fn)
     builds, harvested = [], []
     build, harvest = operators.iter_function_paths, engine.harvest_ingredients
     monkeypatch.setattr(operators, "iter_function_paths", lambda fn: builds.append(fn) or build(fn))

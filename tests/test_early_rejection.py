@@ -330,8 +330,12 @@ def test_a_search_leaves_no_pool_and_no_cache_but_its_functions_own(monkeypatch)
     assert len(harvested) >= 30 and len({id(pools) for pools in held}) == 1
     assert held[0] == {}  # cleared after each generation
     assert all(ref() is None for ref in harvested)
-    assert set(vars(unit)) == {"functions", "source_name"}
+    # the unit keeps only its name index, which is its own functions'
+    assert set(vars(unit)) <= {"functions", "source_name", "_positions"}
+    if "_positions" in vars(unit):
+        assert unit._positions == {fn.name: i for i, fn in reversed(list(enumerate(unit.functions)))}
     for fn in unit.functions:
-        assert {key for key in vars(fn) if key.startswith("_")} <= {"_code", "_envs", "_ingredients"}
+        caches = {key for key in vars(fn) if key.startswith("_")}
+        assert caches <= {"_code", "_envs", "_ingredients", "_points"}
     for _, _, stmt in iter_statement_paths(unit):
         assert not any(key.startswith("_") for key in vars(stmt))

@@ -1,9 +1,10 @@
 """Exact test skipping: a child's fitness run gives every test whose run on
 its parent began no statement of the function the child edits the
 parent's verdict and record without running it. Over random lineages of
-several generations, every verdict and record, skipped or run, equals a
-fresh run of that test, also for a run that traps on entering the edited
-function."""
+several generations, the tests each fitness call runs are exactly those
+whose parent record is missing or began an unshared function, and every
+verdict and record, skipped or run, equals a fresh run of that test, also
+for a run that traps on entering the edited function."""
 
 import pytest
 
@@ -22,14 +23,29 @@ def two_phase_order(suite, failing):
     return [t for t in suite if t.name in first] + [t for t in suite if t.name not in first]
 
 
+def selected(child, suite, parent, reached):
+    """The names of the `reached` tests, in run order, whose run on the
+    parent left no record or began a function the child does not share."""
+    unshared = {fn.name for fn, old in zip(child.functions, parent.ast.functions) if fn is not old}
+    position = {test.name: i for i, test in enumerate(suite)}
+    names = []
+    for test in reached:
+        record = parent.records[position[test.name]]
+        if record is None or not unshared.isdisjoint(record[1]):
+            names.append(test.name)
+    return names
+
+
 @pytest.mark.parametrize("fast", [False, True])
 def test_skipped_and_run_verdicts_equal_fresh_runs_on_random_lineages(fast, monkeypatch):
-    runs, ran = [], []
+    runs = []
+    ran: list[str] = []
     real_fitness, real_run_test = engine_module.fitness, engine_module.run_test
 
-    def recording(unit, suite, failing, budget, fast_, parent=None):
-        run = real_fitness(unit, suite, failing, budget, fast_, parent)
-        runs.append((unit, suite, failing, parent, run))
+    def recording(unit, suite, failing, budget, fast_, parent=None, order=None):
+        ran.clear()
+        run = real_fitness(unit, suite, failing, budget, fast_, parent, order)
+        runs.append((unit, suite, failing, parent, run, list(ran)))
         return run
 
     def counting(unit, test, budget):
@@ -57,15 +73,18 @@ def test_skipped_and_run_verdicts_equal_fresh_runs_on_random_lineages(fast, monk
                 evolve(unit, suite, config)
             except (NoFailingTest, UnlocalizableFault):
                 pass
-    verdicts = sum(len(run) for *_, run in runs)
-    assert runs and all(parent is not None for *_, parent, _ in runs)
-    assert max(len(parent.lineage) for *_, parent, _ in runs) >= 3
-    skipped = verdicts - len(ran)
-    assert len(ran) > 0 and skipped > verdicts / 4, (len(ran), skipped)
-    for child, suite, failing, parent, run in runs:
+    assert runs and all(parent is not None for *_, parent, _, _ in runs)
+    assert max(len(parent.lineage) for *_, parent, _, _ in runs) >= 3
+    verdicts = sum(len(run) for *_, run, _ in runs)
+    executed = sum(len(names) for *_, names in runs)
+    assert executed > 0 and verdicts - executed > 0, (executed, verdicts)
+    for child, suite, failing, parent, run, names in runs:
         order = two_phase_order(suite, failing)
         reached = order if not fast else order[: len(run)]
         assert [name for name, _ in run] == [test.name for test in reached]
+        # exactly the tests the parent's records cannot stand in for ran
+        assert names == selected(child, suite, parent, reached)
+        assert run.failures == sum(1 for _, passed in run if not passed)
         if fast and len(run) < len(order):
             assert not run[-1][1]
         for i, test in enumerate(suite):
