@@ -6,16 +6,16 @@ chosen by navigating the suspiciousness ranking (computed once, on the
 original program, and re-resolved per variant by structural path), the
 children's fitness (failing-test count) is measured in the only run of
 their suites, which is also their validation: a child that fails no test
-is a patch. The best of parents plus children survive. A child's run
-reuses its parent's: a test that never entered the one function the
-child edits keeps the parent's verdict without running. Its cost follows
-the tests it runs, not the suite: the run order is fixed once per
-search, and a parent's records are indexed once, by the functions each
-test began, so a child looks up the tests of its edited function, runs
-those, and copies the rest of its parent's verdicts, records and failure
-count. The run stops when enough patches have been collected or the
-generation budget is spent. Given the same inputs and seed, a run is
-fully deterministic.
+is a patch. The best of parents plus children survive. Each variant
+keeps its run as a `SuiteRun`, and a child's run starts from its
+parent's: a test that never entered a function the child edits keeps the
+parent's verdict without running. The run order is fixed once per
+search, and a parent's run indexes its tests by the functions each
+began, once, so a child reruns the tests of its edited function and
+copies the rest, and its cost follows the tests it runs, not the suite.
+The run stops when enough patches have been collected or the generation
+budget is spent. Given the same inputs and seed, a run is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -119,32 +119,45 @@ def run_order(suite: list[TestCase], originally_failing: list[str]) -> tuple[int
     return tuple(order + [i for i, t in enumerate(suite) if t.name not in first])
 
 
-class RecordIndex:
-    """A variant's `records`, by run order, as a child's `fitness` reads
-    them: `verdicts`, its verdicts in `order` (None where it has no
-    record), `failures` among them, `by_function`, for each function name
-    the run-order positions of the tests that began it, and `unknown`, the
-    positions with no record. Built for one `suite` and `order`."""
+class SuiteRun(tuple):
+    """One run of `suite` on a program, the one record of it: its
+    verdicts, `(test name, passed)` for each test it reached, in run
+    `order`, as `validate` reads them; `records`, each test's `TestRecord`
+    by suite position, None for a test it has no record of; `failures`,
+    how many verdicts failed; and the `suite`, `order` and `step_budget`
+    it ran under. A child's `fitness` reads it through `index`."""
 
-    __slots__ = ("records", "suite", "order", "verdicts", "failures", "by_function", "unknown")
+    def __new__(
+        cls,
+        verdicts: list[tuple[str, bool]],
+        records: tuple[TestRecord | None, ...],
+        failures: int,
+        suite: list[TestCase],
+        order: tuple[int, ...],
+        step_budget: int,
+    ):
+        run = super().__new__(cls, verdicts)
+        run.records, run.failures = records, failures
+        run.suite, run.order, run.step_budget = suite, order, step_budget
+        run._index = None
+        return run
 
-    def __init__(self, records: tuple, suite: list[TestCase], order: tuple[int, ...]):
-        self.records, self.suite, self.order = records, suite, order
-        self.verdicts: list[tuple[str, bool] | None] = []
-        self.failures = 0
-        self.by_function: dict[str, list[int]] = {}
-        self.unknown: list[int] = []
-        for k, i in enumerate(order):
-            record = records[i]
-            if record is None:
-                self.unknown.append(k)
-                self.verdicts.append(None)
-                continue
-            passed, functions = record
-            self.verdicts.append((suite[i].name, passed))
-            self.failures += not passed
-            for name in functions:
-                self.by_function.setdefault(name, []).append(k)
+    def index(self) -> tuple[dict[str, list[int]], list[int]]:
+        """`(by_function, unknown)`: for each function name the run-order
+        positions of the tests whose records began it, and the positions
+        with no record, each ascending. Built on the first call and kept."""
+        if self._index is None:
+            by_function: dict[str, list[int]] = {}
+            unknown = []
+            for k, i in enumerate(self.order):
+                record = self.records[i]
+                if record is None:
+                    unknown.append(k)
+                    continue
+                for name in record[1]:
+                    by_function.setdefault(name, []).append(k)
+            self._index = by_function, unknown
+        return self._index
 
 
 @dataclass
@@ -153,12 +166,8 @@ class ProgramVariant:
     lineage: list[PatchOp]
     fitness: int
     generation_born: int
-    # By suite position, the `TestRecord` of each test its suite run
-    # reached; None for a test a fast run stopped before.
-    records: tuple[TestRecord | None, ...] = ()
-    # `records` indexed by `fitness` when the variant is first a parent;
-    # `init_population`'s clones share the original's.
-    index: RecordIndex | None = field(default=None, compare=False, repr=False)
+    # The suite run of `ast`; `init_population`'s clones share the original's.
+    run: SuiteRun | None = None
 
 
 @dataclass
@@ -203,21 +212,6 @@ class RepairOutcome:
         return json.dumps(self.report_dict(), indent=2, sort_keys=True) + "\n"
 
 
-class SuiteRun(tuple):
-    """The `Verdicts` of one fitness run, `(test name, passed)` in run
-    order; `records` holds each test's `TestRecord` by suite position,
-    None for a test the run stopped before, and `failures` counts the
-    failed verdicts."""
-
-    def __new__(
-        cls, verdicts: list[tuple[str, bool]], records: tuple[TestRecord | None, ...], failures: int
-    ):
-        run = super().__new__(cls, verdicts)
-        run.records = records
-        run.failures = failures
-        return run
-
-
 def fitness(
     unit: SourceUnit,
     suite: list[TestCase],
@@ -236,109 +230,93 @@ def fitness(
     stops at the first failure, so the failure count is a lower bound
     (exact whenever it is zero).
 
-    `parent` is the variant `unit` was made from, with records of this
-    suite at this budget. A function `unit` shares with it is the same
-    object and runs the same code. So a test whose run on the parent
-    began no statement of an unshared function would repeat that run
-    step for step: it takes the parent's verdict and record without
-    running (safe regression-test selection). Every well-typed function
-    has a statement, so a run enters one without beginning any only when
-    the budget runs out there or its call trips `call-depth-exceeded`;
-    either ends the run before the body starts, on both programs alike.
-    A test the parent has no record of runs.
+    `parent` is the variant `unit` was made from. Its run stands in when
+    it ran this suite, in this order, at this budget. A function `unit`
+    shares with the parent is the same object and runs the same code. So
+    a test whose run on the parent began no statement of an unshared
+    function would repeat that run step for step: it takes the parent's
+    verdict and record without running (safe regression-test selection).
+    Every well-typed function has a statement, so a run enters one
+    without beginning any only when the budget runs out there or its call
+    trips `call-depth-exceeded`; either ends the run before the body
+    starts, on both programs alike.
 
-    Without `fast`, the parent's records are read through its
-    `RecordIndex`, built once per parent (and `order`): the run copies the
-    parent's verdicts and records, runs the tests the index lists under
-    the unshared functions and those with no record, in run order, and
-    counts its failures from the verdicts they change. A fast run, and
-    any run whose parent cannot stand in, walks the order test by test;
-    both run the same tests.
+    The run copies the parent's verdicts, records and failure count, and
+    reruns, in run order, the tests its `SuiteRun.index` lists under an
+    unshared function and those with no record; with `fast` it stops at
+    the first failure, copied or rerun. Without a parent whose run stands
+    in, it starts from a run with no record, so every test it reaches runs.
     """
     if order is None:
         order = run_order(suite, originally_failing)
-    edited = _unshared_functions(unit, parent, len(suite))
-    if edited is not None and not fast:
-        return _rerun(unit, step_budget, _index_of(parent, suite, order), edited)
-    records: list[TestRecord | None] = [None] * len(suite)
-    verdicts = []
-    failures = 0
-    for i in order:
-        record = None if edited is None else parent.records[i]
-        if record is None or not edited.isdisjoint(record[1]):
-            passed, result = run_test(unit, suite[i], step_budget)
-            record = passed, result.functions
-        records[i] = record
-        verdicts.append((suite[i].name, record[0]))
-        if not record[0]:
-            failures += 1
-            if fast:
-                break
-    return SuiteRun(verdicts, tuple(records), failures)
-
-
-def _index_of(parent: ProgramVariant, suite: list[TestCase], order: tuple[int, ...]) -> RecordIndex:
-    """The `RecordIndex` of the parent's records for `suite` and `order`,
-    built and kept on it unless it has one; nothing else writes
-    `ProgramVariant.index` but `init_population`."""
-    index = parent.index
-    if index is None or (index.records, index.suite, index.order) != (parent.records, suite, order):
-        index = parent.index = RecordIndex(parent.records, suite, order)
-    return index
-
-
-def _rerun(unit: SourceUnit, step_budget: int, index: RecordIndex, edited: set[str]) -> SuiteRun:
-    """The run of `unit` given its parent's `index`: it reruns the tests the
-    index lists under an `edited` function or as unknown, in run order,
-    and copies the parent's other verdicts and records."""
-    positions = index.unknown
+    base, edited = _base(unit, parent, suite, order, step_budget)
+    by_function, positions = base.index()
     for name in edited:
-        positions = positions + index.by_function.get(name, [])
-    if len(edited) > 1 or index.unknown:
-        positions = sorted(set(positions))
-    records, suite, order = index.records, index.suite, index.order
-    verdicts = list(index.verdicts)
-    changed = list(records)
-    failures = index.failures
+        listed = by_function.get(name)
+        if listed:
+            positions = sorted(set(positions).union(listed)) if positions else listed
+    stop = tests = len(order)
+    if fast:  # stop at the first copied failure unless a rerun fails first
+        rerun = set(positions)
+        stop = next((k for k, (_, passed) in enumerate(base) if not passed and k not in rerun), tests)
+    verdicts = list(base) + [None] * (tests - len(base))
+    records = list(base.records)
+    failures = base.failures
     for k in positions:
+        if k > stop:
+            break
         i = order[k]
-        old = records[i]
-        if old is not None and not old[0]:
-            failures -= 1
         test = suite[i]
+        old = verdicts[k]
+        if old is not None and not old[1]:
+            failures -= 1
         passed, result = run_test(unit, test, step_budget)
-        changed[i] = passed, result.functions
+        records[i] = passed, result.functions
         verdicts[k] = test.name, passed
         if not passed:
             failures += 1
-    return SuiteRun(verdicts, tuple(changed), failures)
+            if fast:
+                stop = k
+                break
+    if stop < tests:  # a fast run that stopped reached no later test
+        del verdicts[stop + 1 :]
+        for i in order[stop + 1 :]:
+            records[i] = None
+        failures = 1
+    return SuiteRun(verdicts, tuple(records), failures, suite, order, step_budget)
 
 
-def _unshared_functions(
-    unit: SourceUnit, parent: ProgramVariant | None, tests: int
-) -> set[str] | None:
-    """Names of the functions of `unit` that are not its parent's objects,
-    or None when the parent's records cannot stand in for any run."""
-    if parent is None or len(parent.records) != tests:
-        return None
-    before = parent.ast.functions
-    if [fn.name for fn in unit.functions] != [fn.name for fn in before]:
-        return None
-    return {fn.name for fn, old in zip(unit.functions, before) if fn is not old}
+def _base(
+    unit: SourceUnit,
+    parent: ProgramVariant | None,
+    suite: list[TestCase],
+    order: tuple[int, ...],
+    step_budget: int,
+) -> tuple[SuiteRun, set[str]]:
+    """The run `unit`'s run copies, and the names of the functions whose
+    tests it reruns: the parent's run and the functions of `unit` that are
+    not the parent's objects. When the parent's run cannot stand in (no
+    parent or run, a run under another suite, order or budget, or other
+    function names), a run of `suite` with no record, and none."""
+    run = None if parent is None else parent.run
+    if run is not None and (run.suite, run.order, run.step_budget) == (suite, order, step_budget):
+        before = parent.ast.functions
+        if [fn.name for fn in unit.functions] == [fn.name for fn in before]:
+            return run, {fn.name for fn, old in zip(unit.functions, before) if fn is not old}
+    return SuiteRun([], (None,) * len(suite), 0, suite, order, step_budget), set()
 
 
 def init_population(
     original: SourceUnit,
     n: int,
     original_fitness: int,
-    records: tuple[TestRecord | None, ...] = (),
-    index: RecordIndex | None = None,
+    run: SuiteRun | None = None,
 ) -> list[ProgramVariant]:
-    """n clones of the input program, all with its fitness, its test
-    records, the one `index` of them and empty lineage."""
+    """n clones of the input program, all with its fitness, its one suite
+    run and empty lineage."""
     if n < 1:
         raise ValueError("population size must be >= 1")
-    return [ProgramVariant(original, [], original_fitness, 0, records, index) for _ in range(n)]
+    return [ProgramVariant(original, [], original_fitness, 0, run) for _ in range(n)]
 
 
 def select(
@@ -428,7 +406,7 @@ def _spawn_child(parent: ProgramVariant, state: _SearchState, generation: int) -
         )
         state.variants_evaluated += 1
         lineage = parent.lineage + [concrete]
-        return ProgramVariant(child_ast, lineage, run.failures, generation, run.records)
+        return ProgramVariant(child_ast, lineage, run.failures, generation, run)
     return None
 
 
@@ -482,8 +460,9 @@ def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -
     state.variants_evaluated = 1  # the original program, measured by the matrix
 
     records = tuple((row.passed, row.functions) for row in matrix.rows)
-    index = RecordIndex(records, suite, state.order)
-    population = init_population(original, config.population_size, matrix.total_fail, records, index)
+    verdicts = [(suite[i].name, records[i][0]) for i in state.order]
+    run = SuiteRun(verdicts, records, matrix.total_fail, suite, state.order, config.step_budget)
+    population = init_population(original, config.population_size, matrix.total_fail, run)
     best_per_generation: list[int] = []
     generations_run = 0
     for generation in range(1, config.max_generations + 1):

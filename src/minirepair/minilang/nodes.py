@@ -187,36 +187,29 @@ class FunctionDef:
 
 @dataclass
 class SourceUnit:
-    """A program: its functions in declaration order. The one thing it
-    derives from them is `_positions`, the position of the first function
-    of each name, which `function` builds on first use and `replacing`
-    hands on; every other cache is its functions' own. Copies and pickles
-    leave `_positions` out."""
+    """A program: its functions in declaration order, a list no caller
+    edits once the unit is made. The one thing it derives from them is
+    `_positions`, the position of the first function of each name, which
+    `function` builds on first use and `replacing` hands on; every other
+    cache is its functions' own. Copies and pickles leave `_positions`
+    out."""
 
     functions: list[FunctionDef]
     source_name: str = field(default="<unit>", compare=False)
 
     def function(self, name: str) -> FunctionDef | None:
-        """The first function named `name`, or None. It looks at the
-        position `_positions` gives and scans the list only when the
-        function there has another name, as after a caller rebinds a slot
-        of `functions`."""
+        """The first function named `name`, or None, found at the
+        position `_positions` gives; an absent name costs no scan."""
         try:
-            fn = self.functions[self._positions[name]]
-            if fn.name == name:
-                return fn
+            return self.functions[self._positions[name]]
         except AttributeError:
             positions = {}
             for i, fn in enumerate(self.functions):
                 positions.setdefault(fn.name, i)
             self._positions = positions
             return self.function(name)
-        except (KeyError, IndexError):
-            pass
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        return None
+        except KeyError:
+            return None
 
     def replacing(self, old: FunctionDef, new: FunctionDef) -> SourceUnit:
         """A unit whose functions are this one's with `new`, a function of

@@ -4,7 +4,8 @@ parent's verdict and record without running it. Over random lineages of
 several generations, the tests each fitness call runs are exactly those
 whose parent record is missing or began an unshared function, and every
 verdict and record, skipped or run, equals a fresh run of that test, also
-for a run that traps on entering the edited function."""
+for a run that traps on entering the edited function. A parent's run at
+another step budget stands in for no test."""
 
 import pytest
 
@@ -30,7 +31,7 @@ def selected(child, suite, parent, reached):
     position = {test.name: i for i, test in enumerate(suite)}
     names = []
     for test in reached:
-        record = parent.records[position[test.name]]
+        record = parent.run.records[position[test.name]]
         if record is None or not unshared.isdisjoint(record[1]):
             names.append(test.name)
     return names
@@ -108,9 +109,9 @@ def test_a_run_that_traps_entering_the_edited_function_is_skipped_exactly(monkey
     takes its verdict without running it. That verdict equals a fresh run."""
     unit = parse(DEPTH_TRAP)
     suite = [testsuite.TestCase("deep", "f", (199,), 0), testsuite.TestCase("shallow", "f", (3,), 0)]
-    records = engine_module.fitness(unit, suite, [], STEP_BUDGET).records
-    assert records == ((False, frozenset({"f"})), (True, frozenset({"f", "g"})))
-    parent = engine_module.ProgramVariant(unit, [], 1, 0, records)
+    run = engine_module.fitness(unit, suite, [], STEP_BUDGET)
+    assert run.records == ((False, frozenset({"f"})), (True, frozenset({"f", "g"})))
+    parent = engine_module.ProgramVariant(unit, [], 1, 0, run)
     edited_g = parse("fn g(x: int) -> int { return x + 1; }").functions[0]
     child = SourceUnit([edited_g, unit.functions[1]])
     ran = []
@@ -126,3 +127,47 @@ def test_a_run_that_traps_entering_the_edited_function_is_skipped_exactly(monkey
         passed, result = run_test(child, test, STEP_BUDGET)
         assert record == (passed, frozenset(sid.function for sid in result.executed))
     assert list(run) == [("deep", False), ("shallow", False)]
+
+
+STEPS = """fn loop(n: int) -> int {
+  let i = 0;
+  while (i < n) {
+    i = i + 1;
+  }
+  return i;
+}
+fn f(x: int) -> int { return x; }
+"""
+
+
+def test_a_parent_run_at_another_budget_stands_in_for_nothing(monkeypatch):
+    """`loop` passes at 10,000 steps and runs out of a 20-step budget. A
+    child that edits only `f` shares `loop`, but its parent's run at
+    10,000 steps cannot stand in for its run at 20: every test runs, and
+    the child fails `loop` as a fresh run at 20 steps does."""
+    unit = parse(STEPS)
+    suite = [testsuite.TestCase("loop", "loop", (50,), 50), testsuite.TestCase("f", "f", (1,), 1)]
+    run = engine_module.fitness(unit, suite, [], 10_000)
+    assert list(run) == [("loop", True), ("f", True)]
+    parent = engine_module.ProgramVariant(unit, [], 0, 0, run)
+    edited_f = parse("fn f(x: int) -> int { return x + 0; }").functions[0]
+    child = SourceUnit([unit.functions[0], edited_f])
+    ran = []
+
+    def counting(unit, test, budget):
+        ran.append(test.name)
+        return run_test(unit, test, budget)
+
+    monkeypatch.setattr(engine_module, "run_test", counting)
+    fresh = engine_module.fitness(child, suite, [], 20)
+    assert list(fresh) == [("loop", False), ("f", True)]
+    ran.clear()
+    for fast in (False, True):
+        short = engine_module.fitness(child, suite, [], 20, fast, parent)
+        assert list(short) == list(fresh)[: 2 - fast] and short.failures == 1
+        assert short.records[0] == fresh.records[0] and short.step_budget == 20
+        assert ran == ["loop", "f"][: 2 - fast]
+        ran.clear()
+    # at the parent's budget, the run stands in for the test of `loop`
+    assert list(engine_module.fitness(child, suite, [], 10_000, parent=parent)) == list(run)
+    assert ran == ["f"]
