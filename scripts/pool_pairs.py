@@ -4,13 +4,14 @@
     python3 scripts/pool_pairs.py BASE CHANGE [--workload NAME ...] [--rounds N]
 
 BASE and CHANGE are the roots of two checkouts of this repository. For
-each workload, one process per checkout imports `minirepair` from its own
-`src/` and `perfbench/` and stays up for every pass. A pass runs every job
-of the workload's pool (`workloads.job_pool`) once, in pool order, in
-process, and is timed as a whole. Each process runs one unmeasured
-warm-up pass; then each round runs one pass of each checkout, the base
-first in even rounds and the change first in odd ones, so that a slow
-phase of the host falls on both sides alike.
+each workload, each round times one pass of each checkout, the base first
+in even rounds and the change first in odd ones, so that a slow phase of
+the host falls on both sides alike. Every pass runs in a fresh process
+that imports `minirepair` from its checkout's `src/` and `perfbench/`,
+runs one unmeasured warm-up pass and then the timed one, so that no side
+keeps one hash seed and memory layout for the whole series. A pass runs
+every job of the workload's pool (`workloads.job_pool`) once, in pool
+order, in process, and is timed as a whole.
 
 Every pass of each side digests its jobs' report digests (the pinned
 `report_sha256` of `perfbench/worker.py`) into one; a round whose two
@@ -32,7 +33,8 @@ from pathlib import Path
 
 
 def serve(checkout: Path, workload: str) -> None:
-    """Run one pool pass per `pass` line on stdin; print its seconds and digest."""
+    """Run one unmeasured warm-up pass and one timed pass; print the timed
+    pass's seconds and digest."""
     sys.path.insert(0, str(checkout / "perfbench"))
     import worker  # puts the checkout's src/ first on the path
     import workloads
@@ -41,10 +43,7 @@ def serve(checkout: Path, workload: str) -> None:
 
     targets = worker.load_targets(workload)
     pool = workloads.job_pool(workload)
-    print(json.dumps({"ready": True}), flush=True)
-    for line in sys.stdin:
-        if line.strip() != "pass":
-            break
+    for _ in range(2):
         digests = hashlib.sha256()
         started = time.perf_counter()
         for job in pool:
@@ -52,52 +51,33 @@ def serve(checkout: Path, workload: str) -> None:
             outcome = evolve(unit, suite, EngineConfig(**job.engine_kwargs()))
             digests.update(worker.report_digest(outcome).encode())
         seconds = time.perf_counter() - started
-        print(json.dumps({"seconds": seconds, "digest": digests.hexdigest()}), flush=True)
+    print(json.dumps({"seconds": seconds, "digest": digests.hexdigest()}), flush=True)
 
 
-class Side:
-    """One checkout's serving process for one workload."""
-
-    def __init__(self, checkout: Path, workload: str):
-        argv = [sys.executable, str(Path(__file__).resolve()), "--serve", str(checkout), workload]
-        self.process = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        self.read()
-
-    def read(self) -> dict:
-        line = self.process.stdout.readline()
-        if not line:
-            raise SystemExit(f"a serving process exited with {self.process.wait()}")
-        return json.loads(line)
-
-    def run(self) -> dict:
-        self.process.stdin.write("pass\n")
-        self.process.stdin.flush()
-        return self.read()
-
-    def close(self) -> None:
-        self.process.stdin.close()
-        self.process.wait()
+def timed_pass(checkout: Path, workload: str) -> dict:
+    """The timed pass of `checkout` from a fresh process."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--serve", str(checkout), workload]
+    process = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
+    if process.returncode:
+        raise SystemExit(f"a pass of {checkout} exited with {process.returncode}")
+    return json.loads(process.stdout)
 
 
 def pairs(base: Path, change: Path, workload: str, rounds: int) -> list[float]:
     """The change/base ratio of pass times in each round."""
-    sides = [Side(base, workload), Side(change, workload)]
-    try:
-        for side in sides:
-            side.run()  # warm-up
-        ratios = []
-        for k in range(rounds):
-            order = sides if k % 2 == 0 else sides[::-1]
-            passes = {side: side.run() for side in order}
-            old, new = passes[sides[0]], passes[sides[1]]
-            if old["digest"] != new["digest"]:
-                raise SystemExit(f"{workload} round {k}: report digests differ")
-            ratios.append(new["seconds"] / old["seconds"])
-            print(f"{workload} round {k}: base {old['seconds']:.3f} s, change {new['seconds']:.3f} s", flush=True)
-        return ratios
-    finally:
-        for side in sides:
-            side.close()
+    ratios = []
+    for k in range(rounds):
+        if k % 2 == 0:
+            old = timed_pass(base, workload)
+            new = timed_pass(change, workload)
+        else:
+            new = timed_pass(change, workload)
+            old = timed_pass(base, workload)
+        if old["digest"] != new["digest"]:
+            raise SystemExit(f"{workload} round {k}: report digests differ")
+        ratios.append(new["seconds"] / old["seconds"])
+        print(f"{workload} round {k}: base {old['seconds']:.3f} s, change {new['seconds']:.3f} s", flush=True)
+    return ratios
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,13 +6,16 @@ chosen by navigating the suspiciousness ranking (computed once, on the
 original program, and re-resolved per variant by structural path), the
 children's fitness (failing-test count) is measured in the only run of
 their suites, which is also their validation: a child that fails no test
-is a patch. The best of parents plus children survive. Each variant
-keeps its run as a `SuiteRun`, and a child's run starts from its
-parent's: a test that never entered a function the child edits keeps the
-parent's verdict without running. The run order is fixed once per
-search, and a parent's run indexes its tests by the functions each
-began, once, so a child reruns the tests of its edited function and
-copies the rest, and its cost follows the tests it runs, not the suite.
+is a patch. The best of parents plus children survive. Every run of the
+suite, the original's (`faultloc.build_matrix`, which fault localization
+ranks) and each child's, is one `faultloc.SuiteRun`, whose records keep
+the statements each test began. A child's run starts from its parent's:
+a test that never entered a function the child edits keeps the parent's
+verdict and record without running. The run order is fixed once per
+search, and a parent's run indexes its tests by the functions of the
+statements each began, once, so a child reruns the tests of its edited
+function and copies the rest, and its cost follows the tests it runs,
+not the suite.
 The run stops when enough patches have been collected or the generation
 budget is spent. Given the same inputs and seed, a run is fully
 deterministic.
@@ -27,7 +30,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-from minirepair.faultloc import FORMULAS, STRATEGIES, Navigator, build_matrix, rank
+from minirepair.faultloc import FORMULAS, STRATEGIES, Navigator, SuiteRun, build_matrix, rank, run_order
 from minirepair.faultloc import SuspiciousStatement
 from minirepair.minilang import SourceUnit, pretty_print
 from minirepair.minilang.testsuite import TestCase, run_test
@@ -106,60 +109,6 @@ _FIELD_CHOICES = {
 }
 
 
-# One test's run on a program: (passed, names of the functions whose
-# statements the run began).
-TestRecord = tuple[bool, frozenset[str]]
-
-
-def run_order(suite: list[TestCase], originally_failing: list[str]) -> tuple[int, ...]:
-    """The suite positions in two-phase order: the originally failing tests
-    first, then the rest, each in suite order."""
-    first = set(originally_failing)
-    order = [i for i, t in enumerate(suite) if t.name in first]
-    return tuple(order + [i for i, t in enumerate(suite) if t.name not in first])
-
-
-class SuiteRun(tuple):
-    """One run of `suite` on a program, the one record of it: its
-    verdicts, `(test name, passed)` for each test it reached, in run
-    `order`, as `validate` reads them; `records`, each test's `TestRecord`
-    by suite position, None for a test it has no record of; `failures`,
-    how many verdicts failed; and the `suite`, `order` and `step_budget`
-    it ran under. A child's `fitness` reads it through `index`."""
-
-    def __new__(
-        cls,
-        verdicts: list[tuple[str, bool]],
-        records: tuple[TestRecord | None, ...],
-        failures: int,
-        suite: list[TestCase],
-        order: tuple[int, ...],
-        step_budget: int,
-    ):
-        run = super().__new__(cls, verdicts)
-        run.records, run.failures = records, failures
-        run.suite, run.order, run.step_budget = suite, order, step_budget
-        run._index = None
-        return run
-
-    def index(self) -> tuple[dict[str, list[int]], list[int]]:
-        """`(by_function, unknown)`: for each function name the run-order
-        positions of the tests whose records began it, and the positions
-        with no record, each ascending. Built on the first call and kept."""
-        if self._index is None:
-            by_function: dict[str, list[int]] = {}
-            unknown = []
-            for k, i in enumerate(self.order):
-                record = self.records[i]
-                if record is None:
-                    unknown.append(k)
-                    continue
-                for name in record[1]:
-                    by_function.setdefault(name, []).append(k)
-            self._index = by_function, unknown
-        return self._index
-
-
 @dataclass
 class ProgramVariant:
     ast: SourceUnit
@@ -221,7 +170,9 @@ def fitness(
     parent: ProgramVariant | None = None,
     order: tuple[int, ...] | None = None,
 ) -> SuiteRun:
-    """Run the suite once; `(test name, passed)` for each test run.
+    """Run the suite once; a `SuiteRun` whose verdicts are `(test name,
+    passed)` for each test run, and whose records keep the statements
+    each test began, as `interpret` reports them.
 
     Tests run in two-phase order: the originally failing ones first,
     then the rest, each in suite order. `order` is that order, as
@@ -271,7 +222,7 @@ def fitness(
         if old is not None and not old[1]:
             failures -= 1
         passed, result = run_test(unit, test, step_budget)
-        records[i] = passed, result.functions
+        records[i] = passed, result.executed
         verdicts[k] = test.name, passed
         if not passed:
             failures += 1
@@ -438,31 +389,26 @@ def _search(original: SourceUnit, suite: list[TestCase], config: EngineConfig) -
     """The search `evolve` runs with the collector paused."""
     started = time.perf_counter()
     points = dict(pair for fn in original.functions for pair in function_points(fn))
-    matrix = build_matrix(original, suite, config.step_budget, tuple(points))
-    if matrix.total_fail == 0:
+    run = build_matrix(original, suite, config.step_budget)
+    if run.failures == 0:
         raise NoFailingTest("all tests pass on the input program")
-    ranked = rank(matrix, config.formula)
+    ranked = rank(run, config.formula, tuple(points))
     if not ranked:
         raise UnlocalizableFault("no statement has a positive suspiciousness score")
 
     rng = random.Random(config.seed)
-    failing = matrix.failing_test_names
     state = _SearchState(
         original=original,
         suite=suite,
-        originally_failing=failing,
-        order=run_order(suite, failing),
+        originally_failing=[name for name, passed in run if not passed],
+        order=run.order,
         config=config,
         rng=rng,
         navigator=Navigator(ranked, config.navigation, rng),
         points=points,
     )
     state.variants_evaluated = 1  # the original program, measured by the matrix
-
-    records = tuple((row.passed, row.functions) for row in matrix.rows)
-    verdicts = [(suite[i].name, records[i][0]) for i in state.order]
-    run = SuiteRun(verdicts, records, matrix.total_fail, suite, state.order, config.step_budget)
-    population = init_population(original, config.population_size, matrix.total_fail, run)
+    population = init_population(original, config.population_size, run.failures, run)
     best_per_generation: list[int] = []
     generations_run = 0
     for generation in range(1, config.max_generations + 1):

@@ -1,11 +1,14 @@
-"""Spectrum-based fault localization.
+"""Spectrum-based fault localization, and the record of a suite run.
 
-Runs the suite against a unit to build a coverage matrix (per-test
-verdict plus the set of executed statements), scores each executed
-statement with a suspiciousness formula, and offers navigation
-strategies for picking the next statement to modify. Scores live in
-[0, 1]; statements never executed by a failing test score 0 and are
-dropped from the ranked search space.
+A `SuiteRun` is the one record of a run of the suite on a program: each
+test's verdict and the ids of the statements it began. `build_matrix`
+runs the suite on the original program; that run is the coverage matrix
+`rank` reads, and the first run the search's children copy from (see
+`engine.fitness`). `rank` scores each executed statement with a
+suspiciousness formula, and `Navigator` offers strategies for picking
+the next statement to modify. Scores live in [0, 1]; statements never
+executed by a failing test score 0 and are dropped from the ranked
+search space.
 """
 
 from __future__ import annotations
@@ -13,38 +16,74 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from minirepair.minilang import SourceUnit, StatementId, all_statement_ids
+from minirepair.minilang import SourceUnit, StatementId
 from minirepair.minilang.testsuite import TestCase, run_test
 
 FORMULAS = ("ochiai", "tarantula", "weimer")
 STRATEGIES = ("weighted", "rank", "uniform")
 
 
-@dataclass(frozen=True)
-class CoverageRow:
-    test_name: str
-    passed: bool
-    executed: frozenset[StatementId]
-    # The names of the functions of `executed`, found from it unless given.
-    functions: frozenset[str] | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.functions is None:
-            object.__setattr__(self, "functions", frozenset(sid.function for sid in self.executed))
+# One test's run on a program: (passed, the ids of the statements whose
+# evaluation the run began, as `interpret` reports them).
+TestRecord = tuple[bool, frozenset[StatementId]]
 
 
-@dataclass(frozen=True)
-class CoverageMatrix:
-    rows: tuple[CoverageRow, ...]
-    total_pass: int
-    total_fail: int
-    statement_order: tuple[StatementId, ...]
+def run_order(suite: list[TestCase], originally_failing: list[str]) -> tuple[int, ...]:
+    """The suite positions in two-phase order: the originally failing tests
+    first, then the rest, each in suite order."""
+    first = set(originally_failing)
+    order = [i for i, t in enumerate(suite) if t.name in first]
+    return tuple(order + [i for i, t in enumerate(suite) if t.name not in first])
 
-    @property
-    def failing_test_names(self) -> list[str]:
-        return [row.test_name for row in self.rows if not row.passed]
+
+class SuiteRun(tuple):
+    """One run of `suite` on a program, the one record of it: its
+    verdicts, `(test name, passed)` for each test it reached, in run
+    `order`, as `validate` reads them; `records`, each test's `TestRecord`
+    by suite position, None for a test it has no record of; `failures`,
+    how many verdicts failed; and the `suite`, `order` and `step_budget`
+    it ran under. `build_matrix` makes the original program's, which
+    `rank` reads; a child's `fitness` reads its parent's through `index`."""
+
+    def __new__(
+        cls,
+        verdicts: list[tuple[str, bool]],
+        records: tuple[TestRecord | None, ...],
+        failures: int,
+        suite: list[TestCase],
+        order: tuple[int, ...],
+        step_budget: int,
+    ):
+        run = super().__new__(cls, verdicts)
+        run.records, run.failures = records, failures
+        run.suite, run.order, run.step_budget = suite, order, step_budget
+        run._index = None
+        return run
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the run from its fields and leave the
+        index out; a copy builds its own when first read."""
+        return type(self), (list(self), self.records, self.failures, self.suite, self.order, self.step_budget)
+
+    def index(self) -> tuple[dict[str, list[int]], list[int]]:
+        """`(by_function, unknown)`: for each function name the run-order
+        positions of the tests whose records began a statement of it, and
+        the positions with no record, each ascending. Built on the first
+        call and kept."""
+        if self._index is None:
+            by_function: dict[str, list[int]] = {}
+            unknown = []
+            for k, i in enumerate(self.order):
+                record = self.records[i]
+                if record is None:
+                    unknown.append(k)
+                    continue
+                for name in {sid.function for sid in record[1]}:
+                    by_function.setdefault(name, []).append(k)
+            self._index = by_function, unknown
+        return self._index
 
 
 @dataclass(frozen=True)
@@ -57,30 +96,20 @@ class SuspiciousStatement:
     np: int  # passing tests not executing it
 
 
-def build_matrix(
-    unit: SourceUnit,
-    suite: list[TestCase],
-    step_budget: int,
-    statement_order: tuple[StatementId, ...] | None = None,
-) -> CoverageMatrix:
-    """One row per test, in suite order; errors and budget blowups fail.
-    `statement_order` is `all_statement_ids(unit)` for a caller that has
-    walked the unit already."""
+def build_matrix(unit: SourceUnit, suite: list[TestCase], step_budget: int) -> SuiteRun:
+    """The run of `suite` on the original program: every test runs, in
+    suite order, and its verdicts stand in two-phase order (`run_order`).
+    Errors and budget blowups fail."""
     if not suite:
         raise ValueError("empty test suite")
-    rows = []
+    records = []
     for test in suite:
         passed, result = run_test(unit, test, step_budget)
-        rows.append(CoverageRow(test.name, passed, frozenset(result.executed), result.functions))
-    total_pass = sum(1 for row in rows if row.passed)
-    if statement_order is None:
-        statement_order = tuple(all_statement_ids(unit))
-    return CoverageMatrix(
-        rows=tuple(rows),
-        total_pass=total_pass,
-        total_fail=len(rows) - total_pass,
-        statement_order=statement_order,
-    )
+        records.append((passed, result.executed))
+    failing = [test.name for test, (passed, _) in zip(suite, records) if not passed]
+    order = run_order(suite, failing)
+    verdicts = [(suite[i].name, records[i][0]) for i in order]
+    return SuiteRun(verdicts, tuple(records), len(failing), suite, order, step_budget)
 
 
 def ochiai(ef: int, ep: int, nf: int) -> float:
@@ -106,34 +135,39 @@ def weimer_binary(ef: int, ep: int) -> float:
     return 1.0 if ep == 0 else 0.1
 
 
-def _score(formula: str, ef: int, ep: int, matrix: CoverageMatrix) -> float:
+def _score(formula: str, ef: int, ep: int, total_fail: int, total_pass: int) -> float:
     if formula == "ochiai":
-        return ochiai(ef, ep, matrix.total_fail - ef)
+        return ochiai(ef, ep, total_fail - ef)
     if formula == "tarantula":
-        return tarantula(ef, ep, matrix.total_fail, matrix.total_pass)
+        return tarantula(ef, ep, total_fail, total_pass)
     if formula == "weimer":
         return weimer_binary(ef, ep)
     raise ValueError(f"unknown formula {formula!r}")
 
 
-def rank(matrix: CoverageMatrix, formula: str = "ochiai") -> list[SuspiciousStatement]:
+def rank(run: SuiteRun, formula: str, statement_order: tuple[StatementId, ...]) -> list[SuspiciousStatement]:
     """Executed statements with positive scores, most suspicious first.
 
-    Ties break by statement order: function declaration order, then
-    pre-order index. Requires at least one failing test.
+    `statement_order` is the program's statements in function declaration
+    order, then pre-order index; ties break by it. Requires a record of
+    every test and at least one failing test.
     """
-    if matrix.total_fail < 1:
+    if None in run.records:
+        raise ValueError("fault localization needs a record of every test")
+    total_fail = run.failures
+    total_pass = len(run.records) - total_fail
+    if total_fail < 1:
         raise ValueError("fault localization needs at least one failing test")
     ef_by: Counter[StatementId] = Counter()
     ep_by: Counter[StatementId] = Counter()
-    for row in matrix.rows:
-        (ep_by if row.passed else ef_by).update(row.executed)
+    for passed, executed in run.records:
+        (ep_by if passed else ef_by).update(executed)
     ranked = []
-    for sid in matrix.statement_order:
+    for sid in statement_order:
         ef, ep = ef_by[sid], ep_by[sid]
         if not ef and not ep:
             continue
-        score = _score(formula, ef, ep, matrix)
+        score = _score(formula, ef, ep, total_fail, total_pass)
         if score <= 0.0:
             continue
         ranked.append(
@@ -142,8 +176,8 @@ def rank(matrix: CoverageMatrix, formula: str = "ochiai") -> list[SuspiciousStat
                 score=score,
                 ef=ef,
                 ep=ep,
-                nf=matrix.total_fail - ef,
-                np=matrix.total_pass - ep,
+                nf=total_fail - ef,
+                np=total_pass - ep,
             )
         )
     ranked.sort(key=lambda s: -s.score)  # stable: preserves statement order on ties

@@ -6,7 +6,9 @@ no I/O, no clock, and no randomness. Each statement evaluation costs one
 step; re-evaluated loop headers pay again, which is what bounds infinite
 loops. The `executed` set records exactly the ids of statements whose
 evaluation began, at statement granularity (an if/while header is one
-trace unit; its nested statements trace separately).
+trace unit; its nested statements trace separately). It is the coverage
+a suite run keeps of each test (`faultloc.SuiteRun`), for fault
+localization and for a child's test selection alike.
 
 Semantics notes:
   - `interpret` checks its arguments at entry (`value_type`), unless a
@@ -154,7 +156,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, count
 from types import CodeType, FunctionType
 
@@ -219,9 +221,7 @@ class ExecutionResult:
     value: Value | None = None
     error_kind: str | None = None
     error_at: StatementId | None = None
-    executed: set[StatementId] = field(default_factory=set)
-    # The names of the functions of the statements in `executed`.
-    functions: frozenset[str] = frozenset()
+    executed: frozenset[StatementId] = frozenset()
     steps_used: int = 0
     # Steps counted when the loop cut ended the run (status is then
     # budget exhaustion with steps_used == budget); None otherwise.
@@ -738,9 +738,9 @@ def interpret(
     kinds: tuple[str, ...] | None = None,
 ) -> ExecutionResult:
     """Run `fn_name(args)` and report outcome, coverage, and steps used.
-    Coverage comes twice: `executed`, the ids of the statements whose
-    evaluation began, and `functions`, the names of their functions, which
-    is all a caller that only asks which functions a run began needs.
+    Coverage is `executed`, the frozenset of the ids of the statements
+    whose evaluation began, built once at the end of the run; a suite
+    run's record keeps it as it is.
 
     Deterministic: identical inputs always yield identical results.
     `unit` must pass `check_unit` (see "Traps" in the module docstring).
@@ -785,12 +785,10 @@ def interpret(
     finally:
         sys.setrecursionlimit(limit)
     result.steps_used = step_budget if result.status == BUDGET_EXHAUSTED else step_budget - run.steps_left
-    began = []
-    for name, (_, _, hit, sids) in run.entered.items():
-        if True in hit:
-            began.append(name)
-            result.executed.update(compress(sids, hit))
-    result.functions = frozenset(began)
+    executed = []
+    for _, _, hit, sids in run.entered.values():
+        executed += compress(sids, hit)
+    result.executed = frozenset(executed)
     return result
 
 

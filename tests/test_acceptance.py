@@ -89,12 +89,13 @@ def test_criterion_3_fault_localization_oracle():
     for name in corpus_case_names():
         unit, suite, meta = load_corpus_case(name)
         budget = meta.get("config", {}).get("step_budget", 100_000)
-        matrix = build_matrix(unit, suite, budget)
-        if matrix.total_fail == 0:
+        run = build_matrix(unit, suite, budget)
+        if run.failures == 0:
             continue
+        order = tuple(all_statement_ids(unit))
         for formula in ("ochiai", "tarantula", "weimer"):
-            ranked = rank(matrix, formula)
-            expected = brute_force_rank(matrix, formula)
+            ranked = rank(run, formula, order)
+            expected = brute_force_rank(run, formula, order)
             assert [s.statement for s in ranked] == [s for s, _ in expected]
             for got, (_, want) in zip(ranked, expected):
                 assert abs(got.score - want) <= 1e-9

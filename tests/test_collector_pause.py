@@ -173,7 +173,7 @@ def test_evolve_restores_the_collector_when_it_raises(
     assert gc.isenabled() is collector
 
     with monkeypatch.context() as patched:
-        patched.setattr(engine_module, "rank", lambda matrix, formula: [])
+        patched.setattr(engine_module, "rank", lambda run, formula, statement_order: [])
         with pytest.raises(UnlocalizableFault):
             evolve(buggy_max, max_suite, config())
     assert gc.isenabled() is collector

@@ -17,7 +17,7 @@ from minirepair.engine import (
     select,
 )
 from minirepair.faultloc import build_matrix, rank
-from minirepair.minilang import parse, pretty_print
+from minirepair.minilang import all_statement_ids, parse, pretty_print
 from minirepair.minilang.testsuite import load_suite
 
 from samples import MAX_SUITE, load_corpus_case
@@ -139,7 +139,7 @@ def test_evolve_raises_when_nothing_is_suspicious(buggy_max, max_suite, monkeypa
     import minirepair.engine as engine_module
     from minirepair.engine import UnlocalizableFault
 
-    monkeypatch.setattr(engine_module, "rank", lambda matrix, formula: [])
+    monkeypatch.setattr(engine_module, "rank", lambda run, formula, statement_order: [])
     with pytest.raises(UnlocalizableFault):
         evolve(buggy_max, max_suite, config())
 
@@ -185,7 +185,8 @@ def test_a_search_runs_each_suite_once_per_program(buggy_max, max_suite, monkeyp
 
 def test_evolve_carries_the_ranked_spectrum(buggy_max, max_suite):
     outcome = evolve(buggy_max, max_suite, config())
-    assert outcome.spectrum == rank(build_matrix(buggy_max, max_suite, 100_000), "ochiai")
+    order = tuple(all_statement_ids(buggy_max))
+    assert outcome.spectrum == rank(build_matrix(buggy_max, max_suite, 100_000), "ochiai", order)
     assert "spectrum" not in outcome.report_dict()
 
 

@@ -6,19 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minirepair.faultloc import (
-    CoverageMatrix,
-    CoverageRow,
     Navigator,
+    SuiteRun,
     SuspiciousStatement,
     _score,
     build_matrix,
     ochiai,
     rank,
+    run_order,
     spectrum_rows,
     tarantula,
     weimer_binary,
 )
-from minirepair.minilang import StatementId, parse
+from minirepair.minilang import StatementId, all_statement_ids, parse, testsuite
 from minirepair.minilang.testsuite import load_suite
 
 from samples import MAX_SUITE, corpus_case_names, load_corpus_case
@@ -28,28 +28,41 @@ def sid(i, fn="max"):
     return StatementId(fn, i)
 
 
-# --- matrix construction ---------------------------------------------------
+def hand_run(rows):
+    """The complete run of a made-up suite: one test per `(passed,
+    executed)` row, named t0, t1, ..., all of a made-up function."""
+    suite = [testsuite.TestCase(f"t{k}", "f", (), 0) for k in range(len(rows))]
+    records = tuple((passed, frozenset(executed)) for passed, executed in rows)
+    failing = [test.name for test, (passed, _) in zip(suite, records) if not passed]
+    order = run_order(suite, failing)
+    verdicts = [(suite[i].name, records[i][0]) for i in order]
+    return SuiteRun(verdicts, records, len(failing), suite, order, 1)
+
+
+# --- the original's run ------------------------------------------------------
 
 
 def test_buggy_max_matrix(buggy_max, max_suite):
-    matrix = build_matrix(buggy_max, max_suite, 1000)
-    assert matrix.total_fail == 1 and matrix.total_pass == 1
-    failing = [row for row in matrix.rows if not row.passed]
-    assert len(failing) == 1
-    assert failing[0].test_name == "t1"
-    assert failing[0].executed == {sid(0), sid(1), sid(3)}
-    assert matrix.failing_test_names == ["t1"]
+    run = build_matrix(buggy_max, max_suite, 1000)
+    assert list(run) == [("t1", False), ("t2", True)]
+    assert run.failures == 1 and run.order == (0, 1) and run.step_budget == 1000
+    assert run.records[0] == (False, {sid(0), sid(1), sid(3)})
 
 
 def test_correct_max_matrix(correct_max):
     suite = load_suite(MAX_SUITE, correct_max)
-    matrix = build_matrix(correct_max, suite, 1000)
-    assert matrix.total_fail == 0 and matrix.total_pass == 2
+    run = build_matrix(correct_max, suite, 1000)
+    assert run.failures == 0 and [passed for _, passed in run] == [True, True]
 
 
 def test_single_failing_test(buggy_max, max_suite):
-    matrix = build_matrix(buggy_max, max_suite[:1], 1000)
-    assert matrix.total_fail == 1 and matrix.total_pass == 0
+    run = build_matrix(buggy_max, max_suite[:1], 1000)
+    assert list(run) == [("t1", False)] and run.failures == 1
+
+
+def test_the_run_lists_failing_tests_first(buggy_max, max_suite):
+    run = build_matrix(buggy_max, max_suite[::-1], 1000)
+    assert list(run) == [("t1", False), ("t2", True)] and run.order == (1, 0)
 
 
 def test_error_outcomes_count_as_failures():
@@ -57,8 +70,8 @@ def test_error_outcomes_count_as_failures():
     suite = load_suite(
         '{"tests": [{"name": "t", "call": {"fn": "f", "args": [0]}, "expect": 0}]}', unit
     )
-    matrix = build_matrix(unit, suite, 100)
-    assert matrix.total_fail == 1
+    run = build_matrix(unit, suite, 100)
+    assert run.failures == 1
 
 
 # --- formulas ----------------------------------------------------------------
@@ -115,8 +128,8 @@ def test_monotone_in_failing_coverage(ef, ep, nf, np_):
 
 
 def test_rank_buggy_max(buggy_max, max_suite):
-    matrix = build_matrix(buggy_max, max_suite, 1000)
-    ranked = rank(matrix, "ochiai")
+    run = build_matrix(buggy_max, max_suite, 1000)
+    ranked = rank(run, "ochiai", tuple(all_statement_ids(buggy_max)))
     assert [s.statement for s in ranked] == [sid(0), sid(1), sid(3)]
     for entry in ranked:
         assert entry.ef == 1 and entry.ep == 1 and entry.nf == 0 and entry.np == 0
@@ -135,52 +148,57 @@ def test_failing_only_statement_ranks_first():
         '{"name": "ok", "call": {"fn": "f", "args": [-1]}, "expect": 0}]}',
         unit,
     )
-    matrix = build_matrix(unit, suite, 100)
-    ranked = rank(matrix, "ochiai")
+    run = build_matrix(unit, suite, 100)
+    ranked = rank(run, "ochiai", tuple(all_statement_ids(unit)))
     assert ranked[0].statement == StatementId("f", 1)
     assert ranked[0].score == 1.0
 
 
 def test_zero_scores_are_excluded():
-    rows = (
-        CoverageRow("fail", False, frozenset()),
-        CoverageRow("pass", True, frozenset({sid(0)})),
-    )
-    matrix = CoverageMatrix(rows, 1, 1, (sid(0),))
-    assert rank(matrix, "ochiai") == []
+    run = hand_run([(False, ()), (True, {sid(0)})])
+    assert rank(run, "ochiai", (sid(0),)) == []
 
 
 def test_rank_requires_failing_test(correct_max):
     suite = load_suite(MAX_SUITE, correct_max)
-    matrix = build_matrix(correct_max, suite, 1000)
+    run = build_matrix(correct_max, suite, 1000)
     with pytest.raises(ValueError):
-        rank(matrix)
+        rank(run, "ochiai", tuple(all_statement_ids(correct_max)))
 
 
-def brute_force_rank(matrix, formula):
-    """Recompute suspiciousness straight from the raw rows."""
+def test_rank_requires_a_record_of_every_test():
+    run = hand_run([(False, {sid(0)}), (True, {sid(0), sid(1)})])
+    stopped = SuiteRun(list(run)[:1], run.records[:1] + (None,), 1, run.suite, run.order, 1)
+    with pytest.raises(ValueError, match="record of every test"):
+        rank(stopped, "ochiai", (sid(0), sid(1)))
+
+
+def brute_force_rank(run, formula, statement_order):
+    """Recompute suspiciousness straight from the raw records."""
+    total_fail = sum(1 for passed, _ in run.records if not passed)
+    total_pass = len(run.records) - total_fail
     covered = sorted(
-        {s for row in matrix.rows for s in row.executed},
-        key=matrix.statement_order.index,
+        {s for _, executed in run.records for s in executed},
+        key=statement_order.index,
     )
     scored = []
     for statement in covered:
         ef = ep = 0
-        for row in matrix.rows:
-            if statement in row.executed:
-                if row.passed:
+        for passed, executed in run.records:
+            if statement in executed:
+                if passed:
                     ep += 1
                 else:
                     ef += 1
-        nf = matrix.total_fail - ef
+        nf = total_fail - ef
         if formula == "ochiai":
             score = 0.0 if ef == 0 else ef / math.sqrt((ef + nf) * (ef + ep))
         elif formula == "tarantula":
             if ef == 0:
                 score = 0.0
             else:
-                fr = ef / matrix.total_fail
-                pr = ep / matrix.total_pass if matrix.total_pass else 0.0
+                fr = ef / total_fail
+                pr = ep / total_pass if total_pass else 0.0
                 score = fr / (fr + pr)
         else:
             score = 0.0 if ef == 0 else (1.0 if ep == 0 else 0.1)
@@ -194,56 +212,56 @@ def brute_force_rank(matrix, formula):
 @pytest.mark.parametrize("formula", ["ochiai", "tarantula", "weimer"])
 def test_rank_matches_brute_force(name, formula):
     unit, suite, _ = load_corpus_case(name)
-    matrix = build_matrix(unit, suite, 2000)
-    if matrix.total_fail == 0:
+    run = build_matrix(unit, suite, 2000)
+    if run.failures == 0:
         pytest.skip("corpus case has no failing test")
-    ranked = rank(matrix, formula)
-    expected = brute_force_rank(matrix, formula)
+    order = tuple(all_statement_ids(unit))
+    ranked = rank(run, formula, order)
+    expected = brute_force_rank(run, formula, order)
     assert [s.statement for s in ranked] == [statement for statement, _ in expected]
     for got, (_, want) in zip(ranked, expected):
         assert abs(got.score - want) <= 1e-9
 
 
-def rank_two_sums(matrix, formula):
-    """`rank` as it was before counting in one pass: two scans of the rows
-    for every covered statement."""
+def rank_two_sums(run, formula, statement_order):
+    """`rank` as it was before counting in one pass: two scans of the
+    records for every covered statement."""
+    total_fail = run.failures
+    total_pass = len(run.records) - total_fail
     covered = set()
-    for row in matrix.rows:
-        covered.update(row.executed)
+    for _, executed in run.records:
+        covered.update(executed)
     ranked = []
-    for statement in matrix.statement_order:
+    for statement in statement_order:
         if statement not in covered:
             continue
-        ef = sum(1 for row in matrix.rows if not row.passed and statement in row.executed)
-        ep = sum(1 for row in matrix.rows if row.passed and statement in row.executed)
-        score = _score(formula, ef, ep, matrix)
+        ef = sum(1 for passed, executed in run.records if not passed and statement in executed)
+        ep = sum(1 for passed, executed in run.records if passed and statement in executed)
+        score = _score(formula, ef, ep, total_fail, total_pass)
         if score <= 0.0:
             continue
-        ranked.append(
-            SuspiciousStatement(statement, score, ef, ep, matrix.total_fail - ef, matrix.total_pass - ep)
-        )
+        ranked.append(SuspiciousStatement(statement, score, ef, ep, total_fail - ef, total_pass - ep))
     ranked.sort(key=lambda s: -s.score)
     return ranked
 
 
-def random_matrix(rng):
-    """A matrix over two functions' statements; at least one row fails, and
-    few rows make many tied scores."""
+def random_run(rng):
+    """A run over two functions' statements, with its statement order; at
+    least one test fails, and few tests make many tied scores."""
     order = tuple(StatementId(fn, i) for fn in ("f", "g") for i in range(rng.randint(1, 8)))
     rows = []
     for t in range(rng.randint(1, 7)):
-        executed = frozenset(s for s in order if rng.random() < 0.5)
-        rows.append(CoverageRow(f"t{t}", t > 0 and rng.random() < 0.6, executed))
-    total_pass = sum(row.passed for row in rows)
-    return CoverageMatrix(tuple(rows), total_pass, len(rows) - total_pass, order)
+        executed = {s for s in order if rng.random() < 0.5}
+        rows.append((t > 0 and rng.random() < 0.6, executed))
+    return hand_run(rows), order
 
 
 @pytest.mark.parametrize("formula", ["ochiai", "tarantula", "weimer"])
 def test_one_pass_rank_matches_the_two_sum_form_on_random_matrices(formula):
     rng = random.Random(formula)
     for _ in range(500):
-        matrix = random_matrix(rng)
-        assert rank(matrix, formula) == rank_two_sums(matrix, formula)
+        run, order = random_run(rng)
+        assert rank(run, formula, order) == rank_two_sums(run, formula, order)
 
 
 # --- navigation ---------------------------------------------------------------
@@ -287,7 +305,7 @@ def test_empty_list_is_an_error():
 
 
 def test_spectrum_rows(buggy_max, max_suite):
-    ranked = rank(build_matrix(buggy_max, max_suite, 1000))
+    ranked = rank(build_matrix(buggy_max, max_suite, 1000), "ochiai", tuple(all_statement_ids(buggy_max)))
     rows = spectrum_rows(ranked)
     assert rows[0]["statement_id"] == "max:0"
     assert set(rows[0]) == {"statement_id", "ef", "ep", "nf", "np", "score"}

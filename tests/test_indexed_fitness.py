@@ -3,14 +3,14 @@
 `fitness` copies its parent's `SuiteRun` and reruns, in run order, only
 the tests its index lists under the child's unshared functions or without
 a record. `walk_fitness` below is the run as a walk: it visits every test
-in two-phase order and asks each parent record whether it began an
-unshared function. On random lineages in every mode, with parents whose
-runs are full runs, fast runs, full runs with holes punched in their
-records, runs in another order and runs at another budget, and with no
-parent, both runs give the same verdicts in the same order, the same
-records and the same failure count, and run the same tests in the same
-order, with `fast` off and on. A parent's run stands in only for a run of
-its suite, in its order, at its budget.
+in two-phase order and asks each parent record whether it began a
+statement of an unshared function. On random lineages in every mode,
+with parents whose runs are full runs, fast runs, full runs with holes
+punched in their records, runs in another order and runs at another
+budget, and with no parent, both runs give the same verdicts in the same
+order, the same records and the same failure count, and run the same
+tests in the same order, with `fast` off and on. A parent's run stands
+in only for a run of its suite, in its order, at its budget.
 """
 
 import random
@@ -18,7 +18,8 @@ import random
 import pytest
 
 import minirepair.engine as engine_module
-from minirepair.engine import ProgramVariant, SuiteRun, fitness, run_order
+from minirepair.engine import ProgramVariant, fitness
+from minirepair.faultloc import SuiteRun, run_order
 from minirepair.minilang import testsuite
 from minirepair.minilang.interpreter import RETURNED, interpret
 from minirepair.minilang.nodes import T_BOOL, T_INT
@@ -46,9 +47,9 @@ def walk_fitness(unit, suite, originally_failing, step_budget, fast=False, paren
     verdicts = []
     for i in order:
         record = None if edited is None else base.records[i]
-        if record is None or not edited.isdisjoint(record[1]):
+        if record is None or not edited.isdisjoint(sid.function for sid in record[1]):
             passed, result = testsuite.run_test(unit, suite[i], step_budget)
-            record = passed, frozenset(sid.function for sid in result.executed)
+            record = passed, result.executed
         records[i] = record
         verdicts.append((suite[i].name, record[0]))
         if fast and not record[0]:

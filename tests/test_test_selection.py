@@ -2,16 +2,16 @@
 its parent began no statement of the function the child edits the
 parent's verdict and record without running it. Over random lineages of
 several generations, the tests each fitness call runs are exactly those
-whose parent record is missing or began an unshared function, and every
-verdict and record, skipped or run, equals a fresh run of that test, also
-for a run that traps on entering the edited function. A parent's run at
-another step budget stands in for no test."""
+whose parent record is missing or began a statement of an unshared
+function, and every verdict and record, skipped or run, equals a fresh
+run of that test, also for a run that traps on entering the edited
+function. A parent's run at another step budget stands in for no test."""
 
 import pytest
 
 import minirepair.engine as engine_module
 from minirepair.engine import EngineConfig, NoFailingTest, UnlocalizableFault, evolve
-from minirepair.minilang import SourceUnit, parse, testsuite
+from minirepair.minilang import SourceUnit, StatementId, parse, testsuite
 from minirepair.minilang.testsuite import run_test
 from minirepair.operators import MODES
 
@@ -26,13 +26,14 @@ def two_phase_order(suite, failing):
 
 def selected(child, suite, parent, reached):
     """The names of the `reached` tests, in run order, whose run on the
-    parent left no record or began a function the child does not share."""
+    parent left no record or began a statement of a function the child
+    does not share."""
     unshared = {fn.name for fn, old in zip(child.functions, parent.ast.functions) if fn is not old}
     position = {test.name: i for i, test in enumerate(suite)}
     names = []
     for test in reached:
         record = parent.run.records[position[test.name]]
-        if record is None or not unshared.isdisjoint(record[1]):
+        if record is None or not unshared.isdisjoint(sid.function for sid in record[1]):
             names.append(test.name)
     return names
 
@@ -94,23 +95,27 @@ def test_skipped_and_run_verdicts_equal_fresh_runs_on_random_lineages(fast, monk
                 assert test not in reached
                 continue
             passed, result = real_run_test(child, test, STEP_BUDGET)
-            assert record == (passed, frozenset(sid.function for sid in result.executed))
+            assert record == (passed, result.executed)
             assert (test.name, passed) in run
 
 
 DEPTH_TRAP = """fn g(x: int) -> int { return x; }
 fn f(k: int) -> int { if (k > 0) { return f(k - 1); } return g(k); }
 """
+DEPTH_BUDGET = 1_000  # `f(199)` takes 400 steps to reach its call of `g`
 
 
 def test_a_run_that_traps_entering_the_edited_function_is_skipped_exactly(monkeypatch):
     """`f(199)` calls `g` from depth 200: the run enters `g` and traps before
-    its body, so its record holds `f` alone, and a child that edits `g`
-    takes its verdict without running it. That verdict equals a fresh run."""
+    its body, so its record holds statements of `f` alone, and a child that
+    edits `g` takes its verdict without running it. That verdict equals a
+    fresh run."""
     unit = parse(DEPTH_TRAP)
     suite = [testsuite.TestCase("deep", "f", (199,), 0), testsuite.TestCase("shallow", "f", (3,), 0)]
-    run = engine_module.fitness(unit, suite, [], STEP_BUDGET)
-    assert run.records == ((False, frozenset({"f"})), (True, frozenset({"f", "g"})))
+    assert run_test(unit, suite[0], DEPTH_BUDGET)[1].error_kind == "call-depth-exceeded"
+    run = engine_module.fitness(unit, suite, [], DEPTH_BUDGET)
+    in_f = {StatementId("f", k) for k in range(3)}
+    assert run.records == ((False, in_f), (True, in_f | {StatementId("g", 0)}))
     parent = engine_module.ProgramVariant(unit, [], 1, 0, run)
     edited_g = parse("fn g(x: int) -> int { return x + 1; }").functions[0]
     child = SourceUnit([edited_g, unit.functions[1]])
@@ -121,11 +126,11 @@ def test_a_run_that_traps_entering_the_edited_function_is_skipped_exactly(monkey
         return run_test(unit, test, budget)
 
     monkeypatch.setattr(engine_module, "run_test", counting)
-    run = engine_module.fitness(child, suite, [], STEP_BUDGET, parent=parent)
+    run = engine_module.fitness(child, suite, [], DEPTH_BUDGET, parent=parent)
     assert ran == ["shallow"]
     for test, record in zip(suite, run.records):
-        passed, result = run_test(child, test, STEP_BUDGET)
-        assert record == (passed, frozenset(sid.function for sid in result.executed))
+        passed, result = run_test(child, test, DEPTH_BUDGET)
+        assert record == (passed, result.executed)
     assert list(run) == [("deep", False), ("shallow", False)]
 
 
