@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Count the Python calls of one pool pass, a work count that timing noise
-cannot hide.
+"""Count the Python calls, or the executed bytecodes, of one pool pass: a
+work count that timing noise cannot hide.
 
-    python3 scripts/call_counts.py [CHECKOUT] [--calls NAME ...]
+    python3 scripts/call_counts.py [CHECKOUT] [--calls NAME ...] [--opcodes]
 
 CHECKOUT is the root of a checkout of this repository (by default the one
 holding this script); `minirepair` is imported from its `src/` and the
@@ -28,9 +28,18 @@ file, line and name, and of the code objects that share them, such as the
 one the profiler lists last, an order that follows memory addresses. Its
 `total_calls` therefore moved between runs with equal reports.
 
-Should the two profiled passes make different numbers of calls, it
-prints both totals and each function whose call count differs, and exits
-1, so that a count that is not deterministic names where it is not.
+With `--opcodes`, the two passes are traced instead of profiled, and it
+prints the bytecodes a pass executes, counted with `sys.settrace` and
+`f_trace_opcodes`; every Python frame counts, the generated hot loops
+included, and `--calls` prints the bytecodes each Python function NAME
+executes. A traced pass takes seconds, not the tenths of an untraced one.
+Work done in C (building sets, sorting, `str.join`) counts only as the
+bytecode that calls it, so the count complements timing and does not
+replace it.
+
+Should the two measured passes differ in their total, it prints both
+totals and each function whose count differs, and exits 1, so that a
+count that is not deterministic names where it is not.
 """
 
 from __future__ import annotations
@@ -53,6 +62,27 @@ def call_counts(profile: cProfile.Profile) -> Counter:
     for entry in profile.getstats():
         counts[entry.code] += entry.callcount
     return counts
+
+
+def opcode_counts(run, *args) -> tuple[Counter, object]:
+    """The bytecodes that `run(*args)` executes, by code object, and what
+    it returns. Tracing starts in the frames it calls."""
+    counts: Counter = Counter()
+
+    def trace(frame, event, arg):
+        if event == "call":
+            frame.f_trace_opcodes = True
+            frame.f_trace_lines = False
+        elif event == "opcode":
+            counts[frame.f_code] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        result = run(*args)
+    finally:
+        sys.settrace(None)
+    return counts, result
 
 
 def describe(code) -> str:
@@ -79,7 +109,9 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Count the Python calls of one pool pass.")
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--calls", nargs="+", default=[], metavar="NAME")
+    parser.add_argument("--opcodes", action="store_true", help="count executed bytecodes instead")
     args = parser.parse_args(argv)
+    unit = "bytecodes" if args.opcodes else "calls"
     checkout = args.checkout.resolve()
     sys.path.insert(0, str(checkout / "perfbench"))
     import worker  # puts the checkout's src/ first on the path
@@ -103,13 +135,18 @@ def main(argv: list[str]) -> int:
         warm = digest(outcomes(targets, pool))
         counts = []
         for _ in range(2):
-            profile = cProfile.Profile()
-            if digest(profile.runcall(outcomes, targets, pool)) != warm:
-                raise SystemExit(f"{name}: a profiled pass's reports differ from the warm-up's")
-            counts.append(call_counts(profile))
+            if args.opcodes:
+                count, results = opcode_counts(outcomes, targets, pool)
+            else:
+                profile = cProfile.Profile()
+                results = profile.runcall(outcomes, targets, pool)
+                count = call_counts(profile)
+            if digest(results) != warm:
+                raise SystemExit(f"{name}: a measured pass's reports differ from the warm-up's")
+            counts.append(count)
         first, second = (sum(count.values()) for count in counts)
         if first == second:
-            print(f"{name}: {first:,} calls in one pass of {len(pool)} jobs, reports {warm[:12]}")
+            print(f"{name}: {first:,} {unit} in one pass of {len(pool)} jobs, reports {warm[:12]}")
             by_name: Counter = Counter()
             for code, calls in counts[0].items():
                 by_name[name_of(code)] += calls
@@ -117,7 +154,7 @@ def main(argv: list[str]) -> int:
                 print(f"  {wanted}: {by_name[wanted]:,}")
             continue
         status = 1
-        print(f"{name}: the two profiled passes made {first:,} and {second:,} calls, reports {warm[:12]}")
+        print(f"{name}: the two passes made {first:,} and {second:,} {unit}, reports {warm[:12]}")
         for code in sorted(counts[0].keys() | counts[1].keys(), key=describe):
             before, after = counts[0][code], counts[1][code]
             if before != after:

@@ -7,13 +7,16 @@ unique type at any program point. A function is well-formed only when
 every control path that falls off its end is impossible, i.e. its body
 definitely returns.
 
-`check_unit` and its per-function part `check_function` are the only
-code that infers types. `check_unit` only accepts or rejects a unit.
-`check_function` also returns the binding environment just before each
-statement of its function, which the repair operators read; statements
-carry no id, so it keys that table by structural path, in pre-order.
-Asked only to accept or reject, it builds no table, and `UnitSignatures`
-gives it a unit's signatures one callee at a time.
+`check_unit`, its per-function part `check_function`, and `check_edit`
+are the only code that infers types. `check_unit` only accepts or
+rejects a unit. `check_function` also returns the binding environment
+just before each statement of its function, which the repair operators
+read; statements carry no id, so it keys that table by structural path,
+in pre-order. Asked only to accept or reject, it builds no table, and
+`UnitSignatures` gives it a unit's signatures one callee at a time.
+`check_edit` judges the child of one repair edit as `check_function`
+would, from the edit alone: what it wrote, the rest of that block, and
+the function's return coverage.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from minirepair.minilang.nodes import (
     Var,
     WhileStmt,
     child_blocks,
-    stmt_exprs,
+    stmt_expr_nodes,
 )
 
 ARITH = {"+", "-", "*", "/", "%"}
@@ -264,17 +267,17 @@ def _stmt_returns(stmt: Stmt) -> bool:
     return False
 
 
-def returns_after_edit(block: list[Stmt], path: Path, written: Stmt | None) -> bool:
-    """`_block_returns(block)` once the statement that `path` leads to from
-    `block` is `written`, or is removed when `written` is None. A branch
-    that the edit empties returns no more, so an `if` whose emptied else
-    branch is dropped is judged alike."""
+def returns_after_edit(block: list[Stmt], path: Path, written: list[Stmt]) -> bool:
+    """`_block_returns(block)` once the statements `written` stand in place
+    of the statement that `path` leads to from `block` (none for a
+    removal). A branch that the edit empties returns no more, so an `if`
+    whose emptied else branch is dropped is judged alike."""
     index = path[0][1]
     for i, stmt in enumerate(block):
         if i != index:
             returns = _stmt_returns(stmt)
         elif len(path) == 1:
-            returns = written is not None and _stmt_returns(written)
+            returns = _block_returns(written)
         else:
             slot = path[1][0]
             returns = (
@@ -292,70 +295,59 @@ def returns_after_edit(block: list[Stmt], path: Path, written: Stmt | None) -> b
     return False
 
 
+def check_edit(fn: FunctionDef, path: Path, written: list[Stmt], env: Env, sigs) -> None:
+    """Type-check an edit of `fn`, a well-typed function, against the
+    unit's signatures `sigs`: the statements `written` stand in place of
+    the statement `path` leads to (none for a removal; the inserted
+    statement and then that statement for an insertion), and `env` is the
+    binding environment before it, which is left as it is. Raises
+    CheckError exactly when `check_function` would on the edited
+    function, checking in order:
+    - `written`, typed in `env`;
+    - the rest of their block, typed in the environment they leave;
+    - return coverage (`returns_after_edit`).
+
+    Nothing else can change the verdict: `fn` is well typed, and the names
+    a block declares do not escape it, so every statement before the edit
+    and every statement after the edited block is typed in the environment
+    it has in `fn`."""
+    block = fn.body
+    for (_, index), (slot, _) in zip(path, path[1:]):
+        block = dict(child_blocks(block[index]))[slot]
+    env = dict(env)
+    for stmt in written + block[path[-1][1] + 1 :]:
+        _check_stmt(stmt, None, env, fn, sigs, None)
+    if not returns_after_edit(fn.body, path, written):
+        raise CheckError(f"missing return on some path through function {fn.name!r}")
+
+
 def typed_free_vars(stmt: Stmt, origin_env: dict[str, str]) -> frozenset[tuple[str, str]]:
     """Variables a statement reads or writes without binding them itself.
 
     Types are taken from `origin_env`, the binding environment at the
-    statement's original position. It is the first of `statement_facts`."""
-    return statement_facts(stmt, origin_env)[0]
-
-
-def statement_facts(
-    stmt: Stmt, origin_env: dict[str, str]
-) -> tuple[frozenset[tuple[str, str]], frozenset[str], int]:
-    """What a statement offered for reuse needs to be judged at another
-    position, from one walk: its typed free variables (`typed_free_vars`),
-    the names its `let`s declare at any depth, and its height, the number
-    of nesting levels from it down to its deepest node as
-    `nodes.iter_depths` counts them. So it nests within `MAX_NESTING` at
-    depth `d` exactly when `d + height - 1 <= MAX_NESTING`.
-
-    The walk is the module-level `_note_stmt`, not a nested closure: a
-    closure that calls itself holds its own cell, a reference cycle that
-    only the cyclic collector frees, and a search makes none
-    (`engine.evolve` runs with it paused).
+    statement's original position. The walk is the module-level
+    `_note_free`, not a nested closure: a closure that calls itself holds
+    its own cell, a reference cycle that only the cyclic collector frees,
+    and a search makes none (`engine.evolve` runs with it paused).
     """
     free: set[tuple[str, str]] = set()
-    declared: set[str] = set()
-    height = _note_stmt(stmt, [set()], origin_env, free, declared)
-    return frozenset(free), frozenset(declared), height
+    _note_free(stmt, [set()], origin_env, free)
+    return frozenset(free)
 
 
-def _note_stmt(
-    stmt: Stmt, bound: list[set[str]], origin_env: dict[str, str], free: set, declared: set
-) -> int:
+def _note_free(stmt: Stmt, bound: list[set[str]], origin_env: dict[str, str], free: set) -> None:
     """Add to `free` each `(name, type)` that `stmt` uses and no frame of
-    `bound`, the names bound by each enclosing block, binds, and to
-    `declared` each name its `let`s declare; return its height."""
-    names = [stmt.name] if isinstance(stmt, (AssignStmt, IndexAssignStmt)) else []
-    height = 0
-    for expr in stmt_exprs(stmt):
-        height = max(height, _note_expr(expr, names))
+    `bound`, the names bound by each enclosing block, binds."""
+    names = [node.name for node in stmt_expr_nodes(stmt) if isinstance(node, (Var, Index))]
+    if isinstance(stmt, (AssignStmt, IndexAssignStmt)):
+        names.append(stmt.name)
     for name in names:
         if not any(name in frame for frame in bound):
             free.add((name, origin_env.get(name, "?")))
     if isinstance(stmt, LetStmt):
         bound[-1].add(stmt.name)
-        declared.add(stmt.name)
     for _, body in child_blocks(stmt):
         bound.append(set())
         for child in body:
-            height = max(height, _note_stmt(child, bound, origin_env, free, declared))
+            _note_free(child, bound, origin_env, free)
         bound.pop()
-    return height + 1
-
-
-def _note_expr(expr: Expr, names: list[str]) -> int:
-    """Append to `names` each variable `expr` reads; return its height.
-    Its children are what `nodes.iter_depths` counts as such: each node
-    in a field, and each node of a list in a field."""
-    if isinstance(expr, (Var, Index)):
-        names.append(expr.name)
-    height = 0
-    for value in vars(expr).values():
-        if isinstance(value, Expr):
-            height = max(height, _note_expr(value, names))
-        elif isinstance(value, list):
-            for item in value:
-                height = max(height, _note_expr(item, names))
-    return height + 1

@@ -27,8 +27,8 @@ through them rather than walking the tree themselves:
                `copy_path` copies along it
   expressions  `walk_expr` (pre-order, left to right); `stmt_expr_nodes`
                applies it to a statement's own expressions, `stmt_exprs`;
-               `iter_depths` walks statements and expressions alike, and
-               the checker's `statement_facts` counts depth as it does
+               `iter_depths` walks statements and expressions alike,
+               with the nesting depth that `parser.check_nesting` bounds
 """
 
 from __future__ import annotations

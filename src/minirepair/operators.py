@@ -12,26 +12,23 @@ Three families, gated by engine mode:
               operator replacement plus condition negation.
 
 Children are copy-on-write at statement level, and `apply_patch_op`
-makes every one. It resolves the modification point in the parent and
-path-copies the function holding it (`copy_path`): the function, the
-blocks on the point's path and the compound statements holding them are
-fresh, and every other statement is the parent's own object. The kind's
-family edit then changes the copied block at the point, cloning only
-what it writes: the point statement for the template and mutation kinds,
-an inserted ingredient for jgenprog. `_finish` nesting-checks the
-statement the edit wrote, at the point's depth, and type-checks the
-edited function against the unit's signatures, which no operator
-changes; the child shares every other FunctionDef with its parent.
+makes every one. It resolves the modification point in the parent, and
+the kind's family edit says what stands in the child in place of the
+point statement: nothing for a removal, an ingredient (before the point
+statement, for an insertion), or a rewritten copy of the point statement
+for the template and mutation kinds. That is judged before anything is
+copied, as the compiler judges a variant in Astor: what was written must
+nest within the parser's limit at the point's depth (`check_nesting`),
+and the edited function must type-check against the unit's signatures,
+which no operator changes (`check_edit`, which reads only what was
+written, the rest of its block and the return coverage). So a discarded
+draw pays no copy. A kept one path-copies the function holding the point
+(`copy_path`): the function, the blocks on the point's path and the
+compound statements holding them are fresh, and every other statement
+is the parent's own object; what was written, with an ingredient cloned,
+takes the point's place in the copied block. The child shares every
+other FunctionDef with its parent.
 
-A discarded jgenprog draw pays no copy. Before it copies anything,
-`apply_patch_op` rejects, with the `TypeCheckFailed` that `_finish` would
-raise, each jgenprog op whose child is certain to fail the check
-(`_certain_type_error`): an ingredient nested too deep at the point, one
-that redeclares a visible name, a `return` of another type, a `let`
-removed from before its uses, a body left without a return. It reads the
-facts the ingredient records carry (`declares`, `height`), so an op it
-cannot decide is copied and checked as before, and every child that is
-kept is still checked whole.
 Sharing is safe because no node is edited once the call that made it
 (the parser or `apply_patch_op`) has returned: the parent is never
 touched. Statement ids are positional (`iter_function_paths`), so a
@@ -70,12 +67,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from minirepair.minilang import SourceUnit, StatementId, resolve_container
-from minirepair.minilang.checker import (
-    UnitSignatures,
-    check_function,
-    returns_after_edit,
-    statement_facts,
-)
+from minirepair.minilang.checker import UnitSignatures, check_edit, check_function, typed_free_vars
 from minirepair.minilang.errors import MiniLangError
 from minirepair.minilang.nodes import (
     ARITH_OPS,
@@ -88,7 +80,6 @@ from minirepair.minilang.nodes import (
     IndexAssignStmt,
     IntLit,
     Len,
-    LetStmt,
     LOGIC_OPS,
     Path,
     REL_OPS,
@@ -101,15 +92,14 @@ from minirepair.minilang.nodes import (
     clone,
     copy_path,
     copy_statement,
-    iter_depths,
     iter_function_paths,
     stmt_expr_nodes,
 )
-from minirepair.minilang.parser import MAX_NESTING, check_nesting
+from minirepair.minilang.parser import check_nesting
 from minirepair.minilang.printer import print_stmt
 
-# The whole-unit entry points, which no child needs since `_finish` checks
-# one function. They stay importable from here because the benchmark's
+# The whole-unit entry points, which no child needs since `check_edit`
+# checks one edit. They stay importable from here because the benchmark's
 # layer probes (`perfbench/spans.py`) name them.
 from minirepair.minilang.checker import check_unit  # noqa: F401
 from minirepair.minilang.nodes import normalize  # noqa: F401
@@ -153,16 +143,13 @@ class ModificationPoint:
 class Ingredient:
     """A statement of a unit offered for reuse. `stmt` is the unit's own
     node, shared and never edited; `text` is its condensed print.
-    `free_vars`, `declares` and `height` are its `statement_facts`, and
-    `is_return_rooted` says whether it is a `return`, found once here so
-    that a draw reads it."""
+    `free_vars` are its `typed_free_vars`, and `is_return_rooted` says
+    whether it is a `return`, found once here so that a draw reads it."""
 
     stmt: Stmt
     origin: StatementId
     free_vars: frozenset[tuple[str, str]]
     text: str
-    declares: frozenset[str]
-    height: int
     is_return_rooted: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -318,9 +305,8 @@ def function_ingredients(unit: SourceUnit, fn: FunctionDef) -> tuple[Ingredient,
     if cached is None:
         envs = function_envs(unit, fn)
         cached = fn._ingredients = tuple(
-            Ingredient(stmt, sid, free, _condense(print_stmt(stmt)), declares, height)
+            Ingredient(stmt, sid, typed_free_vars(stmt, envs[path]), _condense(print_stmt(stmt)))
             for sid, path, stmt in iter_function_paths(fn)
-            for free, declares, height in (statement_facts(stmt, envs[path]),)
         )
     return cached
 
@@ -405,118 +391,39 @@ def _locate(unit: SourceUnit, point: ModificationPoint, located: Located | None 
     return Located(unit, point, *found)
 
 
-def _finish(child: SourceUnit, fn: FunctionDef, written: Stmt | None, depth: int) -> None:
-    """Nesting-check the statement an edit wrote, which sits at `depth`,
-    then type-check `fn`, the edited function of `child`. Nothing else of
-    the function is new, so nothing else can nest deeper than its parent
-    did. The check builds no environment table: `function_envs` builds
-    one if the child is drawn as a parent.
-
-    A jgenprog draw that this check is certain to reject never gets here:
-    `_certain_type_error` rejects it before the path copy, so a discarded
-    draw pays no copy, no clone and no check. Every child that is kept is
-    still judged here."""
-    try:
-        if written is not None:
-            check_nesting([written], depth)
-        check_function(fn, UnitSignatures(child), table=False)
-    except MiniLangError as exc:
-        raise TypeCheckFailed(str(exc)) from exc
+# Each family's edit returns the statements that stand in its child in
+# place of `at`, the parent's point statement, and completes `payload`. It
+# edits nothing: what it rewrites it copies first (`copy_statement`), and
+# an ingredient it returns is its unit's own node, which `apply_patch_op`
+# clones once the child is known to check. `env` is the parent's
+# environment before the point.
 
 
-def _admit_ingredient(kind: str, ingredient: Ingredient | None, env: dict[str, str]) -> None:
-    """The jgenprog family's own conditions on an op, which need no copy:
-    a `return` is never inserted, and every free variable of the
-    ingredient is bound at the point, with its type."""
-    if ingredient is None:  # a removal
-        return
+def _genprog_edit(kind, at, payload, env, rng, parent) -> list[Stmt]:
+    """Insert an ingredient before, replace, or remove the point statement,
+    once the family admits it: a `return` is never inserted, and every
+    free variable of the ingredient is bound at the point, with its type."""
+    if kind == "Remove":
+        return []
+    ingredient = payload["ingredient"]
     if kind == "InsertBefore" and ingredient.is_return_rooted:
         raise NotApplicable("return statements are never inserted")
     if not env.items() >= ingredient.free_vars:  # a free variable unbound or retyped
         raise ScopeViolation(f"ingredient from {ingredient.origin} out of scope")
-
-
-def _certain_type_error(
-    parent: SourceUnit,
-    fn: FunctionDef,
-    path: Path,
-    block: list[Stmt],
-    index: int,
-    kind: str,
-    ingredient: Ingredient | None,
-    env: dict[str, str],
-) -> str | None:
-    """Why `_finish` is certain to reject the child of an admitted jgenprog
-    op, found in the parent before any copy; None when these rules cannot
-    tell, and `_finish` decides. `fn` is the parent's function holding the
-    point, `block[index]` the point statement and `env` the environment
-    before it. Each rule rests on the parent's being well typed, and on
-    the ingredient's coming from a unit with the parent's signatures:
-    - an ingredient nests deeper than the limit at the point's depth;
-    - it declares, at any depth, a name visible at the point, and MiniLang
-      has no shadowing;
-    - a `return` that replaces the point returns its origin function's
-      type, since its free variables keep their types (`_admit_ingredient`),
-      and that is not the point function's;
-    - a removed or replaced `let x` leaves `x` unbound for each later
-      statement of its block, none of which can declare `x` again, unless
-      a `let x` replaces it;
-    - the edit leaves the body with no statement that definitely returns.
-    """
-    if ingredient is not None:
-        if len(path) + ingredient.height - 1 > MAX_NESTING:
-            return f"nesting deeper than {MAX_NESTING} levels"
-        if not env.keys().isdisjoint(ingredient.declares):
-            return f"ingredient from {ingredient.origin} redeclares a visible name"
-        if kind == "Replace" and ingredient.is_return_rooted:
-            origin = parent.function(ingredient.origin.function)
-            if origin is not None and origin.return_type != fn.return_type:
-                return f"ingredient from {ingredient.origin} returns {origin.return_type}"
-    if kind == "InsertBefore":
-        return None
-    written = None if ingredient is None else ingredient.stmt
-    at = block[index]
-    if isinstance(at, LetStmt) and not (isinstance(written, LetStmt) and written.name == at.name):
-        # A node of a later statement named `x` is a use: a variable, an
-        # indexed array or an assignment target.
-        later = iter_depths(block[index + 1 :])
-        if any(getattr(node, "name", None) == at.name for node, _ in later):
-            return f"{at.name!r} is used after its `let` is gone"
-    if not returns_after_edit(fn.body, path, written):
-        return f"missing return on some path through function {fn.name!r}"
-    return None
-
-
-# Each family's edit changes the path-copied `block` in place at `index`,
-# completes `payload` and returns the statement it wrote there that still
-# needs its nesting checked (None for a removal, and for an ingredient,
-# whose height `_certain_type_error` read). It copies whatever it changes
-# below that block: the block is fresh, but the statements in it are the
-# parent's. `env` is the parent's environment before the point.
-
-
-def _genprog_edit(kind, block, index, payload, env, rng, parent) -> None:
-    """Insert an ingredient before, replace, or remove the point statement;
-    `_admit_ingredient` has admitted the op."""
-    if kind == "Remove":
-        del block[index]
-    elif kind == "InsertBefore":
-        block.insert(index, clone(payload["ingredient"].stmt))
-    else:
-        block[index] = clone(payload["ingredient"].stmt)
+    return [ingredient.stmt, at] if kind == "InsertBefore" else [ingredient.stmt]
 
 
 _MUTATION_FAMILIES = {"MutRelationalOp": REL_OPS, "MutLogicalOp": LOGIC_OPS, "MutArithmeticOp": ARITH_OPS}
 
 
-def _mutation_edit(kind, block, index, payload, env, rng, parent) -> Stmt:
+def _mutation_edit(kind, at, payload, env, rng, parent) -> list[Stmt]:
     """Swap one operator (or negate one condition) at the recorded site."""
-    stmt = block[index] = copy_statement(block[index])
+    stmt = copy_statement(at)
     if kind == "MutNegateCondition":
         if not isinstance(stmt, (IfStmt, WhileStmt)):
             raise NotApplicable("statement has no condition")
         stmt.cond = Unary("!", stmt.cond)
-        return stmt
+        return [stmt]
     sites = binary_sites(stmt, _MUTATION_FAMILIES[kind])
     site = payload.get("site", 0)
     if site >= len(sites):
@@ -530,16 +437,15 @@ def _mutation_edit(kind, block, index, payload, env, rng, parent) -> Stmt:
         if replacement == node.op:
             raise NotApplicable("replacement equals the original operator")
         node.op = replacement
-    return stmt
+    return [stmt]
 
 
-def _template_edit(kind, block, index, payload, env, rng, parent) -> Stmt:
+def _template_edit(kind, at, payload, env, rng, parent) -> list[Stmt]:
     """Apply one template; draws unresolved parameters from `rng`. The
     guard wraps the parent's statement, shared; the other templates
     rewrite a copy of it."""
-    stmt = block[index]
     if kind == "TemplateGuardArrayAccess":
-        sites = index_access_sites(stmt)
+        sites = index_access_sites(at)
         site = payload.get("site", 0)
         if site >= len(sites):
             raise NotApplicable("statement contains no such array access")
@@ -551,10 +457,9 @@ def _template_edit(kind, block, index, payload, env, rng, parent) -> Stmt:
             Binary(">=", clone(index_expr), IntLit(0)),
             Binary("<", clone(index_expr), Len(Var(array))),
         )
-        block[index] = IfStmt(guard, [stmt], None)
-        return block[index]
+        return [IfStmt(guard, [at], None)]
 
-    stmt = block[index] = copy_statement(stmt)
+    stmt = copy_statement(at)
     if kind == "TemplateMutateConditionTerm":
         if not isinstance(stmt, (IfStmt, WhileStmt)):
             raise NotApplicable("statement has no condition")
@@ -579,7 +484,7 @@ def _template_edit(kind, block, index, payload, env, rng, parent) -> Stmt:
         if "arg_index" not in payload:
             payload.update(_draw_argument_swap(parent, env, call, rng))
         call.args[payload["arg_index"]] = Var(payload["var_name"])
-    return stmt
+    return [stmt]
 
 
 def _require_rng(rng: random.Random | None) -> random.Random:
@@ -646,11 +551,11 @@ def apply_patch_op(
 
     The point is resolved in the parent (an op of `enumerate_ops` on the
     parent carries it resolved), whose environment before it is what the
-    edit's scope checks and draws read. A jgenprog op is admitted
-    and, when certain to fail the type check, rejected there, before any
-    copy. The kind's edit then changes the block the point ends in, in a
-    path copy of its function. A removal that empties an else branch
-    drops the branch, as the parser does, so the child is canonical.
+    edit's scope checks and draws read. The kind's edit says what stands in
+    place of the point statement, and that is checked before anything is
+    copied; it then takes the point's place in the block the point ends
+    in, in a path copy of its function. A removal that empties an else
+    branch drops the branch, as the parser does, so the child is canonical.
     """
     edit = _EDITS.get(op.kind)
     if edit is None:
@@ -660,22 +565,20 @@ def apply_patch_op(
     if env is None:
         env = _env_before(parent, point)
     edited = parent.function(point.statement.function)
-    if edit is _genprog_edit:
-        ingredient = None if op.kind == "Remove" else op.payload["ingredient"]
-        _admit_ingredient(op.kind, ingredient, env)
-        error = _certain_type_error(
-            parent, edited, point.path, at_block, at_index, op.kind, ingredient, env
-        )
-        if error is not None:
-            raise TypeCheckFailed(error)
-    fn, owner, block, index = copy_path(edited, point.path)
     payload = dict(op.payload)
-    written = edit(op.kind, block, index, payload, env, rng, parent)
+    written = edit(op.kind, at_block[at_index], payload, env, rng, parent)
+    try:  # only the first is new: a second is the point statement, kept
+        check_nesting(written[:1], len(point.path))
+        check_edit(edited, point.path, written, env, UnitSignatures(parent))
+    except MiniLangError as exc:
+        raise TypeCheckFailed(str(exc)) from exc
+    if op.kind in ("InsertBefore", "Replace"):  # an ingredient, a node of its unit
+        written[0] = clone(written[0])
+    fn, owner, block, index = copy_path(edited, point.path)
+    block[index : index + 1] = written
     if not block and isinstance(owner, IfStmt) and owner.else_body is block:
         owner.else_body = None
-    child = parent.replacing(edited, fn)
-    _finish(child, fn, written, len(point.path))
-    return child, PatchOp(op.kind, point, payload, op.generation)
+    return parent.replacing(edited, fn), PatchOp(op.kind, point, payload, op.generation)
 
 
 # --- enumeration ----------------------------------------------------------

@@ -1,15 +1,15 @@
 """The child maker that path copying replaced, kept as the reference for
 differential tests.
 
-`apply_reference` copies the whole edited function (`clone`), runs the
-operation kind's family edit on the copy, then normalizes the unit and
-checks the nesting and the types of the whole function, as every child
-was made before statements were shared between variants and before any
-jgenprog op was rejected ahead of its copy. The binding environment
-comes from the reference harvester's own inference. The family edits
-themselves are the operators' own, and so is jgenprog's scope check
-(`_admit_ingredient`): what this reference checks is the copying, the
-canonical form and the checks around them.
+`apply_reference` copies the whole edited function (`clone`), puts what
+the operation kind's family edit writes in place of the point statement
+of the copy, then normalizes the unit and checks the nesting and the
+types of the whole function, as every child was made before statements
+were shared between variants and before any op was checked ahead of its
+copy. The binding environment comes from the reference harvester's own
+inference. The family edits themselves are the operators' own, and so is
+jgenprog's scope check within them: what this reference checks is the
+copying, the canonical form and the checks around them.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ def apply_reference(parent: SourceUnit, op: PatchOp, rng=None) -> tuple[SourceUn
     )
     block, index = resolve_container(child, name, path)
     payload = dict(op.payload)
-    if op.kind in operators.GENPROG_KINDS:
-        operators._admit_ingredient(op.kind, payload.get("ingredient"), env)
-    edit(op.kind, block, index, payload, env, rng, parent)
+    written = edit(op.kind, block[index], payload, env, rng, parent)
+    block[index : index + 1] = [clone(stmt) for stmt in written]
     normalize(child)
     fn = child.function(name)
     try:

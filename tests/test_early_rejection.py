@@ -1,9 +1,10 @@
-"""A discarded jgenprog draw costs no copy. `apply_patch_op` rejects an op
-whose child `_finish` is certain to reject before it path-copies anything
-(`operators._certain_type_error`); `harvest_ingredients` keeps one
-deduplicated pool per unit and scope in the caller's `pools`; and
-`GenprogOps` builds only the op it is asked for. Each is checked here
-against the path it replaced: the full-copy child maker
+"""A discarded draw costs no copy. `apply_patch_op` judges every op with
+`checker.check_edit` and `check_nesting` on what its edit writes before it
+path-copies anything, so every `TypeCheckFailed` comes before the copy;
+`harvest_ingredients` keeps one deduplicated pool per unit and scope in
+the caller's `pools`; and `GenprogOps` builds only the op it is asked
+for. Each is checked here against the path it replaced: the full-copy
+child maker, which checks the whole edited function
 (`reference_children`), the walking harvester (`reference_harvest`) and
 the fully built op list."""
 
@@ -19,15 +20,15 @@ from hypothesis import strategies as st
 from minirepair import engine, operators
 from minirepair.engine import EngineConfig, evolve
 from minirepair.minilang import StatementId, parse, path_of
-from minirepair.minilang.checker import _block_returns, returns_after_edit, statement_facts
-from minirepair.minilang.nodes import (
-    IfStmt,
-    LetStmt,
-    copy_path,
-    iter_depths,
-    iter_statement_paths,
+from minirepair.minilang.checker import (
+    _block_returns,
+    check_edit,
+    check_function,
+    returns_after_edit,
+    signatures,
 )
-from minirepair.minilang.parser import MAX_NESTING
+from minirepair.minilang.errors import CheckError
+from minirepair.minilang.nodes import IfStmt, copy_path, iter_statement_paths
 from minirepair.operators import (
     MODES,
     SCOPES,
@@ -38,6 +39,7 @@ from minirepair.operators import (
     TypeCheckFailed,
     apply_patch_op,
     enumerate_ops,
+    function_envs,
     harvest_ingredients,
 )
 
@@ -67,63 +69,64 @@ class CopyCounter:
         monkeypatch.setattr(operators, "copy_path", counted)
 
 
-def every_ingredient_op(unit, point, scope):
+def every_checked_op(unit, point):
     """Remove, and a Replace and an InsertBefore with every ingredient of
-    the point's pool, fitting or not, so that each skip the family raises
-    before the type check is met too."""
+    the point's pools in both scopes, fitting or not, so that each skip
+    the family raises before the type check is met too; then every
+    template and mutation op at the point."""
     yield PatchOp("Remove", point)
-    for ingredient in harvest_ingredients(unit, point, scope).entries:
+    pools = [harvest_ingredients(unit, point, scope).entries for scope in SCOPES]
+    for ingredient in {id(entry): entry for entries in pools for entry in entries}.values():
         for kind in ("Replace", "InsertBefore"):
             yield PatchOp(kind, point, {"ingredient": ingredient})
+    for mode in ("jpar", "jmutrepair"):
+        yield from enumerate_ops(mode, point, unit)
 
 
-def skip_of(make, unit, op):
+def made_by(make, unit, op):
+    """(skip class, child) of making `op`'s child with `make`."""
     try:
-        make(unit, op, random.Random(0))
+        child, _ = make(unit, op, random.Random(0))
     except PatchSkip as skip:
-        return type(skip)
-    return None
+        return type(skip), None
+    return None, child
 
 
-def assert_early_rejections_are_sound(unit, counter, rng=None):
-    """Every op of every point, in both scopes: an op that `apply_patch_op`
-    rejects with no copy made is one that the full-copy reference's full
-    check rejects, and every other op is skipped as the reference skips it
-    (with `rng`, one in ten of them is compared). Returns the count of
-    early rejections."""
-    early = 0
+def assert_checks_are_exact(unit, counter):
+    """Every op of every point: the skip class and the child are the
+    full-copy reference's, and a `TypeCheckFailed` comes with no copy
+    made. Returns the count of type-check failures."""
+    failures = 0
     for point in all_points(unit):
-        for scope in SCOPES:
-            for op in every_ingredient_op(unit, point, scope):
-                before = counter.copies
-                skip = skip_of(apply_patch_op, unit, op)
-                rejected = skip is TypeCheckFailed and counter.copies == before
-                early += rejected
-                if rejected or rng is None or rng.random() < 0.1:
-                    assert skip is skip_of(apply_reference, unit, op), (op.kind, op.point, op.payload)
-    return early
+        for op in every_checked_op(unit, point):
+            before = counter.copies
+            made = made_by(apply_patch_op, unit, op)
+            assert made == made_by(apply_reference, unit, op), (op.kind, op.point, op.payload)
+            if made[0] is TypeCheckFailed:
+                failures += 1
+                assert counter.copies == before, (op.kind, op.point, op.payload)
+    return failures
 
 
-def test_early_rejections_are_sound_on_the_merged_corpus(monkeypatch):
+def test_every_type_check_failure_is_exact_and_copy_free_on_the_merged_corpus(monkeypatch):
     counter = CopyCounter(monkeypatch)
-    assert assert_early_rejections_are_sound(merged_corpus_unit(), counter) > 0
+    assert assert_checks_are_exact(merged_corpus_unit(), counter) > 0
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
-def test_early_rejections_are_sound_on_random_lineages(seed):
+def test_every_type_check_failure_is_exact_and_copy_free_on_random_lineages(seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         counter = CopyCounter(monkeypatch)
         for mode in MODES:
             parents = [parent for parent, _, _ in random_lineage(seed, mode, generations=3)]
             for parent in parents or [random_unit(seed)]:
-                assert_early_rejections_are_sound(parent, counter, random.Random(seed))
+                assert_checks_are_exact(parent, counter)
 
 
-def test_most_type_check_failures_of_a_genprog_wide_pass_need_no_copy(monkeypatch):
-    """The floor: a pass of the benchmark's `genprog-wide` pool meets 355
-    type-check failures, and the rules catch at least 280 of them before
-    the copy."""
+def test_every_type_check_failure_of_a_genprog_wide_pass_needs_no_copy(monkeypatch):
+    """A pass of the benchmark's `genprog-wide` pool meets 355 type-check
+    failures, and every one is raised before the copy."""
     counter = CopyCounter(monkeypatch)
     failures = {"all": 0, "early": 0}
     apply = engine.apply_patch_op
@@ -141,11 +144,10 @@ def test_most_type_check_failures_of_a_genprog_wide_pass_need_no_copy(monkeypatc
     targets = worker.load_targets("genprog-wide")
     for job in workloads.job_pool("genprog-wide"):
         evolve(*targets[job.target], EngineConfig(**job.engine_kwargs()))
-    assert failures["all"] == 355
-    assert failures["early"] >= 280
+    assert failures == {"all": 355, "early": 355}
 
 
-# --- the facts the rules read -----------------------------------------------
+# --- the check itself -------------------------------------------------------
 
 
 def facts_units():
@@ -154,33 +156,83 @@ def facts_units():
     return units + [random_unit(seed) for seed in range(60)]
 
 
-def test_statement_facts_match_the_tree_walks():
-    """`declares` holds every `let` name at any depth, and `height` is the
-    depth `iter_depths` gives the statement's deepest node."""
-    for unit in facts_units():
-        for _, _, stmt in iter_statement_paths(unit):
-            _, declares, height = statement_facts(stmt, {})
-            nodes = list(iter_depths([stmt]))
-            assert declares == {node.name for node, _ in nodes if isinstance(node, LetStmt)}
-            assert height == max(depth for _, depth in nodes)
+def edits(unit, statements):
+    """For every point of `unit`: its function, its path and each list of
+    statements an edit may put in its place: none, one of `statements`, or
+    one of them followed by the point statement."""
+    for sid, path, at in iter_statement_paths(unit):
+        fn = unit.function(sid.function)
+        yield fn, path, []
+        for stmt in statements:
+            yield fn, path, [stmt]
+            yield fn, path, [stmt, at]
+
+
+def edited_body(fn, path, written):
+    """`fn` with `written` in place of the statement `path` leads to, made
+    as `apply_patch_op` makes it."""
+    copied, owner, block, index = copy_path(fn, path)
+    block[index : index + 1] = written
+    if not block and isinstance(owner, IfStmt) and owner.else_body is block:
+        owner.else_body = None
+    return copied
 
 
 def test_returns_after_edit_matches_the_edited_body():
-    """For a removal, and for a replacement by each statement of the unit,
-    at every point: the answer is `_block_returns` of the edited body."""
+    """For a removal, and for a replacement by and an insertion of each of
+    some statements of the unit, at every point: the answer is
+    `_block_returns` of the edited body."""
     for unit in facts_units()[-20:] + facts_units()[:3]:
-        statements = [stmt for _, _, stmt in iter_statement_paths(unit)]
-        for sid, path, _ in iter_statement_paths(unit):
-            fn = unit.function(sid.function)
-            for written in [None] + statements[:8]:
-                copied, owner, block, index = copy_path(fn, path)
-                if written is None:
-                    del block[index]
-                    if not block and isinstance(owner, IfStmt) and owner.else_body is block:
-                        owner.else_body = None
-                else:
-                    block[index] = written
-                assert returns_after_edit(fn.body, path, written) == _block_returns(copied.body)
+        statements = [stmt for _, _, stmt in iter_statement_paths(unit)][:8]
+        for fn, path, written in edits(unit, statements):
+            expected = _block_returns(edited_body(fn, path, written).body)
+            assert returns_after_edit(fn.body, path, written) == expected
+
+
+def test_check_edit_agrees_with_check_function_on_the_edited_function():
+    """Any statement of the unit, fitting or not, put at any point: the
+    edit is accepted exactly when `check_function` accepts the edited
+    function, and the point's environment is left as it was."""
+    verdicts = set()
+    for unit in facts_units()[-30:] + facts_units()[:14]:
+        sigs = signatures(unit)
+        statements = [stmt for _, _, stmt in iter_statement_paths(unit)][::3][:12]
+        for fn, path, written in edits(unit, statements):
+            env = function_envs(unit, fn)[path]
+            kept = dict(env)
+            try:
+                check_function(edited_body(fn, path, written), sigs, table=False)
+                expected = None
+            except CheckError:
+                expected = CheckError
+            try:
+                check_edit(fn, path, written, env, sigs)
+                got = None
+            except CheckError:
+                got = CheckError
+            assert got is expected, (fn.name, path, written)
+            assert env == kept
+            verdicts.add(got)
+    assert verdicts == {None, CheckError}
+
+
+def point_at(unit, function, index):
+    sid = StatementId(function, index)
+    return ModificationPoint(sid, path_of(unit, sid))
+
+
+def ingredient_at(unit, function, index):
+    """The ingredient of `unit` whose statement is `function`'s `index`th."""
+    fn = unit.function(function)
+    return operators.function_ingredients(unit, fn)[index]
+
+
+def assert_rejected_before_the_copy(monkeypatch, unit, op):
+    counter = CopyCounter(monkeypatch)
+    assert made_by(apply_reference, unit, op)[0] is TypeCheckFailed
+    with pytest.raises(TypeCheckFailed):
+        apply_patch_op(unit, op, random.Random(0))
+    assert counter.copies == 0
 
 
 def test_an_ingredient_that_redeclares_or_nests_too_deep_is_rejected_before_the_copy(monkeypatch):
@@ -188,25 +240,64 @@ def test_an_ingredient_that_redeclares_or_nests_too_deep_is_rejected_before_the_
         "fn f(x: int) -> int {\n  let y = x;\n  if (x > 0) {\n    let z = 1;\n    x = z;\n  }\n"
         "  return y;\n}\n"
     )
-    counter = CopyCounter(monkeypatch)
-    point = ModificationPoint(StatementId("f", 0), path_of(unit, StatementId("f", 0)))
-    pool = harvest_ingredients(unit, point, "local")
-    guarded = next(e for e in pool.entries if e.origin == StatementId("f", 1))
-    assert guarded.declares == {"z"} and guarded.height == 3  # the if, `x > 0`, `x`
+    guarded = ingredient_at(unit, "f", 1)  # the `if`, which declares `z`
     # before `let y`, `z` is unbound: admitted, and its child is kept
-    apply_patch_op(unit, PatchOp("InsertBefore", point, {"ingredient": guarded}))
-    assert counter.copies == 1
+    apply_patch_op(unit, PatchOp("InsertBefore", point_at(unit, "f", 0), {"ingredient": guarded}))
     # inside the `if`, after `let z`, the `let z` of the copy is a redeclaration
-    inner = ModificationPoint(StatementId("f", 3), path_of(unit, StatementId("f", 3)))
     for kind in ("InsertBefore", "Replace"):
-        try:
-            apply_patch_op(unit, PatchOp(kind, inner, {"ingredient": guarded}))
-        except TypeCheckFailed as exc:
-            assert "redeclares" in str(exc)
-        else:
-            raise AssertionError(f"{kind} of a redeclaring ingredient was kept")
-    assert counter.copies == 1
-    assert len(path_of(unit, StatementId("f", 3))) + guarded.height - 1 <= MAX_NESTING
+        op = PatchOp(kind, point_at(unit, "f", 3), {"ingredient": guarded})
+        assert_rejected_before_the_copy(monkeypatch, unit, op)
+    # 40 nested `if`s: the whole nest, put at its innermost statement, nests
+    # 83 levels deep, past the parser's 64
+    depth = 40
+    nest = "x = x + 1;"
+    for _ in range(depth):
+        nest = f"if (x > 0) {{ {nest} }}"
+    unit = parse(f"fn g(x: int) -> int {{ {nest} return x; }}\n")
+    op = PatchOp("InsertBefore", point_at(unit, "g", depth), {"ingredient": ingredient_at(unit, "g", 0)})
+    assert_rejected_before_the_copy(monkeypatch, unit, op)
+
+
+UNDECIDED = {
+    # a `let x` replaced by a `let x` of another type, with later uses
+    "retyped let": (
+        "fn f(a: int, b: bool) -> int {\n  let x = a;\n  x = x + 1;\n  return x;\n}\n"
+        "fn g(b: bool) -> bool {\n  let x = b;\n  return x;\n}\n",
+        PatchOp("Replace", None, {"ingredient": ("g", 0)}),
+        ("f", 0),
+    ),
+    # an `if` whose nested `return` has the wrong type
+    "nested return": (
+        "fn f(a: int) -> int {\n  if (a > 0) {\n    a = a - 1;\n  }\n  return a;\n}\n"
+        "fn g(a: int) -> bool {\n  if (a > 0) {\n    return true;\n  }\n  return false;\n}\n",
+        PatchOp("Replace", None, {"ingredient": ("g", 0)}),
+        ("f", 0),
+    ),
+    # a `let y` inserted ahead of a later `let y` of the same block
+    "later let": (
+        "fn f(a: int) -> int {\n  a = a + 1;\n  let y = a;\n  return y;\n}\n",
+        PatchOp("InsertBefore", None, {"ingredient": ("f", 1)}),
+        ("f", 0),
+    ),
+    # jpar's guard around a `let` used after it
+    "guarded let": (
+        "fn f(v: int[]) -> int {\n  let y = v[0];\n  return y;\n}\n",
+        PatchOp("TemplateGuardArrayAccess", None, {"site": 0}),
+        ("f", 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNDECIDED))
+def test_a_failure_the_old_rules_could_not_decide_is_rejected_before_the_copy(monkeypatch, case):
+    """The rules that rejected jgenprog ops before their copy, before
+    `check_edit` replaced them, let each of these through to the copy."""
+    source, op, at = UNDECIDED[case]
+    unit = parse(source)
+    payload = dict(op.payload)
+    if "ingredient" in payload:
+        payload["ingredient"] = ingredient_at(unit, *payload["ingredient"])
+    assert_rejected_before_the_copy(monkeypatch, unit, PatchOp(op.kind, point_at(unit, *at), payload))
 
 
 # --- one pool per parent ------------------------------------------------------

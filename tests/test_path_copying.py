@@ -3,8 +3,9 @@
 and every other child of its parent equals, and prints as, the child made
 from a full copy of the edited function; each skip is the reference's
 skip; the parent prints and compares as before; and a child shares with
-its parent every statement off the point's path. Positional ids are the
-pre-order numbers that `normalize` once stored on every statement."""
+its parent every statement off the point's path. On the corpus, every
+template and mutation op is compared. Positional ids are the pre-order
+numbers that `normalize` once stored on every statement."""
 
 import copy
 import random
@@ -100,6 +101,19 @@ def test_path_copied_children_equal_full_clone_children_on_random_lineages(seed)
             for k, other in enumerate(rng.sample(others, min(25, len(others)))):
                 assert_matches_reference(parent, other, seed + k)
             assert parent == snapshot and pretty_print(parent) == text
+
+
+def test_every_template_and_mutation_op_equals_the_reference_on_the_corpus():
+    """Every op of `enumerate_ops` at every point, for jpar and jmutrepair,
+    on each corpus case and on the merged unit."""
+    kept = 0
+    for parent in [load_corpus_case(name)[0] for name in corpus_case_names()] + [merged_corpus_unit()]:
+        text = pretty_print(parent)
+        for mode in ("jpar", "jmutrepair"):
+            for k, op in enumerate(every_op(parent, mode, "local")):
+                kept += assert_matches_reference(parent, op, k) is not None
+        assert pretty_print(parent) == text
+    assert kept > 0
 
 
 def parsed_units():
